@@ -13,9 +13,10 @@ from .adaptation import (METHODS, AdaptationConfig, FinetuneConfig, adapt_proton
                          adapt_teen, base_anchor_memory, composite_loss,
                          finetune_session, run_fscil, sample_base_replay_store)
 from .anchors import (AnchorSet, ClosestToPrototype, FeatureSet, FullSet,
-                      KMeansCentroids, RandomClosestPercent, RandomSample,
-                      incremental_anchors, kmeans, load_anchor_set, project_features,
-                      save_anchor_set, select_anchors, strategy_from_name)
+                      KMeansCentroids, KMeansObjectiveError, RandomClosestPercent,
+                      RandomSample, incremental_anchors, kmeans, load_anchor_set,
+                      project_features, save_anchor_set, select_anchors,
+                      strategy_from_name)
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
                    SynthClassSpec, SynthSpec, desk_synth_spec,
@@ -34,7 +35,7 @@ from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                     LinearBackbone, ModelState, TrainingDivergedError, accuracy,
                     class_scores, compute_prototypes, cosine_distance,
                     predict, predict_batch, prototype_of, train_base)
-from .optim import Adam
+from .optim import Adam, FreezingViolation, minimize
 from .presets import (EXPERIMENT_PRESETS, ExperimentPreset, build_split, get_preset,
                       materialize_synth, with_synth_classes)
 from .seeds import derive_seed, make_rng
@@ -46,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # engine
-    "Tensor", "Adam", "NonFiniteError", "ShapeError",
+    "Tensor", "Adam", "minimize", "FreezingViolation", "NonFiniteError", "ShapeError",
     # data
     "Dataset", "SynthClassSpec", "SynthSpec", "StandardizationStats",
     "SessionSpec", "SessionSplit", "desk_synth_spec", "paired_gain_spec",
@@ -62,6 +63,7 @@ __all__ = [
     "FeatureSet", "AnchorSet", "RandomSample", "ClosestToPrototype",
     "RandomClosestPercent", "KMeansCentroids", "FullSet", "strategy_from_name",
     "project_features", "select_anchors", "incremental_anchors", "kmeans",
+    "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion
     "InversionConfig", "LabelInversionConfig", "ReplaySet", "invert_anchor",

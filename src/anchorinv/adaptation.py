@@ -33,7 +33,7 @@ from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
 from .model import (ModelState, cross_entropy_graph, embed_batch, prototype_of,
                     scores_graph)
-from .optim import Adam
+from .optim import minimize
 from .seeds import derive_seed, make_rng
 
 __all__ = [
@@ -182,7 +182,7 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     Adam on the composite loss over the configured trainable set only.
 
     Returns the adapted clone.  Frozen tensors are checksummed before and
-    after; any drift raises.
+    after; any drift raises ``FreezingViolation``.
     """
     out = state.clone()
     prior_classes = set(out.seen_classes())
@@ -205,27 +205,16 @@ def finetune_session(state: ModelState, replay, new: Dataset,
 
     trainable_ids = {id(t) for t in trainable}
     frozen = [t for t in out.all_parameters().values() if id(t) not in trainable_ids]
-    frozen_before = [t.data.tobytes() for t in frozen]
+    if config.iterations == 0:
+        return out
 
-    saved_flags = [(t, t.requires_grad) for t in out.all_parameters().values()]
-    for t, _ in saved_flags:
-        t.requires_grad = id(t) in trainable_ids
-    try:
-        if config.iterations > 0:
-            optimizer = Adam(trainable, learning_rate=config.learning_rate)
-            for _ in range(config.iterations):
-                loss = composite_loss(out, replay, new, config.replay_weight)
-                ad.backward(loss)
-                optimizer.step()
-                if loss_log is not None:
-                    loss_log.append(loss.item())
-    finally:
-        for t, flag in saved_flags:
-            t.requires_grad = flag
+    def loss_fn(i: int) -> Tensor:
+        return composite_loss(out, replay, new, config.replay_weight)
 
-    frozen_after = [t.data.tobytes() for t in frozen]
-    if frozen_before != frozen_after:
-        raise RuntimeError("freezing contract violated: a frozen tensor changed")
+    losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
+                      frozen=frozen)
+    if loss_log is not None:
+        loss_log.extend(losses)
     return out
 
 

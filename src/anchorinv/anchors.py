@@ -33,11 +33,16 @@ __all__ = [
     "select_anchors",
     "incremental_anchors",
     "kmeans",
+    "KMeansObjectiveError",
     "save_anchor_set",
     "load_anchor_set",
 ]
 
 _COS_EPS = 1e-12
+
+
+class KMeansObjectiveError(RuntimeError):
+    """A Lloyd iteration raised the k-means objective (a numerical fault)."""
 
 
 @dataclass
@@ -261,8 +266,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> n
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns (k, D) centroids.  The sum of squared distances to the nearest
-    centroid is asserted non-increasing across iterations; empty clusters are
-    reseeded to the point farthest from its assigned centroid.
+    centroid must not increase across iterations (``KMeansObjectiveError``
+    otherwise); empty clusters are reseeded to the point farthest from its
+    assigned centroid.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -293,8 +299,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> n
         d2 = _pairwise_sq_dist(points, centroids)
         new_assignments = np.argmin(d2, axis=1)
         objective = float(d2[np.arange(n), new_assignments].sum())
-        assert objective <= prev_objective * (1 + 1e-9) + 1e-9, \
-            "k-means objective increased"
+        if objective > prev_objective * (1 + 1e-9) + 1e-9:
+            raise KMeansObjectiveError(f"k-means objective increased from "
+                                       f"{prev_objective} to {objective}")
         prev_objective = objective
         if assignments is not None and np.array_equal(new_assignments, assignments):
             break

@@ -28,11 +28,12 @@ import numpy as np
 
 from .adaptation import METHODS, base_anchor_memory
 from .anchors import load_anchor_set, save_anchor_set
-from .data import Dataset, desk_synth_spec, split_sessions
+from .data import Dataset
 from .evaluation import TrialPlan, TrialReport, render_report, run_trials, summarize
 from .inversion import invert_set
 from .model import accuracy, train_base
-from .presets import ExperimentPreset, build_split, get_preset, materialize_synth
+from .presets import (ExperimentPreset, build_split, get_preset, materialize_synth,
+                      with_synth_classes)
 from .serialization import (canonical_json, load_checkpoint, read_manifest_dataset,
                             save_checkpoint, write_manifest_dataset)
 
@@ -50,8 +51,6 @@ ABLATE_AXES = ("base-classes", "shots", "anchors", "strategy")
 _TOP_KEYS = {"preset", "trials", "seed", "methods", "way", "shot", "base_classes",
              "synth", "base_train", "finetune", "inversion", "adaptation",
              "checkpoint", "anchors", "manifest", "ablate"}
-_SYNTH_KEYS = ("num_classes", "train_per_class", "test_per_class", "channels",
-               "timesteps", "seed", "noise_sigma", "base_frequency", "frequency_step")
 # finetune/inversion have their own top-level sections
 _ADAPTATION_SCALARS = {"label_inversion_iterations", "label_inversion_learning_rate",
                        "anchors_per_class", "anchor_strategy", "anchor_fraction",
@@ -100,40 +99,16 @@ def _override(obj, overrides: dict, context: str):
     return replace(obj, **coerced)
 
 
-def _synth_override(preset: ExperimentPreset, overrides: dict) -> ExperimentPreset:
-    if preset.synth is None:
-        raise ConfigError(f"preset '{preset.name}' has no synthetic data; "
-                          f"remove the 'synth' section")
-    unknown = sorted(set(overrides) - set(_SYNTH_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown synth config keys {unknown}")
-    spec = preset.synth
-    # presets whose class pairs share a frequency imply a zero step; the
-    # generic frequency ladder needs a positive one, so fall back to 1.0
-    inferred_step = (spec.classes[1].frequency - spec.classes[0].frequency
-                     if len(spec.classes) > 1 else 1.0)
-    current = {
-        "num_classes": len(spec.classes),
-        "train_per_class": spec.train_per_class,
-        "test_per_class": spec.test_per_class,
-        "channels": spec.channels,
-        "timesteps": spec.timesteps,
-        "seed": spec.seed,
-        "noise_sigma": spec.classes[0].noise_sigma,
-        "base_frequency": spec.classes[0].frequency,
-        "frequency_step": inferred_step if inferred_step > 0 else 1.0,
-    }
-    current.update(overrides)
-    num_classes = int(current.pop("num_classes"))
-    synth = desk_synth_spec(num_classes=num_classes, **current)
-    return replace(preset, num_classes=num_classes, synth=synth)
-
-
 def resolve_preset(cfg: dict) -> ExperimentPreset:
     """Build the effective preset: named preset + config overrides."""
     preset = get_preset(str(_require(cfg, "preset")))
     if "synth" in cfg:
-        preset = _synth_override(preset, cfg["synth"])
+        if not isinstance(cfg["synth"], dict):
+            raise ConfigError("'synth' must be a JSON object")
+        try:
+            preset = with_synth_classes(preset, **cfg["synth"])
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
     if "base_train" in cfg:
         preset = replace(preset, base_train=_override(preset.base_train,
                                                       cfg["base_train"], "base_train"))
@@ -261,6 +236,46 @@ def _ablate_row(report: TrialReport, method: str, metric: str, value) -> dict:
             "mean": mean, "std": std, "per_trial": per_trial}
 
 
+def _axis_preset(preset: ExperimentPreset, axis: str, value) -> ExperimentPreset:
+    """The preset one value of the shots, anchors or strategy axis runs."""
+    if axis == "shots":
+        return replace(preset, shot=int(value))
+    if axis == "anchors":
+        adaptation = replace(preset.adaptation, anchors_per_class=int(value))
+    elif isinstance(value, dict):
+        if "name" not in value:
+            raise ConfigError("strategy axis values need a 'name' key")
+        adaptation = replace(
+            preset.adaptation,
+            anchor_strategy=str(value["name"]),
+            anchor_fraction=float(value.get("fraction", preset.adaptation.anchor_fraction)),
+            anchor_kmeans_k=int(value.get("k", preset.adaptation.anchor_kmeans_k)))
+    else:
+        adaptation = replace(preset.adaptation, anchor_strategy=str(value))
+    return replace(preset, adaptation=adaptation)
+
+
+def _base_class_runs(preset: ExperimentPreset, values: list, unseen: int,
+                     all_ids: list[int]) -> list[tuple]:
+    """Frozen-backbone transfer: each value B retrains the base model on the
+    first B classes and scores protonet on a fixed set of held-out classes."""
+    if unseen < 1 or unseen >= len(all_ids):
+        raise ConfigError(f"'ablate.unseen'={unseen} out of range for "
+                          f"{len(all_ids)} classes")
+    eval_ids = all_ids[-unseen:]
+    runs = []
+    for value in values:
+        b = int(value)
+        base_ids = all_ids[:b]
+        if len(base_ids) != b or set(base_ids) & set(eval_ids):
+            raise ConfigError(f"base-class count {b} collides with the "
+                              f"{unseen} held-out classes")
+        run_preset = replace(preset, base_classes=tuple(base_ids), way=unseen,
+                             methods=("protonet",))
+        runs.append((b, run_preset, base_ids + eval_ids, "incremental"))
+    return runs
+
+
 def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
                workers: int) -> None:
     ablate_cfg = _require(cfg, "ablate")
@@ -270,66 +285,28 @@ def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
     if not isinstance(values, list) or not values:
         raise ConfigError(f"'ablate.{axis}' must be a nonempty list of axis values")
 
-    rows: list[dict] = []
+    # no axis changes the synthetic spec, so every run shares one data set
+    train, test = load_datasets(preset, cfg)
     if axis == "base-classes":
-        # frozen-backbone transfer: retrain the base model on the first B
-        # classes, adapt prototypes for a fixed held-out class set, and score
-        # macro-F1 on those held-out classes
-        unseen = int(ablate_cfg.get("unseen", 6))
-        train, test = load_datasets(preset, cfg)
-        all_ids = train.classes()
-        if unseen < 1 or unseen >= len(all_ids):
-            raise ConfigError(f"'ablate.unseen'={unseen} out of range for "
-                              f"{len(all_ids)} classes")
-        eval_ids = all_ids[-unseen:]
-        for value in values:
-            b = int(value)
-            base_ids = all_ids[:b]
-            if len(base_ids) != b or set(base_ids) & set(eval_ids):
-                raise ConfigError(f"base-class count {b} collides with the "
-                                  f"{unseen} held-out classes")
-            sub_train = train.of_classes(base_ids + eval_ids)
-            sub_test = test.of_classes(base_ids + eval_ids)
-            split = split_sessions(sub_train, base_ids, way=unseen, shot=preset.shot)
-            state = train_base(split.base.x, split.base.y, preset.backbone_config,
-                               preset.base_train)
-            plan = TrialPlan(trials=preset.trials, master_seed=preset.master_seed,
-                             methods=("protonet",))
-            report = run_trials(state, split, sub_test, plan, preset.adaptation,
-                                workers=workers)
-            rows.append(_ablate_row(report, "protonet", "incremental", b))
+        runs = _base_class_runs(preset, values, int(ablate_cfg.get("unseen", 6)),
+                                train.classes())
     else:
-        for value in values:
-            run_preset = preset
-            if axis == "shots":
-                run_preset = replace(preset, shot=int(value))
-            elif axis == "anchors":
-                run_preset = replace(preset, adaptation=replace(
-                    preset.adaptation, anchors_per_class=int(value)))
-            elif axis == "strategy":
-                if isinstance(value, dict):
-                    if "name" not in value:
-                        raise ConfigError("strategy axis values need a 'name' key")
-                    adaptation = replace(
-                        preset.adaptation,
-                        anchor_strategy=str(value["name"]),
-                        anchor_fraction=float(value.get(
-                            "fraction", preset.adaptation.anchor_fraction)),
-                        anchor_kmeans_k=int(value.get(
-                            "k", preset.adaptation.anchor_kmeans_k)))
-                else:
-                    adaptation = replace(preset.adaptation, anchor_strategy=str(value))
-                run_preset = replace(preset, adaptation=adaptation)
-            train, test = load_datasets(run_preset, cfg)
-            split = build_split(run_preset, train)
-            state = train_base(split.base.x, split.base.y, run_preset.backbone_config,
-                               run_preset.base_train)
-            plan = TrialPlan(trials=run_preset.trials, master_seed=run_preset.master_seed,
-                             methods=run_preset.methods)
-            report = run_trials(state, split, test, plan, run_preset.adaptation,
-                                workers=workers)
-            for method in run_preset.methods:
-                rows.append(_ablate_row(report, method, "all", value))
+        runs = [(value, _axis_preset(preset, axis, value), None, "all") for value in values]
+
+    rows: list[dict] = []
+    for value, run_preset, class_ids, metric in runs:
+        run_train, run_test = train, test
+        if class_ids is not None:
+            run_train, run_test = train.of_classes(class_ids), test.of_classes(class_ids)
+        split = build_split(run_preset, run_train)
+        state = train_base(split.base.x, split.base.y, run_preset.backbone_config,
+                           run_preset.base_train)
+        plan = TrialPlan(trials=run_preset.trials, master_seed=run_preset.master_seed,
+                         methods=run_preset.methods)
+        report = run_trials(state, split, run_test, plan, run_preset.adaptation,
+                            workers=workers)
+        rows.extend(_ablate_row(report, method, metric, value)
+                    for method in run_preset.methods)
 
     payload = {"axis": axis, "trials": preset.trials, "rows": rows}
     (staging / "ablate.json").write_text(canonical_json(payload))

@@ -16,7 +16,6 @@ batch statistics, which only makes sense jointly).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
 from .model import ModelState, cross_entropy_graph, embed_batch, scores_graph
-from .optim import Adam
+from .optim import minimize
 from .seeds import make_rng
 
 __all__ = [
@@ -138,26 +137,6 @@ class ReplaySet:
                    np.zeros(0, dtype=np.float64))
 
 
-@contextmanager
-def _frozen_state(state: ModelState):
-    """Temporarily drop requires_grad on every model parameter so inversion
-    graphs do not spend time on parameter gradients."""
-    tensors = list(state.backbone.params.values()) + list(state.class_weights.values())
-    saved = [t.requires_grad for t in tensors]
-    try:
-        for t in tensors:
-            t.requires_grad = False
-        yield
-    finally:
-        for t, flag in zip(tensors, saved):
-            t.requires_grad = flag
-
-
-def _param_snapshot(state: ModelState) -> list[bytes]:
-    tensors = list(state.backbone.params.values()) + list(state.class_weights.values())
-    return [t.data.tobytes() for t in tensors]
-
-
 def _init_batch(count: int, channels: int, timesteps: int, mode: str,
                 seed: int) -> np.ndarray:
     """One (H, W) init per target; per-sample stream keyed by seed + index."""
@@ -179,26 +158,22 @@ def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionC
     j, dim = targets.shape
     if dim != state.feature_dim:
         raise ad.ShapeError(f"anchor dimension {dim} != model dimension {state.feature_dim}")
-    before = _param_snapshot(state)
-    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed),
-               requires_grad=True)
+    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed))
     target_t = Tensor(np.asarray(targets, dtype=np.float32))
-    optimizer = Adam([x], learning_rate=config.learning_rate)
     inv_dim = 1.0 / dim
-    with _frozen_state(state):
-        for _ in range(config.iterations):
-            feats = embed_batch(state, x)
-            residual = ad.absolute(ad.sub(feats, target_t))
-            # sum of per-sample MAEs: gradients stay factorized per sample
-            loss = ad.mul_scalar(residual.sum(), inv_dim)
-            ad.backward(loss)
-            optimizer.step()
-            if loss_trajectory is not None:
-                loss_trajectory.append(loss.item() / j)
+
+    def loss_fn(i: int) -> Tensor:
+        residual = ad.absolute(ad.sub(embed_batch(state, x), target_t))
+        # sum of per-sample MAEs: gradients stay factorized per sample
+        return ad.mul_scalar(residual.sum(), inv_dim)
+
+    losses = minimize([x], loss_fn, config.iterations, config.learning_rate,
+                      frozen=state.all_parameters().values())
+    if loss_trajectory is not None:
+        loss_trajectory.extend(loss / j for loss in losses)
     with ad.no_grad():
         final_feats = embed_batch(state, Tensor(x.data)).data
     final_mae = np.abs(final_feats.astype(np.float64) - targets.astype(np.float64)).mean(axis=1)
-    assert _param_snapshot(state) == before, "inversion mutated model parameters"
     return x.data.copy(), final_mae
 
 
@@ -279,13 +254,11 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     if unknown:
         raise KeyError(f"labels {unknown} not registered in the classifier")
     class_order = state.seen_classes()
+    cols = np.array([class_order.index(c) for c in labels])
     label_arr = np.asarray(labels, dtype=np.int64)
     j = len(labels)
 
-    before = _param_snapshot(state)
-    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed),
-               requires_grad=True)
-    optimizer = Adam([x], learning_rate=config.learning_rate)
+    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed))
     weights = {
         "ce": config.cross_entropy_weight,
         "l2": config.l2_weight,
@@ -293,42 +266,33 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
         "fs": config.feature_stat_weight,
     }
 
-    def term_values(xt: Tensor) -> dict[str, Tensor]:
-        feats = embed_batch(state, xt)
-        scores = scores_graph(state, feats)
-        picked = ad.take_per_row(ad.log(scores),
-                                 np.array([class_order.index(c) for c in labels]))
-        terms = {"ce": ad.mul_scalar(picked.sum(), -1.0)}
+    def loss_fn(i: int) -> Tensor:
+        scores = scores_graph(state, embed_batch(state, x))
+        terms = {"ce": ad.mul_scalar(ad.take_per_row(ad.log(scores), cols).sum(), -1.0)}
         if weights["l2"] > 0:
-            terms["l2"] = ad.mul(xt, xt).sum()
+            terms["l2"] = ad.mul(x, x).sum()
         if weights["tv"] > 0:
-            terms["tv"] = total_variation(xt)
+            terms["tv"] = total_variation(x)
         if weights["fs"] > 0:
-            terms["fs"] = feature_stat_penalty(state, xt)
-        return terms
-
-    with _frozen_state(state):
-        for it in range(config.iterations):
-            terms = term_values(x)
-            if it == 0 and config.auto_balance:
-                ce0 = abs(terms["ce"].item())
-                for key in ("l2", "tv", "fs"):
-                    if weights[key] > 0:
-                        mag = abs(terms[key].item())
-                        weights[key] = ce0 / mag if mag > 1e-12 else 0.0
-            loss = ad.mul_scalar(terms["ce"], weights["ce"])
+            terms["fs"] = feature_stat_penalty(state, x)
+        if i == 0 and config.auto_balance:
+            ce0 = abs(terms["ce"].item())
             for key in ("l2", "tv", "fs"):
-                if key in terms and weights[key] > 0:
-                    loss = ad.add(loss, ad.mul_scalar(terms[key], weights[key]))
-            ad.backward(loss)
-            optimizer.step()
+                if weights[key] > 0:
+                    mag = abs(terms[key].item())
+                    weights[key] = ce0 / mag if mag > 1e-12 else 0.0
+        loss = ad.mul_scalar(terms["ce"], weights["ce"])
+        for key in ("l2", "tv", "fs"):
+            if key in terms and weights[key] > 0:
+                loss = ad.add(loss, ad.mul_scalar(terms[key], weights[key]))
+        return loss
 
+    minimize([x], loss_fn, config.iterations, config.learning_rate,
+             frozen=state.all_parameters().values())
     with ad.no_grad():
         feats = embed_batch(state, Tensor(x.data))
         scores = scores_graph(state, feats).data
-    cols = np.array([class_order.index(c) for c in labels])
     final_ce = -np.log(np.maximum(scores[np.arange(j), cols], 1e-300)).astype(np.float64)
-    assert _param_snapshot(state) == before, "label-space inversion mutated parameters"
     return ReplaySet(samples=x.data.copy(), labels=label_arr,
                      sessions=np.zeros(j, dtype=np.int64), feature_mae=final_ce)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
-from .optim import Adam
+from .optim import minimize
 from .seeds import make_rng
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "predict",
     "predict_batch",
     "embed_batch",
-    "backbone_forward",
     "compute_prototypes",
     "prototype_of",
     "cross_entropy_graph",
@@ -407,15 +406,6 @@ def embed_batch(state: ModelState, x) -> Tensor:
     return state.backbone.embed(t)
 
 
-def backbone_forward(state: ModelState, x) -> Tensor:
-    """Embed a single (H, W) sample to a (D,) tensor (differentiable)."""
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-    if t.ndim != 2:
-        raise ShapeError(f"expected one (H, W) sample, got {t.shape}")
-    batched = t.reshape((1,) + t.shape)
-    return state.backbone.embed(batched).reshape((state.feature_dim,))
-
-
 def predict_batch(state: ModelState, x: np.ndarray) -> np.ndarray:
     """Predicted class ids for an (N, H, W) batch (inference only)."""
     with ad.no_grad():
@@ -534,19 +524,19 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
         weights = {c: len(y) / (len(classes) * counts[c]) for c in classes}
 
     params = list(state.backbone.params.values()) + [state.class_weights[c] for c in classes]
-    optimizer = Adam(params, learning_rate=config.learning_rate)
-    xt = Tensor(x)
-    losses: list[float] = []
-    for epoch in range(config.epochs):
-        try:
-            scores = scores_graph(state, embed_batch(state, xt))
-            loss = cross_entropy_graph(scores, y, classes, weights)
-            ad.backward(loss)
-            optimizer.step()
-        except NonFiniteError as err:
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}: {err}") from err
-        losses.append(loss.item())
+    epoch = 0
+
+    def loss_fn(i: int) -> Tensor:
+        nonlocal epoch
+        epoch = i
+        scores = scores_graph(state, embed_batch(state, xt))
+        return cross_entropy_graph(scores, y, classes, weights)
+
+    try:
+        xt = Tensor(x)  # a non-finite input fails here, before epoch 0 runs
+        losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
+    except NonFiniteError as err:
+        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {err}") from err
 
     compute_prototypes(state, x, y, classes)
     with ad.no_grad():

@@ -1,20 +1,30 @@
-"""Adam optimizer over autodiff tensors.
+"""Adam optimizer over autodiff tensors, and the one loop that drives it.
 
 Standard bias-corrected Adam (Kingma & Ba).  The optimizer owns first/second
 moment buffers per parameter and a shared step counter; ``step`` consumes the
 ``.grad`` populated by ``backward`` (or an explicit gradient list) and updates
 parameter data in place.
+
+``minimize`` is the only optimisation loop of the package: base training,
+anchor inversion, label-space inversion and finetuning all run through it,
+so the freezing contract (frozen tensors come out bit-identical, checked by
+an explicit raise) is enforced in one place.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import NonFiniteError, ShapeError, Tensor
 
-__all__ = ["Adam"]
+__all__ = ["Adam", "FreezingViolation", "minimize"]
+
+
+class FreezingViolation(RuntimeError):
+    """A tensor held frozen during ``minimize`` changed while it ran."""
 
 
 class Adam:
@@ -72,3 +82,35 @@ class Adam:
             p.data -= update.astype(p.data.dtype, copy=False)
             if not np.all(np.isfinite(p.data)):
                 raise NonFiniteError("parameter diverged to non-finite values in Adam.step")
+
+
+def minimize(params: Sequence[Tensor], loss_fn: Callable[[int], Tensor], iterations: int,
+             learning_rate: float, frozen: Sequence[Tensor] = ()) -> list[float]:
+    """Run ``iterations`` steps of Adam on ``loss_fn(i)`` over ``params``.
+
+    ``params`` get ``requires_grad`` and ``frozen`` lose it for the duration
+    of the loop; every flag is restored afterwards.  The bytes of ``frozen``
+    are snapshotted first, and any change raises ``FreezingViolation``.
+    Returns the loss of every iteration.
+    """
+    params, frozen = list(params), list(frozen)
+    flags = [(t, t.requires_grad) for t in params + frozen]
+    before = [t.data.tobytes() for t in frozen]
+    losses: list[float] = []
+    try:
+        for t in frozen:
+            t.requires_grad = False
+        for t in params:
+            t.requires_grad = True
+        optimizer = Adam(params, learning_rate=learning_rate)
+        for i in range(iterations):
+            loss = loss_fn(i)
+            ad.backward(loss)
+            optimizer.step()
+            losses.append(loss.item())
+    finally:
+        for t, flag in flags:
+            t.requires_grad = flag
+    if [t.data.tobytes() for t in frozen] != before:
+        raise FreezingViolation("freezing contract violated: a frozen tensor changed")
+    return losses

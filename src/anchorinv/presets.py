@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 5
+# the keys of a config's "synth" section, i.e. what with_synth_classes takes
+_SYNTH_KEYS = ("num_classes", "train_per_class", "test_per_class", "channels",
+              "timesteps", "seed", "noise_sigma", "base_frequency", "frequency_step")
 
 
 @dataclass(frozen=True)
@@ -195,18 +198,36 @@ def build_split(preset: ExperimentPreset, train: Dataset) -> SessionSplit:
     return split_sessions(train, preset.base_classes, preset.way, preset.shot)
 
 
-def with_synth_classes(preset: ExperimentPreset, num_classes: int,
-                       noise_sigma: float | None = None) -> ExperimentPreset:
-    """Clone a synthetic preset with a different class count (keeps geometry
-    fields that still make sense; callers adjust way/base as needed)."""
+def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
+                       **overrides) -> ExperimentPreset:
+    """Clone a synthetic preset onto a ``desk_synth_spec`` frequency ladder.
+
+    Takes the keys of a config's ``synth`` section (``_SYNTH_KEYS``); any key
+    left out is read off the preset's own spec.  Callers adjust way and base
+    classes as needed.
+    """
     if preset.synth is None:
-        raise ValueError(f"preset '{preset.name}' is not synthetic")
-    sigma = preset.synth.classes[0].noise_sigma if noise_sigma is None else noise_sigma
-    synth = desk_synth_spec(num_classes=num_classes,
-                            train_per_class=preset.synth.train_per_class,
-                            test_per_class=preset.synth.test_per_class,
-                            channels=preset.synth.channels,
-                            timesteps=preset.synth.timesteps,
-                            seed=preset.synth.seed,
-                            noise_sigma=sigma)
+        raise ValueError(f"preset '{preset.name}' is not synthetic; "
+                         f"remove the 'synth' section")
+    unknown = sorted(set(overrides) - set(_SYNTH_KEYS))
+    if unknown:
+        raise ValueError(f"unknown synth config keys {unknown}")
+    spec = preset.synth
+    # presets whose class pairs share a frequency imply a zero step; the
+    # ladder needs a positive one, so fall back to 1.0
+    step = (spec.classes[1].frequency - spec.classes[0].frequency
+            if len(spec.classes) > 1 else 1.0)
+    current = {
+        "train_per_class": spec.train_per_class,
+        "test_per_class": spec.test_per_class,
+        "channels": spec.channels,
+        "timesteps": spec.timesteps,
+        "seed": spec.seed,
+        "noise_sigma": spec.classes[0].noise_sigma,
+        "base_frequency": spec.classes[0].frequency,
+        "frequency_step": step if step > 0 else 1.0,
+    }
+    current.update(overrides)
+    num_classes = len(spec.classes) if num_classes is None else int(num_classes)
+    synth = desk_synth_spec(num_classes=num_classes, **current)
     return replace(preset, num_classes=num_classes, synth=synth)

@@ -8,9 +8,11 @@ bit-exact round trips.
 import numpy as np
 import pytest
 
+import anchorinv.anchors as anchors_mod
 from anchorinv.anchors import (AnchorSet, ClosestToPrototype, FeatureSet,
-                               FullSet, KMeansCentroids, RandomClosestPercent,
-                               RandomSample, incremental_anchors, kmeans,
+                               FullSet, KMeansCentroids, KMeansObjectiveError,
+                               RandomClosestPercent, RandomSample,
+                               incremental_anchors, kmeans,
                                load_anchor_set, project_features,
                                save_anchor_set, select_anchors,
                                strategy_from_name)
@@ -270,6 +272,22 @@ def test_kmeans_validation():
         kmeans(np.zeros((0, 2)), k=1)
     with pytest.raises(ValueError):
         kmeans(points, k=2, max_iters=0)
+
+
+def test_kmeans_objective_increase_raises(monkeypatch):
+    # a distance routine that inflates on every call makes Lloyd's objective
+    # rise; the guard is an explicit raise, so it holds under python -O too
+    real = anchors_mod._pairwise_sq_dist
+    calls = []
+
+    def inflating(points, centers):
+        calls.append(1)
+        return real(points, centers) * len(calls)
+
+    monkeypatch.setattr(anchors_mod, "_pairwise_sq_dist", inflating)
+    points = np.random.default_rng(95).standard_normal((20, 3))
+    with pytest.raises(KMeansObjectiveError):
+        kmeans(points, k=3, seed=1)
 
 
 def test_kmeans_duplicate_points_fill_extra_centroids():

@@ -12,6 +12,7 @@ import pytest
 
 from anchorinv.cli import (ABLATE_AXES, WORKERS_ENV, ConfigError, apply_seed,
                            load_config, main, resolve_preset, _resolve_workers)
+from anchorinv.presets import get_preset, with_synth_classes
 from anchorinv.serialization import file_sha256
 
 
@@ -101,6 +102,16 @@ def test_synth_override_defaults_survive_shared_frequencies():
     preset = resolve_preset({"preset": "desk", "synth": {"num_classes": 6}})
     freqs = [c.frequency for c in preset.synth.classes]
     assert len(set(freqs)) == 6
+
+
+def test_synth_section_is_with_synth_classes():
+    for k in (6, 16):
+        got = resolve_preset({"preset": "desk", "synth": {"num_classes": k}})
+        assert got == with_synth_classes(get_preset("desk"), k)
+    with pytest.raises(ConfigError, match="not synthetic"):
+        resolve_preset({"preset": "bci", "synth": {"num_classes": 6}})
+    with pytest.raises(ConfigError):
+        resolve_preset({"preset": "desk", "synth": [6]})
 
 
 def test_apply_seed_reaches_every_component():

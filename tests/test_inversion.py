@@ -5,10 +5,18 @@ invertible (least-squares gives reachability and a quality bound); the
 regularizers are checked against double-loop reimplementations.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import anchorinv
 import anchorinv.autodiff as ad
+import anchorinv.inversion as inversion
 from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
 from anchorinv.inversion import (InversionConfig, LabelInversionConfig,
@@ -18,6 +26,7 @@ from anchorinv.inversion import (InversionConfig, LabelInversionConfig,
                                  label_space_invert_batch, total_variation)
 from anchorinv.model import (FeatureStats, IdentityBackbone, LinearBackbone,
                              ModelState, embed_batch, predict, scores_graph)
+from anchorinv.optim import FreezingViolation
 from anchorinv.seeds import make_rng
 
 
@@ -184,6 +193,75 @@ def test_invert_set_leaves_model_untouched():
         assert tensor.data.tobytes() == before[name]
         assert tensor.requires_grad == before_flags[name]
     assert state.class_weights[0].requires_grad
+
+
+def _drifting_embed(monkeypatch, state):
+    """Make every embed during inversion nudge a backbone weight, as a
+    faulty optimisation step would."""
+    real_embed = inversion.embed_batch
+
+    def drifting(st, x):
+        state.backbone.params["weight"].data += 1e-3
+        return real_embed(st, x)
+
+    monkeypatch.setattr(inversion, "embed_batch", drifting)
+
+
+def test_invert_set_detects_parameter_drift(monkeypatch):
+    rng = np.random.default_rng(118)
+    state = _linear_state(rng)
+    anchors = AnchorSet(rng.standard_normal((2, 4)).astype(np.float32),
+                        np.array([0, 1]), np.zeros(2))
+    _drifting_embed(monkeypatch, state)
+    with pytest.raises(FreezingViolation):
+        invert_set(state, anchors, InversionConfig(iterations=3))
+    assert state.backbone.params["weight"].requires_grad  # flags restored
+
+
+def test_label_inversion_detects_parameter_drift(monkeypatch):
+    rng = np.random.default_rng(119)
+    state = _linear_state(rng)
+    state.register_class(0, rng.standard_normal(4))
+    state.register_class(1, rng.standard_normal(4))
+    _drifting_embed(monkeypatch, state)
+    with pytest.raises(FreezingViolation):
+        label_space_invert_batch(state, [0, 1], deepdream_config(iterations=3))
+
+
+_DRIFT_UNDER_O = textwrap.dedent("""
+    import numpy as np
+    import anchorinv.inversion as inversion
+    from anchorinv import AnchorSet, FreezingViolation, InversionConfig, invert_set
+    from anchorinv.autodiff import Tensor
+    from anchorinv.model import LinearBackbone, ModelState
+
+    assert False, "assert statements must be stripped in this interpreter"
+    weight = Tensor(np.ones((6, 4), dtype=np.float32), requires_grad=True)
+    state = ModelState(LinearBackbone(2, 3, weight))
+    real_embed = inversion.embed_batch
+
+    def drifting(st, x):
+        weight.data += 1e-3
+        return real_embed(st, x)
+
+    inversion.embed_batch = drifting
+    anchors = AnchorSet(np.ones((1, 4), dtype=np.float32), np.array([0]), np.zeros(1))
+    try:
+        invert_set(state, anchors, InversionConfig(iterations=2))
+    except FreezingViolation:
+        print("FreezingViolation")
+""")
+
+
+def test_drift_guard_survives_python_optimize_flag():
+    # python -O strips assert statements; the freezing guard must not be one
+    src = str(Path(anchorinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _DRIFT_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "FreezingViolation"
 
 
 def test_joint_inversion_is_factorized_per_sample():

@@ -14,7 +14,7 @@ from anchorinv import autodiff as ad
 from anchorinv.autodiff import ShapeError, Tensor
 from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              ConvBackboneConfig, IdentityBackbone,
-                             LinearBackbone, ModelState, accuracy,
+                             LinearBackbone, ModelState, TrainingDivergedError, accuracy,
                              class_scores, compute_prototypes,
                              cosine_distance, cross_entropy_graph, embed_batch,
                              predict, predict_batch, prototype_of,
@@ -471,6 +471,15 @@ def test_train_base_validation():
         train_base(np.zeros((0, 4, 16), dtype=np.float32), np.zeros(0), cfg)
     with pytest.raises(ValueError):
         train_base(np.zeros((3, 4, 16), dtype=np.float32), np.array([1, 1, 1]), cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, 3e38])  # inf itself, or overflow to it
+def test_train_base_infinite_input_raises_diverged(value):
+    x, y = _separable_data()
+    x[3, 1, 7] = value
+    with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train_base(x, y, _tiny_config(channels=4), BaseTrainConfig(epochs=5, seed=5))
 
 
 def test_weighted_loss_uniform_counts_matches_plain():

@@ -9,7 +9,7 @@ import pytest
 
 from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
-from anchorinv.optim import Adam
+from anchorinv.optim import Adam, FreezingViolation, minimize
 
 
 def _adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -143,3 +143,68 @@ def test_float32_parameters_stay_float32():
     opt = Adam([p], learning_rate=0.01)
     opt.step([np.ones(3)])
     assert p.data.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# minimize: the shared loop and its freezing contract
+
+
+def test_minimize_matches_hand_written_adam_loop():
+    def quadratic(p, q):
+        return ad.tensor_sum(ad.add(ad.mul(p, p), ad.mul(p, q)))
+
+    p0, q0 = np.array([1.5, -2.0]), np.array([0.5, 0.25])
+    p, q = Tensor(p0.copy()), Tensor(q0.copy())
+    losses = minimize([p], lambda i: quadratic(p, q), 7, 0.1, frozen=[q])
+
+    ref_p = Tensor(p0.copy(), requires_grad=True)
+    ref_q = Tensor(q0.copy())
+    opt = Adam([ref_p], learning_rate=0.1)
+    ref_losses = []
+    for _ in range(7):
+        loss = quadratic(ref_p, ref_q)
+        ad.backward(loss)
+        opt.step()
+        ref_losses.append(loss.item())
+    assert p.data.tobytes() == ref_p.data.tobytes()
+    assert losses == ref_losses
+    assert q.data.tobytes() == q0.tobytes()
+
+
+def test_minimize_sets_and_restores_flags():
+    p = Tensor(np.ones(2))
+    q = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+
+    def loss_fn(i):
+        seen.append((i, p.requires_grad, q.requires_grad))
+        return ad.tensor_sum(ad.mul(p, q))
+
+    minimize([p], loss_fn, 2, 0.1, frozen=[q])
+    assert seen == [(0, True, False), (1, True, False)]
+    assert not p.requires_grad and q.requires_grad
+
+
+def test_minimize_detects_frozen_drift():
+    p = Tensor(np.ones(2))
+    q = Tensor(np.ones(2), requires_grad=True)
+
+    def drifting(i):
+        q.data += 1.0
+        return ad.tensor_sum(ad.mul(p, q))
+
+    with pytest.raises(FreezingViolation):
+        minimize([p], drifting, 1, 0.1, frozen=[q])
+    assert q.requires_grad and not p.requires_grad
+
+
+def test_minimize_restores_flags_when_the_loss_fails():
+    p = Tensor(np.ones(2))
+    q = Tensor(np.ones(2), requires_grad=True)
+
+    def failing(i):
+        raise NonFiniteError("boom")
+
+    with pytest.raises(NonFiniteError):
+        minimize([p], failing, 3, 0.1, frozen=[q])
+    assert q.requires_grad and not p.requires_grad

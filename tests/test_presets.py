@@ -83,3 +83,19 @@ def test_with_synth_classes():
     assert wide.synth.train_per_class == desk.synth.train_per_class
     with pytest.raises(ValueError):
         with_synth_classes(get_preset("bci"), 8)
+
+
+def test_with_synth_classes_takes_synth_section_keys():
+    desk = get_preset("desk")
+    assert with_synth_classes(desk) == with_synth_classes(desk, len(desk.synth.classes))
+    tuned = with_synth_classes(desk, 5, base_frequency=2.0, frequency_step=0.5,
+                               noise_sigma=0.3, train_per_class=7)
+    assert [c.frequency for c in tuned.synth.classes] == [2.0, 2.5, 3.0, 3.5, 4.0]
+    assert tuned.synth.classes[0].noise_sigma == 0.3
+    assert tuned.synth.train_per_class == 7
+    assert tuned.synth.test_per_class == desk.synth.test_per_class
+    # the ladder restarts from the tuned preset's own spec
+    again = with_synth_classes(tuned, 3)
+    assert [c.frequency for c in again.synth.classes] == [2.0, 2.5, 3.0]
+    with pytest.raises(ValueError, match="amplitude"):
+        with_synth_classes(desk, 4, amplitude=2.0)
