@@ -26,8 +26,8 @@ from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
 from .evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
                          random_chance_f1, render_report, run_trials,
                          sample_trial_sets, summarize, wilcoxon_signed_rank)
-from .inversion import (InversionConfig, LabelInversionConfig, ReplaySet,
-                        deepdream_config, deepinv_config, feature_stat_penalty,
+from .inversion import (InversionConfig, InversionStalledError, LabelInversionConfig,
+                        ReplaySet, deepdream_config, deepinv_config, feature_stat_penalty,
                         invert_anchor, invert_set, label_space_invert,
                         label_space_invert_batch, total_variation)
 from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
@@ -66,8 +66,8 @@ __all__ = [
     "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion
-    "InversionConfig", "LabelInversionConfig", "ReplaySet", "invert_anchor",
-    "invert_set", "label_space_invert", "label_space_invert_batch",
+    "InversionConfig", "InversionStalledError", "LabelInversionConfig", "ReplaySet",
+    "invert_anchor", "invert_set", "label_space_invert", "label_space_invert_batch",
     "total_variation", "feature_stat_penalty", "deepdream_config", "deepinv_config",
     # adaptation
     "METHODS", "FinetuneConfig", "AdaptationConfig", "composite_loss",

@@ -10,7 +10,6 @@ Only D-dimensional features are ever stored, never raw input samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -27,9 +27,11 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "no_grad",
+    "is_grad_enabled",
     "backward",
     "conv2d",
     "avg_pool2d",
+    "conv_pool",
     "softmax_with_temperature",
     "cosine_similarity_matrix",
     "take_per_row",
@@ -40,6 +42,8 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float32
 _NORM_EPS = 1e-12
+# bytes of one im2col block in ``conv_pool``: bounds its memory at any batch size
+_IM2COL_BLOCK_BYTES = 16 << 20
 
 
 class ShapeError(ValueError):
@@ -66,6 +70,11 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._saved
         return False
+
+
+def is_grad_enabled() -> bool:
+    """False inside ``no_grad``: primitives then record no graph."""
+    return _GRAD_ENABLED
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -486,6 +495,83 @@ def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> T
         _accumulate(x, dx)
 
     return _node(out_data, (x,), backward_fn, "avg_pool2d")
+
+
+def _im2col(xd: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """(N, H, W) -> (N, H * kernel, Wo): [n, h * kernel + p, j] = xd[n, h, j * stride + p]."""
+    view = np.lib.stride_tricks.sliding_window_view(xd, kernel, axis=2)[:, :, ::stride]
+    n, h, wo, _ = view.shape
+    return view.transpose(0, 1, 3, 2).reshape(n, h * kernel, wo)
+
+
+def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
+    """(width, pooled) matrix: a row times it averages each pooling window."""
+    pooled = (width - kernel) // stride + 1
+    col = np.arange(width)[:, None]
+    start = stride * np.arange(pooled)[None, :]
+    return (((col >= start) & (col < start + kernel)) / kernel).astype(dtype)
+
+
+def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
+              pool_kernel: int, pool_stride: int, relu: bool) -> Tensor:
+    """A frozen (H, k) conv over a batch ``x`` (N, H, W), then ReLU (when
+    ``relu``) and average pooling along time, flattened per sample.
+
+    ``weight`` (K, H, k) and ``bias`` (K,) are plain arrays, so they take no
+    gradient: the VJP goes to ``x`` only.  Output is (N, K * P) in (filter,
+    pooled column) order, the layout of ``conv2d`` -> ``relu`` ->
+    ``avg_pool2d`` -> ``reshape``.  The im2col buffer is built for blocks of
+    samples of at most ``_IM2COL_BLOCK_BYTES`` each.
+    """
+    if x.ndim != 3 or weight.ndim != 3:
+        raise ShapeError(f"conv_pool expects (N,H,W) input and (K,H,k) weight, "
+                         f"got {x.shape} and {weight.shape}")
+    n, h, w = x.shape
+    k, h_w, kt = weight.shape
+    stride, pool_kernel, pool_stride = int(stride), int(pool_kernel), int(pool_stride)
+    if h != h_w:
+        raise ShapeError(f"conv_pool channel mismatch: input {h}, weight {h_w}")
+    if bias.shape != (k,):
+        raise ShapeError(f"conv_pool bias shape {bias.shape} != ({k},)")
+    if min(stride, pool_kernel, pool_stride) < 1:
+        raise ShapeError("conv_pool kernel and strides must be >= 1")
+    if kt > w or pool_kernel > (w - kt) // stride + 1:
+        raise ShapeError(f"conv_pool kernels ({kt}, {pool_kernel}) too wide for width {w}")
+
+    dtype = x.dtype
+    wo = (w - kt) // stride + 1
+    pool = _pool_matrix(wo, pool_kernel, pool_stride, dtype)  # (Wo, P)
+    po = pool.shape[1]
+    w2 = weight.reshape(k, h * kt).astype(dtype, copy=False)
+    b = bias.astype(dtype, copy=False)[:, None]
+    block = max(1, _IM2COL_BLOCK_BYTES // (h * kt * wo * dtype.itemsize))
+    out = np.empty((n, k, po), dtype=dtype)
+    mask = np.empty((n, k, wo), dtype=bool) if relu else None
+    for s in range(0, n, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.matmul(w2, _im2col(x.data[s:s + block], kt, stride))  # (nb, K, Wo)
+            z += b
+        # checked before the ReLU, which would hide an overflow to -inf
+        _ensure_finite(z, "conv_pool")
+        if relu:
+            mask[s:s + block] = z > 0
+            np.maximum(z, 0, out=z)
+        out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
+
+    def backward_fn(g):
+        dx = np.zeros_like(x.data)
+        g3 = g.reshape(n, k, po)
+        for s in range(0, n, block):
+            dz = (g3[s:s + block].reshape(-1, po) @ pool.T).reshape(-1, k, wo)
+            if relu:
+                dz *= mask[s:s + block]
+            dcols = np.matmul(w2.T, dz).reshape(-1, h, kt, wo)
+            dxb = dx[s:s + block]
+            for p in range(kt):
+                dxb[:, :, p:p + stride * (wo - 1) + 1:stride] += dcols[:, :, p]
+        _accumulate(x, dx)
+
+    return _node(out.reshape(n, k * po), (x,), backward_fn, "conv_pool")
 
 
 # -- classifier-facing fused primitives ----------------------------------------

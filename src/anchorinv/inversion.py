@@ -24,11 +24,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
-from .model import ModelState, cross_entropy_graph, embed_batch, scores_graph
+from .model import ModelState, embed_batch, scores_graph
 from .optim import minimize
 from .seeds import make_rng
 
 __all__ = [
+    "InversionStalledError",
     "InversionConfig",
     "LabelInversionConfig",
     "ReplaySet",
@@ -43,6 +44,12 @@ __all__ = [
 ]
 
 _INIT_MODES = ("normal", "zeros")
+
+
+class InversionStalledError(RuntimeError):
+    """An inverted sample came out bit-identical to its initialisation: the
+    objective passed it no gradient (for instance, every pre-ReLU activation
+    of the backbone is negative at an all-zeros init)."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,17 @@ def _init_batch(count: int, channels: int, timesteps: int, mode: str,
     return out
 
 
+def _raise_if_stalled(init: np.ndarray, final: np.ndarray, mode: str) -> None:
+    """One array comparison after the loop: rows whose bytes never changed."""
+    rows = init.shape[0]
+    same = np.all(init.reshape(rows, -1).view(np.uint8)
+                  == final.reshape(rows, -1).view(np.uint8), axis=1)
+    if same.any():
+        raise InversionStalledError(
+            f"samples {np.flatnonzero(same).tolist()} never moved from their "
+            f"init='{mode}' start: the objective gave them no gradient")
+
+
 def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionConfig,
                       loss_trajectory: list[float] | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +176,8 @@ def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionC
     j, dim = targets.shape
     if dim != state.feature_dim:
         raise ad.ShapeError(f"anchor dimension {dim} != model dimension {state.feature_dim}")
-    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed))
+    init = _init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed)
+    x = Tensor(init.copy())
     target_t = Tensor(np.asarray(targets, dtype=np.float32))
     inv_dim = 1.0 / dim
 
@@ -169,6 +188,7 @@ def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionC
 
     losses = minimize([x], loss_fn, config.iterations, config.learning_rate,
                       frozen=state.all_parameters().values())
+    _raise_if_stalled(init, x.data, config.init)
     if loss_trajectory is not None:
         loss_trajectory.extend(loss / j for loss in losses)
     with ad.no_grad():
@@ -258,7 +278,8 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     label_arr = np.asarray(labels, dtype=np.int64)
     j = len(labels)
 
-    x = Tensor(_init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed))
+    init = _init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed)
+    x = Tensor(init.copy())
     weights = {
         "ce": config.cross_entropy_weight,
         "l2": config.l2_weight,
@@ -289,6 +310,7 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
 
     minimize([x], loss_fn, config.iterations, config.learning_rate,
              frozen=state.all_parameters().values())
+    _raise_if_stalled(init, x.data, config.init)
     with ad.no_grad():
         feats = embed_batch(state, Tensor(x.data))
         scores = scores_graph(state, feats).data

@@ -172,12 +172,20 @@ class ConvBackbone:
     # forward ----------------------------------------------------------------
 
     def embed(self, x: Tensor) -> Tensor:
-        """Embed a batch: (N, H, W) -> (N, D)."""
+        """Embed a batch: (N, H, W) -> (N, D).
+
+        When grad mode is off or no backbone parameter has ``requires_grad``
+        (inversion, prediction, prototypes), the composed conv of
+        ``_embed_frozen`` runs; otherwise the engine path, which records the
+        weight gradients that training and finetuning need.
+        """
         cfg = self.config
         n = x.shape[0]
         if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
             raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
                              f"got {x.shape}")
+        if not ad.is_grad_enabled() or not any(p.requires_grad for p in self.params.values()):
+            return self._embed_frozen(x)
         h = x.reshape((n, 1, cfg.channels, cfg.timesteps))
         h = ad.conv2d(h, self.params["temporal_w"], self.params["temporal_b"],
                       stride=(1, cfg.temporal_stride))
@@ -186,6 +194,24 @@ class ConvBackbone:
             h = ad.relu(h)
         h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
+
+    def _embed_frozen(self, x: Tensor) -> Tensor:
+        """The same embedding when no backbone parameter takes a gradient.
+
+        With no nonlinearity between them, the temporal and spatial convs
+        compose into one (H, k_t) conv: W_eff[k,h,p] = sum_f spatial_w[k,f,h]
+        * temporal_w[f,p] and b_eff[k] = spatial_b[k] + sum_{f,h}
+        spatial_w[k,f,h] * temporal_b[f].  The engine path above stays the
+        reference that tests compare this one with.
+        """
+        cfg = self.config
+        p = {name: t.data.astype(np.float64) for name, t in self.params.items()}
+        temporal_w = p["temporal_w"][:, 0, 0, :]                # (F, k_t)
+        spatial_w = p["spatial_w"][:, :, :, 0]                  # (K, F, H)
+        weight = np.matmul(spatial_w.transpose(0, 2, 1), temporal_w)  # (K, H, k_t)
+        bias = p["spatial_b"] + spatial_w.sum(axis=2) @ p["temporal_b"]
+        return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
+                            cfg.pool_stride, relu=cfg.activation == "relu")
 
 
 class IdentityBackbone:

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import (BACKBONE_PRESETS, ConvBackbone, ConvBackboneConfig, FeatureStats,
-                    IdentityBackbone, LinearBackbone, ModelState)
+from .model import (ConvBackbone, ConvBackboneConfig, FeatureStats, IdentityBackbone,
+                    LinearBackbone, ModelState)
 from .autodiff import Tensor
 
 __all__ = [

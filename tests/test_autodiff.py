@@ -223,6 +223,58 @@ def test_avg_pool2d_matches_loop_oracle():
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
 
+def _conv_pool_by_engine(x, w, b, stride, pool_kernel, pool_stride, relu):
+    """conv_pool written with the generic primitives: its reference."""
+    n, h, width = x.shape
+    k, _, kt = w.shape
+    out = ad.conv2d(x.reshape((n, 1, h, width)), _t(w.reshape(k, 1, h, kt), False),
+                    _t(b, False), stride=(1, stride))
+    if relu:
+        out = ad.relu(out)
+    out = ad.avg_pool2d(out, kernel=(1, pool_kernel), stride=(1, pool_stride))
+    return out.reshape((n, out.size // n))
+
+
+# (stride, pool kernel, pool stride, relu): stride 1 with tiling windows, a
+# temporal stride, pooling windows that leave the last columns out, identity
+_CONV_POOL_CASES = [(1, 4, 2, True), (3, 3, 2, True), (1, 5, 4, True), (2, 4, 3, False)]
+
+
+@pytest.mark.parametrize("stride,pool_kernel,pool_stride,relu", _CONV_POOL_CASES)
+def test_conv_pool_matches_engine_primitives(monkeypatch, stride, pool_kernel, pool_stride,
+                                             relu):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((5, 3, 23))
+    w = rng.standard_normal((4, 3, 5))
+    b = rng.standard_normal(4)
+    xr = _t(x.copy())
+    ref = _conv_pool_by_engine(xr, w, b, stride, pool_kernel, pool_stride, relu)
+    g = _t(rng.standard_normal(ref.shape), False)
+    backward(ad.tensor_sum(ad.mul(ref, g)))
+    for block_bytes in (ad._IM2COL_BLOCK_BYTES, 1):  # one block; one sample per block
+        monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES", block_bytes)
+        xt = _t(x.copy())
+        out = ad.conv_pool(xt, w, b, stride, pool_kernel, pool_stride, relu)
+        backward(ad.tensor_sum(ad.mul(out, g)))
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, xr.grad, rtol=1e-10, atol=1e-12)
+
+
+def test_conv_pool_shape_errors():
+    x = _t(np.zeros((2, 3, 10)))
+    w, b = np.zeros((4, 3, 5)), np.zeros(4)
+    with pytest.raises(ShapeError):
+        ad.conv_pool(x, np.zeros((4, 2, 5)), b, 1, 2, 1, True)  # channel mismatch
+    with pytest.raises(ShapeError):
+        ad.conv_pool(x, w, np.zeros(3), 1, 2, 1, True)          # bias length
+    with pytest.raises(ShapeError):
+        ad.conv_pool(x, w, b, 0, 2, 1, True)                    # stride
+    with pytest.raises(ShapeError):
+        ad.conv_pool(x, w, b, 1, 7, 1, True)                    # pool wider than conv
+    with pytest.raises(ShapeError):
+        ad.conv_pool(_t(np.zeros((2, 30))), w, b, 1, 2, 1, True)  # not (N, H, W)
+
+
 # ---------------------------------------------------------------------------
 # fused primitives: forward oracles
 
@@ -477,6 +529,20 @@ def test_fd_stack_rows():
         lambda ts: ad.tensor_sum(ad.mul(ad.stack_rows(ts), ad.stack_rows(ts))),
         [_t(r.copy()) for r in rows])
     assert err < FD_TOL
+
+
+@pytest.mark.parametrize("stride,pool_kernel,pool_stride,relu", _CONV_POOL_CASES)
+def test_fd_conv_pool(stride, pool_kernel, pool_stride, relu):
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2, 3, 17))
+    w = rng.standard_normal((4, 3, 4))
+    b = rng.standard_normal(4)
+
+    def fn(ts):
+        out = ad.conv_pool(ts[0], w, b, stride, pool_kernel, pool_stride, relu)
+        return ad.tensor_sum(ad.mul(out, out))
+
+    assert finite_difference_check(fn, [_t(x)]) < FD_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,24 @@ def test_zeros_init_differs_from_normal_init():
     assert s_norm.tobytes() != s_zero.tobytes()
 
 
+def test_zeros_init_on_desk_backbone_raises_stalled():
+    # at x = 0 no pre-ReLU activation of the desk base model is positive, so
+    # the ReLU passes no gradient and Adam never moves a sample off zero
+    preset = anchorinv.get_preset("desk")
+    train, _ = anchorinv.materialize_synth(preset)
+    split = anchorinv.build_split(preset, train)
+    state = anchorinv.train_base(split.base.x, split.base.y, preset.backbone_config,
+                                 preset.base_train)
+    target = state.class_weights[state.seen_classes()[0]].data
+    with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0\]"):
+        invert_anchor(state, target, InversionConfig(init="zeros", iterations=5))
+    with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0, 1\]"):
+        label_space_invert_batch(state, [0, 1], LabelInversionConfig(init="zeros",
+                                                                     iterations=5))
+    _, mae = invert_anchor(state, target, InversionConfig(init="normal", iterations=5))
+    assert np.isfinite(mae)
+
+
 # ---------------------------------------------------------------------------
 # regularizers
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from anchorinv import autodiff as ad
-from anchorinv.autodiff import ShapeError, Tensor
+from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
+from anchorinv.inversion import InversionConfig, invert_anchor
 from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              ConvBackboneConfig, IdentityBackbone,
                              LinearBackbone, ModelState, TrainingDivergedError, accuracy,
@@ -106,6 +107,110 @@ def test_conv_backbone_matches_loop_oracle():
     got = backbone.embed(Tensor(x)).data
     expect = _embed_loops(x.astype(np.float64), cfg, backbone.params)
     np.testing.assert_allclose(got, expect, rtol=1e-4, atol=1e-5)
+
+
+# geometries for the frozen-path oracle: the desk preset, a temporal stride,
+# pooling windows that leave the last conv columns out, and no ReLU
+_FROZEN_PATH_CONFIGS = [
+    BACKBONE_PRESETS["desk"],
+    _tiny_config(name="strided", timesteps=40, filters=4, temporal_kernel=6,
+                 temporal_stride=3, pool_kernel=4, pool_stride=3),
+    _tiny_config(name="ragged", timesteps=37, filters=3, pool_kernel=6, pool_stride=4),
+    _tiny_config(name="linear", filters=3, activation="identity"),
+]
+
+
+def _random_backbone(cfg, rng):
+    backbone = ConvBackbone.initialize(cfg, seed=int(rng.integers(1 << 16)))
+    for t in backbone.params.values():  # non-zero biases too
+        t.data += rng.normal(0.0, 0.3, size=t.shape).astype(np.float32)
+    return backbone
+
+
+def _embed_with_dx(backbone, x, g, trainable):
+    """Features and d(sum(features * g))/dx, with the backbone trainable or not."""
+    for t in backbone.params.values():
+        t.requires_grad = trainable
+    xt = Tensor(x.copy(), requires_grad=True)
+    feats = backbone.embed(xt)
+    ad.backward(ad.tensor_sum(ad.mul(feats, Tensor(g))))
+    return feats.data, xt.grad
+
+
+@pytest.mark.parametrize("cfg", _FROZEN_PATH_CONFIGS, ids=lambda c: c.name)
+def test_frozen_path_matches_engine_path(cfg):
+    rng = np.random.default_rng(51)
+    backbone = _random_backbone(cfg, rng)
+    x = rng.standard_normal((6, cfg.channels, cfg.timesteps)).astype(np.float32)
+    g = rng.standard_normal((6, cfg.feature_dim)).astype(np.float32)
+    engine = _embed_with_dx(backbone, x, g, trainable=True)
+    frozen = _embed_with_dx(backbone, x, g, trainable=False)
+    for got, want in zip(frozen, engine):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    with ad.no_grad():
+        assert np.abs(backbone.embed(Tensor(x)).data - engine[0]).max() \
+            <= 1e-5 * np.abs(engine[0]).max()
+    if cfg.activation == "relu":
+        expect = _embed_loops(x.astype(np.float64), cfg, backbone.params)
+        np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
+
+
+def _spy_paths(monkeypatch):
+    calls = []
+    for name in ("conv2d", "conv_pool"):
+        original = getattr(ad, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, spy)
+    return calls
+
+
+def test_embed_path_selection(monkeypatch):
+    calls = _spy_paths(monkeypatch)
+    cfg = _tiny_config()
+    state = ModelState(ConvBackbone.initialize(cfg, seed=2))
+    for c in (0, 1):
+        state.register_class(c, np.ones(cfg.feature_dim, dtype=np.float32) * (c + 1))
+    x = np.random.default_rng(52).standard_normal((3, 3, 16)).astype(np.float32)
+
+    def path_of(fn):
+        calls.clear()
+        fn()
+        return set(calls)
+
+    params = state.backbone.params
+    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # trainable: engine
+    with ad.no_grad():
+        assert path_of(lambda: embed_batch(state, x)) == {"conv_pool"}
+    assert path_of(lambda: predict_batch(state, x)) == {"conv_pool"}
+    assert path_of(lambda: prototype_of(state, x)) == {"conv_pool"}
+    params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
+    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # spatial still trains
+    for t in params.values():
+        t.requires_grad = False
+    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) == {"conv_pool"}
+    target = np.ones(cfg.feature_dim, dtype=np.float32)
+    assert path_of(lambda: invert_anchor(state, target,
+                                         InversionConfig(iterations=2))) == {"conv_pool"}
+    for t in params.values():
+        t.requires_grad = True
+    assert path_of(lambda: invert_anchor(state, target,
+                                         InversionConfig(iterations=2))) == {"conv_pool"}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_frozen_path_float32_overflow_raises(sign):
+    cfg = _tiny_config()
+    backbone = ConvBackbone.initialize(cfg, seed=3)
+    for name in ("temporal_w", "spatial_w"):
+        backbone.params[name].data[...] = 1.0   # every composed weight is positive
+    x = Tensor(np.full((2, 3, 16), sign * 1e38, dtype=np.float32))
+    # sign -1 overflows to -inf, which the ReLU would otherwise hide
+    with ad.no_grad(), pytest.raises(NonFiniteError):
+        backbone.embed(x)
 
 
 def test_backbone_initialize_deterministic():
