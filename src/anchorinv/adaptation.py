@@ -31,8 +31,8 @@ from .anchors import (AnchorSet, incremental_anchors, project_features,
 from .data import Dataset
 from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
-from .model import (ModelState, cross_entropy_graph, embed_batch, prototype_of,
-                    scores_graph)
+from .model import (ModelState, embed_batch, label_columns, prototype_of,
+                    reuse_temporal_activations, scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
 
@@ -112,25 +112,25 @@ def composite_loss(state: ModelState, replay, new: Dataset,
     """CE(new) + replay_weight * CE(replay), each mean-reduced over its set.
 
     ``replay`` may be a ReplaySet, a Dataset (real replay), or None/empty
-    (the replay term is then defined as zero).
+    (the replay term is then defined as zero).  Both sets are embedded as one
+    batch, and each sample's cross-entropy is weighted by 1/N_new or
+    replay_weight/N_replay.
     """
     replay_x, replay_y = _replay_arrays(replay)
-    have_new = new is not None and len(new) > 0
-    have_replay = replay_x is not None and replay_x.shape[0] > 0
-    if not have_new and not have_replay:
+    parts = []  # (samples, labels, weight of the set's mean)
+    if new is not None and len(new) > 0:
+        parts.append((new.x, new.y, 1.0))
+    if replay_x is not None and replay_x.shape[0] > 0:
+        parts.append((replay_x, replay_y, float(replay_weight)))
+    if not parts:
         raise ValueError("both the new set and the replay set are empty")
-    classes = state.seen_classes()
-
-    def ce_of(x: np.ndarray, y: np.ndarray) -> Tensor:
-        scores = scores_graph(state, embed_batch(state, Tensor(np.asarray(x, np.float32))))
-        return cross_entropy_graph(scores, y, classes)
-
-    if not have_new:
-        return ad.mul_scalar(ce_of(replay_x, replay_y), float(replay_weight))
-    loss = ce_of(new.x, new.y)
-    if have_replay:
-        loss = ad.add(loss, ad.mul_scalar(ce_of(replay_x, replay_y), float(replay_weight)))
-    return loss
+    x = np.concatenate([np.asarray(xs, np.float32) for xs, _, _ in parts])
+    y = np.concatenate([np.asarray(ys) for _, ys, _ in parts])
+    scores = scores_graph(state, embed_batch(state, Tensor(x)))
+    picked = ad.take_per_row(ad.log(scores), label_columns(y, state.seen_classes()))
+    # negated, so that the weighted sum of log-probabilities is the loss
+    w = np.concatenate([np.full(len(ys), -weight / len(ys)) for _, ys, weight in parts])
+    return ad.mul(picked, Tensor(w, dtype=picked.dtype)).sum()
 
 
 def _replay_arrays(replay) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -211,8 +211,10 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     def loss_fn(i: int) -> Tensor:
         return composite_loss(out, replay, new, config.replay_weight)
 
-    losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
-                      frozen=frozen)
+    # the inputs stay fixed, so a frozen temporal layer is run once per input
+    with reuse_temporal_activations(out.backbone):
+        losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
+                          frozen=frozen)
     if loss_log is not None:
         loss_log.extend(losses)
     return out

@@ -420,7 +420,11 @@ def _conv_windows(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndar
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: tuple[int, int] = (1, 1)) -> Tensor:
     """Cross-correlation of a batch ``x`` (N, C, H, W) with ``weight``
-    (K, C, kh, kw), optional ``bias`` (K,), and positive strides."""
+    (K, C, kh, kw), optional ``bias`` (K,), and positive strides.
+
+    A kernel of the full input height, one column wide, at column stride 1
+    (the backbone's spatial conv) runs as one matmul; every other shape runs
+    the einsum over sliding windows, which tests keep as the reference."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
@@ -436,6 +440,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d bias shape {bias.shape} != ({k},)")
     if x.dtype != weight.dtype or (bias is not None and bias.dtype != x.dtype):
         raise ShapeError("conv2d needs matching dtypes")
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if kh == h and kw == 1 and sw == 1:
+        return _conv2d_full_height(x, weight, bias, parents)
 
     windows = _conv_windows(x.data, kh, kw, sh, sw)  # (N, C, Ho, Wo, kh, kw)
     out_data = np.einsum("ncijpq,kcpq->nkij", windows, weight.data, optimize=True)
@@ -443,8 +450,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out_data = out_data + bias.data[None, :, None, None]
     ho, wo = out_data.shape[2], out_data.shape[3]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward_fn(g):
         if weight.requires_grad:
@@ -463,6 +468,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             _accumulate(x, dx)
 
     return _node(out_data, parents, backward_fn, "conv2d")
+
+
+def _conv2d_full_height(x: Tensor, weight: Tensor, bias: Tensor | None,
+                        parents: tuple[Tensor, ...]) -> Tensor:
+    """``conv2d`` for a (H, 1) kernel with column stride 1 over an (N, C, H, W)
+    input: one batched matmul of the (K, C * H) weight with the free reshape
+    (N, C * H, W), and matmuls again for dW, db and dx.  Output (N, K, 1, W)."""
+    n, c, h, w = x.shape
+    k = weight.shape[0]
+    x3 = x.data.reshape(n, c * h, w)
+    w2 = weight.data.reshape(k, c * h)
+    out_data = np.matmul(w2, x3)  # (N, K, W)
+    if bias is not None:
+        out_data += bias.data[:, None]
+
+    def backward_fn(g):
+        g3 = g.reshape(n, k, w)
+        if weight.requires_grad:
+            dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(weight, dw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g3.sum(axis=(0, 2)))
+        if x.requires_grad:
+            _accumulate(x, np.matmul(w2.T, g3).reshape(x.shape))
+
+    return _node(out_data.reshape(n, k, 1, w), parents, backward_fn, "conv2d")
 
 
 def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> Tensor:

@@ -39,6 +39,8 @@ __all__ = [
 
 _TRIAL_STREAM = 0x7A1A
 _SAMPLE_STREAM = 0x5A
+# width of one report cell: len(f"{mean:8.2f} +/- {std:5.2f}")
+_CELL = 18
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +372,16 @@ def render_report(report: TrialReport) -> str:
         lines.append("")
         lines.append(f"Macro-F1 ({metric} classes), mean +/- std over trials")
         width = max(len(m) for m in report.methods) + 2
-        lines.append(" " * width + " | ".join(f"{h:>15}" for h in header_sessions))
+        lines.append(" " * width + " | ".join(f"{h:>{_CELL}}" for h in header_sessions))
         for method in report.methods:
             cells = []
             for s in range(report.num_sessions):
                 values = [v for v in report.scores[method][metric][s] if v is not None]
                 if not values:
-                    cells.append(f"{'-':>15}")
+                    cells.append(f"{'-':>{_CELL}}")
                 else:
                     mean, std = summarize(values)
-                    cells.append(f"{mean:8.2f} +/- {std:5.2f}"[:15].rjust(15))
+                    cells.append(f"{mean:8.2f} +/- {std:5.2f}".rjust(_CELL))
             lines.append(method.ljust(width) + " | ".join(cells))
     if report.p_values:
         lines.append("")

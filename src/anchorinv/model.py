@@ -11,6 +11,7 @@ can be replaced by class-mean prototypes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +40,9 @@ __all__ = [
     "embed_batch",
     "compute_prototypes",
     "prototype_of",
+    "label_columns",
     "cross_entropy_graph",
+    "reuse_temporal_activations",
     "BaseTrainConfig",
     "train_base",
     "accuracy",
@@ -133,6 +136,8 @@ class ConvBackbone:
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
+        # (input, temporal activations) pairs, a list only inside reuse_temporal_activations
+        self._temporal_cache: list[tuple[np.ndarray, Tensor]] | None = None
 
     @classmethod
     def initialize(cls, config: ConvBackboneConfig, seed: int) -> "ConvBackbone":
@@ -186,14 +191,35 @@ class ConvBackbone:
                              f"got {x.shape}")
         if not ad.is_grad_enabled() or not any(p.requires_grad for p in self.params.values()):
             return self._embed_frozen(x)
-        h = x.reshape((n, 1, cfg.channels, cfg.timesteps))
-        h = ad.conv2d(h, self.params["temporal_w"], self.params["temporal_b"],
-                      stride=(1, cfg.temporal_stride))
-        h = ad.conv2d(h, self.params["spatial_w"], self.params["spatial_b"], stride=(1, 1))
+        h = ad.conv2d(self._temporal(x), self.params["spatial_w"], self.params["spatial_b"],
+                      stride=(1, 1))
         if cfg.activation == "relu":
             h = ad.relu(h)
         h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
+
+    def _temporal(self, x: Tensor) -> Tensor:
+        """Temporal conv activations (N, F, H, W_o) of ``x`` (N, H, W).
+
+        Inside ``reuse_temporal_activations``, when neither the input nor the
+        temporal parameters take a gradient, an input equal (exact array
+        equality) to one already seen in the scope gets its stored
+        activations back instead of a new conv.
+        """
+        cfg = self.config
+        weight, bias = self.params["temporal_w"], self.params["temporal_b"]
+        cache = self._temporal_cache
+        reuse = cache is not None and not (x.requires_grad or weight.requires_grad
+                                           or bias.requires_grad)
+        if reuse:
+            for seen, out in cache:
+                if seen.dtype == x.dtype and np.array_equal(seen, x.data):
+                    return out
+        out = ad.conv2d(x.reshape((x.shape[0], 1, cfg.channels, cfg.timesteps)), weight, bias,
+                        stride=(1, cfg.temporal_stride))
+        if reuse:
+            cache.append((x.data.copy(), out))
+        return out
 
     def _embed_frozen(self, x: Tensor) -> Tensor:
         """The same embedding when no backbone parameter takes a gradient.
@@ -212,6 +238,23 @@ class ConvBackbone:
         bias = p["spatial_b"] + spatial_w.sum(axis=2) @ p["temporal_b"]
         return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
                             cfg.pool_stride, relu=cfg.activation == "relu")
+
+
+@contextmanager
+def reuse_temporal_activations(backbone):
+    """Inside this scope a ``ConvBackbone`` computes the temporal conv of each
+    frozen input once and reuses it (see ``ConvBackbone._temporal``); the
+    activations are dropped on exit, also when the body raises.  Other
+    backbones have no temporal layer and are left as they are.
+    """
+    if not isinstance(backbone, ConvBackbone):
+        yield
+        return
+    saved, backbone._temporal_cache = backbone._temporal_cache, []
+    try:
+        yield
+    finally:
+        backbone._temporal_cache = saved
 
 
 class IdentityBackbone:
@@ -493,6 +536,15 @@ def compute_prototypes(state: ModelState, x: np.ndarray, y: np.ndarray,
 # losses and base training
 
 
+def label_columns(labels: np.ndarray, class_order: Sequence[int]) -> np.ndarray:
+    """Score column of each label, for columns ordered by ``class_order``."""
+    col_of = {c: i for i, c in enumerate(class_order)}
+    try:
+        return np.array([col_of[int(c)] for c in labels], dtype=np.int64)
+    except KeyError as err:
+        raise KeyError(f"label {err.args[0]} is not a known class") from err
+
+
 def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequence[int],
                         class_weights: dict[int, float] | None = None) -> Tensor:
     """Mean negative log-probability of the true class.
@@ -502,12 +554,7 @@ def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequenc
     their sum), which reduces exactly to the plain mean for uniform weights.
     """
     labels = np.asarray(labels)
-    col_of = {c: i for i, c in enumerate(class_order)}
-    try:
-        cols = np.array([col_of[int(c)] for c in labels], dtype=np.int64)
-    except KeyError as err:
-        raise KeyError(f"label {err.args[0]} is not a known class") from err
-    picked = ad.take_per_row(ad.log(scores), cols)
+    picked = ad.take_per_row(ad.log(scores), label_columns(labels, class_order))
     if class_weights is None:
         return ad.neg(picked.mean())
     w = np.array([class_weights[int(c)] for c in labels], dtype=scores.data.dtype)

@@ -4,6 +4,7 @@ adapters, and the per-method incremental chains."""
 import numpy as np
 import pytest
 
+from anchorinv import autodiff as ad
 from anchorinv.adaptation import (METHODS, AdaptationConfig, FinetuneConfig,
                                   adapt_protonet, adapt_teen,
                                   base_anchor_memory, composite_loss,
@@ -14,9 +15,11 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
 from anchorinv.data import Dataset
 from anchorinv.inversion import InversionConfig, ReplaySet
-from anchorinv.model import (ConvBackbone, ConvBackboneConfig,
-                             IdentityBackbone, ModelState, embed_batch,
-                             train_base)
+from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, ConvBackboneConfig,
+                             IdentityBackbone, ModelState, cross_entropy_graph,
+                             embed_batch, scores_graph, train_base)
+from anchorinv.optim import minimize
+from anchorinv.presets import get_preset
 
 
 def _tiny_config(**overrides):
@@ -87,6 +90,132 @@ def test_composite_loss_replay_only_and_errors():
         composite_loss(state, None, None, replay_weight=1.0)
     with pytest.raises(TypeError):
         composite_loss(state, [1, 2, 3], None, replay_weight=1.0)
+
+
+def _two_means_loss(state, replay, new, weight):
+    """mean CE(new) + weight * mean CE(replay), each set embedded on its own."""
+    classes = state.seen_classes()
+
+    def ce(x, y):
+        return cross_entropy_graph(scores_graph(state, embed_batch(state, x)), y, classes)
+
+    return ad.add(ce(new.x, new.y), ad.mul_scalar(ce(replay.samples, replay.labels), weight))
+
+
+def _conv_sets(shape, n_new, n_replay, seed):
+    """A new class 2 of ``n_new`` samples and a replay set of ``n_replay``
+    samples of the two base classes."""
+    rng = np.random.default_rng(seed)
+    new = Dataset(rng.standard_normal((n_new,) + shape).astype(np.float32) + 0.5,
+                  np.full(n_new, 2, dtype=np.int64))
+    labels = np.arange(n_replay) % 2
+    replay = ReplaySet(rng.standard_normal((n_replay,) + shape).astype(np.float32),
+                       labels, np.zeros(n_replay), np.zeros(n_replay))
+    return new, replay
+
+
+def test_composite_loss_conv_backbone_unequal_sets():
+    state = _conv_state()
+    new, replay = _conv_sets((3, 16), n_new=5, n_replay=7, seed=136)
+    state.register_class(2, np.random.default_rng(136).standard_normal(state.feature_dim))
+    for w in (0.0, 1.0, 2.5):
+        got = composite_loss(state, replay, new, replay_weight=w).item()
+        assert got == pytest.approx(_two_means_loss(state, replay, new, w).item(), rel=1e-5)
+
+
+def _reference_finetune(state, replay, new, config, log):
+    """finetune_session without the temporal cache or the joint batch: the same
+    minimize over the two-mean loss, every embed on the engine path."""
+    out = state.clone()
+    new_classes = new.classes()
+    if config.prototype_init:
+        init_new_class_weights(out, new)
+    else:
+        random_new_class_weights(out, new_classes, config.seed,
+                                 scale=config.new_class_init_scale)
+    trainable = [out.backbone.params[name] for layer in config.trainable_layers
+                 for name in out.backbone.layer_param_names(layer)]
+    trainable += [out.class_weights[c] for c in new_classes]
+    ids = {id(t) for t in trainable}
+    frozen = [t for t in out.all_parameters().values() if id(t) not in ids]
+    log.extend(minimize(trainable, lambda i: _two_means_loss(out, replay, new,
+                                                             config.replay_weight),
+                        config.iterations, config.learning_rate, frozen=frozen))
+    return out
+
+
+def _assert_close_states(got, want, rel=1e-5):
+    assert got.all_parameters().keys() == want.all_parameters().keys()
+    for name, t in want.all_parameters().items():
+        diff = np.abs(got.all_parameters()[name].data - t.data).max()
+        assert diff <= rel * np.abs(t.data).max(), name
+
+
+_DESK_FINETUNE = get_preset("desk").adaptation.finetune
+
+
+@pytest.mark.parametrize("cfg,config", [
+    (_tiny_config(), FinetuneConfig(learning_rate=1e-2, iterations=40, replay_weight=2.5,
+                                    seed=4)),
+    (BACKBONE_PRESETS["desk"], _DESK_FINETUNE),
+], ids=["tiny", "desk"])
+def test_finetune_matches_uncached_reference(cfg, config):
+    state = ModelState(ConvBackbone.initialize(cfg, seed=11))
+    rng = np.random.default_rng(137)
+    for c in (0, 1):
+        state.register_class(c, rng.standard_normal(state.feature_dim))
+    new, replay = _conv_sets(cfg.sample_shape, n_new=10, n_replay=6, seed=138)
+    got_log, want_log = [], []
+    got = finetune_session(state, replay, new, config, got_log)
+    want = _reference_finetune(state, replay, new, config, want_log)
+    assert len(got_log) == config.iterations
+    np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
+    _assert_close_states(got, want)
+    assert got.backbone._temporal_cache is None   # no activations left behind
+    assert state.backbone._temporal_cache is None
+
+
+def _conv2d_weight_shapes(monkeypatch):
+    """The weight shape of every conv2d call from here on."""
+    calls = []
+    original = ad.conv2d
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "conv2d", spy)
+    return calls
+
+
+def test_finetune_trainable_temporal_bypasses_cache(monkeypatch):
+    state = _conv_state()
+    new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=139)
+    config = FinetuneConfig(learning_rate=1e-2, iterations=6,
+                            trainable_layers=("temporal", "spatial"), seed=1)
+    calls = _conv2d_weight_shapes(monkeypatch)
+    got_log, want_log = [], []
+    got = finetune_session(state, replay, new, config, got_log)
+    temporal_shape = state.backbone.params["temporal_w"].shape
+    assert calls.count(temporal_shape) == config.iterations   # one joint batch each
+    calls.clear()
+    want = _reference_finetune(state, replay, new, config, want_log)
+    assert calls.count(temporal_shape) == 2 * config.iterations
+    np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
+    _assert_close_states(got, want)
+    for name in ("temporal_w", "temporal_b"):
+        assert got.backbone.params[name].data.tobytes() \
+            != state.backbone.params[name].data.tobytes()
+
+
+def test_finetune_runs_frozen_temporal_conv_once(monkeypatch):
+    state = _conv_state()
+    new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=140)
+    calls = _conv2d_weight_shapes(monkeypatch)
+    out = finetune_session(state, replay, new, FinetuneConfig(iterations=5, seed=1))
+    assert calls.count(state.backbone.params["temporal_w"].shape) == 1
+    assert calls.count(state.backbone.params["spatial_w"].shape) == 5
+    assert out.backbone._temporal_cache is None
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,84 @@ def test_conv2d_shape_errors():
         ad.conv2d(x, _t(np.zeros((3, 2, 2, 2))), _t(np.zeros(4)))  # bias length
 
 
+def _conv2d_einsum_reference(x, w, b, g, stride):
+    """Output and (dx, dW, db) of sum(conv2d(x, w, b) * g), from sliding windows."""
+    windows = ad._conv_windows(x, w.shape[2], w.shape[3], *stride)
+    out = np.einsum("ncijpq,kcpq->nkij", windows, w) + b[None, :, None, None]
+    dw = np.einsum("nkij,ncijpq->kcpq", g, windows)
+    dx = np.zeros_like(x)
+    dwindows = np.einsum("nkij,kcpq->ncijpq", g, w)
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            dx[:, :, i * stride[0]:i * stride[0] + w.shape[2],
+               j * stride[1]:j * stride[1] + w.shape[3]] += dwindows[:, :, i, j]
+    return out, (dx, dw, g.sum(axis=(0, 2, 3)))
+
+
+# (x shape, weight shape) of full-height kernels: tiny, the desk spatial conv
+# (8 filters over 4 channels, 56 columns) and a reduced bci-like one (22 channels)
+_FULL_HEIGHT_CASES = [((2, 2, 3, 5), (3, 2, 3, 1)),
+                      ((2, 8, 4, 56), (8, 8, 4, 1)),
+                      ((1, 6, 22, 10), (6, 6, 22, 1))]
+
+
+@pytest.mark.parametrize("x_shape,w_shape", _FULL_HEIGHT_CASES)
+def test_conv2d_full_height_matches_einsum_reference(x_shape, w_shape):
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[0])
+    g = rng.standard_normal((x_shape[0], w_shape[0], 1, x_shape[3]))
+    ts = [_t(x), _t(w), _t(b)]
+    out = ad.conv2d(*ts)
+    backward(ad.tensor_sum(ad.mul(out, _t(g, False))))
+    ref, ref_grads = _conv2d_einsum_reference(x, w, b, g, (1, 1))
+    np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
+    for t, want in zip(ts, ref_grads):
+        np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape,w_shape", _FULL_HEIGHT_CASES)
+def test_fd_conv2d_full_height(x_shape, w_shape):
+    rng = np.random.default_rng(28)
+    inputs = [_t(rng.standard_normal(x_shape)), _t(rng.standard_normal(w_shape)),
+              _t(rng.standard_normal(w_shape[0]))]
+    # the loss is quadratic in every coordinate, so central differences carry
+    # no truncation error; a wider step keeps float64 rounding of the large
+    # sums (thousands of squared outputs) below the tolerance
+    err = finite_difference_check(
+        lambda ts: ad.tensor_sum(ad.mul(ad.conv2d(*ts), ad.conv2d(*ts))), inputs, eps=1e-3)
+    assert err < FD_TOL
+
+
+def test_conv2d_matmul_dispatch(monkeypatch):
+    """Only a full-height kernel one column wide at column stride 1 skips the
+    sliding windows; width 2 or column stride 2 keep the einsum path."""
+    calls = []
+    original = ad._conv_windows
+
+    def spy(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(ad, "_conv_windows", spy)
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((2, 3, 4, 7))
+    b = rng.standard_normal(2)
+    for kw, stride, windows in [(1, (1, 1), 0), (1, (3, 1), 0), (2, (1, 1), 1),
+                                (1, (1, 2), 1)]:
+        w = rng.standard_normal((2, 3, 4, kw))
+        g = rng.standard_normal((2, 2, 1, (7 - kw) // stride[1] + 1))
+        calls.clear()
+        out = ad.conv2d(_t(x), _t(w), _t(b), stride=stride)
+        assert len(calls) == windows, (kw, stride)
+        np.testing.assert_allclose(out.data, _conv2d_einsum_reference(x, w, b, g, stride)[0],
+                                   rtol=1e-10, atol=1e-12)
+    calls.clear()
+    ad.conv2d(_t(x), _t(rng.standard_normal((2, 3, 3, 1))), _t(b))  # not full height
+    assert len(calls) == 1
+
+
 def test_avg_pool2d_matches_loop_oracle():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 6, 8))

@@ -343,3 +343,22 @@ def test_render_report_layout():
     assert "Macro-F1 (all classes)" in text
     assert "protonet|finetune" in text
     assert text.endswith("\n")
+
+
+def test_render_report_keeps_both_std_decimals():
+    # means 98.12 and 85.98 with population stds 1.20 and 12.50
+    all_rows = [[96.92, 99.32], [73.48, 98.48]]
+    report = TrialReport(
+        methods=["anchorinv", "protonet"], trials=2, master_seed=1, num_sessions=2,
+        base_classes=[0, 1], session_classes=[[2], [3]],
+        base_session={"all": 99.0, "base": 99.0},
+        scores={m: {"all": all_rows, "base": all_rows, "incremental": [[None, None]] * 2}
+                for m in ("anchorinv", "protonet")},
+        p_values={})
+    lines = render_report(report).splitlines()
+    assert sum("98.12 +/-  1.20" in line for line in lines) == 4
+    assert sum("85.98 +/- 12.50" in line for line in lines) == 4
+    # every header and row of a block is as wide as the block's widest line
+    for start in (i for i, line in enumerate(lines) if line.startswith("Macro-F1")):
+        block = lines[start + 1:start + 4]
+        assert len({len(line) for line in block}) == 1, block

@@ -19,7 +19,8 @@ from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              class_scores, compute_prototypes,
                              cosine_distance, cross_entropy_graph, embed_batch,
                              predict, predict_batch, prototype_of,
-                             scores_batch, scores_graph, train_base)
+                             reuse_temporal_activations, scores_batch, scores_graph,
+                             train_base)
 
 
 def _tiny_config(**overrides):
@@ -199,6 +200,48 @@ def test_embed_path_selection(monkeypatch):
         t.requires_grad = True
     assert path_of(lambda: invert_anchor(state, target,
                                          InversionConfig(iterations=2))) == {"conv_pool"}
+
+
+def test_reuse_temporal_activations_scope(monkeypatch):
+    """Inside the scope a frozen temporal layer runs once per distinct input;
+    a gradient on the input or the temporal layer, or leaving the scope,
+    turns the reuse off."""
+    calls = _spy_paths(monkeypatch)
+    backbone = _random_backbone(_tiny_config(), np.random.default_rng(53))
+    params = backbone.params
+    params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
+    rng = np.random.default_rng(54)
+    x = rng.standard_normal((4, 3, 16)).astype(np.float32)
+    other = rng.standard_normal((4, 3, 16)).astype(np.float32)
+    want = backbone.embed(Tensor(x)).data
+
+    def conv_calls(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    with reuse_temporal_activations(backbone):
+        assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
+        # an equal array (another object) reuses the temporal activations
+        got = backbone.embed(Tensor(x.copy()))
+        assert conv_calls(lambda: backbone.embed(Tensor(x.copy()))) == 1
+        assert got.data.tobytes() == want.tobytes()
+        assert conv_calls(lambda: backbone.embed(Tensor(other))) == 2
+        assert conv_calls(lambda: backbone.embed(Tensor(other))) == 1
+        assert conv_calls(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 2
+        params["temporal_w"].requires_grad = True
+        assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
+        params["temporal_w"].requires_grad = False
+        assert len(backbone._temporal_cache) == 2
+    assert backbone._temporal_cache is None
+    assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
+    with pytest.raises(RuntimeError):
+        with reuse_temporal_activations(backbone):
+            backbone.embed(Tensor(x))
+            raise RuntimeError("the body fails")
+    assert backbone._temporal_cache is None
+    with reuse_temporal_activations(IdentityBackbone(3, 16)):  # no temporal layer
+        pass
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
