@@ -1,6 +1,7 @@
 #!/bin/sh
 # Drive every command-line verb end to end in a scratch directory.
-# Usage: sh demos/06_cli_walkthrough.sh
+# Usage: PYTHONPATH=src sh demos/06_cli_walkthrough.sh
+# (or plain sh with the package installed)
 set -e
 
 WORK=$(mktemp -d)
@@ -21,7 +22,7 @@ cat > "$WORK/config.json" <<'EOF'
 EOF
 
 echo "== train-base =="
-anchorinv train-base --config "$WORK/config.json" --out "$WORK/base"
+python3 -m anchorinv train-base --config "$WORK/config.json" --out "$WORK/base"
 ls "$WORK/base"
 
 # downstream verbs read the trained artifacts via config keys
@@ -35,15 +36,15 @@ json.dump(cfg, open(f"{work}/config.json", "w"), indent=2)
 EOF
 
 echo "== run =="
-anchorinv run --config "$WORK/config.json" --out "$WORK/run"
+python3 -m anchorinv run --config "$WORK/config.json" --out "$WORK/run"
 
 echo "== audit-inversion =="
-anchorinv audit-inversion --config "$WORK/config.json" --out "$WORK/audit"
+python3 -m anchorinv audit-inversion --config "$WORK/config.json" --out "$WORK/audit"
 head -6 "$WORK/audit/audit.txt"
 
 echo "== ablate (shots axis) =="
-anchorinv ablate --config "$WORK/config.json" --axis shots --out "$WORK/ablate"
+python3 -m anchorinv ablate --config "$WORK/config.json" --axis shots --out "$WORK/ablate"
 cat "$WORK/ablate/ablate.txt"
 
 echo "== render-report =="
-anchorinv render-report "$WORK/run/report.json"
+python3 -m anchorinv render-report "$WORK/run/report.json"

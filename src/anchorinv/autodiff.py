@@ -42,7 +42,7 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float32
 _NORM_EPS = 1e-12
-# bytes of one im2col block in ``conv_pool``: bounds its memory at any batch size
+# bytes of one ``_im2col`` block in ``conv_pool``: bounds its memory at any batch size
 _IM2COL_BLOCK_BYTES = 16 << 20
 
 
@@ -413,8 +413,55 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _conv_windows(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, Ho, Wo, kh, kw) sliding windows of ``xd``, which the tests build
+    their reference convolution from, independently of ``_im2col``."""
     view = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
     return view[:, :, ::sh, ::sw, :, :]
+
+
+def _window_view(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, kh, kw, Ho, Wo) view of the windows of ``xd`` (N, C, H, W):
+    [n, c, p, q, i, j] = xd[n, c, i * sh + p, j * sw + q]."""
+    xd = np.ascontiguousarray(xd)
+    n, c, h, w = xd.shape
+    s_n, s_c, s_h, s_w = xd.strides
+    return np.ndarray((n, c, kh, kw, (h - kh) // sh + 1, (w - kw) // sw + 1), xd.dtype, xd, 0,
+                      (s_n, s_c, s_h, s_w, s_h * sh, s_w * sw))
+
+
+def _im2col(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, H, W) -> (N, C * kh * kw, Ho * Wo) columns of the windows.
+
+    The reshape of the window view copies only where the windows cannot be
+    laid out as columns in place; a kernel of the full input height, one
+    column wide, at column stride 1 gets a view."""
+    view = _window_view(xd, kh, kw, sh, sw)
+    n, c, _, _, ho, wo = view.shape
+    return view.reshape(n, c * kh * kw, ho * wo)
+
+
+def _tiles(size: int, kernel: int, stride: int) -> bool:
+    """Whether the windows along one axis read each of its positions once."""
+    out = (size - kernel) // stride + 1
+    return out * kernel == size and (out == 1 or stride == kernel)
+
+
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
+            sh: int, sw: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: adds each column entry back onto the position
+    of the (N, C, H, W) ``shape`` input it was read from."""
+    n, c, h, w = shape
+    cols6 = cols.reshape(n, c, kh, kw, (h - kh) // sh + 1, (w - kw) // sw + 1)
+    tile_h, tile_w = _tiles(h, kh, sh), _tiles(w, kw, sw)
+    if tile_h and tile_w:  # the columns are a permutation of the input
+        return cols6.transpose(0, 1, 4, 2, 5, 3).reshape(shape)
+    dx = np.zeros(shape, dtype=cols.dtype)
+    windows = _window_view(dx, kh, kw, sh, sw)
+    # the windows of a tiling axis are disjoint: all its offsets add at once
+    for p in [slice(None)] if tile_h else range(kh):
+        for q in [slice(None)] if tile_w else range(kw):
+            windows[:, :, p, q] += cols6[:, :, p, q]
+    return dx
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -422,9 +469,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Cross-correlation of a batch ``x`` (N, C, H, W) with ``weight``
     (K, C, kh, kw), optional ``bias`` (K,), and positive strides.
 
-    A kernel of the full input height, one column wide, at column stride 1
-    (the backbone's spatial conv) runs as one matmul; every other shape runs
-    the einsum over sliding windows, which tests keep as the reference."""
+    One batched matmul of the (K, C * kh * kw) weight with the ``_im2col``
+    columns of ``x``, for every kernel shape.  The VJP rebuilds the columns
+    from ``x`` for dW instead of keeping them, and maps the column gradient
+    back to dx with ``_col2im``."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
@@ -441,98 +489,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if x.dtype != weight.dtype or (bias is not None and bias.dtype != x.dtype):
         raise ShapeError("conv2d needs matching dtypes")
     parents = (x, weight) if bias is None else (x, weight, bias)
-    if kh == h and kw == 1 and sw == 1:
-        return _conv2d_full_height(x, weight, bias, parents)
-
-    windows = _conv_windows(x.data, kh, kw, sh, sw)  # (N, C, Ho, Wo, kh, kw)
-    out_data = np.einsum("ncijpq,kcpq->nkij", windows, weight.data, optimize=True)
-    out_data = np.ascontiguousarray(out_data, dtype=x.data.dtype)
-    if bias is not None:
-        out_data = out_data + bias.data[None, :, None, None]
-    ho, wo = out_data.shape[2], out_data.shape[3]
-
-    def backward_fn(g):
-        if weight.requires_grad:
-            dw = np.einsum("nkij,ncijpq->kcpq", g, windows, optimize=True)
-            _accumulate(weight, np.ascontiguousarray(dw, dtype=weight.dtype))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for p in range(kh):
-                row_stop = p + sh * (ho - 1) + 1
-                for q in range(kw):
-                    col_stop = q + sw * (wo - 1) + 1
-                    dx[:, :, p:row_stop:sh, q:col_stop:sw] += np.einsum(
-                        "nkij,kc->ncij", g, weight.data[:, :, p, q], optimize=True)
-            _accumulate(x, dx)
-
-    return _node(out_data, parents, backward_fn, "conv2d")
-
-
-def _conv2d_full_height(x: Tensor, weight: Tensor, bias: Tensor | None,
-                        parents: tuple[Tensor, ...]) -> Tensor:
-    """``conv2d`` for a (H, 1) kernel with column stride 1 over an (N, C, H, W)
-    input: one batched matmul of the (K, C * H) weight with the free reshape
-    (N, C * H, W), and matmuls again for dW, db and dx.  Output (N, K, 1, W)."""
-    n, c, h, w = x.shape
-    k = weight.shape[0]
-    x3 = x.data.reshape(n, c * h, w)
-    w2 = weight.data.reshape(k, c * h)
-    out_data = np.matmul(w2, x3)  # (N, K, W)
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    w2 = weight.data.reshape(k, c * kh * kw)
+    out_data = np.matmul(w2, _im2col(x.data, kh, kw, sh, sw))  # (N, K, Ho * Wo)
     if bias is not None:
         out_data += bias.data[:, None]
 
     def backward_fn(g):
-        g3 = g.reshape(n, k, w)
+        g3 = g.reshape(n, k, ho * wo)
         if weight.requires_grad:
-            dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
+            cols = _im2col(x.data, kh, kw, sh, sw)
+            dw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g3.sum(axis=(0, 2)))
         if x.requires_grad:
-            _accumulate(x, np.matmul(w2.T, g3).reshape(x.shape))
+            _accumulate(x, _col2im(np.matmul(w2.T, g3), x.shape, kh, kw, sh, sw))
 
-    return _node(out_data.reshape(n, k, 1, w), parents, backward_fn, "conv2d")
+    return _node(out_data.reshape(n, k, ho, wo), parents, backward_fn, "conv2d")
 
 
 def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> Tensor:
-    """Average pooling over (N, C, H, W) with the given kernel and stride."""
+    """Average pooling over (N, C, H, W) with the given kernel and stride:
+    the mean of each channel's ``_im2col`` column; the VJP is ``_col2im`` of
+    the output gradient spread evenly over each window."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-d input, got {x.shape}")
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     kh, kw = int(kernel[0]), int(kernel[1])
     sh, sw = int(stride[0]), int(stride[1])
     if kh > h or kw > w:
         raise ShapeError(f"avg_pool2d kernel ({kh},{kw}) larger than input ({h},{w})")
     if sh < 1 or sw < 1:
         raise ShapeError("avg_pool2d strides must be >= 1")
-
-    windows = _conv_windows(x.data, kh, kw, sh, sw)
-    out_data = np.ascontiguousarray(windows.mean(axis=(4, 5)), dtype=x.data.dtype)
-    ho, wo = out_data.shape[2], out_data.shape[3]
-    inv_area = 1.0 / (kh * kw)
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    planes = (n * c, 1, h, w)  # each channel pools on its own
+    out_data = _im2col(x.data.reshape(planes), kh, kw, sh, sw).mean(axis=1)
+    inv_area = x.dtype.type(1.0 / (kh * kw))
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        spread = (g * x.dtype.type(inv_area))
-        for p in range(kh):
-            row_stop = p + sh * (ho - 1) + 1
-            for q in range(kw):
-                col_stop = q + sw * (wo - 1) + 1
-                dx[:, :, p:row_stop:sh, q:col_stop:sw] += spread
-        _accumulate(x, dx)
+        spread = np.broadcast_to((g * inv_area).reshape(n * c, 1, ho * wo),
+                                 (n * c, kh * kw, ho * wo))
+        _accumulate(x, _col2im(spread, planes, kh, kw, sh, sw).reshape(x.shape))
 
-    return _node(out_data, (x,), backward_fn, "avg_pool2d")
-
-
-def _im2col(xd: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(N, H, W) -> (N, H * kernel, Wo): [n, h * kernel + p, j] = xd[n, h, j * stride + p]."""
-    view = np.lib.stride_tricks.sliding_window_view(xd, kernel, axis=2)[:, :, ::stride]
-    n, h, wo, _ = view.shape
-    return view.transpose(0, 1, 3, 2).reshape(n, h * kernel, wo)
+    return _node(out_data.reshape(n, c, ho, wo), (x,), backward_fn, "avg_pool2d")
 
 
 def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
@@ -551,8 +551,10 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
     ``weight`` (K, H, k) and ``bias`` (K,) are plain arrays, so they take no
     gradient: the VJP goes to ``x`` only.  Output is (N, K * P) in (filter,
     pooled column) order, the layout of ``conv2d`` -> ``relu`` ->
-    ``avg_pool2d`` -> ``reshape``.  The im2col buffer is built for blocks of
-    samples of at most ``_IM2COL_BLOCK_BYTES`` each.
+    ``avg_pool2d`` -> ``reshape``.  The conv is ``_im2col`` of a 1-channel
+    (H, k) kernel, built for blocks of samples of at most
+    ``_IM2COL_BLOCK_BYTES`` each; the VJP maps each block back with
+    ``_col2im``.
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError(f"conv_pool expects (N,H,W) input and (K,H,k) weight, "
@@ -578,9 +580,10 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
     block = max(1, _IM2COL_BLOCK_BYTES // (h * kt * wo * dtype.itemsize))
     out = np.empty((n, k, po), dtype=dtype)
     mask = np.empty((n, k, wo), dtype=bool) if relu else None
+    x4 = x.data.reshape(n, 1, h, w)
     for s in range(0, n, block):
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.matmul(w2, _im2col(x.data[s:s + block], kt, stride))  # (nb, K, Wo)
+            z = np.matmul(w2, _im2col(x4[s:s + block], h, kt, 1, stride))  # (nb, K, Wo)
             z += b
         # checked before the ReLU, which would hide an overflow to -inf
         _ensure_finite(z, "conv_pool")
@@ -590,17 +593,14 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
         out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
 
     def backward_fn(g):
-        dx = np.zeros_like(x.data)
+        dx = np.empty_like(x4)
         g3 = g.reshape(n, k, po)
         for s in range(0, n, block):
             dz = (g3[s:s + block].reshape(-1, po) @ pool.T).reshape(-1, k, wo)
             if relu:
                 dz *= mask[s:s + block]
-            dcols = np.matmul(w2.T, dz).reshape(-1, h, kt, wo)
-            dxb = dx[s:s + block]
-            for p in range(kt):
-                dxb[:, :, p:p + stride * (wo - 1) + 1:stride] += dcols[:, :, p]
-        _accumulate(x, dx)
+            dx[s:s + block] = _col2im(np.matmul(w2.T, dz), dx[s:s + block].shape, h, kt, 1, stride)
+        _accumulate(x, dx.reshape(x.shape))
 
     return _node(out.reshape(n, k * po), (x,), backward_fn, "conv_pool")
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
-from .model import ModelState, embed_batch, scores_graph
+from .model import ModelState, embed_batch, label_columns, scores_graph
 from .optim import minimize
 from .seeds import make_rng
 
@@ -269,12 +269,7 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     labels = [int(c) for c in labels]
     if not labels:
         return ReplaySet.empty(cfg.channels, cfg.timesteps)
-    known = set(state.seen_classes())
-    unknown = sorted(set(labels) - known)
-    if unknown:
-        raise KeyError(f"labels {unknown} not registered in the classifier")
-    class_order = state.seen_classes()
-    cols = np.array([class_order.index(c) for c in labels])
+    cols = label_columns(labels, state.seen_classes())
     label_arr = np.asarray(labels, dtype=np.int64)
     j = len(labels)
 

@@ -5,6 +5,8 @@ checked against central finite differences in float64 (float32 rounding would
 swamp the truncation error of the difference quotient).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,9 @@ def test_conv2d_shape_errors():
 def _conv2d_einsum_reference(x, w, b, g, stride):
     """Output and (dx, dW, db) of sum(conv2d(x, w, b) * g), from sliding windows."""
     windows = ad._conv_windows(x, w.shape[2], w.shape[3], *stride)
-    out = np.einsum("ncijpq,kcpq->nkij", windows, w) + b[None, :, None, None]
+    out = np.einsum("ncijpq,kcpq->nkij", windows, w)
+    if b is not None:
+        out = out + b[None, :, None, None]
     dw = np.einsum("nkij,ncijpq->kcpq", g, windows)
     dx = np.zeros_like(x)
     dwindows = np.einsum("nkij,kcpq->ncijpq", g, w)
@@ -220,7 +224,7 @@ def _conv2d_einsum_reference(x, w, b, g, stride):
         for j in range(out.shape[3]):
             dx[:, :, i * stride[0]:i * stride[0] + w.shape[2],
                j * stride[1]:j * stride[1] + w.shape[3]] += dwindows[:, :, i, j]
-    return out, (dx, dw, g.sum(axis=(0, 2, 3)))
+    return out, (dx, dw, None if b is None else g.sum(axis=(0, 2, 3)))
 
 
 # (x shape, weight shape) of full-height kernels: tiny, the desk spatial conv
@@ -229,18 +233,34 @@ _FULL_HEIGHT_CASES = [((2, 2, 3, 5), (3, 2, 3, 1)),
                       ((2, 8, 4, 56), (8, 8, 4, 1)),
                       ((1, 6, 22, 10), (6, 6, 22, 1))]
 
+# (x shape, weight shape, stride, bias) of every kernel class conv2d serves
+_CONV2D_CASES = {
+    "2x3": ((2, 3, 6, 9), (4, 3, 2, 3), (1, 1), True),
+    "2x3-tiling-stride": ((2, 3, 6, 9), (4, 3, 2, 3), (2, 3), True),
+    "temporal": ((2, 1, 4, 64), (8, 1, 1, 9), (1, 1), True),
+    "temporal-stride-4": ((2, 1, 4, 64), (8, 1, 1, 9), (1, 4), True),
+    "total-variation": ((2, 1, 3, 7), (1, 1, 1, 2), (1, 1), False),
+    **{f"full-height-{i}": (xs, ws, (1, 1), True) for i, (xs, ws) in enumerate(_FULL_HEIGHT_CASES)},
+    "full-height-k5-stride-3": ((2, 1, 4, 23), (4, 1, 4, 5), (1, 3), True),
+    "stride-over-kernel": ((2, 2, 7, 11), (3, 2, 2, 2), (3, 4), True),
+    "empty-batch": ((0, 1, 4, 16), (8, 1, 1, 9), (1, 1), True),
+}
 
-@pytest.mark.parametrize("x_shape,w_shape", _FULL_HEIGHT_CASES)
-def test_conv2d_full_height_matches_einsum_reference(x_shape, w_shape):
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,with_bias", _CONV2D_CASES.values(),
+                         ids=_CONV2D_CASES.keys())
+def test_conv2d_matches_einsum_reference(x_shape, w_shape, stride, with_bias):
     rng = np.random.default_rng(19)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
-    b = rng.standard_normal(w_shape[0])
-    g = rng.standard_normal((x_shape[0], w_shape[0], 1, x_shape[3]))
-    ts = [_t(x), _t(w), _t(b)]
-    out = ad.conv2d(*ts)
+    b = rng.standard_normal(w_shape[0]) if with_bias else None
+    ho = (x_shape[2] - w_shape[2]) // stride[0] + 1
+    wo = (x_shape[3] - w_shape[3]) // stride[1] + 1
+    g = rng.standard_normal((x_shape[0], w_shape[0], ho, wo))
+    ts = [_t(x), _t(w)] + ([_t(b)] if with_bias else [])
+    out = ad.conv2d(*ts, stride=stride)
     backward(ad.tensor_sum(ad.mul(out, _t(g, False))))
-    ref, ref_grads = _conv2d_einsum_reference(x, w, b, g, (1, 1))
+    ref, ref_grads = _conv2d_einsum_reference(x, w, b, g, stride)
     np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
     for t, want in zip(ts, ref_grads):
         np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=1e-12)
@@ -259,32 +279,34 @@ def test_fd_conv2d_full_height(x_shape, w_shape):
     assert err < FD_TOL
 
 
-def test_conv2d_matmul_dispatch(monkeypatch):
-    """Only a full-height kernel one column wide at column stride 1 skips the
-    sliding windows; width 2 or column stride 2 keep the einsum path."""
-    calls = []
-    original = ad._conv_windows
+# (size, kernel, stride) of one axis: windows that tile it (stride = kernel,
+# or one window over the whole axis), overlap, leave gaps or leave the end out
+_AXIS_CASES = [(6, 2, 2), (5, 1, 1), (4, 4, 1), (4, 4, 5),
+               (7, 3, 1), (6, 3, 2),
+               (11, 2, 4), (7, 2, 2), (5, 3, 4), (7, 1, 2)]
 
-    def spy(*args):
-        calls.append(args[1:])
-        return original(*args)
 
-    monkeypatch.setattr(ad, "_conv_windows", spy)
-    rng = np.random.default_rng(20)
-    x = rng.standard_normal((2, 3, 4, 7))
-    b = rng.standard_normal(2)
-    for kw, stride, windows in [(1, (1, 1), 0), (1, (3, 1), 0), (2, (1, 1), 1),
-                                (1, (1, 2), 1)]:
-        w = rng.standard_normal((2, 3, 4, kw))
-        g = rng.standard_normal((2, 2, 1, (7 - kw) // stride[1] + 1))
-        calls.clear()
-        out = ad.conv2d(_t(x), _t(w), _t(b), stride=stride)
-        assert len(calls) == windows, (kw, stride)
-        np.testing.assert_allclose(out.data, _conv2d_einsum_reference(x, w, b, g, stride)[0],
-                                   rtol=1e-10, atol=1e-12)
-    calls.clear()
-    ad.conv2d(_t(x), _t(rng.standard_normal((2, 3, 3, 1))), _t(b))  # not full height
-    assert len(calls) == 1
+def test_col2im_is_adjoint_of_im2col():
+    """<im2col(x), y> == <x, col2im(y)> for every pair of axis cases."""
+    rng = np.random.default_rng(33)
+    for (h, kh, sh), (w, kw, sw) in itertools.product(_AXIS_CASES, repeat=2):
+        x = rng.standard_normal((2, 3, h, w))
+        cols = ad._im2col(x, kh, kw, sh, sw)
+        y = rng.standard_normal(cols.shape)
+        back = ad._col2im(y, x.shape, kh, kw, sh, sw)
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.vdot(cols, y), np.vdot(x, back), rtol=1e-12,
+                                   err_msg=f"h {(h, kh, sh)}, w {(w, kw, sw)}")
+
+
+def test_im2col_and_col2im_need_no_copy_for_the_spatial_conv():
+    """A full-height kernel one column wide at column stride 1 reads its
+    columns in place and writes its input gradient in place."""
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((2, 3, 4, 5))
+    assert np.shares_memory(ad._im2col(x, 4, 1, 1, 1), x)
+    y = rng.standard_normal((2, 12, 5))
+    assert np.shares_memory(ad._col2im(y, x.shape, 4, 1, 1, 1), y)
 
 
 def test_avg_pool2d_matches_loop_oracle():
