@@ -18,6 +18,7 @@ Conventions, chosen to keep failure modes loud rather than silent:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -78,7 +79,7 @@ def is_grad_enabled() -> bool:
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
@@ -290,7 +291,7 @@ def relu(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accumulate(a, g * mask)
 
-    return _node(np.where(mask, a.data, a.dtype.type(0)), (a,), backward_fn, "relu")
+    return _node(np.maximum(a.data, 0), (a,), backward_fn, "relu")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -510,9 +511,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> Tensor:
-    """Average pooling over (N, C, H, W) with the given kernel and stride:
-    the mean of each channel's ``_im2col`` column; the VJP is ``_col2im`` of
-    the output gradient spread evenly over each window."""
+    """Average pooling over (N, C, H, W) with the given kernel and stride.
+
+    Two products with the cached ``_pool_matrix`` of each axis, ``ph`` (H, Ho)
+    and ``pw`` (W, Wo): the output is ``ph.T @ (x @ pw)`` and the VJP is
+    ``ph @ g @ pw.T``, so overlapping windows are read in place, not copied.
+    The width product runs on the (N * C * H, W) reshape: one matmul, where
+    numpy's 4-d by 2-d matmul makes one BLAS call per plane."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
@@ -522,25 +527,29 @@ def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> T
         raise ShapeError(f"avg_pool2d kernel ({kh},{kw}) larger than input ({h},{w})")
     if sh < 1 or sw < 1:
         raise ShapeError("avg_pool2d strides must be >= 1")
-    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
-    planes = (n * c, 1, h, w)  # each channel pools on its own
-    out_data = _im2col(x.data.reshape(planes), kh, kw, sh, sw).mean(axis=1)
-    inv_area = x.dtype.type(1.0 / (kh * kw))
+    ph = _pool_matrix(h, kh, sh, x.dtype)
+    pw = _pool_matrix(w, kw, sw, x.dtype)
+    wo = pw.shape[1]
 
     def backward_fn(g):
-        spread = np.broadcast_to((g * inv_area).reshape(n * c, 1, ho * wo),
-                                 (n * c, kh * kw, ho * wo))
-        _accumulate(x, _col2im(spread, planes, kh, kw, sh, sw).reshape(x.shape))
+        _accumulate(x, ((ph @ g).reshape(-1, wo) @ pw.T).reshape(x.shape))
 
-    return _node(out_data.reshape(n, c, ho, wo), (x,), backward_fn, "avg_pool2d")
+    return _node(ph.T @ (x.data.reshape(-1, w) @ pw).reshape(n, c, h, wo), (x,), backward_fn,
+                 "avg_pool2d")
 
 
+@functools.lru_cache(maxsize=64)
 def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
-    """(width, pooled) matrix: a row times it averages each pooling window."""
+    """(width, pooled) matrix: a row times it averages each pooling window.
+
+    Cached per geometry and dtype, and read-only, since every caller shares
+    the one array."""
     pooled = (width - kernel) // stride + 1
     col = np.arange(width)[:, None]
     start = stride * np.arange(pooled)[None, :]
-    return (((col >= start) & (col < start + kernel)) / kernel).astype(dtype)
+    matrix = (((col >= start) & (col < start + kernel)) / kernel).astype(dtype)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
@@ -644,15 +653,15 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = _NORM_EPS) -> Te
     u = a.data / na_c[:, None]
     v = b.data / nb_c[:, None]
     cos = u @ v.T  # (N, K)
-    live_a = (na > eps)[:, None]
-    live_b = (nb > eps)[:, None]
+    live_a = na > eps
+    live_b = nb > eps
 
     def backward_fn(g):
         if a.requires_grad:
-            da = (g @ v - np.where(live_a, (g * cos).sum(axis=1)[:, None] * u, 0.0)) / na_c[:, None]
+            da = (g @ v - ((g * cos).sum(axis=1) * live_a)[:, None] * u) / na_c[:, None]
             _accumulate(a, da.astype(a.dtype, copy=False))
         if b.requires_grad:
-            db = (g.T @ u - np.where(live_b, (g * cos).sum(axis=0)[:, None] * v, 0.0)) / nb_c[:, None]
+            db = (g.T @ u - ((g * cos).sum(axis=0) * live_b)[:, None] * v) / nb_c[:, None]
             _accumulate(b, db.astype(b.dtype, copy=False))
 
     return _node(np.ascontiguousarray(cos), (a, b), backward_fn, "cosine_similarity_matrix")

@@ -72,7 +72,7 @@ class Adam:
             g = np.asarray(g)
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NonFiniteError("non-finite gradient passed to Adam.step")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -80,7 +80,7 @@ class Adam:
             v += (1.0 - self.beta2) * np.square(g)
             update = (self.learning_rate / bias1) * m / (np.sqrt(v / bias2) + self.eps)
             p.data -= update.astype(p.data.dtype, copy=False)
-            if not np.all(np.isfinite(p.data)):
+            if not np.isfinite(p.data).all():
                 raise NonFiniteError("parameter diverged to non-finite values in Adam.step")
 
 

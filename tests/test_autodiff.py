@@ -323,6 +323,62 @@ def test_avg_pool2d_matches_loop_oracle():
     np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
 
+def _avg_pool2d_loops(x, kernel, stride):
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw) = kernel, stride
+    out = np.zeros((n, c, (h - kh) // sh + 1, (w - kw) // sw + 1))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            out[:, :, i, j] = x[:, :, i * sh:i * sh + kh, j * sw:j * sw + kw].mean(axis=(2, 3))
+    return out
+
+
+# (x shape, kernel, stride) of the pooling geometries avg_pool2d serves
+_POOL_CASES = {
+    "tiling": ((2, 3, 4, 8), (2, 2), (2, 2)),
+    "desk-overlap-8-4": ((2, 3, 1, 56), (1, 8), (1, 4)),
+    "bci-overlap-75-15": ((2, 2, 1, 120), (1, 75), (1, 15)),
+    "gaps": ((2, 3, 7, 11), (2, 2), (3, 4)),
+    "uncovered-tail": ((2, 3, 1, 23), (1, 5), (1, 4)),
+    "kh-over-1": ((2, 3, 6, 8), (3, 2), (1, 2)),
+    "full-width": ((2, 3, 1, 9), (1, 9), (1, 1)),
+    "empty-batch": ((0, 3, 1, 16), (1, 4), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("x_shape,kernel,stride", _POOL_CASES.values(), ids=_POOL_CASES.keys())
+def test_avg_pool2d_matches_loop_oracle_and_its_vjp_is_the_adjoint(x_shape, kernel, stride):
+    """Forward equals the loop oracle, and <pool(x), y> == <x, VJP(y)>."""
+    rng = np.random.default_rng(35)
+    x = _t(rng.standard_normal(x_shape))
+    out = ad.avg_pool2d(x, kernel, stride)
+    np.testing.assert_allclose(out.data, _avg_pool2d_loops(x.data, kernel, stride), rtol=1e-12)
+    y = rng.standard_normal(out.shape)
+    backward(ad.tensor_sum(ad.mul(out, _t(y, False))))
+    assert x.grad.shape == x.shape
+    np.testing.assert_allclose(np.vdot(out.data, y), np.vdot(x.data, x.grad), rtol=1e-12)
+
+
+def test_avg_pool2d_runs_without_im2col(monkeypatch):
+    """Pooling is two pooling-matrix products: no window copy, no scatter."""
+    def forbidden(*args):
+        raise AssertionError("avg_pool2d must not build or scatter im2col columns")
+
+    monkeypatch.setattr(ad, "_im2col", forbidden)
+    monkeypatch.setattr(ad, "_col2im", forbidden)
+    x = _t(np.random.default_rng(36).standard_normal((3, 2, 1, 56)))
+    backward(ad.tensor_sum(ad.avg_pool2d(x, (1, 8), (1, 4))))
+    assert x.grad.shape == x.shape
+
+
+def test_pool_matrix_is_cached_and_read_only():
+    first = ad._pool_matrix(56, 8, 4, np.dtype(np.float32))
+    assert ad._pool_matrix(56, 8, 4, np.dtype(np.float32)) is first
+    assert ad._pool_matrix(56, 8, 4, np.dtype(np.float64)) is not first
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+
+
 def _conv_pool_by_engine(x, w, b, stride, pool_kernel, pool_stride, relu):
     """conv_pool written with the generic primitives: its reference."""
     n, h, width = x.shape
@@ -409,6 +465,30 @@ def test_cosine_similarity_matrix_oracle():
     np.testing.assert_allclose(out, expect, rtol=1e-10)
     with pytest.raises(ShapeError):
         ad.cosine_similarity_matrix(_t(a), _t(rng.standard_normal((3, 5))))
+
+
+def test_cosine_similarity_vjp_drops_the_norm_term_of_clamped_rows():
+    """The VJP with a row of each side below ``eps`` equals the masked
+    formula, ``np.where`` over the live rows, and a clamped row's gradient is
+    its direction term alone: (g @ v) / eps."""
+    rng = np.random.default_rng(37)
+    eps = 1e-12
+    a, b, g = rng.standard_normal((4, 6)), rng.standard_normal((3, 6)), rng.standard_normal((4, 3))
+    a[2] *= 1e-14 / np.linalg.norm(a[2])
+    b[1] *= 1e-14 / np.linalg.norm(b[1])
+    at, bt = _t(a), _t(b)
+    cos = ad.cosine_similarity_matrix(at, bt, eps)
+    backward(ad.tensor_sum(ad.mul(cos, _t(g, False))))
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    na_c, nb_c = np.maximum(na, eps)[:, None], np.maximum(nb, eps)[:, None]
+    u, v = a / na_c, b / nb_c
+    live_a, live_b = (na > eps)[:, None], (nb > eps)[:, None]
+    da = (g @ v - np.where(live_a, (g * cos.data).sum(axis=1)[:, None] * u, 0.0)) / na_c
+    db = (g.T @ u - np.where(live_b, (g * cos.data).sum(axis=0)[:, None] * v, 0.0)) / nb_c
+    np.testing.assert_array_equal(at.grad, da)
+    np.testing.assert_array_equal(bt.grad, db)
+    np.testing.assert_array_equal(at.grad[2], (g @ v)[2] / eps)
+    np.testing.assert_array_equal(bt.grad[1], (g.T @ u)[1] / eps)
 
 
 def test_take_per_row_forward():
@@ -515,6 +595,21 @@ def test_fd_relu_away_from_kink():
     x[np.abs(x) < 0.1] = 0.5  # keep clear of the nondifferentiable point
     err = finite_difference_check(lambda ts: ad.tensor_sum(ad.relu(ts[0])), [_t(x)])
     assert err < FD_TOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_bit_identical_to_the_masked_select(dtype):
+    """Output and gradient equal ``np.where(a > 0, ...)`` bit for bit: -0.0,
+    tiny values of either sign and the kink all give +0.0."""
+    x = np.array([-0.0, 0.0, 1e-30, -1e-30, 2.5, -3.5, 7.0, -0.0], dtype=dtype).reshape(2, 4)
+    a = Tensor(x, requires_grad=True)
+    out = ad.relu(a)
+    backward(ad.tensor_sum(out))
+    for got, want in ((out.data, np.where(x > 0, x, dtype(0))),
+                      (a.grad, np.where(x > 0, dtype(1), dtype(0)))):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_fd_abs_and_log():
