@@ -32,7 +32,7 @@ from .data import Dataset
 from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
 from .model import (ModelState, embed_batch, label_columns, prototype_of,
-                    reuse_temporal_activations, scores_graph)
+                    reuse_unfolded_inputs, scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
 
@@ -211,8 +211,8 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     def loss_fn(i: int) -> Tensor:
         return composite_loss(out, replay, new, config.replay_weight)
 
-    # the inputs stay fixed, so a frozen temporal layer is run once per input
-    with reuse_temporal_activations(out.backbone):
+    # the inputs stay fixed, so each is unfolded once
+    with reuse_unfolded_inputs(out.backbone):
         losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
                           frozen=frozen)
     if loss_log is not None:

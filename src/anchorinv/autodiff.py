@@ -32,7 +32,11 @@ __all__ = [
     "backward",
     "conv2d",
     "avg_pool2d",
+    "unfold",
+    "composed_weights",
+    "compose_conv",
     "conv_pool",
+    "temporal_features",
     "softmax_with_temperature",
     "cosine_similarity_matrix",
     "take_per_row",
@@ -510,6 +514,95 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _node(out_data.reshape(n, k, ho, wo), parents, backward_fn, "conv2d")
 
 
+def unfold(x: Tensor, kernel: int, stride: int) -> Tensor:
+    """Columns (N, H * kernel, 1, Wo) of the (H, kernel) windows of ``x``
+    (N, H, W) at time stride ``stride``: [n, h * kernel + p, 0, j] =
+    x[n, h, j * stride + p].
+
+    A ``conv2d`` of a (K, H * kernel, 1, 1) weight over them is the
+    (H, kernel) conv of ``x``, as one matmul, since a 1 x 1 kernel's
+    ``_im2col`` of these columns is a view.  This is ``_im2col`` of a
+    1-channel input, and the VJP is ``_col2im``."""
+    if x.ndim != 3:
+        raise ShapeError(f"unfold expects (N, H, W) input, got {x.shape}")
+    n, h, w = x.shape
+    kernel, stride = int(kernel), int(stride)
+    if kernel < 1 or stride < 1 or kernel > w:
+        raise ShapeError(f"unfold kernel {kernel} at stride {stride} does not fit width {w}")
+    cols = _im2col(x.data.reshape(n, 1, h, w), h, kernel, 1, stride)  # (N, H * k, Wo)
+    wo = cols.shape[2]
+
+    def backward_fn(g):
+        dx = _col2im(g.reshape(n, h * kernel, wo), (n, 1, h, w), h, kernel, 1, stride)
+        _accumulate(x, dx.reshape(x.shape))
+
+    return _node(cols.reshape(n, h * kernel, 1, wo), (x,), backward_fn, "unfold")
+
+
+def composed_weights(temporal_w: np.ndarray, temporal_b: np.ndarray, spatial_w: np.ndarray,
+                     spatial_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight (K, H, k) and bias (K,) of the one (H, k) conv that a temporal
+    conv ``temporal_w`` (F, 1, 1, k), ``temporal_b`` (F,) followed by a
+    spatial conv ``spatial_w`` (K, F, H, 1), ``spatial_b`` (K,) make.
+
+    With no nonlinearity between them, W[k, h, p] = sum_f spatial_w[k, f, h]
+    * temporal_w[f, p] and b[k] = spatial_b[k] + sum_{f, h} spatial_w[k, f, h]
+    * temporal_b[f].  Both are summed in float64, then cast to the
+    parameters' dtype.  Plain arrays, no graph: ``compose_conv`` wraps them
+    as nodes, and the frozen ``conv_pool`` path uses them as they are."""
+    f, c_t, one, kt = temporal_w.shape
+    k, f_s, h, width = spatial_w.shape
+    if (c_t, one, width) != (1, 1, 1) or f_s != f or temporal_b.shape != (f,) \
+            or spatial_b.shape != (k,):
+        raise ShapeError(f"composed_weights needs (F,1,1,k), (F,), (K,F,H,1), (K,) parameters, "
+                         f"got {temporal_w.shape}, {temporal_b.shape}, {spatial_w.shape}, "
+                         f"{spatial_b.shape}")
+    dtype = temporal_w.dtype
+    if any(a.dtype != dtype for a in (temporal_b, spatial_w, spatial_b)):
+        raise ShapeError("composed_weights needs matching dtypes")
+    sw64 = spatial_w.reshape(k, f, h).astype(np.float64)
+    weight = np.matmul(sw64.transpose(0, 2, 1), temporal_w.reshape(f, kt).astype(np.float64))
+    bias = spatial_b + sw64.sum(axis=2) @ temporal_b  # float32 operands promote exactly
+    return weight.astype(dtype), bias.astype(dtype)
+
+
+def compose_conv(temporal_w: Tensor, temporal_b: Tensor, spatial_w: Tensor,
+                 spatial_b: Tensor) -> tuple[Tensor, Tensor]:
+    """``composed_weights`` as two graph nodes: the weight, reshaped to
+    (K, H * k, 1, 1) for ``conv2d`` over ``unfold`` columns, and the bias.
+
+    The VJPs run in the parameters' dtype.  The weight's gradient reaches
+    ``temporal_w`` and ``spatial_w``, the bias's reaches ``temporal_b``,
+    ``spatial_w`` and ``spatial_b``."""
+    weight, bias = composed_weights(temporal_w.data, temporal_b.data, spatial_w.data,
+                                    spatial_b.data)
+    f, kt = temporal_w.shape[0], temporal_w.shape[3]
+    k, h = weight.shape[:2]
+    tw = temporal_w.data.reshape(f, kt)
+    tb = temporal_b.data
+    sw = spatial_w.data.reshape(k, f, h)
+
+    def weight_backward(g):
+        gw = g.reshape(k, h, kt)
+        if spatial_w.requires_grad:
+            _accumulate(spatial_w, np.matmul(tw, gw.transpose(0, 2, 1)).reshape(spatial_w.shape))
+        if temporal_w.requires_grad:
+            dt = sw.transpose(1, 0, 2).reshape(f, k * h) @ gw.reshape(k * h, kt)
+            _accumulate(temporal_w, dt.reshape(temporal_w.shape))
+
+    def bias_backward(g):
+        _accumulate(spatial_b, g)
+        if spatial_w.requires_grad:
+            ds = np.repeat(np.multiply.outer(g, tb), h, axis=1)  # (K, F * H)
+            _accumulate(spatial_w, ds.reshape(spatial_w.shape))
+        if temporal_b.requires_grad:
+            _accumulate(temporal_b, g @ sw.sum(axis=2))
+
+    return (_node(weight.reshape(k, h * kt, 1, 1), (temporal_w, spatial_w), weight_backward,
+                  "compose_conv"),
+            _node(bias, (temporal_b, spatial_w, spatial_b), bias_backward, "compose_conv"))
+
+
 def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> Tensor:
     """Average pooling over (N, C, H, W) with the given kernel and stride.
 
@@ -550,6 +643,36 @@ def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
     matrix = (((col >= start) & (col < start + kernel)) / kernel).astype(dtype)
     matrix.flags.writeable = False
     return matrix
+
+
+def temporal_features(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                      stride: int) -> np.ndarray:
+    """Output (N, F, H, Wo) of a frozen temporal conv, ``weight`` (F, 1, 1, k)
+    and ``bias`` (F,), over ``x`` (N, H, W) at time stride ``stride``.
+
+    Plain arrays, no graph: the forward of ``conv2d`` with a 1-channel (1, k)
+    kernel, its ``_im2col`` columns built for blocks of samples of at most
+    ``_IM2COL_BLOCK_BYTES`` each, so that only the output is held whole."""
+    if x.ndim != 3 or weight.ndim != 4 or weight.shape[1:3] != (1, 1):
+        raise ShapeError(f"temporal_features expects (N,H,W) input and (F,1,1,k) weight, "
+                         f"got {x.shape} and {weight.shape}")
+    n, h, w = x.shape
+    f, kt = weight.shape[0], weight.shape[3]
+    stride = int(stride)
+    if bias.shape != (f,):
+        raise ShapeError(f"temporal_features bias shape {bias.shape} != ({f},)")
+    if stride < 1 or kt > w:
+        raise ShapeError(f"temporal_features kernel {kt} at stride {stride} does not fit "
+                         f"width {w}")
+    wo = (w - kt) // stride + 1
+    block = max(1, _IM2COL_BLOCK_BYTES // (kt * h * wo * x.dtype.itemsize))
+    out = np.empty((n, f, h * wo), dtype=x.dtype)
+    w2 = weight.reshape(f, kt).astype(x.dtype, copy=False)
+    x4 = x.reshape(n, 1, h, w)
+    for s in range(0, n, block):
+        np.matmul(w2, _im2col(x4[s:s + block], 1, kt, 1, stride), out=out[s:s + block])
+    out += bias.astype(x.dtype, copy=False)[:, None]
+    return out.reshape(n, f, h, wo)
 
 
 def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,

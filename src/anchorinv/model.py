@@ -42,7 +42,7 @@ __all__ = [
     "prototype_of",
     "label_columns",
     "cross_entropy_graph",
-    "reuse_temporal_activations",
+    "reuse_unfolded_inputs",
     "BaseTrainConfig",
     "train_base",
     "accuracy",
@@ -136,8 +136,9 @@ class ConvBackbone:
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        # (input, temporal activations) pairs, a list only inside reuse_temporal_activations
-        self._temporal_cache: list[tuple[np.ndarray, Tensor]] | None = None
+        # (input, projected, columns or temporal features), a list only inside
+        # reuse_unfolded_inputs
+        self._column_cache: list[tuple[np.ndarray, bool, Tensor]] | None = None
 
     @classmethod
     def initialize(cls, config: ConvBackboneConfig, seed: int) -> "ConvBackbone":
@@ -179,82 +180,91 @@ class ConvBackbone:
     def embed(self, x: Tensor) -> Tensor:
         """Embed a batch: (N, H, W) -> (N, D).
 
-        When grad mode is off or no backbone parameter has ``requires_grad``
-        (inversion, prediction, prototypes), the composed conv of
-        ``_embed_frozen`` runs; otherwise the engine path, which records the
-        weight gradients that training and finetuning need.
+        The two convs have no nonlinearity between them, so they run as one
+        (H, k_t) conv of the weight and bias ``ad.composed_weights`` builds
+        from the four parameters.  When grad mode is off or no backbone
+        parameter has ``requires_grad`` (inversion, prediction, prototypes),
+        the frozen ``ad.conv_pool`` runs it.  Otherwise (base training,
+        finetuning) it runs through engine nodes that record the parameter
+        gradients: ``ad.conv2d`` of a 1 x 1 kernel of the ``ad.compose_conv``
+        weight over the ``ad.unfold`` columns of ``x``, one matmul, then ReLU,
+        ``ad.avg_pool2d`` and a reshape.
+
+        One case convolves a smaller input instead: when neither ``x`` nor
+        the temporal layer takes a gradient (the default finetune, which
+        trains ``spatial`` only) and the layer has no more filters than taps
+        (F <= k_t: desk, nhie, grabmyo), the F * H features the frozen layer
+        makes per time step are no more numbers than the H * k_t rows of a
+        column, so ``ad.conv2d`` of ``spatial_w`` runs over those features
+        (see ``_conv_input``) and no compose nodes are built.
         """
         cfg = self.config
         n = x.shape[0]
         if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
             raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
                              f"got {x.shape}")
-        if not ad.is_grad_enabled() or not any(p.requires_grad for p in self.params.values()):
-            return self._embed_frozen(x)
-        h = ad.conv2d(self._temporal(x), self.params["spatial_w"], self.params["spatial_b"],
-                      stride=(1, 1))
+        params = [self.params[name] for name in self.param_names()]
+        if not ad.is_grad_enabled() or not any(p.requires_grad for p in params):
+            weight, bias = ad.composed_weights(*(p.data for p in params))
+            return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
+                                cfg.pool_stride, relu=cfg.activation == "relu")
+        temporal_w, temporal_b, spatial_w, spatial_b = params
+        project = cfg.filters <= cfg.temporal_kernel and not (
+            x.requires_grad or temporal_w.requires_grad or temporal_b.requires_grad)
+        weight, bias = (spatial_w, spatial_b) if project else ad.compose_conv(*params)
+        h = ad.conv2d(self._conv_input(x, project), weight, bias)
         if cfg.activation == "relu":
             h = ad.relu(h)
         h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
 
-    def _temporal(self, x: Tensor) -> Tensor:
-        """Temporal conv activations (N, F, H, W_o) of ``x`` (N, H, W).
+    def _conv_input(self, x: Tensor, project: bool) -> Tensor:
+        """The ``ad.unfold`` columns (N, H * k_t, 1, W_o) of ``x`` (N, H, W),
+        or with ``project`` the ``ad.temporal_features`` (N, F, H, W_o) the
+        frozen temporal layer makes of ``x`` (no graph: neither it nor ``x``
+        takes a gradient then).
 
-        Inside ``reuse_temporal_activations``, when neither the input nor the
-        temporal parameters take a gradient, an input equal (exact array
-        equality) to one already seen in the scope gets its stored
-        activations back instead of a new conv.
+        Inside ``reuse_unfolded_inputs``, when the input takes no gradient,
+        an input equal (exact array equality) to one already seen in the
+        scope gets its stored columns or features back instead of new
+        ones.  The columns do not depend on the weights, so trainable
+        layers keep the reuse.  The features depend on the temporal layer,
+        which stays frozen, as finetuning checks, while they are reused.
         """
         cfg = self.config
-        weight, bias = self.params["temporal_w"], self.params["temporal_b"]
-        cache = self._temporal_cache
-        reuse = cache is not None and not (x.requires_grad or weight.requires_grad
-                                           or bias.requires_grad)
+        cache = self._column_cache
+        reuse = cache is not None and not x.requires_grad
         if reuse:
-            for seen, out in cache:
-                if seen.dtype == x.dtype and np.array_equal(seen, x.data):
+            for seen, projected, out in cache:
+                if projected == project and seen.dtype == x.dtype and np.array_equal(seen, x.data):
                     return out
-        out = ad.conv2d(x.reshape((x.shape[0], 1, cfg.channels, cfg.timesteps)), weight, bias,
-                        stride=(1, cfg.temporal_stride))
+        if project:
+            out = Tensor(ad.temporal_features(x.data, self.params["temporal_w"].data,
+                                              self.params["temporal_b"].data,
+                                              cfg.temporal_stride))
+        else:
+            out = ad.unfold(x, cfg.temporal_kernel, cfg.temporal_stride)
         if reuse:
-            cache.append((x.data.copy(), out))
+            cache.append((x.data.copy(), project, out))
         return out
-
-    def _embed_frozen(self, x: Tensor) -> Tensor:
-        """The same embedding when no backbone parameter takes a gradient.
-
-        With no nonlinearity between them, the temporal and spatial convs
-        compose into one (H, k_t) conv: W_eff[k,h,p] = sum_f spatial_w[k,f,h]
-        * temporal_w[f,p] and b_eff[k] = spatial_b[k] + sum_{f,h}
-        spatial_w[k,f,h] * temporal_b[f].  The engine path above stays the
-        reference that tests compare this one with.
-        """
-        cfg = self.config
-        p = {name: t.data.astype(np.float64) for name, t in self.params.items()}
-        temporal_w = p["temporal_w"][:, 0, 0, :]                # (F, k_t)
-        spatial_w = p["spatial_w"][:, :, :, 0]                  # (K, F, H)
-        weight = np.matmul(spatial_w.transpose(0, 2, 1), temporal_w)  # (K, H, k_t)
-        bias = p["spatial_b"] + spatial_w.sum(axis=2) @ p["temporal_b"]
-        return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
-                            cfg.pool_stride, relu=cfg.activation == "relu")
 
 
 @contextmanager
-def reuse_temporal_activations(backbone):
-    """Inside this scope a ``ConvBackbone`` computes the temporal conv of each
-    frozen input once and reuses it (see ``ConvBackbone._temporal``); the
-    activations are dropped on exit, also when the body raises.  Other
-    backbones have no temporal layer and are left as they are.
+def reuse_unfolded_inputs(backbone):
+    """Inside this scope a ``ConvBackbone`` unfolds each input that takes no
+    gradient once and reuses its columns, or its frozen temporal features
+    (see ``ConvBackbone._conv_input``); they are dropped on
+    exit, also when the body raises.  Other backbones have no conv to unfold
+    for and are left as they are.
     """
     if not isinstance(backbone, ConvBackbone):
         yield
         return
-    saved, backbone._temporal_cache = backbone._temporal_cache, []
+    saved, backbone._column_cache = backbone._column_cache, []
     try:
         yield
     finally:
-        backbone._temporal_cache = saved
+        backbone._column_cache = saved
 
 
 class IdentityBackbone:
@@ -537,12 +547,20 @@ def compute_prototypes(state: ModelState, x: np.ndarray, y: np.ndarray,
 
 
 def label_columns(labels: np.ndarray, class_order: Sequence[int]) -> np.ndarray:
-    """Score column of each label, for columns ordered by ``class_order``."""
-    col_of = {c: i for i, c in enumerate(class_order)}
-    try:
-        return np.array([col_of[int(c)] for c in labels], dtype=np.int64)
-    except KeyError as err:
-        raise KeyError(f"label {err.args[0]} is not a known class") from err
+    """Score column of each label, for columns ordered by ``class_order``,
+    which ascends, as ``ModelState.seen_classes`` does.
+
+    A binary search per label, then a check that each found column holds
+    its label, which a label that is not in ``class_order`` fails."""
+    order = np.asarray(class_order, dtype=np.int64)
+    labels = np.asarray(labels)
+    cols = order.searchsorted(labels)
+    missing = order.take(cols, mode="clip") != labels if order.size else np.ones(labels.shape, bool)
+    if missing.any():
+        if (np.diff(order) <= 0).any():
+            raise ValueError(f"class order {list(class_order)} does not ascend")
+        raise KeyError(f"label {labels[missing][0]} is not a known class")
+    return cols
 
 
 def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequence[int],
@@ -607,7 +625,8 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
 
     try:
         xt = Tensor(x)  # a non-finite input fails here, before epoch 0 runs
-        losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
+        with reuse_unfolded_inputs(backbone):  # the input is the same every epoch
+            losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
     except NonFiniteError as err:
         raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {err}") from err
 

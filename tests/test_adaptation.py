@@ -1,6 +1,8 @@
 """Tests for the composite replay loss, constrained finetuning, prototype
 adapters, and the per-method incremental chains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,51 +173,67 @@ def test_finetune_matches_uncached_reference(cfg, config):
     assert len(got_log) == config.iterations
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
     _assert_close_states(got, want)
-    assert got.backbone._temporal_cache is None   # no activations left behind
-    assert state.backbone._temporal_cache is None
+    assert got.backbone._column_cache is None   # nothing left cached
+    assert state.backbone._column_cache is None
 
 
-def _conv2d_weight_shapes(monkeypatch):
-    """The weight shape of every conv2d call from here on."""
-    calls = []
-    original = ad.conv2d
-
-    def spy(*args, **kwargs):
-        calls.append(args[1].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ad, "conv2d", spy)
-    return calls
-
-
-def test_finetune_trainable_temporal_bypasses_cache(monkeypatch):
+def test_finetune_trainable_temporal_unfolds_once(spy_engine):
+    """Training the temporal layer keeps the reuse: the joint batch is
+    unfolded once per session and convolved once per iteration."""
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=139)
     config = FinetuneConfig(learning_rate=1e-2, iterations=6,
                             trainable_layers=("temporal", "spatial"), seed=1)
-    calls = _conv2d_weight_shapes(monkeypatch)
+    calls = spy_engine("unfold", "conv2d")
     got_log, want_log = [], []
     got = finetune_session(state, replay, new, config, got_log)
-    temporal_shape = state.backbone.params["temporal_w"].shape
-    assert calls.count(temporal_shape) == config.iterations   # one joint batch each
+    assert calls.count("unfold") == 1
+    assert calls.count("conv2d") == config.iterations
     calls.clear()
     want = _reference_finetune(state, replay, new, config, want_log)
-    assert calls.count(temporal_shape) == 2 * config.iterations
+    assert calls.count("unfold") == 2 * config.iterations   # no scope, two batches
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
     _assert_close_states(got, want)
     for name in ("temporal_w", "temporal_b"):
         assert got.backbone.params[name].data.tobytes() \
             != state.backbone.params[name].data.tobytes()
+    assert got.backbone._column_cache is None
 
 
-def test_finetune_runs_frozen_temporal_conv_once(monkeypatch):
+def test_finetune_builds_frozen_temporal_features_once(spy_engine):
+    """The default finetune trains ``spatial`` only, and the tiny backbone has
+    fewer temporal filters than taps (2 < 5): the session makes the joint
+    batch's temporal features once and runs one conv per iteration."""
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=140)
-    calls = _conv2d_weight_shapes(monkeypatch)
+    calls = spy_engine("unfold", "temporal_features", "compose_conv", "conv2d")
     out = finetune_session(state, replay, new, FinetuneConfig(iterations=5, seed=1))
-    assert calls.count(state.backbone.params["temporal_w"].shape) == 1
-    assert calls.count(state.backbone.params["spatial_w"].shape) == 5
-    assert out.backbone._temporal_cache is None
+    assert calls.count("temporal_features") == 1
+    assert calls.count("conv2d") == 5
+    assert "unfold" not in calls and "compose_conv" not in calls
+    assert out.backbone._column_cache is None
+
+
+def test_finetune_memory_is_bounded_by_the_frozen_temporal_features():
+    """A default finetune at the nhie geometry (F = 40 < k_t = 64) keeps the
+    frozen temporal features of its batch, N * F * H * W_o floats, and never
+    holds the 1.6 x larger unfolded columns of the whole batch next to them:
+    its traced peak stays under 2.4 x the feature bytes (holding both reads
+    2.7 x)."""
+    cfg = BACKBONE_PRESETS["nhie"]
+    state = ModelState(ConvBackbone.initialize(cfg, seed=5))
+    rng = np.random.default_rng(141)
+    for c in (0, 1):
+        state.register_class(c, rng.standard_normal(state.feature_dim))
+    new, replay = _conv_sets(cfg.sample_shape, n_new=4, n_replay=36, seed=142)
+    feature_bytes = 40 * cfg.filters * cfg.channels * cfg.conv_width * 4
+    tracemalloc.start()
+    try:
+        finetune_session(state, replay, new, FinetuneConfig(iterations=2, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * feature_bytes, f"peak {peak / feature_bytes:.2f} x the feature bytes"
 
 
 # ---------------------------------------------------------------------------

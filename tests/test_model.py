@@ -6,6 +6,7 @@ checked against the closed-form softmax over cosine similarities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              ConvBackboneConfig, IdentityBackbone,
                              LinearBackbone, ModelState, TrainingDivergedError, accuracy,
                              class_scores, compute_prototypes,
-                             cosine_distance, cross_entropy_graph, embed_batch,
+                             cosine_distance, cross_entropy_graph, embed_batch, label_columns,
                              predict, predict_batch, prototype_of,
-                             reuse_temporal_activations, scores_batch, scores_graph,
+                             reuse_unfolded_inputs, scores_batch, scores_graph,
                              train_base)
 
 
@@ -156,21 +157,8 @@ def test_frozen_path_matches_engine_path(cfg):
         np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
 
 
-def _spy_paths(monkeypatch):
-    calls = []
-    for name in ("conv2d", "conv_pool"):
-        original = getattr(ad, name)
-
-        def spy(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(ad, name, spy)
-    return calls
-
-
-def test_embed_path_selection(monkeypatch):
-    calls = _spy_paths(monkeypatch)
+def test_embed_path_selection(spy_engine):
+    calls = spy_engine("conv2d", "conv_pool", "compose_conv")
     cfg = _tiny_config()
     state = ModelState(ConvBackbone.initialize(cfg, seed=2))
     for c in (0, 1):
@@ -183,13 +171,13 @@ def test_embed_path_selection(monkeypatch):
         return set(calls)
 
     params = state.backbone.params
-    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # trainable: engine
+    assert path_of(lambda: embed_batch(state, x)) == {"conv2d", "compose_conv"}  # trainable
     with ad.no_grad():
         assert path_of(lambda: embed_batch(state, x)) == {"conv_pool"}
     assert path_of(lambda: predict_batch(state, x)) == {"conv_pool"}
     assert path_of(lambda: prototype_of(state, x)) == {"conv_pool"}
     params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
-    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # spatial still trains
+    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # spatial over features
     for t in params.values():
         t.requires_grad = False
     assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) == {"conv_pool"}
@@ -202,45 +190,146 @@ def test_embed_path_selection(monkeypatch):
                                          InversionConfig(iterations=2))) == {"conv_pool"}
 
 
-def test_reuse_temporal_activations_scope(monkeypatch):
-    """Inside the scope a frozen temporal layer runs once per distinct input;
-    a gradient on the input or the temporal layer, or leaving the scope,
-    turns the reuse off."""
-    calls = _spy_paths(monkeypatch)
+def _embed_two_convs(backbone, x):
+    """The backbone as a temporal conv then a spatial conv, each a generic
+    ``conv2d``: the oracle of the composed path."""
+    cfg, p = backbone.config, backbone.params
+    n = x.shape[0]
+    h = ad.conv2d(x.reshape((n, 1, cfg.channels, cfg.timesteps)), p["temporal_w"],
+                  p["temporal_b"], stride=(1, cfg.temporal_stride))
+    h = ad.conv2d(h, p["spatial_w"], p["spatial_b"])
+    if cfg.activation == "relu":
+        h = ad.relu(h)
+    h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
+    return h.reshape((n, cfg.feature_dim))
+
+
+def _features_and_grads(embed, backbone, x, g):
+    """Features, dx and the four parameter gradients of sum(embed(x) * g)."""
+    for t in backbone.params.values():
+        t.requires_grad = True
+    xt = Tensor(x.copy(), requires_grad=True)
+    feats = embed(xt)
+    ad.backward(ad.tensor_sum(ad.mul(feats, Tensor(g))))
+    return [feats.data, xt.grad] + [backbone.params[n].grad for n in backbone.param_names()]
+
+
+# the desk preset, a reduced bci geometry (22 channels, k_t 25, pool 75 / 15),
+# the nhie temporal stride 4, and no ReLU
+_COMPOSED_PATH_CONFIGS = [
+    BACKBONE_PRESETS["desk"],
+    _tiny_config(name="bci-reduced", channels=22, timesteps=150, filters=6,
+                 temporal_kernel=25, pool_kernel=75, pool_stride=15),
+    _tiny_config(name="nhie-stride-4", channels=8, timesteps=200, filters=5,
+                 temporal_kernel=64, temporal_stride=4, pool_kernel=8, pool_stride=4),
+    _tiny_config(name="linear", filters=3, activation="identity"),
+]
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("cfg", _COMPOSED_PATH_CONFIGS, ids=lambda c: c.name)
+def test_composed_path_matches_two_conv_oracle(spy_engine, cfg, dtype, rtol):
+    """Features, dx and d temporal_w / temporal_b / spatial_w / spatial_b of the
+    trainable embed equal those of the two generic convs."""
+    rng = np.random.default_rng(55)
+    backbone = _random_backbone(cfg, rng)
+    for name, t in backbone.params.items():
+        backbone.params[name] = Tensor(t.data.astype(dtype))
+    x = rng.standard_normal((5, cfg.channels, cfg.timesteps)).astype(dtype)
+    g = rng.standard_normal((5, cfg.feature_dim)).astype(dtype)
+    calls = spy_engine("conv2d", "conv_pool")
+    got = _features_and_grads(backbone.embed, backbone, x, g)
+    assert calls == ["conv2d"]   # one conv, not a temporal-then-spatial pair
+    want = _features_and_grads(lambda xt: _embed_two_convs(backbone, xt), backbone, x, g)
+    names = ["features", "dx"] + backbone.param_names()
+    for name, a, b in zip(names, got, want):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("cfg", _COMPOSED_PATH_CONFIGS + [
+    _tiny_config(name="more-filters-than-taps", filters=6, temporal_kernel=3)],
+    ids=lambda c: c.name)
+def test_frozen_temporal_layer_matches_two_conv_oracle(spy_engine, cfg, dtype, rtol):
+    """With the temporal layer frozen and no gradient on the input, features
+    and d spatial_w / spatial_b equal the two generic convs'.  The spatial
+    weight runs over the frozen temporal features when F <= k_t, and the
+    composed weight over the unfolded columns otherwise."""
+    rng = np.random.default_rng(58)
+    backbone = _random_backbone(cfg, rng)
+    for name, t in backbone.params.items():
+        backbone.params[name] = Tensor(t.data.astype(dtype),
+                                       requires_grad=name.startswith("spatial"))
+    x = Tensor(rng.standard_normal((5, cfg.channels, cfg.timesteps)).astype(dtype))
+    g = Tensor(rng.standard_normal((5, cfg.feature_dim)).astype(dtype))
+    spatial = [backbone.params["spatial_w"], backbone.params["spatial_b"]]
+
+    def features_and_grads(embed):
+        feats = embed(x)
+        ad.backward(ad.tensor_sum(ad.mul(feats, g)))
+        return [feats.data] + [t.grad for t in spatial]
+
+    calls = spy_engine("unfold", "temporal_features", "compose_conv", "conv2d")
+    got = features_and_grads(backbone.embed)
+    if cfg.filters <= cfg.temporal_kernel:
+        assert calls == ["temporal_features", "conv2d"]
+    else:
+        assert calls == ["compose_conv", "unfold", "conv2d"]
+    want = features_and_grads(lambda xt: _embed_two_convs(backbone, xt))
+    for name, a, b in zip(["features", "spatial_w", "spatial_b"], got, want):
+        assert a.dtype == dtype, name
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
+
+
+def test_reuse_unfolded_inputs_scope(spy_engine):
+    """Inside the scope each distinct input is unfolded once, whichever layers
+    train, and its frozen temporal features are made once; a gradient on the
+    input bypasses the reuse; nothing stays cached after the scope, also when
+    its body raises."""
+    calls = spy_engine("unfold", "temporal_features")
     backbone = _random_backbone(_tiny_config(), np.random.default_rng(53))
-    params = backbone.params
-    params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
     rng = np.random.default_rng(54)
     x = rng.standard_normal((4, 3, 16)).astype(np.float32)
     other = rng.standard_normal((4, 3, 16)).astype(np.float32)
     want = backbone.embed(Tensor(x)).data
 
-    def conv_calls(fn):
+    def unfolds(fn):
+        """Columns or features made while fn runs."""
         calls.clear()
         fn()
         return len(calls)
 
-    with reuse_temporal_activations(backbone):
-        assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
-        # an equal array (another object) reuses the temporal activations
-        got = backbone.embed(Tensor(x.copy()))
-        assert conv_calls(lambda: backbone.embed(Tensor(x.copy()))) == 1
-        assert got.data.tobytes() == want.tobytes()
-        assert conv_calls(lambda: backbone.embed(Tensor(other))) == 2
-        assert conv_calls(lambda: backbone.embed(Tensor(other))) == 1
-        assert conv_calls(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 2
-        params["temporal_w"].requires_grad = True
-        assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
-        params["temporal_w"].requires_grad = False
-        assert len(backbone._temporal_cache) == 2
-    assert backbone._temporal_cache is None
-    assert conv_calls(lambda: backbone.embed(Tensor(x))) == 2
+    with reuse_unfolded_inputs(backbone):
+        assert unfolds(lambda: backbone.embed(Tensor(x))) == 1
+        # an equal array (another object) reuses the columns
+        assert unfolds(lambda: backbone.embed(Tensor(x.copy()))) == 0
+        assert backbone.embed(Tensor(x.copy())).data.tobytes() == want.tobytes()
+        assert unfolds(lambda: backbone.embed(Tensor(other))) == 1
+        assert unfolds(lambda: backbone.embed(Tensor(other))) == 0
+        assert unfolds(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 1
+        for name, t in backbone.params.items():
+            t.requires_grad = name.startswith("spatial")
+        # the frozen temporal features of x (F 2 <= k_t 5), made once
+        assert unfolds(lambda: backbone.embed(Tensor(x))) == 1
+        assert calls == ["temporal_features"]
+        assert unfolds(lambda: backbone.embed(Tensor(x))) == 0
+        features = backbone.embed(Tensor(x)).data
+        assert np.abs(features - want).max() <= 1e-5 * np.abs(want).max()
+        for t in backbone.params.values():
+            t.requires_grad = True
+        assert unfolds(lambda: backbone.embed(Tensor(x))) == 0   # the columns are kept
+        assert len(backbone._column_cache) == 3
+    assert backbone._column_cache is None
+    assert unfolds(lambda: backbone.embed(Tensor(x))) == 1
     with pytest.raises(RuntimeError):
-        with reuse_temporal_activations(backbone):
+        with reuse_unfolded_inputs(backbone):
             backbone.embed(Tensor(x))
             raise RuntimeError("the body fails")
-    assert backbone._temporal_cache is None
-    with reuse_temporal_activations(IdentityBackbone(3, 16)):  # no temporal layer
+    assert backbone._column_cache is None
+    with reuse_unfolded_inputs(IdentityBackbone(3, 16)):  # no conv to unfold for
         pass
 
 
@@ -560,6 +649,21 @@ def test_cross_entropy_unknown_label():
         cross_entropy_graph(scores, np.array([9]), [0])
 
 
+def test_label_columns_matches_a_dict_lookup():
+    order = [0, 2, 3, 7, 11]
+    labels = np.array([7, 0, 11, 3, 3, 2, 0])
+    col_of = {c: i for i, c in enumerate(order)}
+    np.testing.assert_array_equal(label_columns(labels, order), [col_of[c] for c in labels])
+    assert label_columns(np.array([], dtype=np.int64), order).shape == (0,)
+    for unknown in (1, -1, 12):
+        with pytest.raises(KeyError, match=f"label {unknown} is not a known class"):
+            label_columns(np.array([0, unknown]), order)
+    with pytest.raises(KeyError, match="label 7 is not a known class"):
+        label_columns(np.array([7]), [])
+    with pytest.raises(ValueError, match="does not ascend"):
+        label_columns(np.array([2]), [3, 2])
+
+
 # ---------------------------------------------------------------------------
 # base training
 
@@ -611,6 +715,35 @@ def test_train_base_deterministic():
     b = train_base(x, y, cfg, BaseTrainConfig(epochs=10, seed=5))
     for name, t in a.all_parameters().items():
         assert t.data.tobytes() == b.all_parameters()[name].data.tobytes()
+
+
+def test_train_base_unfolds_its_input_once(spy_engine):
+    calls = spy_engine("unfold", "conv2d")
+    x, y = _separable_data()
+    state = train_base(x, y, _tiny_config(channels=4), BaseTrainConfig(epochs=4, seed=5))
+    assert calls.count("unfold") == 1
+    assert calls.count("conv2d") == 4
+    assert state.backbone._column_cache is None
+
+
+def test_train_base_memory_is_bounded_by_the_unfolded_columns():
+    """One base-training epoch at the bci geometry keeps the unfolded columns
+    of its input, N * H * k_t * W_o floats, and no (N, F, H, W_o) temporal
+    activations or their gradient (F = 40 > k_t = 25 there): its traced peak
+    stays under twice the column bytes."""
+    cfg = BACKBONE_PRESETS["bci"]
+    n = 8
+    rng = np.random.default_rng(57)
+    x = rng.standard_normal((n, cfg.channels, cfg.timesteps)).astype(np.float32)
+    y = np.arange(n) % 2
+    column_bytes = n * cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4
+    tracemalloc.start()
+    try:
+        train_base(x, y, cfg, BaseTrainConfig(epochs=1, seed=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * column_bytes, f"peak {peak / column_bytes:.2f} x the column bytes"
 
 
 def test_train_base_validation():
