@@ -127,10 +127,9 @@ def composite_loss(state: ModelState, replay, new: Dataset,
     x = np.concatenate([np.asarray(xs, np.float32) for xs, _, _ in parts])
     y = np.concatenate([np.asarray(ys) for _, ys, _ in parts])
     scores = scores_graph(state, embed_batch(state, Tensor(x)))
-    picked = ad.take_per_row(ad.log(scores), label_columns(y, state.seen_classes()))
     # negated, so that the weighted sum of log-probabilities is the loss
     w = np.concatenate([np.full(len(ys), -weight / len(ys)) for _, ys, weight in parts])
-    return ad.mul(picked, Tensor(w, dtype=picked.dtype)).sum()
+    return ad.nll(scores, label_columns(y, state.seen_classes()), w)
 
 
 def _replay_arrays(replay) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -40,6 +40,8 @@ __all__ = [
     "softmax_with_temperature",
     "cosine_similarity_matrix",
     "take_per_row",
+    "nll",
+    "scaled_l1",
     "subtract_rowwise",
     "stack_rows",
     "finite_difference_check",
@@ -610,7 +612,8 @@ def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> T
     and ``pw`` (W, Wo): the output is ``ph.T @ (x @ pw)`` and the VJP is
     ``ph @ g @ pw.T``, so overlapping windows are read in place, not copied.
     The width product runs on the (N * C * H, W) reshape: one matmul, where
-    numpy's 4-d by 2-d matmul makes one BLAS call per plane."""
+    numpy's 4-d by 2-d matmul makes one BLAS call per plane.  At H = 1 (the
+    model's pooling) ``ph`` is the 1 x 1 identity and its product is skipped."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
@@ -620,15 +623,16 @@ def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> T
         raise ShapeError(f"avg_pool2d kernel ({kh},{kw}) larger than input ({h},{w})")
     if sh < 1 or sw < 1:
         raise ShapeError("avg_pool2d strides must be >= 1")
-    ph = _pool_matrix(h, kh, sh, x.dtype)
+    ph = None if h == 1 else _pool_matrix(h, kh, sh, x.dtype)
     pw = _pool_matrix(w, kw, sw, x.dtype)
     wo = pw.shape[1]
 
     def backward_fn(g):
-        _accumulate(x, ((ph @ g).reshape(-1, wo) @ pw.T).reshape(x.shape))
+        gh = g if ph is None else ph @ g
+        _accumulate(x, (gh.reshape(-1, wo) @ pw.T).reshape(x.shape))
 
-    return _node(ph.T @ (x.data.reshape(-1, w) @ pw).reshape(n, c, h, wo), (x,), backward_fn,
-                 "avg_pool2d")
+    out = (x.data.reshape(-1, w) @ pw).reshape(n, c, h, wo)
+    return _node(out if ph is None else ph.T @ out, (x,), backward_fn, "avg_pool2d")
 
 
 @functools.lru_cache(maxsize=64)
@@ -769,8 +773,9 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = _NORM_EPS) -> Te
     if a.dtype != b.dtype:
         raise ShapeError("cosine_similarity_matrix needs matching dtypes")
 
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
+    # np.linalg.norm(axis=1) computes this, with its own overhead on top
+    na = np.sqrt((a.data * a.data).sum(axis=1))
+    nb = np.sqrt((b.data * b.data).sum(axis=1))
     na_c = np.maximum(na, eps).astype(a.dtype, copy=False)
     nb_c = np.maximum(nb, eps).astype(b.dtype, copy=False)
     u = a.data / na_c[:, None]
@@ -790,16 +795,77 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = _NORM_EPS) -> Te
     return _node(np.ascontiguousarray(cos), (a, b), backward_fn, "cosine_similarity_matrix")
 
 
-def take_per_row(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather one element per row: out[n] = x[n, indices[n]]."""
+def _row_indices(x: Tensor, indices: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of one in-range column per row of the matrix ``x``."""
     if x.ndim != 2:
-        raise ShapeError(f"take_per_row expects a matrix, got {x.shape}")
+        raise ShapeError(f"{op} expects a matrix, got {x.shape}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.shape != (x.shape[0],):
-        raise ShapeError(f"take_per_row needs one index per row, got {idx.shape}")
+        raise ShapeError(f"{op} needs one index per row, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise ShapeError("take_per_row index out of range")
-    rows = np.arange(x.shape[0])
+        raise ShapeError(f"{op} index out of range")
+    return np.arange(x.shape[0]), idx
+
+
+def nll(probs: Tensor, columns: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Negative log-likelihood of one label column per row of ``probs`` (N, K):
+    ``-mean_n log probs[n, columns[n]]``.  With ``weights`` (N,) it is the
+    weighted sum ``sum_n weights[n] * log probs[n, columns[n]]``, so the
+    weights carry the sign and the normalisation.
+
+    One node for the chain ``neg(mean(take_per_row(log(probs), columns)))``,
+    or ``sum(mul(take_per_row(log(probs), columns), weights))``: the same
+    float operations in the same order, so the loss and its gradient have the
+    chain's bits.  Only the picked probabilities are logged; a zero among
+    them makes the loss non-finite, which raises ``NonFiniteError``."""
+    rows, idx = _row_indices(probs, columns, "nll")
+    dtype = probs.dtype.type
+    picked = probs.data[rows, idx]
+    if weights is None:
+        scale = dtype(1.0 / picked.size)
+    else:
+        w = np.asarray(weights, dtype=probs.dtype)
+        if w.shape != picked.shape:
+            raise ShapeError(f"nll needs one weight per row, got {w.shape} for {picked.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(picked)
+        if weights is None:
+            out_data = np.asarray(logp.sum(), dtype=probs.dtype) * scale * dtype(-1.0)
+        else:
+            out_data = np.asarray((logp * w).sum(), dtype=probs.dtype)
+
+    def backward_fn(g):
+        # the chain's sum VJP casts its scalar gradient to the operand dtype
+        g = dtype(g * dtype(-1.0) * scale) if weights is None else dtype(g) * w
+        dp = np.zeros_like(probs.data)
+        dp[rows, idx] = g / picked
+        _accumulate(probs, dp)
+
+    return _node(np.asarray(out_data), (probs,), backward_fn, "nll")
+
+
+def scaled_l1(a: Tensor, target: Tensor, scale: float) -> Tensor:
+    """``scale * sum |a - target|`` as one node, for the chain
+    ``mul_scalar(sum(absolute(sub(a, target))), scale)``: the same float
+    operations in the same order, so the value and the gradients have the
+    chain's bits."""
+    _check_same_shape(a, target, "scaled_l1")
+    diff = a.data - target.data
+    s = a.dtype.type(scale)
+
+    def backward_fn(g):
+        da = a.dtype.type(g * s) * np.sign(diff)
+        _accumulate(a, da)
+        if target.requires_grad:
+            _accumulate(target, -da)
+
+    return _node(np.asarray(np.abs(diff).sum(), dtype=a.dtype) * s, (a, target), backward_fn,
+                 "scaled_l1")
+
+
+def take_per_row(x: Tensor, indices: np.ndarray) -> Tensor:
+    """Gather one element per row: out[n] = x[n, indices[n]]."""
+    rows, idx = _row_indices(x, indices, "take_per_row")
 
     def backward_fn(g):
         dx = np.zeros_like(x.data)

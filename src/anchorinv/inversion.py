@@ -182,9 +182,8 @@ def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionC
     inv_dim = 1.0 / dim
 
     def loss_fn(i: int) -> Tensor:
-        residual = ad.absolute(ad.sub(embed_batch(state, x), target_t))
         # sum of per-sample MAEs: gradients stay factorized per sample
-        return ad.mul_scalar(residual.sum(), inv_dim)
+        return ad.scaled_l1(embed_batch(state, x), target_t, inv_dim)
 
     losses = minimize([x], loss_fn, config.iterations, config.learning_rate,
                       frozen=state.all_parameters().values())
@@ -284,7 +283,8 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
 
     def loss_fn(i: int) -> Tensor:
         scores = scores_graph(state, embed_batch(state, x))
-        terms = {"ce": ad.mul_scalar(ad.take_per_row(ad.log(scores), cols).sum(), -1.0)}
+        # summed, not averaged, over the batch: weight -1 per sample
+        terms = {"ce": ad.nll(scores, cols, np.full(j, -1.0))}
         if weights["l2"] > 0:
             terms["l2"] = ad.mul(x, x).sum()
         if weights["tv"] > 0:

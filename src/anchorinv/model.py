@@ -505,9 +505,10 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
     bit, which keeps prototypes reproducible no matter how the dataset was
     shuffled.
     """
-    cols = rows.astype(np.float64)
-    out = np.array([math.fsum(cols[:, d]) for d in range(cols.shape[1])], dtype=np.float64)
-    return out / rows.shape[0]
+    # one column of Python floats at a time: math.fsum reads numpy scalars
+    # several times slower, and a list of every column would hold 32 bytes per value
+    cols = rows.T.astype(np.float64)
+    return np.array([math.fsum(col.tolist()) for col in cols], dtype=np.float64) / rows.shape[0]
 
 
 def prototype_of(state: ModelState, samples: np.ndarray) -> np.ndarray:
@@ -572,12 +573,11 @@ def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequenc
     their sum), which reduces exactly to the plain mean for uniform weights.
     """
     labels = np.asarray(labels)
-    picked = ad.take_per_row(ad.log(scores), label_columns(labels, class_order))
+    columns = label_columns(labels, class_order)
     if class_weights is None:
-        return ad.neg(picked.mean())
+        return ad.nll(scores, columns)
     w = np.array([class_weights[int(c)] for c in labels], dtype=scores.data.dtype)
-    weighted = ad.mul(picked, Tensor(w))
-    return ad.mul_scalar(weighted.sum(), -1.0 / float(w.sum()))
+    return ad.mul_scalar(ad.nll(scores, columns, w), -1.0 / float(w.sum()))
 
 
 @dataclass

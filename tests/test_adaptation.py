@@ -66,6 +66,16 @@ def test_composite_loss_hand_oracle():
         assert got == pytest.approx(ce_new + w * ce_replay, rel=1e-5)
 
 
+def test_composite_loss_is_one_loss_node(spy_engine):
+    calls = spy_engine("nll", "log", "take_per_row", "mul", "tensor_sum")
+    state = _two_class_state()
+    new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
+                       np.array([1]), np.array([0]), np.zeros(1))
+    composite_loss(state, replay, new, replay_weight=2.0)
+    assert calls == ["nll"]
+
+
 def test_composite_loss_replay_conventions():
     state = _two_class_state()
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])

@@ -448,6 +448,26 @@ def test_avg_pool2d_runs_without_im2col(monkeypatch):
     assert x.grad.shape == x.shape
 
 
+@pytest.mark.parametrize("x_shape,kernel,stride", [((60, 8, 1, 56), 8, 4),
+                                                   ((4, 40, 1, 976), 75, 15)])
+def test_avg_pool2d_at_unit_height_has_the_bits_of_both_products(x_shape, kernel, stride):
+    """At H = 1 the height product is a 1 x 1 identity and is skipped: the
+    forward and the VJP keep the bits of ``ph.T @ (x @ pw)`` and
+    ``ph @ g @ pw.T`` (desk and bci shapes, float32)."""
+    rng = np.random.default_rng(38)
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=True)
+    n, c, h, w = x_shape
+    ph = ad._pool_matrix(1, 1, 1, x.dtype)
+    pw = ad._pool_matrix(w, kernel, stride, x.dtype)
+    wo = pw.shape[1]
+    out = ad.avg_pool2d(x, (1, kernel), (1, stride))
+    expect = ph.T @ (x.data.reshape(-1, w) @ pw).reshape(n, c, h, wo)
+    assert out.data.tobytes() == expect.tobytes()
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+    assert x.grad.tobytes() == ((ph @ g).reshape(-1, wo) @ pw.T).reshape(x_shape).tobytes()
+
+
 def test_pool_matrix_is_cached_and_read_only():
     first = ad._pool_matrix(56, 8, 4, np.dtype(np.float32))
     assert ad._pool_matrix(56, 8, 4, np.dtype(np.float32)) is first
@@ -601,6 +621,104 @@ def test_take_per_row_forward():
         ad.take_per_row(x, np.array([0, 4, 1]))
     with pytest.raises(ShapeError):
         ad.take_per_row(x, np.array([0, 1]))
+
+
+def _softmax_probs(rng, n, k, dtype):
+    """Row probabilities of the engine's softmax, and their logits tensor."""
+    logits = Tensor(rng.standard_normal((n, k)).astype(dtype), requires_grad=True)
+    return logits, ad.softmax_with_temperature(logits, 0.5)
+
+
+# the fused losses and the chains they replace, at desk shapes (60 base
+# training samples of 6 classes, 70 finetune samples of 8, 8 label-space
+# samples, 24 inverted anchors of D = 104)
+_NLL_CASES = {
+    "mean": (60, 6, None, lambda p, c, w: ad.neg(ad.take_per_row(ad.log(p), c).mean())),
+    "weighted": (70, 8, "weights",
+                 lambda p, c, w: ad.tensor_sum(ad.mul(ad.take_per_row(ad.log(p), c), Tensor(w)))),
+    "summed": (8, 8, "minus-ones",
+               lambda p, c, w: ad.mul_scalar(ad.tensor_sum(ad.take_per_row(ad.log(p), c)), -1.0)),
+}
+
+
+@pytest.mark.parametrize("case", _NLL_CASES.values(), ids=_NLL_CASES.keys())
+@pytest.mark.parametrize("downstream", [1.0, 0.37])
+def test_nll_has_the_bits_of_the_chain(case, downstream):
+    """Loss and logit gradient of ``nll`` equal those of the chain of
+    primitives it replaces, bit for bit, in float32; ``downstream`` scales the
+    loss afterwards, so the VJP also gets a gradient other than 1."""
+    n, k, weighting, chain = case
+    rng = np.random.default_rng(60)
+    columns = rng.integers(0, k, n)
+    weights = {None: None, "weights": rng.uniform(-0.1, 0.0, n).astype(np.float32),
+               "minus-ones": np.full(n, -1.0, dtype=np.float32)}[weighting]
+    results = []
+    for fused in (True, False):
+        logits, probs = _softmax_probs(np.random.default_rng(61), n, k, np.float32)
+        loss = ad.nll(probs, columns, weights) if fused else chain(probs, columns, weights)
+        backward(ad.mul_scalar(loss, downstream))
+        assert loss.dtype == np.float32 and logits.grad.dtype == np.float32
+        results.append((np.asarray(loss.data).tobytes(), logits.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("downstream", [1.0, 0.37])
+def test_scaled_l1_has_the_bits_of_the_chain(downstream):
+    rng = np.random.default_rng(62)
+    f0 = rng.standard_normal((24, 104)).astype(np.float32)
+    target = Tensor(rng.standard_normal((24, 104)).astype(np.float32))
+    results = []
+    for fused in (True, False):
+        f = Tensor(f0.copy(), requires_grad=True)
+        loss = (ad.scaled_l1(f, target, 1.0 / 104) if fused
+                else ad.mul_scalar(ad.tensor_sum(ad.absolute(ad.sub(f, target))), 1.0 / 104))
+        backward(ad.mul_scalar(loss, downstream))
+        results.append((np.asarray(loss.data).tobytes(), f.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_fd_nll_and_scaled_l1():
+    """float64 central differences at eps 1e-3, ``nll`` on the softmax of
+    logits as the losses use it."""
+    rng = np.random.default_rng(63)
+    logits = rng.standard_normal((5, 4))
+    columns = np.array([0, 3, 1, 1, 2])
+    weights = rng.standard_normal(5)
+    for w in (None, weights):
+        assert finite_difference_check(
+            lambda ts: ad.nll(ad.softmax_with_temperature(ts[0], 2.0), columns, w),
+            [_t(logits)], eps=_FD_WIDE_EPS) < FD_TOL
+    a, b = rng.standard_normal((3, 7)), rng.standard_normal((3, 7))
+    assert finite_difference_check(lambda ts: ad.scaled_l1(ts[0], ts[1], 0.25),
+                                   [_t(a), _t(b)], eps=_FD_WIDE_EPS) < FD_TOL
+
+
+def test_nll_of_a_zero_picked_probability_raises():
+    probs = _t(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError, match="nll"):
+        ad.nll(probs, np.array([0, 0]))
+    with pytest.raises(NonFiniteError, match="nll"):
+        ad.nll(probs, np.array([0, 0]), np.array([1.0, 0.0]))
+    # a zero the labels do not pick does not enter the loss
+    assert ad.nll(probs, np.array([0, 1])).item() == pytest.approx(-np.log(0.5) / 2)
+
+
+def test_fused_loss_shape_errors():
+    probs = _t(np.full((3, 2), 0.5))
+    with pytest.raises(ShapeError):
+        ad.nll(_t(np.full(4, 0.5)), np.array([0, 1, 0, 1]))
+    with pytest.raises(ShapeError):
+        ad.nll(probs, np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        ad.nll(probs, np.array([0, 2, 1]))
+    with pytest.raises(ShapeError):
+        ad.nll(probs, np.array([0, -1, 1]))
+    with pytest.raises(ShapeError):
+        ad.nll(probs, np.array([0, 1, 1]), np.ones(2))
+    with pytest.raises(ShapeError):
+        ad.scaled_l1(_t(np.zeros((2, 3))), _t(np.zeros((3, 2))), 1.0)
+    with pytest.raises(ShapeError):
+        ad.scaled_l1(_t(np.zeros(3)), Tensor(np.zeros(3, dtype=np.float32)), 1.0)
 
 
 def test_subtract_rowwise_forward():

@@ -5,11 +5,13 @@ Every name a module imports is read somewhere in it (or re-exported through
 strips those, so the package's guards must raise named errors instead.
 
 The engine's hot loop (``autodiff.py`` and ``optim.py``, run for every node
-of every Adam step) calls neither ``np.where`` nor the ``np.all`` /
-``np.any`` wrappers.  Measured with numpy 2.4 on a 2-vCPU x86 host:
-``np.where(mask, a, 0)`` over a (60, 8, 1, 56) float32 activation takes
+of every Adam step) calls neither ``np.where``, the ``np.all`` / ``np.any``
+wrappers nor ``np.linalg.norm``.  Measured with numpy 2.4 on a 2-vCPU x86
+host: ``np.where(mask, a, 0)`` over a (60, 8, 1, 56) float32 activation takes
 190 us, ``np.maximum(a, 0)`` 20 us with the same bits; ``np.all(np.isfinite(x))``
-costs 6.7 us on an 8-element array, ``np.isfinite(x).all()`` 3.6 us.
+costs 6.7 us on an 8-element array, ``np.isfinite(x).all()`` 3.6 us;
+``np.linalg.norm(a, axis=1)`` of a (60, 104) float32 matrix 11.6 us,
+``np.sqrt((a * a).sum(axis=1))``, the same bits, 10.1 us.
 """
 
 import ast
@@ -21,6 +23,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anchorinv"
 MODULES = sorted(PACKAGE.glob("*.py"))
 HOT_LOOP_MODULES = [PACKAGE / "autodiff.py", PACKAGE / "optim.py"]
 HOT_LOOP_BANNED = {"where", "all", "any"}
+HOT_LOOP_BANNED_LINALG = {"norm"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -59,12 +62,22 @@ def assert_lines(tree: ast.Module) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
 
 
+def _is_name(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
 def slow_numpy_calls(tree: ast.Module) -> list[int]:
-    """Lines that call ``np.where``, ``np.all`` or ``np.any``."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-                  and node.func.attr in HOT_LOOP_BANNED)
+    """Lines that call ``np.where``, ``np.all``, ``np.any`` or ``np.linalg.norm``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, attr = node.func.value, node.func.attr
+        if (_is_name(owner, "np") and attr in HOT_LOOP_BANNED) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                and _is_name(owner.value, "np") and attr in HOT_LOOP_BANNED_LINALG):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_package_modules_found():
@@ -87,7 +100,7 @@ def test_no_assert_statements(path):
 @pytest.mark.parametrize("path", HOT_LOOP_MODULES, ids=lambda p: p.name)
 def test_hot_loop_avoids_slow_numpy_calls(path):
     lines = slow_numpy_calls(_parse(path))
-    assert not lines, f"{path.name}: np.where / np.all / np.any at lines {lines}"
+    assert not lines, f"{path.name}: np.where / np.all / np.any / np.linalg.norm at lines {lines}"
 
 
 def test_scanner_flags_what_it_should():
@@ -97,3 +110,6 @@ def test_scanner_flags_what_it_should():
     assert assert_lines(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == [2]
     assert slow_numpy_calls(ast.parse("a = np.where(m, x, 0)\nb = x.all()\nc = np.any(x)\n"
                                       "d = np.all(np.isfinite(x))\ne = where(x)\n")) == [1, 3, 4]
+    assert slow_numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"
+                                      "q = np.linalg.qr(a)\nr = np.sqrt((a * a).sum(axis=1))\n"
+                                      "s = np.norm(a)\n")) == [1]

@@ -24,8 +24,8 @@ from anchorinv.inversion import (InversionConfig, LabelInversionConfig,
                                  feature_stat_penalty, invert_anchor,
                                  invert_set, label_space_invert,
                                  label_space_invert_batch, total_variation)
-from anchorinv.model import (FeatureStats, IdentityBackbone, LinearBackbone,
-                             ModelState, embed_batch, predict, scores_graph)
+from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats, IdentityBackbone,
+                             LinearBackbone, ModelState, embed_batch, predict, scores_graph)
 from anchorinv.optim import FreezingViolation
 from anchorinv.seeds import make_rng
 
@@ -304,6 +304,18 @@ def test_zeros_init_differs_from_normal_init():
                               InversionConfig(init="zeros", learning_rate=1e-3,
                                               iterations=50, seed=3))
     assert s_norm.tobytes() != s_zero.tobytes()
+
+
+def test_inversion_iteration_builds_one_loss_node(spy_engine):
+    """Each anchor-inversion iteration builds its objective as one
+    ``scaled_l1`` node, not the sub / absolute / sum / mul_scalar chain."""
+    calls = spy_engine("scaled_l1", "absolute", "sub", "tensor_sum", "mul_scalar")
+    cfg = BACKBONE_PRESETS["desk"]
+    state = ModelState(ConvBackbone.initialize(cfg, seed=3))
+    anchors = np.random.default_rng(4).standard_normal((2, cfg.feature_dim)).astype(np.float32)
+    invert_set(state, AnchorSet(anchors, np.array([0, 1]), np.zeros(2, dtype=np.int64)),
+               InversionConfig(iterations=3))
+    assert calls == ["scaled_l1"] * 3
 
 
 def test_zeros_init_on_desk_backbone_raises_stalled():

@@ -726,6 +726,18 @@ def test_train_base_unfolds_its_input_once(spy_engine):
     assert state.backbone._column_cache is None
 
 
+def test_train_base_epoch_builds_one_loss_node(spy_engine):
+    """A desk base-training epoch builds its cross-entropy as one ``nll``
+    node, not the log / take_per_row / mean / neg chain."""
+    calls = spy_engine("nll", "log", "take_per_row", "neg", "tensor_mean", "tensor_sum",
+                       "mul_scalar")
+    cfg = BACKBONE_PRESETS["desk"]
+    rng = np.random.default_rng(58)
+    x = rng.standard_normal((12, cfg.channels, cfg.timesteps)).astype(np.float32)
+    train_base(x, np.arange(12) % 3, cfg, BaseTrainConfig(epochs=1, seed=5))
+    assert calls == ["nll"]
+
+
 def test_train_base_memory_is_bounded_by_the_unfolded_columns():
     """One base-training epoch at the bci geometry keeps the unfolded columns
     of its input, N * H * k_t * W_o floats, and no (N, F, H, W_o) temporal

@@ -208,3 +208,85 @@ def test_minimize_restores_flags_when_the_loss_fails():
     with pytest.raises(NonFiniteError):
         minimize([p], failing, 3, 0.1, frozen=[q])
     assert q.requires_grad and not p.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# one flat pass over all parameters
+
+
+def _per_parameter_step(params, moments, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam update the flat step replaces, in the same numpy
+    operations: in place on each parameter's data and moments."""
+    bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for p, (m, v), g in zip(params, moments, grads):
+        g = np.zeros_like(p) if g is None else np.asarray(g)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        update = (lr / bias1) * m / (np.sqrt(v / bias2) + eps)
+        p -= update.astype(p.dtype, copy=False)
+
+
+def test_flat_step_keeps_the_bits_of_the_per_parameter_update():
+    """20 steps over float32 parameters of mixed shapes, with None gradients
+    and steps of float64 gradients: parameters and moments equal the
+    per-parameter update bit for bit after every step."""
+    rng = np.random.default_rng(43)
+    shapes = [(3,), (2, 4), (4, 1, 1, 3), (1,)]
+    start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = Adam(params, learning_rate=0.05)
+    ref = [a.copy() for a in start]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in start]
+    for t in range(1, 21):
+        dtype = np.float64 if t % 5 == 0 else np.float32
+        grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        if t in (1, 3, 10):
+            grads[t % 4] = None
+        opt.step(grads)
+        _per_parameter_step(ref, moments, grads, t, lr=0.05)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == np.float32 and p.data.shape == r.shape
+            assert p.data.tobytes() == r.tobytes()
+        assert opt._m.tobytes() == np.concatenate([m.reshape(-1) for m, _ in moments]).tobytes()
+        assert opt._v.tobytes() == np.concatenate([v.reshape(-1) for _, v in moments]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_gradient_raises_before_any_parameter_moves(bad, position):
+    params = [Tensor(np.ones(s, dtype=np.float32), requires_grad=True)
+              for s in [(2,), (3, 2), (4,)]]
+    opt = Adam(params, learning_rate=0.1)
+    grads = [np.ones(p.shape, dtype=np.float32) for p in params]
+    grads[position].reshape(-1)[-1] = bad
+    with pytest.raises(NonFiniteError, match="non-finite gradient"):
+        opt.step(grads)
+    assert all((p.data == 1.0).all() for p in params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("position", [0, 1])
+def test_diverged_parameter_raises(position):
+    # the first step moves each coordinate by the learning rate, against the gradient
+    params = [Tensor(np.full(2, 1.0, dtype=np.float32), requires_grad=True) for _ in range(2)]
+    params[position].data[0] = 3.4e38
+    opt = Adam(params, learning_rate=1e37)
+    with pytest.raises(NonFiniteError, match="diverged"):
+        opt.step([np.full(2, -1.0, dtype=np.float32)] * 2)
+    opt = Adam([Tensor(np.full(2, 3.3e38, dtype=np.float32))], learning_rate=1e37)
+    opt.step([np.full(2, -1.0, dtype=np.float32)])  # 3.4e38 is finite: no raise
+
+
+def test_parameters_become_views_of_one_flat_vector():
+    a = Tensor(np.arange(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    opt = Adam([a, b], learning_rate=0.1)
+    assert np.shares_memory(a.data, opt._flat) and np.shares_memory(b.data, opt._flat)
+    np.testing.assert_array_equal(a.data, [0.0, 1.0, 2.0])
+    b.data[0, 0] = 5.0  # an in-place edit between steps is what the next step updates
+    opt.step([None, np.ones((2, 2))])
+    assert b.data[0, 0] == pytest.approx(4.9)
+    with pytest.raises(TypeError, match="one dtype"):
+        Adam([a, Tensor(np.ones(2, dtype=np.float64))])
