@@ -24,8 +24,8 @@ from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
                    split_sessions, synth_arrays, zscore_apply, zscore_fit,
                    zscore_invert)
 from .evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
-                         random_chance_f1, render_report, run_trials,
-                         sample_trial_sets, summarize, wilcoxon_signed_rank)
+                         random_chance_f1, render_report, render_sweep, run_trials,
+                         sample_trial_sets, summarize, sweep, wilcoxon_signed_rank)
 from .inversion import (InversionConfig, InversionStalledError, LabelInversionConfig,
                         ReplaySet, deepdream_config, deepinv_config, feature_stat_penalty,
                         invert_anchor, invert_set, label_space_invert,
@@ -76,7 +76,7 @@ __all__ = [
     # evaluation
     "macro_f1", "per_class_f1", "random_chance_f1", "wilcoxon_signed_rank",
     "TrialPlan", "TrialReport", "sample_trial_sets", "run_trials", "summarize",
-    "render_report",
+    "render_report", "sweep", "render_sweep",
     # presets
     "ExperimentPreset", "EXPERIMENT_PRESETS", "get_preset", "materialize_synth",
     "build_split", "with_synth_classes",

@@ -96,12 +96,10 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = np.ascontiguousarray(arr, dtype=dtype)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = np.ascontiguousarray(arr, dtype=DEFAULT_DTYPE)
-        else:
-            arr = np.ascontiguousarray(arr)
+        if dtype is None and arr.dtype not in (np.float32, np.float64):
+            dtype = DEFAULT_DTYPE
+        # asarray, not ascontiguousarray, which turns a 0-d array into shape (1,)
+        arr = np.asarray(arr, dtype=dtype, order="C")
         _ensure_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -210,9 +208,12 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
-    """Wrap a freshly computed array as a graph node."""
-    _ensure_finite(data, op)
+          backward_fn: Callable[[np.ndarray], None], op: str,
+          check_finite: bool = True) -> Tensor:
+    """Wrap a freshly computed array as a graph node.  ``check_finite=False``
+    is for outputs that only copy entries of already checked parents."""
+    if check_finite:
+        _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -538,7 +539,8 @@ def unfold(x: Tensor, kernel: int, stride: int) -> Tensor:
         dx = _col2im(g.reshape(n, h * kernel, wo), (n, 1, h, w), h, kernel, 1, stride)
         _accumulate(x, dx.reshape(x.shape))
 
-    return _node(cols.reshape(n, h * kernel, 1, wo), (x,), backward_fn, "unfold")
+    return _node(cols.reshape(n, h * kernel, 1, wo), (x,), backward_fn, "unfold",
+                 check_finite=False)
 
 
 def composed_weights(temporal_w: np.ndarray, temporal_b: np.ndarray, spatial_w: np.ndarray,

@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import METHODS, base_anchor_memory
+from .adaptation import METHODS, AdaptationConfig, base_anchor_memory
 from .anchors import load_anchor_set, save_anchor_set
 from .data import Dataset
-from .evaluation import TrialPlan, TrialReport, render_report, run_trials, summarize
+from .evaluation import (SWEEP_AXES as ABLATE_AXES, TrialPlan, TrialReport, render_report,
+                         render_sweep, run_trials, sweep)
 from .inversion import invert_set
 from .model import accuracy, train_base
 from .presets import (ExperimentPreset, build_split, get_preset, materialize_synth,
@@ -46,15 +47,13 @@ __all__ = [
 ]
 
 WORKERS_ENV = "ANCHORINV_WORKERS"
-ABLATE_AXES = ("base-classes", "shots", "anchors", "strategy")
 
 _TOP_KEYS = {"preset", "trials", "seed", "methods", "way", "shot", "base_classes",
              "synth", "base_train", "finetune", "inversion", "adaptation",
              "checkpoint", "anchors", "manifest", "ablate"}
 # finetune/inversion have their own top-level sections
-_ADAPTATION_SCALARS = {"label_inversion_iterations", "label_inversion_learning_rate",
-                       "anchors_per_class", "anchor_strategy", "anchor_fraction",
-                       "anchor_kmeans_k", "teen_tau", "teen_alpha", "real_per_class"}
+_ADAPTATION_SCALARS = ({f.name for f in dataclasses.fields(AdaptationConfig)}
+                       - {"finetune", "inversion"})
 
 
 class ConfigError(ValueError):
@@ -219,61 +218,12 @@ def cmd_run(cfg: dict, preset: ExperimentPreset, staging: Path, workers: int) ->
     state, anchors = _load_state_and_anchors(cfg, need_anchors=False)
     train, test = load_datasets(preset, cfg)
     split = build_split(preset, train)
-    if anchors is None and "anchorinv" in preset.methods:
-        anchors = base_anchor_memory(state, split.base, preset.adaptation)
     plan = TrialPlan(trials=preset.trials, master_seed=preset.master_seed,
                      methods=preset.methods)
     report = run_trials(state, split, test, plan, preset.adaptation,
                         base_anchors=anchors, workers=workers)
     (staging / "report.json").write_text(canonical_json(report.to_dict()))
     (staging / "report.txt").write_text(render_report(report))
-
-
-def _ablate_row(report: TrialReport, method: str, metric: str, value) -> dict:
-    per_trial = [v for v in report.scores[method][metric][-1] if v is not None]
-    mean, std = summarize(per_trial)
-    return {"value": value, "method": method, "metric": metric,
-            "mean": mean, "std": std, "per_trial": per_trial}
-
-
-def _axis_preset(preset: ExperimentPreset, axis: str, value) -> ExperimentPreset:
-    """The preset one value of the shots, anchors or strategy axis runs."""
-    if axis == "shots":
-        return replace(preset, shot=int(value))
-    if axis == "anchors":
-        adaptation = replace(preset.adaptation, anchors_per_class=int(value))
-    elif isinstance(value, dict):
-        if "name" not in value:
-            raise ConfigError("strategy axis values need a 'name' key")
-        adaptation = replace(
-            preset.adaptation,
-            anchor_strategy=str(value["name"]),
-            anchor_fraction=float(value.get("fraction", preset.adaptation.anchor_fraction)),
-            anchor_kmeans_k=int(value.get("k", preset.adaptation.anchor_kmeans_k)))
-    else:
-        adaptation = replace(preset.adaptation, anchor_strategy=str(value))
-    return replace(preset, adaptation=adaptation)
-
-
-def _base_class_runs(preset: ExperimentPreset, values: list, unseen: int,
-                     all_ids: list[int]) -> list[tuple]:
-    """Frozen-backbone transfer: each value B retrains the base model on the
-    first B classes and scores protonet on a fixed set of held-out classes."""
-    if unseen < 1 or unseen >= len(all_ids):
-        raise ConfigError(f"'ablate.unseen'={unseen} out of range for "
-                          f"{len(all_ids)} classes")
-    eval_ids = all_ids[-unseen:]
-    runs = []
-    for value in values:
-        b = int(value)
-        base_ids = all_ids[:b]
-        if len(base_ids) != b or set(base_ids) & set(eval_ids):
-            raise ConfigError(f"base-class count {b} collides with the "
-                              f"{unseen} held-out classes")
-        run_preset = replace(preset, base_classes=tuple(base_ids), way=unseen,
-                             methods=("protonet",))
-        runs.append((b, run_preset, base_ids + eval_ids, "incremental"))
-    return runs
 
 
 def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
@@ -287,39 +237,11 @@ def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
 
     # no axis changes the synthetic spec, so every run shares one data set
     train, test = load_datasets(preset, cfg)
-    if axis == "base-classes":
-        runs = _base_class_runs(preset, values, int(ablate_cfg.get("unseen", 6)),
-                                train.classes())
-    else:
-        runs = [(value, _axis_preset(preset, axis, value), None, "all") for value in values]
-
-    rows: list[dict] = []
-    for value, run_preset, class_ids, metric in runs:
-        run_train, run_test = train, test
-        if class_ids is not None:
-            run_train, run_test = train.of_classes(class_ids), test.of_classes(class_ids)
-        split = build_split(run_preset, run_train)
-        state = train_base(split.base.x, split.base.y, run_preset.backbone_config,
-                           run_preset.base_train)
-        plan = TrialPlan(trials=run_preset.trials, master_seed=run_preset.master_seed,
-                         methods=run_preset.methods)
-        report = run_trials(state, split, run_test, plan, run_preset.adaptation,
-                            workers=workers)
-        rows.extend(_ablate_row(report, method, metric, value)
-                    for method in run_preset.methods)
-
+    rows = sweep(preset, train, test, axis, values, unseen=int(ablate_cfg.get("unseen", 6)),
+                 workers=workers)
     payload = {"axis": axis, "trials": preset.trials, "rows": rows}
     (staging / "ablate.json").write_text(canonical_json(payload))
-    (staging / "ablate.txt").write_text(_render_ablate(axis, rows))
-
-
-def _render_ablate(axis: str, rows: list[dict]) -> str:
-    lines = [f"Sweep over {axis} (final-session macro-F1, mean +/- std)"]
-    for row in rows:
-        lines.append(f"  {str(row['value']):>16}  {row['method']:<12} "
-                     f"{row['metric']:<12} {row['mean']:8.2f} +/- {row['std']:5.2f}  "
-                     f"(n={len(row['per_trial'])})")
-    return "\n".join(lines) + "\n"
+    (staging / "ablate.txt").write_text(render_sweep(axis, rows))
 
 
 def cmd_audit_inversion(cfg: dict, preset: ExperimentPreset, staging: Path) -> None:

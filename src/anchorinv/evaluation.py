@@ -10,9 +10,11 @@ a process pool without affecting the report.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +23,8 @@ from .adaptation import (METHODS, AdaptationConfig, base_anchor_memory, run_fsci
                          sample_base_replay_store)
 from .anchors import AnchorSet
 from .data import Dataset, SessionSplit
-from .model import ModelState, predict_batch
+from .model import ModelState, predict_batch, train_base
+from .presets import ExperimentPreset, build_split
 from .seeds import derive_seed, make_rng
 
 __all__ = [
@@ -35,12 +38,16 @@ __all__ = [
     "run_trials",
     "summarize",
     "render_report",
+    "SWEEP_AXES",
+    "sweep",
+    "render_sweep",
 ]
 
 _TRIAL_STREAM = 0x7A1A
 _SAMPLE_STREAM = 0x5A
 # width of one report cell: len(f"{mean:8.2f} +/- {std:5.2f}")
 _CELL = 18
+SWEEP_AXES = ("base-classes", "shots", "anchors", "strategy")
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +282,6 @@ def _run_one_trial(base_state: ModelState, base_anchors: AnchorSet | None,
     return out
 
 
-def _trial_worker(args) -> tuple[int, dict]:
-    (trial_index, base_state, base_anchors, base_store, split, test, methods,
-     config, trial_seed) = args
-    return trial_index, _run_one_trial(base_state, base_anchors, base_store, split,
-                                       test, methods, config, trial_seed)
-
-
 def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
                plan: TrialPlan, config: AdaptationConfig,
                base_anchors: AnchorSet | None = None,
@@ -304,44 +304,31 @@ def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
     base_eval = _evaluate_session(base_state, test, base_ids, base_ids)
     trial_seeds = [derive_seed(plan.master_seed, _TRIAL_STREAM, m)
                    for m in range(plan.trials)]
-    tasks = [(m, base_state, base_anchors, base_replay_store, split, test,
-              plan.methods, config, trial_seeds[m]) for m in range(plan.trials)]
-
-    results: dict[int, dict] = {}
+    run_one = functools.partial(_run_one_trial, base_state, base_anchors,
+                                base_replay_store, split, test, plan.methods, config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trial_index, payload in pool.map(_trial_worker, tasks):
-                results[trial_index] = payload
+            results = list(pool.map(run_one, trial_seeds))
     else:
-        for task in tasks:
-            trial_index, payload = _trial_worker(task)
-            results[trial_index] = payload
+        results = list(map(run_one, trial_seeds))
 
-    scores: dict[str, dict[str, list[list[float]]]] = {
-        method: {metric: [[] for _ in range(num_sessions)]
+    # scores[method][metric][s][m]; _evaluate_session's values are floats or None
+    scores: dict[str, dict[str, list[list[float | None]]]] = {
+        method: {metric: [[trial[method][s][metric] for trial in results]
+                          for s in range(num_sessions)]
                  for metric in ("all", "base", "incremental")}
         for method in plan.methods
     }
-    for m in range(plan.trials):
-        for method in plan.methods:
-            for s, row in enumerate(results[m][method]):
-                for metric in ("all", "base", "incremental"):
-                    value = row[metric]
-                    scores[method][metric][s].append(
-                        None if value is None else float(value))
 
     p_values: dict[str, list[float | None]] = {}
-    for i, a in enumerate(plan.methods):
-        for b in plan.methods[i + 1:]:
-            key = f"{a}|{b}"
-            per_session: list[float | None] = []
-            for s in range(num_sessions):
-                xs, ys = scores[a]["all"][s], scores[b]["all"][s]
-                try:
-                    per_session.append(wilcoxon_signed_rank(xs, ys))
-                except ValueError:
-                    per_session.append(None)
-            p_values[key] = per_session
+    for a, b in itertools.combinations(plan.methods, 2):
+        per_session: list[float | None] = []
+        for xs, ys in zip(scores[a]["all"], scores[b]["all"]):
+            try:
+                per_session.append(wilcoxon_signed_rank(xs, ys))
+            except ValueError:
+                per_session.append(None)
+        p_values[f"{a}|{b}"] = per_session
 
     return TrialReport(
         methods=list(plan.methods),
@@ -354,6 +341,73 @@ def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
         scores=scores,
         p_values=p_values,
     )
+
+
+def _sweep_points(preset: ExperimentPreset, axis: str, values: Sequence, unseen: int,
+                  all_ids: list[int]) -> list[tuple]:
+    """(value, preset, class ids or None for all, metric) per value, checked up front."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis '{axis}'; valid: {list(SWEEP_AXES)}")
+    if axis == "base-classes" and not 1 <= unseen < len(all_ids):
+        raise ValueError(f"unseen={unseen} out of range for {len(all_ids)} classes")
+    eval_ids, points = all_ids[-unseen:], []
+    for value in values:
+        if axis == "base-classes":
+            b = int(value)
+            base_ids = all_ids[:b]
+            if len(base_ids) != b or set(base_ids) & set(eval_ids):
+                raise ValueError(f"base-class count {b} collides with the "
+                                 f"{unseen} held-out classes")
+            points.append((b, replace(preset, base_classes=tuple(base_ids), way=unseen,
+                                      methods=("protonet",)),
+                           base_ids + eval_ids, "incremental"))
+            continue
+        adaptation = preset.adaptation
+        if axis == "anchors":
+            adaptation = replace(adaptation, anchors_per_class=int(value))
+        elif axis == "strategy":
+            spec = value if isinstance(value, dict) else {"name": value}
+            if "name" not in spec:
+                raise ValueError("strategy axis values need a 'name' key")
+            adaptation = replace(
+                adaptation, anchor_strategy=str(spec["name"]),
+                anchor_fraction=float(spec.get("fraction", adaptation.anchor_fraction)),
+                anchor_kmeans_k=int(spec.get("k", adaptation.anchor_kmeans_k)))
+        shot = int(value) if axis == "shots" else preset.shot
+        points.append((value, replace(preset, shot=shot, adaptation=adaptation), None, "all"))
+    return points
+
+
+def sweep(preset: ExperimentPreset, train: Dataset, test: Dataset, axis: str,
+          values: Sequence, unseen: int = 6, workers: int = 1) -> list[dict]:
+    """Run ``preset``'s trials at each value of one of ``SWEEP_AXES``: one row
+    per value and method, on the final session.  ``base-classes`` value B
+    trains on the first B classes and scores protonet on the last ``unseen``;
+    the other axes score every method on all classes.  Only that axis changes
+    base training, so each distinct base-class set is trained once.
+    """
+    states: dict[tuple[int, ...], ModelState] = {}
+    rows: list[dict] = []
+    for value, run_preset, class_ids, metric in _sweep_points(preset, axis, values, unseen,
+                                                              train.classes()):
+        run_train, run_test = train, test
+        if class_ids is not None:
+            run_train, run_test = train.of_classes(class_ids), test.of_classes(class_ids)
+        split = build_split(run_preset, run_train)
+        key = split.base_spec.class_ids
+        if key not in states:
+            states[key] = train_base(split.base.x, split.base.y,
+                                     run_preset.backbone_config, run_preset.base_train)
+        plan = TrialPlan(trials=run_preset.trials, master_seed=run_preset.master_seed,
+                         methods=run_preset.methods)
+        report = run_trials(states[key], split, run_test, plan, run_preset.adaptation,
+                            workers=workers)
+        for method in run_preset.methods:
+            per_trial = [v for v in report.scores[method][metric][-1] if v is not None]
+            mean, std = summarize(per_trial)
+            rows.append({"value": value, "method": method, "metric": metric,
+                         "mean": mean, "std": std, "per_trial": per_trial})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -389,4 +443,14 @@ def render_report(report: TrialReport) -> str:
         for key, per_session in sorted(report.p_values.items()):
             cells = ["      -" if p is None else f"{p:7.4f}" for p in per_session]
             lines.append(f"  {key}: " + "  ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def render_sweep(axis: str, rows: list[dict]) -> str:
+    """Text table of ``sweep``'s rows, one line per row."""
+    lines = [f"Sweep over {axis} (final-session macro-F1, mean +/- std)"]
+    for row in rows:
+        lines.append(f"  {str(row['value']):>16}  {row['method']:<12} "
+                     f"{row['metric']:<12} {row['mean']:8.2f} +/- {row['std']:5.2f}  "
+                     f"(n={len(row['per_trial'])})")
     return "\n".join(lines) + "\n"

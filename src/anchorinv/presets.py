@@ -10,6 +10,7 @@ expect externally supplied data manifests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 from .adaptation import AdaptationConfig, FinetuneConfig
@@ -29,8 +30,7 @@ __all__ = [
 
 DEFAULT_SEED = 5
 # the keys of a config's "synth" section, i.e. what with_synth_classes takes
-_SYNTH_KEYS = ("num_classes", "train_per_class", "test_per_class", "channels",
-              "timesteps", "seed", "noise_sigma", "base_frequency", "frequency_step")
+_SYNTH_KEYS = tuple(inspect.signature(desk_synth_spec).parameters)
 
 
 @dataclass(frozen=True)

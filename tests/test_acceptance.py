@@ -21,7 +21,7 @@ from anchorinv import (IdentityBackbone, LinearBackbone, InversionConfig,
                        ModelState, ReplaySet, Tensor, TrialPlan, class_scores,
                        finetune_session, get_preset, invert_anchor, invert_set,
                        macro_f1, materialize_synth, predict, random_chance_f1,
-                       run_trials, sample_trial_sets, segment, split_sessions,
+                       run_trials, sample_trial_sets, segment, sweep,
                        train_base, wilcoxon_signed_rank, with_synth_classes)
 from anchorinv.adaptation import base_anchor_memory
 from anchorinv.autodiff import finite_difference_check
@@ -338,24 +338,10 @@ def test_07_random_predictor_converges_to_chance_f1():
 def test_08_transfer_to_unseen_classes_degrades_with_fewer_base_classes():
     preset = with_synth_classes(get_preset("desk"), 16)
     train, test = materialize_synth(preset)
-    all_ids = train.classes()
-    eval_ids = all_ids[-6:]
-    means, stds = [], []
-    for b in (10, 8, 6, 4):
-        base_ids = all_ids[:b]
-        sub_train = train.of_classes(base_ids + eval_ids)
-        sub_test = test.of_classes(base_ids + eval_ids)
-        split = split_sessions(sub_train, base_ids, way=6, shot=preset.shot)
-        state = train_base(split.base.x, split.base.y, preset.backbone_config,
-                           preset.base_train)
-        plan = TrialPlan(trials=20, master_seed=preset.master_seed,
-                         methods=("protonet",))
-        report = run_trials(state, split, sub_test, plan, preset.adaptation,
-                            workers=1)
-        vals = np.asarray(report.scores["protonet"]["incremental"][-1],
-                          dtype=float)
-        means.append(float(vals.mean()))
-        stds.append(float(vals.std()))
+    rows = sweep(replace(preset, trials=20), train, test, "base-classes", [10, 8, 6, 4],
+                 unseen=6)
+    means = [row["mean"] for row in rows]
+    stds = [row["std"] for row in rows]
 
     rises = [d for d in np.diff(means) if d > 0]
     assert len(rises) <= 1, f"means {means} rise more than once"

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from anchorinv import evaluation
 from anchorinv.cli import (ABLATE_AXES, WORKERS_ENV, ConfigError, apply_seed,
                            load_config, main, resolve_preset, _resolve_workers)
 from anchorinv.presets import get_preset, with_synth_classes
@@ -219,8 +220,8 @@ def test_run_nonexistent_checkpoint(trained, tmp_path, capsys):
 # ablate
 
 
-def test_ablate_shots_axis(trained, tmp_path):
-    config_path, base_out = trained
+def test_ablate_shots_axis(trained, tmp_path, spy_engine):
+    trainings = spy_engine("train_base", module=evaluation)
     cfg = _small_config(methods=["protonet"], trials=2,
                         ablate={"shots": [1, 5, 10]})
     config = _write_config(tmp_path / "ablate.json", cfg)
@@ -235,6 +236,7 @@ def test_ablate_shots_axis(trained, tmp_path):
         assert len(row["per_trial"]) == 2
         assert np.isfinite(row["mean"]) and np.isfinite(row["std"])
     assert "Sweep over shots" in (out / "ablate.txt").read_text()
+    assert len(trainings) == 1  # no shot count changes base training
 
 
 def test_ablate_strategy_axis(trained, tmp_path):
@@ -251,7 +253,8 @@ def test_ablate_strategy_axis(trained, tmp_path):
     assert values[0] == "random_sample" and values[2]["name"] == "kmeans"
 
 
-def test_ablate_base_classes_axis(trained, tmp_path):
+def test_ablate_base_classes_axis(trained, tmp_path, spy_engine):
+    trainings = spy_engine("train_base", module=evaluation)
     cfg = _small_config(
         trials=2, shot=5, methods=["protonet"],
         synth={"num_classes": 6, "train_per_class": 10, "test_per_class": 4,
@@ -265,6 +268,7 @@ def test_ablate_base_classes_axis(trained, tmp_path):
     assert [row["value"] for row in rows] == [2, 3]
     for row in rows:
         assert row["metric"] == "incremental"
+    assert len(trainings) == 2
 
 
 def test_ablate_axis_validation(trained, tmp_path, capsys):

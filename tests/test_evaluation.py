@@ -17,9 +17,10 @@ from anchorinv.data import Dataset, split_sessions
 from anchorinv.evaluation import (TrialPlan, TrialReport, macro_f1,
                                   per_class_f1, random_chance_f1,
                                   render_report, run_trials, sample_trial_sets,
-                                  summarize, wilcoxon_signed_rank)
+                                  summarize, sweep, wilcoxon_signed_rank)
 from anchorinv.inversion import InversionConfig
 from anchorinv.model import IdentityBackbone, ModelState
+from anchorinv.presets import get_preset
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +363,17 @@ def test_render_report_keeps_both_std_decimals():
     for start in (i for i, line in enumerate(lines) if line.startswith("Macro-F1")):
         block = lines[start + 1:start + 4]
         assert len({len(line) for line in block}) == 1, block
+
+
+# ---------------------------------------------------------------------------
+# sweep (tests/test_cli.py runs each axis through the ablate verb)
+
+
+@pytest.mark.parametrize("axis, values, unseen, match", [
+    ("base-classes", [2], 0, "unseen"), ("base-classes", [2], 4, "unseen"),
+    ("base-classes", [2, 3], 2, "collides"), ("temperature", [1.0], 2, "axis"),
+    ("strategy", [{"k": 2}], 2, "name")])
+def test_sweep_rejects_bad_axis_values(axis, values, unseen, match):
+    data = _four_direction_data(np.random.default_rng(160), per_class=4)
+    with pytest.raises(ValueError, match=match):
+        sweep(get_preset("desk"), data, data, axis, values, unseen=unseen)

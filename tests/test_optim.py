@@ -171,6 +171,12 @@ def test_minimize_matches_hand_written_adam_loop():
     assert q.data.tobytes() == q0.tobytes()
 
 
+def test_minimize_steps_a_0d_parameter():
+    p = Tensor(np.float32(2.0))
+    losses = minimize([p], lambda i: ad.mul(p, p), 3, 0.1)
+    assert p.shape == () and losses[0] == 4.0 and losses[2] < losses[1] < losses[0]
+
+
 def test_minimize_sets_and_restores_flags():
     p = Tensor(np.ones(2))
     q = Tensor(np.ones(2), requires_grad=True)
