@@ -49,7 +49,8 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float32
 _NORM_EPS = 1e-12
-# bytes of one ``_im2col`` block in ``conv_pool``: bounds its memory at any batch size
+# bytes of one ``_im2col`` block: bounds the columns a conv holds at any batch
+# size; read only through ``_block_samples``
 _IM2COL_BLOCK_BYTES = 16 << 20
 
 
@@ -448,6 +449,12 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return view.reshape(n, c * kh * kw, ho * wo)
 
 
+def _block_samples(bytes_per_sample: int) -> int:
+    """Samples per ``_im2col`` block: as many as fit ``_IM2COL_BLOCK_BYTES``
+    at ``bytes_per_sample`` bytes of columns each, and at least one."""
+    return max(1, _IM2COL_BLOCK_BYTES // max(1, bytes_per_sample))
+
+
 def _tiles(size: int, kernel: int, stride: int) -> bool:
     """Whether the windows along one axis read each of its positions once."""
     out = (size - kernel) // stride + 1
@@ -477,10 +484,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Cross-correlation of a batch ``x`` (N, C, H, W) with ``weight``
     (K, C, kh, kw), optional ``bias`` (K,), and positive strides.
 
-    One batched matmul of the (K, C * kh * kw) weight with the ``_im2col``
-    columns of ``x``, for every kernel shape.  The VJP rebuilds the columns
-    from ``x`` for dW instead of keeping them, and maps the column gradient
-    back to dx with ``_col2im``."""
+    A matmul of the (K, C * kh * kw) weight with the ``_im2col`` columns of
+    ``x``, for every kernel shape, built for blocks of samples of at most
+    ``_IM2COL_BLOCK_BYTES`` of columns each (``_block_samples``), so that it
+    holds one block of columns besides its (N, K, Ho, Wo) output at any
+    batch size.  The VJP rebuilds each block's columns from ``x`` for dW
+    instead of keeping them, and maps each block's column gradient back to dx
+    with ``_col2im``.  Every sample runs the same matmuls in any blocking,
+    and dW sums them over samples in the order of a whole-batch
+    ``.sum(axis=0)``, so the block size changes no bit."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
@@ -499,20 +511,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     w2 = weight.data.reshape(k, c * kh * kw)
-    out_data = np.matmul(w2, _im2col(x.data, kh, kw, sh, sw))  # (N, K, Ho * Wo)
+    block = _block_samples(c * kh * kw * ho * wo * x.dtype.itemsize)
+
+    def cols(s):
+        return _im2col(x.data[s:s + block], kh, kw, sh, sw)  # (nb, C * kh * kw, Ho * Wo)
+
+    out_data = np.empty((n, k, ho * wo), dtype=x.dtype)
+    for s in range(0, n, block):
+        np.matmul(w2, cols(s), out=out_data[s:s + block])
     if bias is not None:
         out_data += bias.data[:, None]
 
     def backward_fn(g):
         g3 = g.reshape(n, k, ho * wo)
         if weight.requires_grad:
-            cols = _im2col(x.data, kh, kw, sh, sw)
-            dw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+            def dw_rows(s):
+                return np.matmul(g3[s:s + block], cols(s).transpose(0, 2, 1))
+
+            # the first block's sum, then one row at a time: the sequential
+            # order of a whole-batch .sum(axis=0); a zero dW when N = 0
+            dw = dw_rows(0).sum(axis=0)
+            for s in range(block, n, block):
+                for row in dw_rows(s):
+                    dw += row
             _accumulate(weight, dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g3.sum(axis=(0, 2)))
         if x.requires_grad:
-            _accumulate(x, _col2im(np.matmul(w2.T, g3), x.shape, kh, kw, sh, sw))
+            dx = np.empty(x.shape, dtype=x.dtype)
+            for s in range(0, n, block):
+                dx[s:s + block] = _col2im(np.matmul(w2.T, g3[s:s + block]),
+                                          dx[s:s + block].shape, kh, kw, sh, sw)
+            _accumulate(x, dx)
 
     return _node(out_data.reshape(n, k, ho, wo), parents, backward_fn, "conv2d")
 
@@ -525,7 +555,11 @@ def unfold(x: Tensor, kernel: int, stride: int) -> Tensor:
     A ``conv2d`` of a (K, H * kernel, 1, 1) weight over them is the
     (H, kernel) conv of ``x``, as one matmul, since a 1 x 1 kernel's
     ``_im2col`` of these columns is a view.  This is ``_im2col`` of a
-    1-channel input, and the VJP is ``_col2im``."""
+    1-channel input, and the VJP is ``_col2im``.  It holds the columns of
+    the whole batch, H * kernel times the input: the model unfolds a batch
+    only to keep its columns for reuse, and only when they fit one
+    ``_IM2COL_BLOCK_BYTES`` block; otherwise ``conv2d`` over ``x`` builds
+    the same columns block by block."""
     if x.ndim != 3:
         raise ShapeError(f"unfold expects (N, H, W) input, got {x.shape}")
     n, h, w = x.shape
@@ -573,7 +607,8 @@ def composed_weights(temporal_w: np.ndarray, temporal_b: np.ndarray, spatial_w: 
 def compose_conv(temporal_w: Tensor, temporal_b: Tensor, spatial_w: Tensor,
                  spatial_b: Tensor) -> tuple[Tensor, Tensor]:
     """``composed_weights`` as two graph nodes: the weight, reshaped to
-    (K, H * k, 1, 1) for ``conv2d`` over ``unfold`` columns, and the bias.
+    (K, H * k, 1, 1) for ``conv2d`` over ``unfold`` columns (reshape it to
+    (K, 1, H, k) for ``conv2d`` over the input), and the bias.
 
     The VJPs run in the parameters' dtype.  The weight's gradient reaches
     ``temporal_w`` and ``spatial_w``, the bias's reaches ``temporal_b``,
@@ -671,7 +706,7 @@ def temporal_features(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"temporal_features kernel {kt} at stride {stride} does not fit "
                          f"width {w}")
     wo = (w - kt) // stride + 1
-    block = max(1, _IM2COL_BLOCK_BYTES // (kt * h * wo * x.dtype.itemsize))
+    block = _block_samples(kt * h * wo * x.dtype.itemsize)
     out = np.empty((n, f, h * wo), dtype=x.dtype)
     w2 = weight.reshape(f, kt).astype(x.dtype, copy=False)
     x4 = x.reshape(n, 1, h, w)
@@ -715,7 +750,7 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
     po = pool.shape[1]
     w2 = weight.reshape(k, h * kt).astype(dtype, copy=False)
     b = bias.astype(dtype, copy=False)[:, None]
-    block = max(1, _IM2COL_BLOCK_BYTES // (h * kt * wo * dtype.itemsize))
+    block = _block_samples(h * kt * wo * dtype.itemsize)
     out = np.empty((n, k, po), dtype=dtype)
     mask = np.empty((n, k, wo), dtype=bool) if relu else None
     x4 = x.data.reshape(n, 1, h, w)

@@ -186,9 +186,16 @@ class ConvBackbone:
         parameter has ``requires_grad`` (inversion, prediction, prototypes),
         the frozen ``ad.conv_pool`` runs it.  Otherwise (base training,
         finetuning) it runs through engine nodes that record the parameter
-        gradients: ``ad.conv2d`` of a 1 x 1 kernel of the ``ad.compose_conv``
-        weight over the ``ad.unfold`` columns of ``x``, one matmul, then ReLU,
-        ``ad.avg_pool2d`` and a reshape.
+        gradients: ``ad.conv2d`` of the ``ad.compose_conv`` weight, then
+        ReLU, ``ad.avg_pool2d`` and a reshape.  The conv builds its columns
+        one ``_IM2COL_BLOCK_BYTES`` block at a time, from ``x`` reshaped to
+        (N, 1, H, W) with the weight as (K, 1, H, k_t), so the path holds one
+        block of columns plus the (N, K, W_o) activations and their gradient
+        at any batch size.  Only inside ``reuse_unfolded_inputs``, and only
+        when the whole batch's columns fit one block, does it keep them: it
+        runs a 1 x 1 ``ad.conv2d`` over the cached ``ad.unfold`` columns (see
+        ``_conv_input``), which costs no more memory than the block the
+        blocked conv builds anyway, and both give the same bits.
 
         One case convolves a smaller input instead: when neither ``x`` nor
         the temporal layer takes a gradient (the default finetune, which
@@ -196,7 +203,9 @@ class ConvBackbone:
         (F <= k_t: desk, nhie, grabmyo), the F * H features the frozen layer
         makes per time step are no more numbers than the H * k_t rows of a
         column, so ``ad.conv2d`` of ``spatial_w`` runs over those features
-        (see ``_conv_input``) and no compose nodes are built.
+        (see ``_conv_input``) and no compose nodes are built.  They are kept
+        whole in the scope, whatever their size: recomputing them would
+        double the cost of a finetune iteration.
         """
         cfg = self.config
         n = x.shape[0]
@@ -212,17 +221,27 @@ class ConvBackbone:
         project = cfg.filters <= cfg.temporal_kernel and not (
             x.requires_grad or temporal_w.requires_grad or temporal_b.requires_grad)
         weight, bias = (spatial_w, spatial_b) if project else ad.compose_conv(*params)
-        h = ad.conv2d(self._conv_input(x, project), weight, bias)
+        cached = self._conv_input(x, project)
+        if cached is not None:
+            h = ad.conv2d(cached, weight, bias)
+        else:
+            h = ad.conv2d(x.reshape((n, 1, *cfg.sample_shape)),
+                          weight.reshape((cfg.filters, 1, cfg.channels, cfg.temporal_kernel)),
+                          bias, stride=(1, cfg.temporal_stride))
         if cfg.activation == "relu":
             h = ad.relu(h)
         h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
 
-    def _conv_input(self, x: Tensor, project: bool) -> Tensor:
-        """The ``ad.unfold`` columns (N, H * k_t, 1, W_o) of ``x`` (N, H, W),
-        or with ``project`` the ``ad.temporal_features`` (N, F, H, W_o) the
-        frozen temporal layer makes of ``x`` (no graph: neither it nor ``x``
-        takes a gradient then).
+    def _conv_input(self, x: Tensor, project: bool) -> Tensor | None:
+        """With ``project``, the ``ad.temporal_features`` (N, F, H, W_o) the
+        frozen temporal layer makes of ``x`` (N, H, W) (no graph: neither it
+        nor ``x`` takes a gradient then).  Otherwise the ``ad.unfold``
+        columns (N, H * k_t, 1, W_o) of ``x`` when they are worth keeping:
+        inside ``reuse_unfolded_inputs``, for an input that takes no
+        gradient, whose columns fit one ``_IM2COL_BLOCK_BYTES`` block
+        (``ad._block_samples``); else None, and ``embed`` runs the blocked
+        conv over ``x`` itself.  ``unfold`` runs only to fill the cache.
 
         Inside ``reuse_unfolded_inputs``, when the input takes no gradient,
         an input equal (exact array equality) to one already seen in the
@@ -234,6 +253,10 @@ class ConvBackbone:
         cfg = self.config
         cache = self._column_cache
         reuse = cache is not None and not x.requires_grad
+        if not project:
+            column_bytes = cfg.channels * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize
+            if not reuse or x.shape[0] > ad._block_samples(column_bytes):
+                return None
         if reuse:
             for seen, projected, out in cache:
                 if projected == project and seen.dtype == x.dtype and np.array_equal(seen, x.data):
@@ -251,9 +274,12 @@ class ConvBackbone:
 
 @contextmanager
 def reuse_unfolded_inputs(backbone):
-    """Inside this scope a ``ConvBackbone`` unfolds each input that takes no
-    gradient once and reuses its columns, or its frozen temporal features
-    (see ``ConvBackbone._conv_input``); they are dropped on
+    """Inside this scope a ``ConvBackbone`` reuses, for each input that takes
+    no gradient, its frozen temporal features, made once, or its
+    ``ad.unfold`` columns, unfolded once, when they fit one
+    ``_IM2COL_BLOCK_BYTES`` block (see ``ConvBackbone._conv_input``); larger
+    batches rebuild their columns block by block in every conv, so the
+    scope holds at most one block of columns per input.  All is dropped on
     exit, also when the body raises.  Other backbones have no conv to unfold
     for and are left as they are.
     """

@@ -188,8 +188,9 @@ def test_finetune_matches_uncached_reference(cfg, config):
 
 
 def test_finetune_trainable_temporal_unfolds_once(spy_engine):
-    """Training the temporal layer keeps the reuse: the joint batch is
-    unfolded once per session and convolved once per iteration."""
+    """Training the temporal layer keeps the reuse: the joint batch, whose
+    columns fit one block, is unfolded once per session and convolved once
+    per iteration.  The reference, outside the scope, unfolds nothing."""
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=139)
     config = FinetuneConfig(learning_rate=1e-2, iterations=6,
@@ -201,7 +202,8 @@ def test_finetune_trainable_temporal_unfolds_once(spy_engine):
     assert calls.count("conv2d") == config.iterations
     calls.clear()
     want = _reference_finetune(state, replay, new, config, want_log)
-    assert calls.count("unfold") == 2 * config.iterations   # no scope, two batches
+    assert calls.count("unfold") == 0   # no scope: the blocked conv over each batch
+    assert calls.count("conv2d") == 2 * config.iterations
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
     _assert_close_states(got, want)
     for name in ("temporal_w", "temporal_b"):
@@ -244,6 +246,29 @@ def test_finetune_memory_is_bounded_by_the_frozen_temporal_features():
     finally:
         tracemalloc.stop()
     assert peak <= 2.4 * feature_bytes, f"peak {peak / feature_bytes:.2f} x the feature bytes"
+
+
+def test_finetune_memory_is_bounded_by_one_column_block():
+    """A default finetune at the bci geometry (F = 40 > k_t = 25: the composed
+    conv, whose 40-sample joint batch has columns over 5 blocks) rebuilds its
+    columns block by block: its traced peak stays under one
+    ``_IM2COL_BLOCK_BYTES`` block plus 8 (N, K, W_o) float32 activations.
+    Keeping the whole-batch columns reads 19 x the activations past the block."""
+    cfg = BACKBONE_PRESETS["bci"]
+    state = ModelState(ConvBackbone.initialize(cfg, seed=5))
+    rng = np.random.default_rng(143)
+    for c in (0, 1):
+        state.register_class(c, rng.standard_normal(state.feature_dim))
+    new, replay = _conv_sets(cfg.sample_shape, n_new=4, n_replay=36, seed=144)
+    activation_bytes = 40 * cfg.filters * cfg.conv_width * 4
+    tracemalloc.start()
+    try:
+        finetune_session(state, replay, new, FinetuneConfig(iterations=2, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
+    assert over <= 8, f"peak is the block plus {over:.2f} x the activation bytes"
 
 
 # ---------------------------------------------------------------------------

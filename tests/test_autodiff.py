@@ -266,6 +266,48 @@ def test_conv2d_matches_einsum_reference(x_shape, w_shape, stride, with_bias):
         np.testing.assert_allclose(t.grad, want, rtol=1e-10, atol=1e-12)
 
 
+# (x shape, weight shape, stride): the temporal stride 1 and 4 of a (H, k)
+# kernel over one channel, a 1-wide full-height kernel (its im2col is a view),
+# and the empty batch
+_BLOCKED_CONV2D_CASES = {
+    "stride-1": ((5, 1, 3, 23), (4, 1, 3, 5), (1, 1)),
+    "stride-4": ((5, 1, 3, 23), (4, 1, 3, 5), (1, 4)),
+    "full-height-1-wide": ((5, 6, 4, 12), (3, 6, 4, 1), (1, 1)),
+    "empty-batch": ((0, 1, 3, 23), (4, 1, 3, 5), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,w_shape,stride", _BLOCKED_CONV2D_CASES.values(),
+                         ids=_BLOCKED_CONV2D_CASES.keys())
+def test_conv2d_blocks_keep_every_bit(monkeypatch, dtype, x_shape, w_shape, stride):
+    """The output, dW, db and dx of ``conv2d`` are the same bits in one block,
+    in blocks of two samples and in one sample per block; an empty batch
+    gives a zero dW of the weight's shape."""
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(w_shape[0]).astype(dtype)
+    _, c, h, width = x_shape
+    _, _, kh, kw = w_shape
+    sample_bytes = (c * kh * kw * ((h - kh) // stride[0] + 1) * ((width - kw) // stride[1] + 1)
+                    * x.itemsize)
+    results = []
+    for block_bytes in (ad._IM2COL_BLOCK_BYTES, 2 * sample_bytes, 1):
+        monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES", block_bytes)
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        out = ad.conv2d(*ts, stride=stride)
+        g = np.random.default_rng(21).standard_normal(out.shape).astype(dtype)
+        backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        results.append([out.data] + [t.grad for t in ts])
+    for name, one_block, *blocked in zip(["out", "dx", "dW", "db"], *results):
+        assert one_block.dtype == dtype, name
+        assert all(one_block.tobytes() == a.tobytes() for a in blocked), name
+    assert results[-1][2].shape == w_shape
+    if x_shape[0] == 0:
+        assert not results[-1][2].any() and not results[-1][3].any()
+
+
 @pytest.mark.parametrize("x_shape,w_shape", _FULL_HEIGHT_CASES)
 def test_fd_conv2d_full_height(x_shape, w_shape):
     rng = np.random.default_rng(28)

@@ -12,6 +12,10 @@ host: ``np.where(mask, a, 0)`` over a (60, 8, 1, 56) float32 activation takes
 costs 6.7 us on an 8-element array, ``np.isfinite(x).all()`` 3.6 us;
 ``np.linalg.norm(a, axis=1)`` of a (60, 104) float32 matrix 11.6 us,
 ``np.sqrt((a * a).sum(axis=1))``, the same bits, 10.1 us.
+
+The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
+``autodiff._block_samples``, which every blocked conv and the column cache
+rule of ``ConvBackbone`` ask for their block size.
 """
 
 import ast
@@ -24,6 +28,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HOT_LOOP_MODULES = [PACKAGE / "autodiff.py", PACKAGE / "optim.py"]
 HOT_LOOP_BANNED = {"where", "all", "any"}
 HOT_LOOP_BANNED_LINALG = {"norm"}
+BLOCK_BUDGET = "_IM2COL_BLOCK_BYTES"
+BLOCK_HELPER = "_block_samples"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -80,6 +86,18 @@ def slow_numpy_calls(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def block_budget_reads(tree: ast.Module) -> list[int]:
+    """Lines outside a ``_block_samples`` function that read
+    ``_IM2COL_BLOCK_BYTES``, by name or as an attribute."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == BLOCK_HELPER
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+        (isinstance(node, ast.Name) and node.id == BLOCK_BUDGET
+         and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == BLOCK_BUDGET)))
+
+
 def test_package_modules_found():
     assert PACKAGE / "__init__.py" in MODULES
     assert len(MODULES) > 10
@@ -103,6 +121,14 @@ def test_hot_loop_avoids_slow_numpy_calls(path):
     assert not lines, f"{path.name}: np.where / np.all / np.any / np.linalg.norm at lines {lines}"
 
 
+def test_only_the_block_helper_reads_the_block_budget():
+    helpers = [node.name for node in ast.walk(_parse(PACKAGE / "autodiff.py"))
+               if isinstance(node, ast.FunctionDef) and node.name == BLOCK_HELPER]
+    assert helpers == [BLOCK_HELPER]
+    reads = {path.name: lines for path in MODULES if (lines := block_budget_reads(_parse(path)))}
+    assert not reads, f"{BLOCK_BUDGET} read outside {BLOCK_HELPER}: {reads}"
+
+
 def test_scanner_flags_what_it_should():
     tree = ast.parse("import os\nimport numpy as np\nfrom typing import Sequence, Any\n"
                      "from . import helper\n__all__ = ['helper']\nx: Any = np.zeros(1)\n")
@@ -113,3 +139,8 @@ def test_scanner_flags_what_it_should():
     assert slow_numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"
                                       "q = np.linalg.qr(a)\nr = np.sqrt((a * a).sum(axis=1))\n"
                                       "s = np.norm(a)\n")) == [1]
+    assert block_budget_reads(ast.parse(
+        "_IM2COL_BLOCK_BYTES = 16\n"
+        "def _block_samples(b):\n    return _IM2COL_BLOCK_BYTES // b\n"
+        "def conv(b):\n    return max(1, _IM2COL_BLOCK_BYTES // b)\n"
+        "n = ad._IM2COL_BLOCK_BYTES\n")) == [5, 6]
