@@ -11,7 +11,8 @@ self-contained and deterministic.
 
 from .adaptation import (METHODS, AdaptationConfig, FinetuneConfig, adapt_protonet,
                          adapt_teen, base_anchor_memory, composite_loss,
-                         finetune_session, run_fscil, sample_base_replay_store)
+                         finetune_session, replay_batch, run_fscil,
+                         sample_base_replay_store)
 from .anchors import (AnchorSet, ClosestToPrototype, FeatureSet, FullSet,
                       KMeansCentroids, KMeansObjectiveError, RandomClosestPercent,
                       RandomSample, incremental_anchors, kmeans, load_anchor_set,
@@ -70,7 +71,7 @@ __all__ = [
     "invert_anchor", "invert_set", "label_space_invert", "label_space_invert_batch",
     "total_variation", "feature_stat_penalty", "deepdream_config", "deepinv_config",
     # adaptation
-    "METHODS", "FinetuneConfig", "AdaptationConfig", "composite_loss",
+    "METHODS", "FinetuneConfig", "AdaptationConfig", "replay_batch", "composite_loss",
     "finetune_session", "adapt_protonet", "adapt_teen", "run_fscil",
     "base_anchor_memory", "sample_base_replay_store",
     # evaluation

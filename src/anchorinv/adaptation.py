@@ -32,7 +32,7 @@ from .data import Dataset
 from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
 from .model import (ModelState, embed_batch, label_columns, prototype_of,
-                    reuse_unfolded_inputs, scores_graph)
+                    reuse_conv_inputs, scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
 
@@ -40,6 +40,7 @@ __all__ = [
     "METHODS",
     "FinetuneConfig",
     "AdaptationConfig",
+    "replay_batch",
     "composite_loss",
     "init_new_class_weights",
     "random_new_class_weights",
@@ -107,14 +108,15 @@ class AdaptationConfig:
 # composite loss
 
 
-def composite_loss(state: ModelState, replay, new: Dataset,
-                   replay_weight: float) -> Tensor:
-    """CE(new) + replay_weight * CE(replay), each mean-reduced over its set.
+def replay_batch(replay, new: Dataset | None,
+                 replay_weight: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """The joint batch of a finetune session: samples ``x`` as one float32
+    Tensor, labels ``y`` and per-sample loss weights ``w``, new set first.
 
     ``replay`` may be a ReplaySet, a Dataset (real replay), or None/empty
-    (the replay term is then defined as zero).  Both sets are embedded as one
-    batch, and each sample's cross-entropy is weighted by 1/N_new or
-    replay_weight/N_replay.
+    (the replay term is then defined as zero).  Each sample of the new set
+    weighs -1/N_new and each replay sample -replay_weight/N_replay: negated,
+    so that the weighted sum of log-probabilities is the loss.
     """
     replay_x, replay_y = _replay_arrays(replay)
     parts = []  # (samples, labels, weight of the set's mean)
@@ -126,9 +128,16 @@ def composite_loss(state: ModelState, replay, new: Dataset,
         raise ValueError("both the new set and the replay set are empty")
     x = np.concatenate([np.asarray(xs, np.float32) for xs, _, _ in parts])
     y = np.concatenate([np.asarray(ys) for _, ys, _ in parts])
-    scores = scores_graph(state, embed_batch(state, Tensor(x)))
-    # negated, so that the weighted sum of log-probabilities is the loss
     w = np.concatenate([np.full(len(ys), -weight / len(ys)) for _, ys, weight in parts])
+    return Tensor(x), y, w
+
+
+def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
+    """CE(new) + replay_weight * CE(replay), each mean-reduced over its set,
+    of the joint batch ``x``, ``y``, ``w`` that ``replay_batch`` builds: the
+    batch is embedded as one, and each sample's log-probability of its true
+    class is weighted by its ``w``."""
+    scores = scores_graph(state, embed_batch(state, x))
     return ad.nll(scores, label_columns(y, state.seen_classes()), w)
 
 
@@ -207,11 +216,13 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     if config.iterations == 0:
         return out
 
-    def loss_fn(i: int) -> Tensor:
-        return composite_loss(out, replay, new, config.replay_weight)
+    x, y, w = replay_batch(replay, new, config.replay_weight)
 
-    # the inputs stay fixed, so each is unfolded once
-    with reuse_unfolded_inputs(out.backbone):
+    def loss_fn(i: int) -> Tensor:
+        return composite_loss(out, x, y, w)
+
+    # x is the same tensor every iteration, so its conv input is built once
+    with reuse_conv_inputs(out.backbone):
         losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
                           frozen=frozen)
     if loss_log is not None:

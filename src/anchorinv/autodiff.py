@@ -32,11 +32,9 @@ __all__ = [
     "backward",
     "conv2d",
     "avg_pool2d",
-    "unfold",
     "composed_weights",
     "compose_conv",
     "conv_pool",
-    "temporal_features",
     "softmax_with_temperature",
     "cosine_similarity_matrix",
     "take_per_row",
@@ -209,12 +207,9 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None], op: str,
-          check_finite: bool = True) -> Tensor:
-    """Wrap a freshly computed array as a graph node.  ``check_finite=False``
-    is for outputs that only copy entries of already checked parents."""
-    if check_finite:
-        _ensure_finite(data, op)
+          backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
+    """Wrap a freshly computed array, checked finite, as a graph node."""
+    _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -492,7 +487,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     instead of keeping them, and maps each block's column gradient back to dx
     with ``_col2im``.  Every sample runs the same matmuls in any blocking,
     and dW sums them over samples in the order of a whole-batch
-    ``.sum(axis=0)``, so the block size changes no bit."""
+    ``.sum(axis=0)``, so the block size changes no bit.  A 1 x 1 kernel over
+    columns built already reads them in place (see ``_im2col``)."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
@@ -547,36 +543,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _node(out_data.reshape(n, k, ho, wo), parents, backward_fn, "conv2d")
 
 
-def unfold(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Columns (N, H * kernel, 1, Wo) of the (H, kernel) windows of ``x``
-    (N, H, W) at time stride ``stride``: [n, h * kernel + p, 0, j] =
-    x[n, h, j * stride + p].
-
-    A ``conv2d`` of a (K, H * kernel, 1, 1) weight over them is the
-    (H, kernel) conv of ``x``, as one matmul, since a 1 x 1 kernel's
-    ``_im2col`` of these columns is a view.  This is ``_im2col`` of a
-    1-channel input, and the VJP is ``_col2im``.  It holds the columns of
-    the whole batch, H * kernel times the input: the model unfolds a batch
-    only to keep its columns for reuse, and only when they fit one
-    ``_IM2COL_BLOCK_BYTES`` block; otherwise ``conv2d`` over ``x`` builds
-    the same columns block by block."""
-    if x.ndim != 3:
-        raise ShapeError(f"unfold expects (N, H, W) input, got {x.shape}")
-    n, h, w = x.shape
-    kernel, stride = int(kernel), int(stride)
-    if kernel < 1 or stride < 1 or kernel > w:
-        raise ShapeError(f"unfold kernel {kernel} at stride {stride} does not fit width {w}")
-    cols = _im2col(x.data.reshape(n, 1, h, w), h, kernel, 1, stride)  # (N, H * k, Wo)
-    wo = cols.shape[2]
-
-    def backward_fn(g):
-        dx = _col2im(g.reshape(n, h * kernel, wo), (n, 1, h, w), h, kernel, 1, stride)
-        _accumulate(x, dx.reshape(x.shape))
-
-    return _node(cols.reshape(n, h * kernel, 1, wo), (x,), backward_fn, "unfold",
-                 check_finite=False)
-
-
 def composed_weights(temporal_w: np.ndarray, temporal_b: np.ndarray, spatial_w: np.ndarray,
                      spatial_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight (K, H, k) and bias (K,) of the one (H, k) conv that a temporal
@@ -607,8 +573,9 @@ def composed_weights(temporal_w: np.ndarray, temporal_b: np.ndarray, spatial_w: 
 def compose_conv(temporal_w: Tensor, temporal_b: Tensor, spatial_w: Tensor,
                  spatial_b: Tensor) -> tuple[Tensor, Tensor]:
     """``composed_weights`` as two graph nodes: the weight, reshaped to
-    (K, H * k, 1, 1) for ``conv2d`` over ``unfold`` columns (reshape it to
-    (K, 1, H, k) for ``conv2d`` over the input), and the bias.
+    (K, H * k, 1, 1) for a 1 x 1 ``conv2d`` over the (N, H * k, 1, Wo)
+    ``_im2col`` columns of the input (reshape it to (K, 1, H, k) for
+    ``conv2d`` over the input itself), and the bias.
 
     The VJPs run in the parameters' dtype.  The weight's gradient reaches
     ``temporal_w`` and ``spatial_w``, the bias's reaches ``temporal_b``,
@@ -684,36 +651,6 @@ def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
     matrix = (((col >= start) & (col < start + kernel)) / kernel).astype(dtype)
     matrix.flags.writeable = False
     return matrix
-
-
-def temporal_features(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                      stride: int) -> np.ndarray:
-    """Output (N, F, H, Wo) of a frozen temporal conv, ``weight`` (F, 1, 1, k)
-    and ``bias`` (F,), over ``x`` (N, H, W) at time stride ``stride``.
-
-    Plain arrays, no graph: the forward of ``conv2d`` with a 1-channel (1, k)
-    kernel, its ``_im2col`` columns built for blocks of samples of at most
-    ``_IM2COL_BLOCK_BYTES`` each, so that only the output is held whole."""
-    if x.ndim != 3 or weight.ndim != 4 or weight.shape[1:3] != (1, 1):
-        raise ShapeError(f"temporal_features expects (N,H,W) input and (F,1,1,k) weight, "
-                         f"got {x.shape} and {weight.shape}")
-    n, h, w = x.shape
-    f, kt = weight.shape[0], weight.shape[3]
-    stride = int(stride)
-    if bias.shape != (f,):
-        raise ShapeError(f"temporal_features bias shape {bias.shape} != ({f},)")
-    if stride < 1 or kt > w:
-        raise ShapeError(f"temporal_features kernel {kt} at stride {stride} does not fit "
-                         f"width {w}")
-    wo = (w - kt) // stride + 1
-    block = _block_samples(kt * h * wo * x.dtype.itemsize)
-    out = np.empty((n, f, h * wo), dtype=x.dtype)
-    w2 = weight.reshape(f, kt).astype(x.dtype, copy=False)
-    x4 = x.reshape(n, 1, h, w)
-    for s in range(0, n, block):
-        np.matmul(w2, _im2col(x4[s:s + block], 1, kt, 1, stride), out=out[s:s + block])
-    out += bias.astype(x.dtype, copy=False)[:, None]
-    return out.reshape(n, f, h, wo)
 
 
 def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,

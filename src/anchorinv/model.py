@@ -42,7 +42,7 @@ __all__ = [
     "prototype_of",
     "label_columns",
     "cross_entropy_graph",
-    "reuse_unfolded_inputs",
+    "reuse_conv_inputs",
     "BaseTrainConfig",
     "train_base",
     "accuracy",
@@ -136,9 +136,9 @@ class ConvBackbone:
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        # (input, projected, columns or temporal features), a list only inside
-        # reuse_unfolded_inputs
-        self._column_cache: list[tuple[np.ndarray, bool, Tensor]] | None = None
+        # (input, projected, its features or columns) inside reuse_conv_inputs,
+        # () there until the first is built, None outside
+        self._reused_input: tuple[Tensor, bool, Tensor] | tuple[()] | None = None
 
     @classmethod
     def initialize(cls, config: ConvBackboneConfig, seed: int) -> "ConvBackbone":
@@ -187,25 +187,20 @@ class ConvBackbone:
         the frozen ``ad.conv_pool`` runs it.  Otherwise (base training,
         finetuning) it runs through engine nodes that record the parameter
         gradients: ``ad.conv2d`` of the ``ad.compose_conv`` weight, then
-        ReLU, ``ad.avg_pool2d`` and a reshape.  The conv builds its columns
-        one ``_IM2COL_BLOCK_BYTES`` block at a time, from ``x`` reshaped to
-        (N, 1, H, W) with the weight as (K, 1, H, k_t), so the path holds one
-        block of columns plus the (N, K, W_o) activations and their gradient
-        at any batch size.  Only inside ``reuse_unfolded_inputs``, and only
-        when the whole batch's columns fit one block, does it keep them: it
-        runs a 1 x 1 ``ad.conv2d`` over the cached ``ad.unfold`` columns (see
-        ``_conv_input``), which costs no more memory than the block the
-        blocked conv builds anyway, and both give the same bits.
+        ReLU, ``ad.avg_pool2d`` and a reshape.  The conv runs as a 1 x 1
+        conv over the columns of ``x`` when ``_conv_input`` builds them, and
+        otherwise over ``x`` as (N, 1, H, W) with the weight as
+        (K, 1, H, k_t), building its columns one ``_IM2COL_BLOCK_BYTES``
+        block at a time.  Either way the path holds at most one block of
+        columns plus the (N, K, W_o) activations and their gradient.
 
-        One case convolves a smaller input instead: when neither ``x`` nor
-        the temporal layer takes a gradient (the default finetune, which
-        trains ``spatial`` only) and the layer has no more filters than taps
-        (F <= k_t: desk, nhie, grabmyo), the F * H features the frozen layer
-        makes per time step are no more numbers than the H * k_t rows of a
-        column, so ``ad.conv2d`` of ``spatial_w`` runs over those features
-        (see ``_conv_input``) and no compose nodes are built.  They are kept
-        whole in the scope, whatever their size: recomputing them would
-        double the cost of a finetune iteration.
+        When neither ``x`` nor the temporal layer takes a gradient (the
+        default finetune, which trains ``spatial`` only) and the layer has
+        no more filters than taps (F <= k_t: desk, nhie, grabmyo), the
+        F * H features the frozen layer makes per time step are no more
+        numbers than the H * k_t rows of a column, so the conv of
+        ``spatial_w`` runs over those features (``_conv_input``) and no
+        compose nodes are built.
         """
         cfg = self.config
         n = x.shape[0]
@@ -221,9 +216,9 @@ class ConvBackbone:
         project = cfg.filters <= cfg.temporal_kernel and not (
             x.requires_grad or temporal_w.requires_grad or temporal_b.requires_grad)
         weight, bias = (spatial_w, spatial_b) if project else ad.compose_conv(*params)
-        cached = self._conv_input(x, project)
-        if cached is not None:
-            h = ad.conv2d(cached, weight, bias)
+        conv_input = self._conv_input(x, project)
+        if conv_input is not None:
+            h = ad.conv2d(conv_input, weight, bias)
         else:
             h = ad.conv2d(x.reshape((n, 1, *cfg.sample_shape)),
                           weight.reshape((cfg.filters, 1, cfg.channels, cfg.temporal_kernel)),
@@ -234,63 +229,63 @@ class ConvBackbone:
         return h.reshape((n, cfg.feature_dim))
 
     def _conv_input(self, x: Tensor, project: bool) -> Tensor | None:
-        """With ``project``, the ``ad.temporal_features`` (N, F, H, W_o) the
-        frozen temporal layer makes of ``x`` (N, H, W) (no graph: neither it
-        nor ``x`` takes a gradient then).  Otherwise the ``ad.unfold``
-        columns (N, H * k_t, 1, W_o) of ``x`` when they are worth keeping:
-        inside ``reuse_unfolded_inputs``, for an input that takes no
-        gradient, whose columns fit one ``_IM2COL_BLOCK_BYTES`` block
-        (``ad._block_samples``); else None, and ``embed`` runs the blocked
-        conv over ``x`` itself.  ``unfold`` runs only to fill the cache.
+        """What ``embed``'s conv runs over in place of ``x`` (N, H, W), built
+        only for an ``x`` that takes no gradient, so with no graph:
 
-        Inside ``reuse_unfolded_inputs``, when the input takes no gradient,
-        an input equal (exact array equality) to one already seen in the
-        scope gets its stored columns or features back instead of new
-        ones.  The columns do not depend on the weights, so trainable
-        layers keep the reuse.  The features depend on the temporal layer,
-        which stays frozen, as finetuning checks, while they are reused.
+        * with ``project``, the (N, F, H, W_o) features of the frozen
+          temporal layer: ``ad.conv2d`` of ``temporal_w`` over ``x`` as
+          (N, 1, H, W);
+        * otherwise the (N, H * k_t, 1, W_o) ``ad._im2col`` columns of
+          ``x``, when the whole batch's fit one ``_IM2COL_BLOCK_BYTES``
+          block (``ad._block_samples``); else None, and ``embed`` runs the
+          blocked conv over ``x``.  Both give the same bits, and the columns
+          spare the conv's VJP its second ``_im2col``.
+
+        Inside ``reuse_conv_inputs`` the one built last is returned again
+        for the same tensor object (``seen is x``).  The columns do not
+        depend on the weights, so trainable layers keep the reuse; the
+        features depend on the temporal layer, which stays frozen while they
+        are reused, as finetuning checks.
         """
         cfg = self.config
-        cache = self._column_cache
-        reuse = cache is not None and not x.requires_grad
+        n, h, w = x.shape
         if not project:
-            column_bytes = cfg.channels * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize
-            if not reuse or x.shape[0] > ad._block_samples(column_bytes):
+            column_bytes = h * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize
+            if x.requires_grad or n > ad._block_samples(column_bytes):
                 return None
-        if reuse:
-            for seen, projected, out in cache:
-                if projected == project and seen.dtype == x.dtype and np.array_equal(seen, x.data):
-                    return out
+        kept = self._reused_input
+        if kept and kept[0] is x and kept[1] == project:
+            return kept[2]
         if project:
-            out = Tensor(ad.temporal_features(x.data, self.params["temporal_w"].data,
-                                              self.params["temporal_b"].data,
-                                              cfg.temporal_stride))
+            out = ad.conv2d(x.reshape((n, 1, h, w)), self.params["temporal_w"],
+                            self.params["temporal_b"], stride=(1, cfg.temporal_stride))
         else:
-            out = ad.unfold(x, cfg.temporal_kernel, cfg.temporal_stride)
-        if reuse:
-            cache.append((x.data.copy(), project, out))
+            cols = ad._im2col(x.data.reshape(n, 1, h, w), h, cfg.temporal_kernel, 1,
+                              cfg.temporal_stride)
+            out = Tensor(cols.reshape(n, h * cfg.temporal_kernel, 1, cfg.conv_width))
+        if kept is not None:
+            self._reused_input = (x, project, out)
         return out
 
 
 @contextmanager
-def reuse_unfolded_inputs(backbone):
-    """Inside this scope a ``ConvBackbone`` reuses, for each input that takes
-    no gradient, its frozen temporal features, made once, or its
-    ``ad.unfold`` columns, unfolded once, when they fit one
-    ``_IM2COL_BLOCK_BYTES`` block (see ``ConvBackbone._conv_input``); larger
-    batches rebuild their columns block by block in every conv, so the
-    scope holds at most one block of columns per input.  All is dropped on
-    exit, also when the body raises.  Other backbones have no conv to unfold
-    for and are left as they are.
+def reuse_conv_inputs(backbone):
+    """Inside this scope a ``ConvBackbone`` keeps the conv input it built
+    last (``ConvBackbone._conv_input``) and reuses it while it embeds that
+    same tensor object, as a loop over one fixed batch does.  The match is
+    by identity: the scope holds no copy and compares no contents, so an
+    equal copy is rebuilt, and an input must not change in place inside the
+    scope.  Dropped on exit, also when the body raises; other backbones are
+    left as they are.
     """
     if not isinstance(backbone, ConvBackbone):
         yield
         return
-    saved, backbone._column_cache = backbone._column_cache, []
+    saved, backbone._reused_input = backbone._reused_input, ()
     try:
         yield
     finally:
-        backbone._column_cache = saved
+        backbone._reused_input = saved
 
 
 class IdentityBackbone:
@@ -651,7 +646,7 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
 
     try:
         xt = Tensor(x)  # a non-finite input fails here, before epoch 0 runs
-        with reuse_unfolded_inputs(backbone):  # the input is the same every epoch
+        with reuse_conv_inputs(backbone):  # xt is the same tensor every epoch
             losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
     except NonFiniteError as err:
         raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {err}") from err

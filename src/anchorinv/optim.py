@@ -129,6 +129,7 @@ def minimize(params: Sequence[Tensor], loss_fn: Callable[[int], Tensor], iterati
             ad.backward(loss)
             optimizer.step()
             losses.append(loss.item())
+            del loss  # free this step's graph before loss_fn builds the next
     finally:
         for t, flag in flags:
             t.requires_grad = flag

@@ -20,3 +20,24 @@ def spy_engine(monkeypatch):
         return calls
 
     return spy_on
+
+
+@pytest.fixture
+def spy_convs(spy_engine, monkeypatch):
+    """``spy_convs(*names)`` is ``spy_engine("conv2d", "conv_pool", *names)``
+    whose list also gets "im2col" at each ``_im2col`` over a one-channel
+    (N, 1, H, W) input: columns built from a batch's raw input, where the
+    ``_im2col`` of columns or features built already is a view."""
+    def spy_on(*names):
+        calls = spy_engine("conv2d", "conv_pool", *names)
+        real = ad._im2col
+
+        def im2col(xd, *args):
+            if xd.shape[1] == 1:
+                calls.append("im2col")
+            return real(xd, *args)
+
+        monkeypatch.setattr(ad, "_im2col", im2col)
+        return calls
+
+    return spy_on

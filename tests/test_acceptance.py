@@ -8,10 +8,12 @@ and byte-identical report generation.  Wall-clock budgets are asserted where
 a check is expected to stay cheap.
 """
 
+import ast
 import hashlib
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,45 @@ def _graph_templates():
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
         return lambda ts: (-ts[0]).sum(axis=1).norm(), [a]
 
+    def conv_pool(relu):
+        def build(rng):
+            # resampled until no conv output sits near the ReLU's kink
+            while True:
+                x = rng.uniform(-1.0, 1.0, (2, 3, 9))
+                w = rng.uniform(-0.5, 0.5, (2, 3, 3))
+                b = rng.uniform(-0.2, 0.2, 2)
+                z = w.reshape(2, 9) @ ad._im2col(x.reshape(2, 1, 3, 9), 3, 3, 1, 2) \
+                    + b[:, None]
+                if not relu or np.abs(z).min() > 0.05:
+                    break
+            return (lambda ts: ad.conv_pool(ts[0], w, b, 2, 2, 1, relu).norm(), [_t64(x)])
+        return build
+
+    def composed_conv(rng):
+        params = [_t64(rng.uniform(-0.5, 0.5, shape))
+                  for shape in [(2, 1, 1, 3), (2,), (3, 2, 4, 1), (3,)]]
+        x = _t64(rng.uniform(-1.0, 1.0, (2, 1, 4, 7)))
+
+        def fn(ts):
+            weight, bias = ad.compose_conv(*ts[1:])
+            return ad.conv2d(ts[0], weight.reshape((3, 1, 4, 3)), bias, stride=(1, 2)).norm()
+        return fn, [x] + params
+
+    def nll(weighted):
+        def build(rng):
+            logits = _t64(rng.uniform(-2.0, 2.0, (4, 3)))
+            cols = rng.integers(0, 3, 4)
+            w = rng.uniform(-1.0, 1.0, 4) if weighted else None
+            return (lambda ts: ad.nll(ad.softmax_with_temperature(ts[0], 2.0), cols, w),
+                    [logits])
+        return build
+
+    def scaled_l1(rng):
+        a = rng.uniform(-1.0, 1.0, (3, 4))
+        # the target sits away from a, off the kink of |a - target|
+        gap = rng.uniform(0.2, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
+        return lambda ts: ad.scaled_l1(ts[0], ts[1], 0.7), [_t64(a), _t64(a + gap)]
+
     return [
         ({"add", "sub", "mul", "sum"}, arith),
         ({"neg", "mul_scalar", "add_scalar", "mean"}, scalars),
@@ -157,19 +198,36 @@ def _graph_templates():
         ({"cosine_similarity_matrix", "sum"}, cosine),
         ({"stack_rows", "mean_axis", "l2_norm"}, stacked),
         ({"neg", "sum_axis", "l2_norm"}, negated_axis),
+        ({"conv_pool", "conv_pool_relu", "l2_norm"}, conv_pool(relu=True)),
+        ({"conv_pool", "l2_norm"}, conv_pool(relu=False)),
+        ({"compose_conv", "reshape", "conv2d", "l2_norm"}, composed_conv),
+        ({"softmax_with_temperature", "nll"}, nll(weighted=False)),
+        ({"softmax_with_temperature", "nll", "nll_weighted"}, nll(weighted=True)),
+        ({"scaled_l1"}, scaled_l1),
     ]
 
 
-_ALL_PRIMITIVES = {
-    "add", "sub", "mul", "add_scalar", "mul_scalar", "neg", "relu", "exp",
-    "log", "absolute", "reshape", "transpose", "sum", "sum_axis", "mean",
-    "mean_axis", "l2_norm", "matmul", "conv2d", "avg_pool2d",
-    "softmax_with_temperature", "cosine_similarity_matrix", "take_per_row",
-    "subtract_rowwise", "stack_rows",
-}
+def _node_kinds() -> set[str]:
+    """Every op name ``autodiff.py`` passes to ``_node``, read from its source."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    calls = [c for c in ast.walk(tree)
+             if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_node"]
+    assert calls and all(isinstance(c.args[3], ast.Constant) for c in calls)
+    return {c.args[3].value for c in calls}
 
 
-def test_01_gradients_match_finite_differences_on_200_random_graphs():
+def test_01_gradients_match_finite_differences_on_200_random_graphs(monkeypatch):
+    """The graphs make a node of every kind the engine can make; the labels
+    also name the forms one kind can take: ``sum`` and ``mean`` over an axis,
+    ``conv_pool`` with its ReLU, ``nll`` with weights."""
+    made: set[str] = set()
+    real_node = ad._node
+
+    def spy(data, parents, backward_fn, op):
+        made.add(op)
+        return real_node(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(ad, "_node", spy)
     t0 = time.monotonic()
     templates = _graph_templates()
     covered: set[str] = set()
@@ -181,7 +239,9 @@ def test_01_gradients_match_finite_differences_on_200_random_graphs():
         worst = max(worst, err)
         assert err <= 1e-4, f"graph {g} ({sorted(names)}): rel error {err:.3e}"
         covered |= names
-    assert covered == _ALL_PRIMITIVES, covered ^ _ALL_PRIMITIVES
+    kinds = _node_kinds()
+    assert made == kinds, made ^ kinds
+    assert {"sum_axis", "mean_axis", "conv_pool_relu", "nll_weighted"} <= covered
     assert worst <= 1e-4
     assert time.monotonic() - t0 < 60.0
 

@@ -351,38 +351,7 @@ def test_im2col_and_col2im_need_no_copy_for_the_spatial_conv():
     assert np.shares_memory(ad._col2im(y, x.shape, 4, 1, 1, 1), y)
 
 
-# (H, W, kernel, stride) of ``unfold``: overlapping windows, the nhie stride 4,
-# gaps, a left-out end, kernel 1 (the columns are a view of x), one window
-_UNFOLD_CASES = [(3, 16, 5, 1), (2, 30, 8, 4), (2, 11, 2, 4), (3, 12, 5, 3), (2, 7, 1, 1),
-                 (4, 9, 9, 1)]
-
-
-@pytest.mark.parametrize("h,w,kernel,stride", _UNFOLD_CASES)
-def test_unfold_matches_loop_oracle_and_its_vjp_is_the_adjoint(h, w, kernel, stride):
-    """unfold(x)[n, h * k + p, 0, j] == x[n, h, j * s + p], and
-    <unfold(x), y> == <x, VJP(y)>."""
-    rng = np.random.default_rng(35)
-    x = _t(rng.standard_normal((2, h, w)))
-    out = ad.unfold(x, kernel, stride)
-    wo = (w - kernel) // stride + 1
-    assert out.shape == (2, h * kernel, 1, wo)
-    want = np.empty(out.shape)
-    for c, p, j in itertools.product(range(h), range(kernel), range(wo)):
-        want[:, c * kernel + p, 0, j] = x.data[:, c, j * stride + p]
-    np.testing.assert_array_equal(out.data, want)
-    y = rng.standard_normal(out.shape)
-    backward(ad.tensor_sum(ad.mul(out, _t(y, False))))
-    np.testing.assert_allclose(np.vdot(out.data, y), np.vdot(x.data, x.grad), rtol=1e-12)
-    assert ad.unfold(_t(np.zeros((0, h, w))), kernel, stride).shape == (0, h * kernel, 1, wo)
-
-
-def test_unfold_and_compose_conv_shape_errors():
-    with pytest.raises(ShapeError):
-        ad.unfold(_t(np.zeros((2, 3, 4, 5))), 2, 1)   # not (N, H, W)
-    with pytest.raises(ShapeError):
-        ad.unfold(_t(np.zeros((2, 3, 4))), 5, 1)      # kernel wider than the input
-    with pytest.raises(ShapeError):
-        ad.unfold(_t(np.zeros((2, 3, 4))), 2, 0)      # stride
+def test_compose_conv_shape_errors():
     tw, tb, sw, sb = _t(np.zeros((4, 1, 1, 3))), _t(np.zeros(4)), _t(np.zeros((5, 4, 2, 1))), \
         _t(np.zeros(5))
     assert [t.shape for t in ad.compose_conv(tw, tb, sw, sb)] == [(5, 6, 1, 1), (5,)]
@@ -400,18 +369,6 @@ def test_unfold_and_compose_conv_shape_errors():
 # its default: float64 rounding over 2 * eps reads as error on small gradients,
 # and both losses are polynomials, so a wide step adds no truncation error
 _FD_WIDE_EPS = 1e-3
-
-
-@pytest.mark.parametrize("h,w,kernel,stride", _UNFOLD_CASES)
-def test_fd_unfold(h, w, kernel, stride):
-    rng = np.random.default_rng(36)
-    x = _t(rng.standard_normal((2, h, w)))
-
-    def fn(ts):
-        out = ad.unfold(ts[0], kernel, stride)
-        return ad.tensor_sum(ad.mul(out, out))
-
-    assert finite_difference_check(fn, [x], eps=_FD_WIDE_EPS) < FD_TOL
 
 
 def test_fd_compose_conv():
@@ -568,31 +525,6 @@ def test_conv_pool_shape_errors():
         ad.conv_pool(x, w, b, 1, 7, 1, True)                    # pool wider than conv
     with pytest.raises(ShapeError):
         ad.conv_pool(_t(np.zeros((2, 30))), w, b, 1, 2, 1, True)  # not (N, H, W)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("stride", [1, 3])
-def test_temporal_features_equal_conv2d_bits(monkeypatch, dtype, stride):
-    """The frozen temporal features are ``conv2d``'s forward of a (1, k) kernel,
-    bit for bit, in one block or one sample per block."""
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((5, 3, 23)).astype(dtype)
-    w = rng.standard_normal((4, 1, 1, 5)).astype(dtype)
-    b = rng.standard_normal(4).astype(dtype)
-    want = ad.conv2d(Tensor(x.reshape(5, 1, 3, 23)), Tensor(w), Tensor(b), stride=(1, stride))
-    for block_bytes in (ad._IM2COL_BLOCK_BYTES, 1):
-        monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES", block_bytes)
-        got = ad.temporal_features(x, w, b, stride)
-        assert got.dtype == dtype and got.shape == want.shape
-        assert got.tobytes() == want.data.tobytes()
-    w_ok, b_ok = np.zeros((4, 1, 1, 5)), np.zeros(4)
-    for args in [(np.zeros((2, 3)), w_ok, b_ok, 1),                # not (N, H, W)
-                 (np.zeros((2, 3, 23)), np.zeros((4, 2, 1, 5)), b_ok, 1),  # not (F, 1, 1, k)
-                 (np.zeros((2, 3, 23)), w_ok, np.zeros(3), 1),     # bias length
-                 (np.zeros((2, 3, 23)), w_ok, b_ok, 0),            # stride
-                 (np.zeros((2, 3, 4)), w_ok, b_ok, 1)]:            # kernel wider than the input
-        with pytest.raises(ShapeError):
-            ad.temporal_features(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              class_scores, compute_prototypes,
                              cosine_distance, cross_entropy_graph, embed_batch, label_columns,
                              predict, predict_batch, prototype_of,
-                             reuse_unfolded_inputs, scores_batch, scores_graph,
+                             reuse_conv_inputs, scores_batch, scores_graph,
                              train_base)
 
 
@@ -157,8 +157,8 @@ def test_frozen_path_matches_engine_path(cfg):
         np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
 
 
-def test_embed_path_selection(spy_engine):
-    calls = spy_engine("conv2d", "conv_pool", "compose_conv", "unfold")
+def test_embed_path_selection(spy_convs):
+    calls = spy_convs("compose_conv")
     cfg = _tiny_config()
     state = ModelState(ConvBackbone.initialize(cfg, seed=2))
     for c in (0, 1):
@@ -168,27 +168,32 @@ def test_embed_path_selection(spy_engine):
     def path_of(fn):
         calls.clear()
         fn()
-        return set(calls)
+        return list(calls)
 
     params = state.backbone.params
-    # trainable, outside reuse_unfolded_inputs: the blocked conv over x, no columns kept
-    assert path_of(lambda: embed_batch(state, x)) == {"conv2d", "compose_conv"}
+    # trainable: a 1 x 1 conv over the columns of x, or, when x takes a
+    # gradient, the conv over x itself
+    assert path_of(lambda: embed_batch(state, x)) == ["compose_conv", "im2col", "conv2d"]
+    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
+        == ["compose_conv", "conv2d", "im2col"]
     with ad.no_grad():
-        assert path_of(lambda: embed_batch(state, x)) == {"conv_pool"}
-    assert path_of(lambda: predict_batch(state, x)) == {"conv_pool"}
-    assert path_of(lambda: prototype_of(state, x)) == {"conv_pool"}
+        assert path_of(lambda: embed_batch(state, x)) == ["conv_pool", "im2col"]
+    assert path_of(lambda: predict_batch(state, x)) == ["conv_pool", "im2col"]
+    assert path_of(lambda: prototype_of(state, x)) == ["conv_pool", "im2col"]
     params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
-    assert path_of(lambda: embed_batch(state, x)) == {"conv2d"}   # spatial over features
+    # the frozen temporal features, then spatial over them
+    assert path_of(lambda: embed_batch(state, x)) == ["conv2d", "im2col", "conv2d"]
     for t in params.values():
         t.requires_grad = False
-    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) == {"conv_pool"}
+    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
+        == ["conv_pool", "im2col"]
     target = np.ones(cfg.feature_dim, dtype=np.float32)
-    assert path_of(lambda: invert_anchor(state, target,
-                                         InversionConfig(iterations=2))) == {"conv_pool"}
+    assert set(path_of(lambda: invert_anchor(state, target, InversionConfig(iterations=2)))) \
+        == {"conv_pool", "im2col"}
     for t in params.values():
         t.requires_grad = True
-    assert path_of(lambda: invert_anchor(state, target,
-                                         InversionConfig(iterations=2))) == {"conv_pool"}
+    assert set(path_of(lambda: invert_anchor(state, target, InversionConfig(iterations=2)))) \
+        == {"conv_pool", "im2col"}
 
 
 def _embed_two_convs(backbone, x):
@@ -254,11 +259,12 @@ def test_composed_path_matches_two_conv_oracle(spy_engine, cfg, dtype, rtol):
 @pytest.mark.parametrize("cfg", _COMPOSED_PATH_CONFIGS + [
     _tiny_config(name="more-filters-than-taps", filters=6, temporal_kernel=3)],
     ids=lambda c: c.name)
-def test_frozen_temporal_layer_matches_two_conv_oracle(spy_engine, cfg, dtype, rtol):
+def test_frozen_temporal_layer_matches_two_conv_oracle(spy_convs, cfg, dtype, rtol):
     """With the temporal layer frozen and no gradient on the input, features
     and d spatial_w / spatial_b equal the two generic convs'.  The spatial
-    weight runs over the frozen temporal features when F <= k_t, and the
-    composed weight over the input otherwise (no cache scope, no columns)."""
+    weight runs over the frozen temporal features, which ``conv2d`` of the
+    temporal weight makes, when F <= k_t, and the composed weight over the
+    columns of the input otherwise."""
     rng = np.random.default_rng(58)
     backbone = _random_backbone(cfg, rng)
     for name, t in backbone.params.items():
@@ -273,78 +279,118 @@ def test_frozen_temporal_layer_matches_two_conv_oracle(spy_engine, cfg, dtype, r
         ad.backward(ad.tensor_sum(ad.mul(feats, g)))
         return [feats.data] + [t.grad for t in spatial]
 
-    calls = spy_engine("unfold", "temporal_features", "compose_conv", "conv2d")
+    calls = spy_convs("compose_conv")
     got = features_and_grads(backbone.embed)
     if cfg.filters <= cfg.temporal_kernel:
-        assert calls == ["temporal_features", "conv2d"]
+        assert calls == ["conv2d", "im2col", "conv2d"]
     else:
-        assert calls == ["compose_conv", "conv2d"]
+        assert calls == ["compose_conv", "im2col", "conv2d"]
     want = features_and_grads(lambda xt: _embed_two_convs(backbone, xt))
     for name, a, b in zip(["features", "spatial_w", "spatial_b"], got, want):
         assert a.dtype == dtype, name
         assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
 
 
-def test_reuse_unfolded_inputs_scope(spy_engine, monkeypatch):
-    """Inside the scope each distinct input is unfolded once, whichever layers
-    train, and its frozen temporal features are made once; a gradient on the
-    input bypasses the reuse, and so do columns larger than one
-    ``_IM2COL_BLOCK_BYTES`` block; outside the scope nothing is unfolded;
-    nothing stays cached after the scope, also when its body raises."""
-    calls = spy_engine("unfold", "temporal_features")
+def test_reuse_conv_inputs_scope(spy_convs, monkeypatch):
+    """Inside the scope the conv input built for a tensor, its columns or its
+    frozen temporal features, is built once and reused while that same
+    tensor comes back, whichever layers train; an equal copy is another
+    tensor, whose input is built anew and replaces the kept one.  A gradient
+    on the input bypasses the reuse, and so do columns larger than one
+    ``_IM2COL_BLOCK_BYTES`` block; outside the scope every call builds its
+    columns; nothing stays kept after the scope, also when its body raises."""
+    calls = spy_convs()
     backbone = _random_backbone(_tiny_config(), np.random.default_rng(53))
-    rng = np.random.default_rng(54)
-    x = rng.standard_normal((4, 3, 16)).astype(np.float32)
-    other = rng.standard_normal((4, 3, 16)).astype(np.float32)
+    x = np.random.default_rng(54).standard_normal((4, 3, 16)).astype(np.float32)
+    xt = Tensor(x)
     want = backbone.embed(Tensor(x)).data
 
-    def unfolds(fn):
-        """Columns or features made while fn runs."""
+    def builds(fn):
+        """Passes over a raw input while fn runs: columns, or the conv that
+        makes the temporal features."""
         calls.clear()
         fn()
-        return len(calls)
+        return calls.count("im2col")
 
-    with reuse_unfolded_inputs(backbone):
-        assert unfolds(lambda: backbone.embed(Tensor(x))) == 1
-        # an equal array (another object) reuses the columns
-        assert unfolds(lambda: backbone.embed(Tensor(x.copy()))) == 0
-        assert backbone.embed(Tensor(x.copy())).data.tobytes() == want.tobytes()
-        assert unfolds(lambda: backbone.embed(Tensor(other))) == 1
-        assert unfolds(lambda: backbone.embed(Tensor(other))) == 0
-        # the blocked conv over the input itself: no columns are made or kept
-        assert unfolds(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 0
+    assert builds(lambda: backbone.embed(xt)) == 1
+    assert builds(lambda: backbone.embed(xt)) == 1   # outside the scope nothing is kept
+    with reuse_conv_inputs(backbone):
+        assert builds(lambda: backbone.embed(xt)) == 1
+        assert builds(lambda: backbone.embed(xt)) == 0
+        assert backbone.embed(xt).data.tobytes() == want.tobytes()
+        copy = Tensor(x.copy())
+        assert builds(lambda: backbone.embed(copy)) == 1
+        assert backbone._reused_input[0] is copy
+        assert builds(lambda: backbone.embed(xt)) == 1
+        # the blocked conv over the input itself: its columns are not kept
+        assert builds(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 1
+        assert backbone._reused_input[0] is xt
         for name, t in backbone.params.items():
             t.requires_grad = name.startswith("spatial")
-        # the frozen temporal features of x (F 2 <= k_t 5), made once
-        assert unfolds(lambda: backbone.embed(Tensor(x))) == 1
-        assert calls == ["temporal_features"]
-        assert unfolds(lambda: backbone.embed(Tensor(x))) == 0
-        features = backbone.embed(Tensor(x)).data
+        # the frozen temporal features of xt (F 2 <= k_t 5), made once
+        assert builds(lambda: backbone.embed(xt)) == 1
+        assert calls == ["conv2d", "im2col", "conv2d"]
+        assert builds(lambda: backbone.embed(xt)) == 0
+        features = backbone.embed(xt).data
         assert np.abs(features - want).max() <= 1e-5 * np.abs(want).max()
         for t in backbone.params.values():
             t.requires_grad = True
-        assert unfolds(lambda: backbone.embed(Tensor(x))) == 0   # the columns are kept
-        assert len(backbone._column_cache) == 3
-    assert backbone._column_cache is None
-    assert unfolds(lambda: backbone.embed(Tensor(x))) == 0
+        assert builds(lambda: backbone.embed(xt)) == 1   # the columns again
+        assert builds(lambda: backbone.embed(xt)) == 0
+    assert backbone._reused_input is None
     # a block of one sample's columns: a 4-sample batch runs the blocked conv,
-    # a 1-sample batch is unfolded and kept
+    # one pass per sample on every call, and a 1-sample batch is kept
     cfg = backbone.config
     monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES",
                         cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4)
-    with reuse_unfolded_inputs(backbone):
-        assert unfolds(lambda: backbone.embed(Tensor(x))) == 0
-        assert backbone.embed(Tensor(x)).data.tobytes() == want.tobytes()
-        assert unfolds(lambda: backbone.embed(Tensor(x[:1]))) == 1
-        assert unfolds(lambda: backbone.embed(Tensor(x[:1]))) == 0
-        assert len(backbone._column_cache) == 1
+    one = Tensor(x[:1])
+    with reuse_conv_inputs(backbone):
+        assert builds(lambda: backbone.embed(xt)) == 4
+        assert builds(lambda: backbone.embed(xt)) == 4
+        assert backbone.embed(xt).data.tobytes() == want.tobytes()
+        assert builds(lambda: backbone.embed(one)) == 1
+        assert builds(lambda: backbone.embed(one)) == 0
     with pytest.raises(RuntimeError):
-        with reuse_unfolded_inputs(backbone):
-            backbone.embed(Tensor(x))
+        with reuse_conv_inputs(backbone):
+            backbone.embed(xt)
             raise RuntimeError("the body fails")
-    assert backbone._column_cache is None
-    with reuse_unfolded_inputs(IdentityBackbone(3, 16)):  # no conv to unfold for
+    assert backbone._reused_input is None
+    with reuse_conv_inputs(IdentityBackbone(3, 16)):  # no conv input to build
         pass
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_column_route_and_blocked_route_give_the_same_bits(spy_convs, monkeypatch, dtype):
+    """The trainable embed of an input that takes no gradient gives the same
+    features and the same four parameter gradients, to the bit, whether its
+    conv runs over the batch's columns (one block) or, with a block of one
+    sample, over the input block by block."""
+    cfg = _COMPOSED_PATH_CONFIGS[1]
+    rng = np.random.default_rng(59)
+    backbone = _random_backbone(cfg, rng)
+    for name, t in backbone.params.items():
+        backbone.params[name] = Tensor(t.data.astype(dtype), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, cfg.channels, cfg.timesteps)).astype(dtype))
+    g = Tensor(rng.standard_normal((5, cfg.feature_dim)).astype(dtype))
+    calls = spy_convs()
+
+    def features_and_grads():
+        calls.clear()
+        for t in backbone.params.values():
+            t.grad = None
+        feats = backbone.embed(x)
+        ad.backward(ad.tensor_sum(ad.mul(feats, g)))
+        return [feats.data] + [backbone.params[n].grad for n in backbone.param_names()]
+
+    columns = features_and_grads()
+    assert calls == ["im2col", "conv2d"]
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES",
+                        cfg.channels * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize)
+    blocked = features_and_grads()
+    assert calls == ["conv2d"] + ["im2col"] * 10   # 5 blocks forward, 5 for dW
+    for name, a, b in zip(["features"] + backbone.param_names(), columns, blocked):
+        assert a.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -731,13 +777,15 @@ def test_train_base_deterministic():
         assert t.data.tobytes() == b.all_parameters()[name].data.tobytes()
 
 
-def test_train_base_unfolds_its_input_once(spy_engine):
-    calls = spy_engine("unfold", "conv2d")
+def test_train_base_unfolds_its_input_once(spy_convs):
+    """Base training builds its input's columns once and runs one conv over
+    them per epoch; prototypes and feature statistics then run the frozen
+    ``conv_pool``."""
+    calls = spy_convs()
     x, y = _separable_data()
     state = train_base(x, y, _tiny_config(channels=4), BaseTrainConfig(epochs=4, seed=5))
-    assert calls.count("unfold") == 1
-    assert calls.count("conv2d") == 4
-    assert state.backbone._column_cache is None
+    assert calls[:calls.index("conv_pool")] == ["im2col"] + ["conv2d"] * 4
+    assert state.backbone._reused_input is None
 
 
 def test_train_base_epoch_builds_one_loss_node(spy_engine):
