@@ -1,16 +1,17 @@
 """Select anchor points with each strategy and invert them back to inputs.
 
 Anchors live in feature space: a handful of vectors per class standing in for
-the training distribution once the raw data is gone.  Inversion runs Adam on
-a synthetic input until its embedding matches the anchor under mean absolute
-error, yielding replay samples for later sessions.
+the training distribution once the raw data is gone.  A strategy is a name
+from ``STRATEGIES``, and ``per_class`` is the count for every one of them:
+k-means returns that many centroids, and ``full`` keeps every member.
+Inversion runs Adam on a synthetic input until its embedding matches the
+anchor under mean absolute error, yielding replay samples for later sessions.
 """
 
 import numpy as np
 
-from anchorinv import (get_preset, invert_set, materialize_synth,
-                       project_features, select_anchors, strategy_from_name,
-                       train_base)
+from anchorinv import (STRATEGIES, get_preset, invert_set, materialize_synth,
+                       project_features, select_anchors, train_base)
 from anchorinv.presets import build_split
 
 
@@ -27,10 +28,9 @@ def main():
     per_class = 5
     print(f"strategies, {per_class} anchors per class:")
     chosen = {}
-    for name in ("random_sample", "closest", "random_closest", "kmeans", "full"):
-        strategy = strategy_from_name(name, seed=preset.master_seed,
-                                      fraction=0.5, k=per_class)
-        anchors = select_anchors(features, strategy, per_class)
+    for name in STRATEGIES:
+        anchors = select_anchors(features, name, per_class, seed=preset.master_seed,
+                                 fraction=0.5)
         chosen[name] = anchors
         print(f"  {name:<15} -> {len(anchors)} anchors, classes "
               f"{anchors.classes()}")

@@ -13,11 +13,9 @@ from .adaptation import (METHODS, AdaptationConfig, FinetuneConfig, adapt_proton
                          adapt_teen, base_anchor_memory, composite_loss,
                          finetune_session, replay_batch, run_fscil,
                          sample_base_replay_store)
-from .anchors import (AnchorSet, ClosestToPrototype, FeatureSet, FullSet,
-                      KMeansCentroids, KMeansObjectiveError, RandomClosestPercent,
-                      RandomSample, incremental_anchors, kmeans, load_anchor_set,
-                      project_features, save_anchor_set, select_anchors,
-                      strategy_from_name)
+from .anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiveError,
+                      incremental_anchors, kmeans, load_anchor_set, project_features,
+                      save_anchor_set, select_anchors)
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
                    SynthClassSpec, SynthSpec, desk_synth_spec,
@@ -61,10 +59,8 @@ __all__ = [
     "class_scores", "predict", "predict_batch", "prototype_of",
     "compute_prototypes",
     # anchors
-    "FeatureSet", "AnchorSet", "RandomSample", "ClosestToPrototype",
-    "RandomClosestPercent", "KMeansCentroids", "FullSet", "strategy_from_name",
-    "project_features", "select_anchors", "incremental_anchors", "kmeans",
-    "KMeansObjectiveError",
+    "FeatureSet", "AnchorSet", "STRATEGIES", "project_features", "select_anchors",
+    "incremental_anchors", "kmeans", "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion
     "InversionConfig", "InversionStalledError", "LabelInversionConfig", "ReplaySet",

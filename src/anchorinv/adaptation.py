@@ -26,8 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .anchors import (AnchorSet, incremental_anchors, project_features,
-                      select_anchors, strategy_from_name)
+from .anchors import AnchorSet, incremental_anchors, project_features, select_anchors
 from .data import Dataset
 from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
@@ -92,7 +91,6 @@ class AdaptationConfig:
     anchors_per_class: int = 10
     anchor_strategy: str = "random_sample"
     anchor_fraction: float = 0.5
-    anchor_kmeans_k: int = 5
     teen_tau: float = 32.0
     teen_alpha: float = 0.5
     real_per_class: int = 50
@@ -348,7 +346,7 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
             replay = invert_set(state, memory, inv_cfg)
             state = finetune_session(state, replay, new, config.finetune)
             feats = project_features(state, new, session=t)
-            memory = memory.append(incremental_anchors(feats, session=t))
+            memory = memory.append(incremental_anchors(feats))
         elif method in ("deepdream", "deepinv"):
             labels = [c for c, k in sorted(label_counts.items()) for _ in range(k)]
             maker = deepdream_config if method == "deepdream" else deepinv_config
@@ -371,8 +369,5 @@ def base_anchor_memory(state: ModelState, base: Dataset,
     """Project the base set and run the configured selection strategy (the
     session-0 anchor memory, shared by every trial)."""
     features = project_features(state, base, session=0)
-    strategy = strategy_from_name(config.anchor_strategy,
-                                  seed=config.inversion.seed,
-                                  fraction=config.anchor_fraction,
-                                  k=config.anchor_kmeans_k)
-    return select_anchors(features, strategy, config.anchors_per_class, session=0)
+    return select_anchors(features, config.anchor_strategy, config.anchors_per_class,
+                          seed=config.inversion.seed, fraction=config.anchor_fraction)

@@ -1,7 +1,7 @@
 """Anchor memory: feature projection, per-class anchor selection, persistence.
 
 Anchors are stored feature-space vectors that summarize each class's
-embedding distribution.  Base-session classes go through a selection
+embedding distribution.  Base-session classes go through a named selection
 strategy (random sample, closest-to-prototype, random-within-closest-percent,
 or k-means centroids); incremental sessions keep every few-shot feature.
 Only D-dimensional features are ever stored, never raw input samples.
@@ -22,12 +22,7 @@ from .serialization import KIND_ANCHORS, ContainerError, read_container, write_c
 __all__ = [
     "FeatureSet",
     "AnchorSet",
-    "RandomSample",
-    "ClosestToPrototype",
-    "RandomClosestPercent",
-    "KMeansCentroids",
-    "FullSet",
-    "strategy_from_name",
+    "STRATEGIES",
     "project_features",
     "select_anchors",
     "incremental_anchors",
@@ -36,6 +31,8 @@ __all__ = [
     "save_anchor_set",
     "load_anchor_set",
 ]
+
+STRATEGIES = ("random_sample", "closest", "random_closest", "kmeans", "full")
 
 _COS_EPS = 1e-12
 
@@ -110,67 +107,6 @@ class AnchorSet:
 
 
 # ---------------------------------------------------------------------------
-# strategies
-
-
-@dataclass(frozen=True)
-class RandomSample:
-    seed: int = 0
-    name = "random_sample"
-
-
-@dataclass(frozen=True)
-class ClosestToPrototype:
-    seed: int = 0
-    name = "closest"
-
-
-@dataclass(frozen=True)
-class RandomClosestPercent:
-    fraction: float = 0.5
-    seed: int = 0
-    name = "random_closest"
-
-    def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in (0, 1], got {self.fraction}")
-
-
-@dataclass(frozen=True)
-class KMeansCentroids:
-    k: int = 5
-    seed: int = 0
-    max_iters: int = 100
-    name = "kmeans"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class FullSet:
-    """Keep every feature (the incremental-session policy)."""
-
-    seed: int = 0
-    name = "full"
-
-
-def strategy_from_name(name: str, seed: int = 0, fraction: float = 0.5,
-                       k: int = 5):
-    table = {
-        "random_sample": lambda: RandomSample(seed=seed),
-        "closest": lambda: ClosestToPrototype(seed=seed),
-        "random_closest": lambda: RandomClosestPercent(fraction=fraction, seed=seed),
-        "kmeans": lambda: KMeansCentroids(k=k, seed=seed),
-        "full": lambda: FullSet(seed=seed),
-    }
-    if name not in table:
-        raise KeyError(f"unknown strategy '{name}'; valid: {sorted(table)}")
-    return table[name]()
-
-
-# ---------------------------------------------------------------------------
 # operations
 
 
@@ -194,67 +130,62 @@ def _cosine_distance_to(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(v @ t)
 
 
-def select_anchors(features: FeatureSet, strategy, per_class: int,
-                   session: int = 0) -> AnchorSet:
-    """Select ``per_class`` anchors per class (k-means uses k as the count).
+def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: int = 0,
+                   fraction: float = 0.5) -> AnchorSet:
+    """Select ``per_class`` anchors per class by the named strategy, one of
+    ``STRATEGIES``, stamped with ``features.session``.
 
-    Sampling strategies need at least ``per_class`` members per class;
-    closest-ranking ties break by lowest feature index (stable sort).
+    ``random_sample`` draws members at random, ``closest`` takes the members
+    nearest the class prototype by cosine distance, ``random_closest`` draws
+    from the closest ``fraction`` of members, ``kmeans`` returns centroids and
+    ``full`` keeps every member (``per_class`` unused).  Every other strategy
+    needs 1 <= ``per_class`` <= the class size; closest-ranking ties break by
+    lowest feature index (stable sort).
     """
+    if strategy not in STRATEGIES:
+        raise KeyError(f"unknown strategy '{strategy}'; valid: {sorted(STRATEGIES)}")
+    if strategy == "random_closest" and not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if len(features) == 0:
         raise ValueError("empty feature set")
-    classes = features.classes()
-    if isinstance(strategy, KMeansCentroids):
-        per_class = strategy.k
 
     chunks, labels = [], []
-    for c in classes:
-        idx = np.flatnonzero(features.labels == c)
-        class_vecs = features.vectors[idx]
-        n_k = idx.size
-        if isinstance(strategy, FullSet):
+    for c in features.classes():
+        class_vecs = features.vectors[features.labels == c]
+        n_k = class_vecs.shape[0]
+        if strategy == "full":
             chosen = class_vecs
-        elif isinstance(strategy, KMeansCentroids):
-            if strategy.k > n_k:
-                raise ValueError(f"class {c}: k={strategy.k} > {n_k} members")
-            chosen = kmeans(class_vecs, strategy.k, seed=strategy.seed,
-                            max_iters=strategy.max_iters)
+        elif not 1 <= per_class <= n_k:
+            raise ValueError(f"class {c}: cannot take {per_class} of {n_k} members")
+        elif strategy == "kmeans":
+            chosen = kmeans(class_vecs, per_class, seed=seed)
+        elif strategy == "random_sample":
+            pick = make_rng(seed, c).choice(n_k, size=per_class, replace=False)
+            chosen = class_vecs[np.sort(pick)]
         else:
-            if per_class < 1 or per_class > n_k:
-                raise ValueError(f"class {c}: cannot take {per_class} of {n_k} members")
-            if isinstance(strategy, RandomSample):
-                rng = make_rng(strategy.seed, c)
-                chosen = class_vecs[np.sort(rng.choice(n_k, size=per_class, replace=False))]
-            elif isinstance(strategy, (ClosestToPrototype, RandomClosestPercent)):
-                proto = _exact_mean(class_vecs)
-                dist = _cosine_distance_to(class_vecs, proto)
-                order = np.argsort(dist, kind="stable")
-                if isinstance(strategy, ClosestToPrototype):
-                    chosen = class_vecs[np.sort(order[:per_class])]
-                else:
-                    pool_size = int(np.ceil(strategy.fraction * n_k))
-                    if per_class > pool_size:
-                        raise ValueError(f"class {c}: cannot take {per_class} from the "
-                                         f"{pool_size} closest members")
-                    pool = order[:pool_size]
-                    rng = make_rng(strategy.seed, c)
-                    chosen = class_vecs[np.sort(pool[rng.choice(pool_size, size=per_class,
-                                                                replace=False)])]
+            dist = _cosine_distance_to(class_vecs, _exact_mean(class_vecs))
+            order = np.argsort(dist, kind="stable")
+            if strategy == "closest":
+                chosen = class_vecs[np.sort(order[:per_class])]
             else:
-                raise TypeError(f"unknown strategy {strategy!r}")
+                pool_size = int(np.ceil(fraction * n_k))
+                if per_class > pool_size:
+                    raise ValueError(f"class {c}: cannot take {per_class} from the "
+                                     f"{pool_size} closest members")
+                pick = make_rng(seed, c).choice(pool_size, size=per_class, replace=False)
+                chosen = class_vecs[np.sort(order[pick])]
         chunks.append(np.asarray(chosen, dtype=np.float32))
         labels.append(np.full(len(chosen), c, dtype=np.int64))
 
-    vectors = np.concatenate(chunks)
     label_arr = np.concatenate(labels)
-    return AnchorSet(vectors=vectors, labels=label_arr,
-                     sessions=np.full(len(label_arr), session, dtype=np.int64),
-                     strategy=strategy.name, per_class=per_class)
+    return AnchorSet(vectors=np.concatenate(chunks), labels=label_arr,
+                     sessions=np.full(len(label_arr), features.session, dtype=np.int64),
+                     strategy=strategy, per_class=per_class)
 
 
-def incremental_anchors(features: FeatureSet, session: int) -> AnchorSet:
+def incremental_anchors(features: FeatureSet) -> AnchorSet:
     """Incremental-session policy: store every few-shot feature."""
-    return select_anchors(features, FullSet(), per_class=0, session=session)
+    return select_anchors(features, "full", per_class=0)
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,6 @@ class Tensor:
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def sum(self, axis: int | None = None) -> "Tensor":
         return tensor_sum(self, axis)
 
@@ -192,18 +185,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
-
-    def norm(self) -> "Tensor":
-        return l2_norm(self)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],

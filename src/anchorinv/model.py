@@ -168,9 +168,6 @@ class ConvBackbone:
             return ["spatial_w", "spatial_b"]
         raise KeyError(f"unknown layer '{layer}' (conv backbone has 'temporal', 'spatial')")
 
-    def last_layer(self) -> str:
-        return "spatial"
-
     def clone(self) -> "ConvBackbone":
         params = {k: _clone_tensor(v) for k, v in self.params.items()}
         return ConvBackbone(self.config, params)
@@ -304,9 +301,6 @@ class IdentityBackbone:
     def layer_param_names(self, layer: str) -> list[str]:
         raise KeyError("identity backbone has no trainable layers")
 
-    def last_layer(self) -> str | None:
-        return None
-
     def clone(self) -> "IdentityBackbone":
         return IdentityBackbone(self.config.channels, self.config.timesteps)
 
@@ -337,9 +331,6 @@ class LinearBackbone:
         if layer == "linear":
             return ["weight"]
         raise KeyError(f"unknown layer '{layer}' (linear backbone has 'linear')")
-
-    def last_layer(self) -> str:
-        return "linear"
 
     def clone(self) -> "LinearBackbone":
         return LinearBackbone(self.config.channels, self.config.timesteps,

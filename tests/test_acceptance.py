@@ -93,21 +93,21 @@ def _graph_templates():
 
     def exp_log(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 3)))
-        return lambda ts: (ts[0].exp() + 0.5).log().sum(), [a]
+        return lambda ts: ad.log(ad.exp(ts[0]) + 0.5).sum(), [a]
 
     def kinked_abs(rng):
         vals = rng.uniform(0.2, 1.0, (2, 6)) * rng.choice([-1.0, 1.0], (2, 6))
-        return lambda ts: ts[0].abs().mean(), [_t64(vals)]
+        return lambda ts: ad.absolute(ts[0]).mean(), [_t64(vals)]
 
     def linear_algebra(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
         b = _t64(rng.uniform(-1.0, 1.0, (6, 2)))
-        return lambda ts: (ts[0].reshape((2, 6)) @ ts[1]).T.sum(), [a, b]
+        return lambda ts: ad.transpose(ts[0].reshape((2, 6)) @ ts[1]).sum(), [a, b]
 
     def rowwise(rng):
         x = _t64(rng.uniform(-1.0, 1.0, (4, 5)))
         v = _t64(rng.uniform(-1.0, 1.0, (5,)))
-        return lambda ts: ad.subtract_rowwise(ts[0], ts[1]).sum(axis=0).norm(), [x, v]
+        return lambda ts: ad.l2_norm(ad.subtract_rowwise(ts[0], ts[1]).sum(axis=0)), [x, v]
 
     def conv(rng):
         x = _t64(rng.uniform(-1.0, 1.0, (2, 2, 3, 6)))
@@ -122,8 +122,8 @@ def _graph_templates():
     def softmax_pick(rng):
         logits = _t64(rng.uniform(-2.0, 2.0, (3, 5)))
         idx = rng.integers(0, 5, 3)
-        return (lambda ts: ad.take_per_row(
-            ad.softmax_with_temperature(ts[0], 4.0, axis=-1), idx).log().sum(),
+        return (lambda ts: ad.log(ad.take_per_row(
+            ad.softmax_with_temperature(ts[0], 4.0, axis=-1), idx)).sum(),
             [logits])
 
     def cosine(rng):
@@ -139,11 +139,11 @@ def _graph_templates():
 
     def stacked(rng):
         parts = [_t64(rng.uniform(-1.0, 1.0, 4)) for _ in range(3)]
-        return lambda ts: ad.stack_rows(list(ts)).mean(axis=1).norm(), parts
+        return lambda ts: ad.l2_norm(ad.stack_rows(list(ts)).mean(axis=1)), parts
 
     def negated_axis(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
-        return lambda ts: (-ts[0]).sum(axis=1).norm(), [a]
+        return lambda ts: ad.l2_norm((-ts[0]).sum(axis=1)), [a]
 
     def conv_pool(relu):
         def build(rng):
@@ -156,7 +156,8 @@ def _graph_templates():
                     + b[:, None]
                 if not relu or np.abs(z).min() > 0.05:
                     break
-            return (lambda ts: ad.conv_pool(ts[0], w, b, 2, 2, 1, relu).norm(), [_t64(x)])
+            return (lambda ts: ad.l2_norm(ad.conv_pool(ts[0], w, b, 2, 2, 1, relu)),
+                    [_t64(x)])
         return build
 
     def composed_conv(rng):
@@ -166,7 +167,8 @@ def _graph_templates():
 
         def fn(ts):
             weight, bias = ad.compose_conv(*ts[1:])
-            return ad.conv2d(ts[0], weight.reshape((3, 1, 4, 3)), bias, stride=(1, 2)).norm()
+            return ad.l2_norm(ad.conv2d(ts[0], weight.reshape((3, 1, 4, 3)), bias,
+                                        stride=(1, 2)))
         return fn, [x] + params
 
     def nll(weighted):

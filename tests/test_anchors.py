@@ -9,13 +9,10 @@ import numpy as np
 import pytest
 
 import anchorinv.anchors as anchors_mod
-from anchorinv.anchors import (AnchorSet, ClosestToPrototype, FeatureSet,
-                               FullSet, KMeansCentroids, KMeansObjectiveError,
-                               RandomClosestPercent, RandomSample,
-                               incremental_anchors, kmeans,
-                               load_anchor_set, project_features,
-                               save_anchor_set, select_anchors,
-                               strategy_from_name)
+from anchorinv.adaptation import AdaptationConfig, base_anchor_memory
+from anchorinv.anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiveError,
+                               incremental_anchors, kmeans, load_anchor_set,
+                               project_features, save_anchor_set, select_anchors)
 from anchorinv.data import Dataset
 from anchorinv.model import IdentityBackbone, ModelState
 from anchorinv.serialization import ContainerError
@@ -26,12 +23,12 @@ def _feature_set(vectors, labels, session=0):
                       np.asarray(labels, dtype=np.int64), session=session)
 
 
-def _random_features(rng, n_per_class, classes, dim=6):
+def _random_features(rng, n_per_class, classes, dim=6, session=0):
     vecs, labels = [], []
     for c in classes:
         vecs.append(rng.standard_normal((n_per_class, dim)))
         labels.extend([c] * n_per_class)
-    return _feature_set(np.concatenate(vecs), labels)
+    return _feature_set(np.concatenate(vecs), labels, session=session)
 
 
 # ---------------------------------------------------------------------------
@@ -89,29 +86,25 @@ def test_project_features_empty_dataset():
 # strategies
 
 
-def test_strategy_from_name():
-    assert isinstance(strategy_from_name("random_sample", seed=3), RandomSample)
-    assert isinstance(strategy_from_name("closest"), ClosestToPrototype)
-    rc = strategy_from_name("random_closest", fraction=0.25)
-    assert isinstance(rc, RandomClosestPercent) and rc.fraction == 0.25
-    km = strategy_from_name("kmeans", k=7)
-    assert isinstance(km, KMeansCentroids) and km.k == 7
-    assert isinstance(strategy_from_name("full"), FullSet)
+def test_strategy_names_and_validation():
+    feats = _random_features(np.random.default_rng(79), n_per_class=8, classes=[0, 1])
+    for name in STRATEGIES:
+        anchors = select_anchors(feats, name, per_class=2)
+        assert anchors.strategy == name
+        assert len(anchors) == (16 if name == "full" else 4)
     with pytest.raises(KeyError):
-        strategy_from_name("best")
-
-
-def test_strategy_validation():
+        select_anchors(feats, "best", per_class=2)
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match="fraction"):
+            select_anchors(feats, "random_closest", per_class=2, fraction=fraction)
     with pytest.raises(ValueError):
-        RandomClosestPercent(fraction=0.0)
-    with pytest.raises(ValueError):
-        KMeansCentroids(k=0)
+        select_anchors(feats, "kmeans", per_class=0)
 
 
 def test_random_sample_counts_and_membership():
     rng = np.random.default_rng(81)
     feats = _random_features(rng, n_per_class=12, classes=[0, 1, 5])
-    anchors = select_anchors(feats, RandomSample(seed=9), per_class=4)
+    anchors = select_anchors(feats, "random_sample", per_class=4, seed=9)
     assert len(anchors) == 12
     assert anchors.classes() == [0, 1, 5]
     for c in anchors.classes():
@@ -124,9 +117,9 @@ def test_random_sample_counts_and_membership():
 def test_random_sample_deterministic_per_seed():
     rng = np.random.default_rng(82)
     feats = _random_features(rng, n_per_class=10, classes=[0, 1])
-    a = select_anchors(feats, RandomSample(seed=5), per_class=3)
-    b = select_anchors(feats, RandomSample(seed=5), per_class=3)
-    c = select_anchors(feats, RandomSample(seed=6), per_class=3)
+    a = select_anchors(feats, "random_sample", per_class=3, seed=5)
+    b = select_anchors(feats, "random_sample", per_class=3, seed=5)
+    c = select_anchors(feats, "random_sample", per_class=3, seed=6)
     assert a.vectors.tobytes() == b.vectors.tobytes()
     assert a.vectors.tobytes() != c.vectors.tobytes()
 
@@ -134,7 +127,7 @@ def test_random_sample_deterministic_per_seed():
 def test_closest_to_prototype_brute_force():
     rng = np.random.default_rng(83)
     feats = _random_features(rng, n_per_class=15, classes=[0, 2])
-    anchors = select_anchors(feats, ClosestToPrototype(), per_class=5)
+    anchors = select_anchors(feats, "closest", per_class=5)
     for c in [0, 2]:
         source = feats.vectors[feats.labels == c].astype(np.float64)
         proto = source.mean(axis=0)
@@ -149,15 +142,14 @@ def test_closest_to_prototype_brute_force():
 def test_closest_tie_breaks_to_lowest_index():
     # two colinear vectors tie exactly on cosine distance to the prototype
     feats = _feature_set([[0.0, 1.0], [0.0, 2.0], [0.0, 10.0]], [0, 0, 0])
-    anchors = select_anchors(feats, ClosestToPrototype(), per_class=1)
+    anchors = select_anchors(feats, "closest", per_class=1)
     np.testing.assert_array_equal(anchors.vectors, [[0.0, 1.0]])
 
 
 def test_random_closest_draws_within_closest_fraction():
     rng = np.random.default_rng(84)
     feats = _random_features(rng, n_per_class=20, classes=[0])
-    strategy = RandomClosestPercent(fraction=0.5, seed=11)
-    anchors = select_anchors(feats, strategy, per_class=5)
+    anchors = select_anchors(feats, "random_closest", per_class=5, seed=11, fraction=0.5)
     source = feats.vectors.astype(np.float64)
     proto = source.mean(axis=0)
     unit = source / np.linalg.norm(source, axis=1)[:, None]
@@ -171,13 +163,13 @@ def test_random_closest_pool_too_small():
     rng = np.random.default_rng(85)
     feats = _random_features(rng, n_per_class=10, classes=[0])
     with pytest.raises(ValueError):
-        select_anchors(feats, RandomClosestPercent(fraction=0.2), per_class=5)
+        select_anchors(feats, "random_closest", per_class=5, fraction=0.2)
 
 
 def test_full_set_keeps_everything():
     rng = np.random.default_rng(86)
-    feats = _random_features(rng, n_per_class=7, classes=[1, 3])
-    anchors = select_anchors(feats, FullSet(), per_class=0, session=4)
+    feats = _random_features(rng, n_per_class=7, classes=[1, 3], session=4)
+    anchors = select_anchors(feats, "full", per_class=0)
     assert len(anchors) == 14
     np.testing.assert_array_equal(np.unique(anchors.sessions), [4])
     np.testing.assert_array_equal(anchors.vectors[anchors.labels == 1],
@@ -186,8 +178,8 @@ def test_full_set_keeps_everything():
 
 def test_incremental_anchors_are_full_set():
     rng = np.random.default_rng(87)
-    feats = _random_features(rng, n_per_class=10, classes=[6])
-    anchors = incremental_anchors(feats, session=3)
+    feats = _random_features(rng, n_per_class=10, classes=[6], session=3)
+    anchors = incremental_anchors(feats)
     assert len(anchors) == 10
     assert anchors.strategy == "full"
     np.testing.assert_array_equal(np.unique(anchors.sessions), [3])
@@ -197,21 +189,27 @@ def test_select_anchors_validation():
     rng = np.random.default_rng(88)
     feats = _random_features(rng, n_per_class=4, classes=[0])
     with pytest.raises(ValueError):
-        select_anchors(feats, RandomSample(), per_class=5)  # more than members
+        select_anchors(feats, "random_sample", per_class=5)  # more than members
     with pytest.raises(ValueError):
-        select_anchors(feats, RandomSample(), per_class=0)
+        select_anchors(feats, "random_sample", per_class=0)
     with pytest.raises(ValueError):
-        select_anchors(_feature_set(np.zeros((0, 4)), []), RandomSample(), per_class=1)
+        select_anchors(_feature_set(np.zeros((0, 4)), []), "random_sample", per_class=1)
     with pytest.raises(ValueError):
-        select_anchors(feats, KMeansCentroids(k=9), per_class=9)
+        select_anchors(feats, "kmeans", per_class=9)
 
 
-def test_kmeans_strategy_uses_k_as_count():
+def test_kmeans_strategy_counts_anchors_per_class():
+    # anchors_per_class is the one count: k-means returns that many centroids
     rng = np.random.default_rng(89)
-    feats = _random_features(rng, n_per_class=12, classes=[0, 1])
-    anchors = select_anchors(feats, KMeansCentroids(k=3, seed=2), per_class=999)
-    assert len(anchors) == 6
-    assert anchors.per_class == 3
+    x = rng.standard_normal((24, 2, 3)).astype(np.float32)
+    base = Dataset(x, np.repeat([0, 1], 12))
+    state = ModelState(IdentityBackbone(2, 3))
+    for per_class in (2, 4):
+        config = AdaptationConfig(anchor_strategy="kmeans", anchors_per_class=per_class)
+        anchors = base_anchor_memory(state, base, config)
+        assert len(anchors) == 2 * per_class
+        assert anchors.per_class == per_class
+        np.testing.assert_array_equal(np.bincount(anchors.labels), [per_class, per_class])
 
 
 # ---------------------------------------------------------------------------

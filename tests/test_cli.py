@@ -242,7 +242,7 @@ def test_ablate_shots_axis(trained, tmp_path, spy_engine):
 def test_ablate_strategy_axis(trained, tmp_path):
     cfg = _small_config(methods=["anchorinv"], trials=2,
                         ablate={"strategy": ["random_sample", "closest",
-                                             {"name": "kmeans", "k": 2}]})
+                                             {"name": "kmeans"}]})
     config = _write_config(tmp_path / "ablate.json", cfg)
     out = tmp_path / "out"
     assert main(["ablate", "--config", config, "--out", str(out),

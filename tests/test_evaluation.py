@@ -372,7 +372,9 @@ def test_render_report_keeps_both_std_decimals():
 @pytest.mark.parametrize("axis, values, unseen, match", [
     ("base-classes", [2], 0, "unseen"), ("base-classes", [2], 4, "unseen"),
     ("base-classes", [2, 3], 2, "collides"), ("temperature", [1.0], 2, "axis"),
-    ("strategy", [{"k": 2}], 2, "name")])
+    ("strategy", [{"k": 2}], 2, "name"),
+    ("strategy", [{"name": "closest", "fracton": 0.3}], 2, "takes only"),
+    ("strategy", ["random_sample", "best"], 2, "unknown strategy")])
 def test_sweep_rejects_bad_axis_values(axis, values, unseen, match):
     data = _four_direction_data(np.random.default_rng(160), per_class=4)
     with pytest.raises(ValueError, match=match):

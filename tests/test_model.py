@@ -426,7 +426,6 @@ def test_layer_param_names():
     backbone = ConvBackbone.initialize(_tiny_config(), seed=1)
     assert backbone.layer_param_names("temporal") == ["temporal_w", "temporal_b"]
     assert backbone.layer_param_names("spatial") == ["spatial_w", "spatial_b"]
-    assert backbone.last_layer() == "spatial"
     with pytest.raises(KeyError):
         backbone.layer_param_names("classifier")
 
