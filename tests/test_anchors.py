@@ -86,7 +86,7 @@ def test_project_features_empty_dataset():
 # strategies
 
 
-def test_strategy_names_and_validation():
+def test_strategy_from_name():
     feats = _random_features(np.random.default_rng(79), n_per_class=8, classes=[0, 1])
     for name in STRATEGIES:
         anchors = select_anchors(feats, name, per_class=2)
@@ -94,6 +94,10 @@ def test_strategy_names_and_validation():
         assert len(anchors) == (16 if name == "full" else 4)
     with pytest.raises(KeyError):
         select_anchors(feats, "best", per_class=2)
+
+
+def test_strategy_validation():
+    feats = _random_features(np.random.default_rng(79), n_per_class=8, classes=[0, 1])
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match="fraction"):
             select_anchors(feats, "random_closest", per_class=2, fraction=fraction)
