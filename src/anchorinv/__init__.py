@@ -27,13 +27,11 @@ from .evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
                          sample_trial_sets, summarize, sweep, wilcoxon_signed_rank)
 from .inversion import (InversionConfig, InversionStalledError, LabelInversionConfig,
                         ReplaySet, deepdream_config, deepinv_config, feature_stat_penalty,
-                        invert_anchor, invert_set, label_space_invert,
-                        label_space_invert_batch, total_variation)
+                        invert_set, label_space_invert_batch, total_variation)
 from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                     ConvBackboneConfig, FeatureStats, IdentityBackbone,
                     LinearBackbone, ModelState, TrainingDivergedError, accuracy,
-                    class_scores, compute_prototypes, cosine_distance,
-                    predict, predict_batch, prototype_of, train_base)
+                    compute_prototypes, predict_batch, prototype_of, train_base)
 from .optim import Adam, FreezingViolation, minimize
 from .presets import (EXPERIMENT_PRESETS, ExperimentPreset, build_split, get_preset,
                       materialize_synth, with_synth_classes)
@@ -55,17 +53,16 @@ __all__ = [
     # model
     "ConvBackboneConfig", "BACKBONE_PRESETS", "ConvBackbone", "IdentityBackbone",
     "LinearBackbone", "ModelState", "FeatureStats", "BaseTrainConfig",
-    "TrainingDivergedError", "train_base", "accuracy", "cosine_distance",
-    "class_scores", "predict", "predict_batch", "prototype_of",
-    "compute_prototypes",
+    "TrainingDivergedError", "train_base", "accuracy", "predict_batch",
+    "prototype_of", "compute_prototypes",
     # anchors
     "FeatureSet", "AnchorSet", "STRATEGIES", "project_features", "select_anchors",
     "incremental_anchors", "kmeans", "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion
     "InversionConfig", "InversionStalledError", "LabelInversionConfig", "ReplaySet",
-    "invert_anchor", "invert_set", "label_space_invert", "label_space_invert_batch",
-    "total_variation", "feature_stat_penalty", "deepdream_config", "deepinv_config",
+    "invert_set", "label_space_invert_batch", "total_variation", "feature_stat_penalty",
+    "deepdream_config", "deepinv_config",
     # adaptation
     "METHODS", "FinetuneConfig", "AdaptationConfig", "replay_batch", "composite_loss",
     "finetune_session", "adapt_protonet", "adapt_teen", "run_fscil",

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .anchors import AnchorSet, incremental_anchors, project_features, select_anchors
+from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_features,
+                      select_anchors)
 from .data import Dataset
 from .inversion import (InversionConfig, ReplaySet, deepdream_config,
                         deepinv_config, invert_set, label_space_invert_batch)
@@ -100,6 +101,13 @@ class AdaptationConfig:
             raise ValueError("TEEN needs tau > 0 and alpha in [0, 1]")
         if self.anchors_per_class < 1 or self.real_per_class < 1:
             raise ValueError("per-class counts must be >= 1")
+        # checked here, not first in select_anchors, so that a bad setting
+        # fails before base training
+        if self.anchor_strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy '{self.anchor_strategy}'; "
+                             f"valid: {list(STRATEGIES)}")
+        if self.anchor_strategy == "random_closest" and not 0.0 < self.anchor_fraction <= 1.0:
+            raise ValueError(f"anchor_fraction must lie in (0, 1], got {self.anchor_fraction}")
 
 
 # ---------------------------------------------------------------------------

@@ -133,45 +133,6 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division is not a primitive; "
-                             "multiply by a reciprocal explicitly")
-        return mul_scalar(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- method-style primitives --------------------------------------------
 
     def reshape(self, shape) -> "Tensor":
@@ -179,12 +140,6 @@ class Tensor:
 
     def sum(self, axis: int | None = None) -> "Tensor":
         return tensor_sum(self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return tensor_mean(self, axis)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],

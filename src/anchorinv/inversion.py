@@ -33,9 +33,7 @@ __all__ = [
     "InversionConfig",
     "LabelInversionConfig",
     "ReplaySet",
-    "invert_anchor",
     "invert_set",
-    "label_space_invert",
     "label_space_invert_batch",
     "total_variation",
     "feature_stat_penalty",
@@ -43,27 +41,21 @@ __all__ = [
     "deepinv_config",
 ]
 
-_INIT_MODES = ("normal", "zeros")
-
-
 class InversionStalledError(RuntimeError):
     """An inverted sample came out bit-identical to its initialisation: the
     objective passed it no gradient (for instance, every pre-ReLU activation
-    of the backbone is negative at an all-zeros init)."""
+    of the backbone is negative at its start)."""
 
 
 @dataclass(frozen=True)
 class InversionConfig:
     """Anchor-mode inversion settings (loss is feature MAE)."""
 
-    init: str = "normal"
     learning_rate: float = 1e-2
     iterations: int = 4000
     seed: int = 5
 
     def __post_init__(self):
-        if self.init not in _INIT_MODES:
-            raise ValueError(f"init must be one of {_INIT_MODES}, got '{self.init}'")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:
@@ -74,13 +66,11 @@ class InversionConfig:
 class LabelInversionConfig:
     """Label-space inversion settings (loss is CE plus weighted regularizers)."""
 
-    target_label: int = 0
     cross_entropy_weight: float = 1.0
     l2_weight: float = 0.0
     tv_weight: float = 0.0
     feature_stat_weight: float = 0.0
     auto_balance: bool = False
-    init: str = "normal"
     learning_rate: float = 1e-2
     iterations: int = 2000
     seed: int = 5
@@ -90,8 +80,6 @@ class LabelInversionConfig:
                      "feature_stat_weight"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be >= 0")
-        if self.init not in _INIT_MODES:
-            raise ValueError(f"init must be one of {_INIT_MODES}, got '{self.init}'")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:
@@ -144,20 +132,17 @@ class ReplaySet:
                    np.zeros(0, dtype=np.float64))
 
 
-def _init_batch(count: int, channels: int, timesteps: int, mode: str,
-                seed: int) -> np.ndarray:
-    """One (H, W) init per target; per-sample stream keyed by seed + index."""
+def _init_batch(count: int, channels: int, timesteps: int, seed: int) -> np.ndarray:
+    """One standard-normal (H, W) init per target; per-sample stream keyed by
+    seed + index."""
     out = np.empty((count, channels, timesteps), dtype=np.float32)
     for j in range(count):
-        if mode == "zeros":
-            out[j] = 0.0
-        else:
-            rng = make_rng(seed, j)
-            out[j] = rng.standard_normal((channels, timesteps)).astype(np.float32)
+        rng = make_rng(seed, j)
+        out[j] = rng.standard_normal((channels, timesteps)).astype(np.float32)
     return out
 
 
-def _raise_if_stalled(init: np.ndarray, final: np.ndarray, mode: str) -> None:
+def _raise_if_stalled(init: np.ndarray, final: np.ndarray) -> None:
     """One array comparison after the loop: rows whose bytes never changed."""
     rows = init.shape[0]
     same = np.all(init.reshape(rows, -1).view(np.uint8)
@@ -165,21 +150,26 @@ def _raise_if_stalled(init: np.ndarray, final: np.ndarray, mode: str) -> None:
     if same.any():
         raise InversionStalledError(
             f"samples {np.flatnonzero(same).tolist()} never moved from their "
-            f"init='{mode}' start: the objective gave them no gradient")
+            f"start: the objective gave them no gradient")
 
 
-def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionConfig,
-                      loss_trajectory: list[float] | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Core anchor-mode loop; returns (samples, per-sample final MAE)."""
+def invert_set(state: ModelState, anchors: AnchorSet, config: InversionConfig,
+               loss_trajectory: list[float] | None = None) -> ReplaySet:
+    """Invert every anchor jointly; sub-seed = seed + anchor index, so each
+    sample's init does not depend on the rest of the set.  ``loss_trajectory``,
+    when given, is extended with the mean per-sample loss of every iteration."""
     cfg = state.backbone.config
-    j, dim = targets.shape
-    if dim != state.feature_dim:
-        raise ad.ShapeError(f"anchor dimension {dim} != model dimension {state.feature_dim}")
-    init = _init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed)
+    j = len(anchors)
+    if j == 0:
+        return ReplaySet.empty(cfg.channels, cfg.timesteps)
+    if anchors.dim != state.feature_dim:
+        raise ad.ShapeError(f"anchor dimension {anchors.dim} != model dimension "
+                            f"{state.feature_dim}")
+    targets = anchors.vectors.astype(np.float32)
+    init = _init_batch(j, cfg.channels, cfg.timesteps, config.seed)
     x = Tensor(init.copy())
-    target_t = Tensor(np.asarray(targets, dtype=np.float32))
-    inv_dim = 1.0 / dim
+    target_t = Tensor(targets)
+    inv_dim = 1.0 / anchors.dim
 
     def loss_fn(i: int) -> Tensor:
         # sum of per-sample MAEs: gradients stay factorized per sample
@@ -187,32 +177,14 @@ def _invert_mae_batch(state: ModelState, targets: np.ndarray, config: InversionC
 
     losses = minimize([x], loss_fn, config.iterations, config.learning_rate,
                       frozen=state.all_parameters().values())
-    _raise_if_stalled(init, x.data, config.init)
+    _raise_if_stalled(init, x.data)
     if loss_trajectory is not None:
         loss_trajectory.extend(loss / j for loss in losses)
     with ad.no_grad():
         final_feats = embed_batch(state, Tensor(x.data)).data
     final_mae = np.abs(final_feats.astype(np.float64) - targets.astype(np.float64)).mean(axis=1)
-    return x.data.copy(), final_mae
-
-
-def invert_anchor(state: ModelState, anchor: np.ndarray, config: InversionConfig,
-                  loss_trajectory: list[float] | None = None) -> tuple[np.ndarray, float]:
-    """Invert a single anchor; returns the (H, W) sample and its final MAE."""
-    anchor = np.asarray(anchor, dtype=np.float32).reshape(1, -1)
-    samples, mae = _invert_mae_batch(state, anchor, config, loss_trajectory)
-    return samples[0], float(mae[0])
-
-
-def invert_set(state: ModelState, anchors: AnchorSet, config: InversionConfig) -> ReplaySet:
-    """Invert every anchor (sub-seed = seed + anchor index, so a set inversion
-    and the per-anchor calls draw identical initializations)."""
-    cfg = state.backbone.config
-    if len(anchors) == 0:
-        return ReplaySet.empty(cfg.channels, cfg.timesteps)
-    samples, mae = _invert_mae_batch(state, anchors.vectors.astype(np.float32), config)
-    return ReplaySet(samples=samples, labels=anchors.labels.copy(),
-                     sessions=anchors.sessions.copy(), feature_mae=mae)
+    return ReplaySet(samples=x.data.copy(), labels=anchors.labels.copy(),
+                     sessions=anchors.sessions.copy(), feature_mae=final_mae)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +244,7 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     label_arr = np.asarray(labels, dtype=np.int64)
     j = len(labels)
 
-    init = _init_batch(j, cfg.channels, cfg.timesteps, config.init, config.seed)
+    init = _init_batch(j, cfg.channels, cfg.timesteps, config.seed)
     x = Tensor(init.copy())
     weights = {
         "ce": config.cross_entropy_weight,
@@ -305,17 +277,10 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
 
     minimize([x], loss_fn, config.iterations, config.learning_rate,
              frozen=state.all_parameters().values())
-    _raise_if_stalled(init, x.data, config.init)
+    _raise_if_stalled(init, x.data)
     with ad.no_grad():
         feats = embed_batch(state, Tensor(x.data))
         scores = scores_graph(state, feats).data
     final_ce = -np.log(np.maximum(scores[np.arange(j), cols], 1e-300)).astype(np.float64)
     return ReplaySet(samples=x.data.copy(), labels=label_arr,
                      sessions=np.zeros(j, dtype=np.int64), feature_mae=final_ce)
-
-
-def label_space_invert(state: ModelState, config: LabelInversionConfig
-                       ) -> tuple[np.ndarray, float]:
-    """Single-sample label-space inversion; returns (sample, final loss)."""
-    replay = label_space_invert_batch(state, [config.target_label], config)
-    return replay.samples[0], float(replay.feature_mae[0])

@@ -31,11 +31,8 @@ __all__ = [
     "FeatureStats",
     "ModelState",
     "TrainingDivergedError",
-    "cosine_distance",
-    "class_scores",
     "scores_batch",
     "scores_graph",
-    "predict",
     "predict_batch",
     "embed_batch",
     "compute_prototypes",
@@ -441,18 +438,6 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.maximum(norms, _COS_EPS)[:, None]
 
 
-def cosine_distance(h, w) -> float:
-    """Negative cosine similarity between two vectors (norms epsilon-guarded)."""
-    hd = h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64)
-    wd = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    hd = hd.astype(np.float64, copy=False).reshape(-1)
-    wd = wd.astype(np.float64, copy=False).reshape(-1)
-    if hd.shape != wd.shape:
-        raise ShapeError(f"cosine_distance needs equal lengths, got {hd.shape} and {wd.shape}")
-    denom = max(np.linalg.norm(hd), _COS_EPS) * max(np.linalg.norm(wd), _COS_EPS)
-    return float(-(hd @ wd) / denom)
-
-
 def _scores_from_similarities(sim: np.ndarray, temperature: float) -> np.ndarray:
     z = sim / temperature
     z = z - z.max(axis=-1, keepdims=True)
@@ -473,22 +458,10 @@ def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
     return _scores_from_similarities(sim, state.temperature)
 
 
-def class_scores(state: ModelState, h) -> np.ndarray:
-    """Probability per seen class for one feature vector (ascending class id)."""
-    hd = h.data if isinstance(h, Tensor) else np.asarray(h)
-    return scores_batch(state, hd.reshape(1, -1))[0]
-
-
 def scores_graph(state: ModelState, feats: Tensor) -> Tensor:
     """Differentiable class probabilities (N, K) over the seen classes."""
     sim = ad.cosine_similarity_matrix(feats, state.weight_matrix())
     return ad.softmax_with_temperature(sim, state.temperature, axis=-1)
-
-
-def predict(state: ModelState, h) -> int:
-    """Argmax class id; exact ties resolve to the lowest class id."""
-    scores = class_scores(state, h)
-    return state.seen_classes()[int(np.argmax(scores))]
 
 
 def embed_batch(state: ModelState, x) -> Tensor:
@@ -498,7 +471,8 @@ def embed_batch(state: ModelState, x) -> Tensor:
 
 
 def predict_batch(state: ModelState, x: np.ndarray) -> np.ndarray:
-    """Predicted class ids for an (N, H, W) batch (inference only)."""
+    """Predicted class ids for an (N, H, W) batch (inference only); exact ties
+    resolve to the lowest class id."""
     with ad.no_grad():
         feats = embed_batch(state, x).data
     scores = scores_batch(state, feats)

@@ -78,8 +78,7 @@ def _desk_preset() -> ExperimentPreset:
             finetune=FinetuneConfig(replay_weight=1.0, learning_rate=5e-4,
                                     iterations=300, trainable_layers=("spatial",),
                                     prototype_init=True, seed=DEFAULT_SEED),
-            inversion=InversionConfig(init="normal", learning_rate=1e-2,
-                                      iterations=800, seed=DEFAULT_SEED),
+            inversion=InversionConfig(learning_rate=1e-2, iterations=800, seed=DEFAULT_SEED),
             label_inversion_iterations=300,
             anchors_per_class=25,
             anchor_strategy="random_sample",
@@ -108,8 +107,7 @@ def _bci_preset() -> ExperimentPreset:
             finetune=FinetuneConfig(replay_weight=1.0, learning_rate=2e-5,
                                     iterations=1550, trainable_layers=("spatial",),
                                     prototype_init=False, seed=DEFAULT_SEED),
-            inversion=InversionConfig(init="normal", learning_rate=1e-2,
-                                      iterations=4000, seed=DEFAULT_SEED),
+            inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
             real_per_class=50,
@@ -136,8 +134,7 @@ def _nhie_preset() -> ExperimentPreset:
             finetune=FinetuneConfig(replay_weight=1.0, learning_rate=1e-5,
                                     iterations=1250, trainable_layers=("spatial",),
                                     prototype_init=False, seed=DEFAULT_SEED),
-            inversion=InversionConfig(init="normal", learning_rate=1e-2,
-                                      iterations=4000, seed=DEFAULT_SEED),
+            inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
             real_per_class=50,
@@ -163,8 +160,7 @@ def _grabmyo_preset() -> ExperimentPreset:
             finetune=FinetuneConfig(replay_weight=1.0, learning_rate=5e-6,
                                     iterations=1300, trainable_layers=("spatial",),
                                     prototype_init=True, seed=DEFAULT_SEED),
-            inversion=InversionConfig(init="normal", learning_rate=1e-2,
-                                      iterations=2000, seed=DEFAULT_SEED),
+            inversion=InversionConfig(learning_rate=1e-2, iterations=2000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
             real_per_class=50,

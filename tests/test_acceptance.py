@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 import anchorinv.autodiff as ad
-from anchorinv import (IdentityBackbone, LinearBackbone, InversionConfig,
-                       ModelState, ReplaySet, Tensor, TrialPlan, class_scores,
-                       finetune_session, get_preset, invert_anchor, invert_set,
-                       macro_f1, materialize_synth, predict, random_chance_f1,
-                       run_trials, sample_trial_sets, segment, sweep,
-                       train_base, wilcoxon_signed_rank, with_synth_classes)
+from anchorinv import (AnchorSet, IdentityBackbone, LinearBackbone, InversionConfig,
+                       ModelState, ReplaySet, Tensor, TrialPlan, finetune_session,
+                       get_preset, invert_set, macro_f1, materialize_synth,
+                       predict_batch, random_chance_f1, run_trials, sample_trial_sets,
+                       segment, sweep, train_base, wilcoxon_signed_rank,
+                       with_synth_classes)
+from anchorinv.model import scores_batch
 from anchorinv.adaptation import base_anchor_memory
 from anchorinv.autodiff import finite_difference_check
 from anchorinv.cli import main
@@ -81,28 +82,29 @@ def _graph_templates():
     def arith(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
         b = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
-        return lambda ts: (ts[0] * ts[1] + ts[0] - ts[1]).sum(), [a, b]
+        return lambda ts: ad.sub(ad.add(ad.mul(ts[0], ts[1]), ts[0]), ts[1]).sum(), [a, b]
 
     def scalars(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (2, 5)))
-        return lambda ts: ((-(ts[0] * 2.5) + 1.25) / 2.0).mean(), [a]
+        return lambda ts: ad.tensor_mean(ad.mul_scalar(
+            ad.add_scalar(ad.neg(ad.mul_scalar(ts[0], 2.5)), 1.25), 1.0 / 2.0)), [a]
 
     def kinked_relu(rng):
         vals = rng.uniform(0.2, 1.0, (4, 3)) * rng.choice([-1.0, 1.0], (4, 3))
-        return lambda ts: ts[0].relu().sum(), [_t64(vals)]
+        return lambda ts: ad.relu(ts[0]).sum(), [_t64(vals)]
 
     def exp_log(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 3)))
-        return lambda ts: ad.log(ad.exp(ts[0]) + 0.5).sum(), [a]
+        return lambda ts: ad.log(ad.add_scalar(ad.exp(ts[0]), 0.5)).sum(), [a]
 
     def kinked_abs(rng):
         vals = rng.uniform(0.2, 1.0, (2, 6)) * rng.choice([-1.0, 1.0], (2, 6))
-        return lambda ts: ad.absolute(ts[0]).mean(), [_t64(vals)]
+        return lambda ts: ad.tensor_mean(ad.absolute(ts[0])), [_t64(vals)]
 
     def linear_algebra(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
         b = _t64(rng.uniform(-1.0, 1.0, (6, 2)))
-        return lambda ts: ad.transpose(ts[0].reshape((2, 6)) @ ts[1]).sum(), [a, b]
+        return lambda ts: ad.transpose(ad.matmul(ts[0].reshape((2, 6)), ts[1])).sum(), [a, b]
 
     def rowwise(rng):
         x = _t64(rng.uniform(-1.0, 1.0, (4, 5)))
@@ -113,7 +115,8 @@ def _graph_templates():
         x = _t64(rng.uniform(-1.0, 1.0, (2, 2, 3, 6)))
         w = _t64(rng.uniform(-0.5, 0.5, (3, 2, 2, 3)))
         b = _t64(rng.uniform(-0.2, 0.2, 3))
-        return lambda ts: ad.conv2d(ts[0], ts[1], ts[2], stride=(1, 2)).mean(), [x, w, b]
+        return (lambda ts: ad.tensor_mean(ad.conv2d(ts[0], ts[1], ts[2], stride=(1, 2))),
+                [x, w, b])
 
     def pool(rng):
         x = _t64(rng.uniform(-1.0, 1.0, (2, 3, 4, 6)))
@@ -139,11 +142,11 @@ def _graph_templates():
 
     def stacked(rng):
         parts = [_t64(rng.uniform(-1.0, 1.0, 4)) for _ in range(3)]
-        return lambda ts: ad.l2_norm(ad.stack_rows(list(ts)).mean(axis=1)), parts
+        return lambda ts: ad.l2_norm(ad.tensor_mean(ad.stack_rows(list(ts)), axis=1)), parts
 
     def negated_axis(rng):
         a = _t64(rng.uniform(-1.0, 1.0, (3, 4)))
-        return lambda ts: ad.l2_norm((-ts[0]).sum(axis=1)), [a]
+        return lambda ts: ad.l2_norm(ad.neg(ts[0]).sum(axis=1)), [a]
 
     def conv_pool(relu):
         def build(rng):
@@ -258,23 +261,29 @@ def test_02_classifier_probabilities_scale_invariance_and_closed_form():
     for c in range(5):
         state.register_class(c, rng.standard_normal(8).astype(np.float32))
     for h in rng.standard_normal((50, 8)):
-        scores = class_scores(state, h)
+        scores = scores_batch(state, h.reshape(1, 8))[0]
         assert abs(scores.sum() - 1.0) <= 1e-6
-        label = predict(state, h)
+        label = predict_batch(state, h.reshape(1, 1, 8))[0]
         for scale in (0.05, 3.7, 120.0):
-            assert predict(state, scale * h) == label
+            assert predict_batch(state, scale * h.reshape(1, 1, 8))[0] == label
 
     # two registered classes, query aligned with the first and orthogonal to
     # the second: cosine similarities (1, 0), so p0 = 1 / (1 + exp(-1/T))
     two = ModelState(IdentityBackbone(1, 2))
     two.register_class(0, np.array([1.0, 0.0], dtype=np.float32))
     two.register_class(1, np.array([0.0, 1.0], dtype=np.float32))
-    scores = class_scores(two, np.array([1.0, 0.0]))
+    scores = scores_batch(two, np.array([[1.0, 0.0]]))[0]
     np.testing.assert_allclose(scores, [0.5156, 0.4844], atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
 # 3. inversion fidelity against analytic oracles and the trained backbone
+
+
+def _invert_one(state, target, cfg) -> float:
+    """Final feature MAE of one inverted anchor."""
+    anchors = AnchorSet(target.reshape(1, -1), np.zeros(1), np.zeros(1))
+    return float(invert_set(state, anchors, cfg).feature_mae[0])
 
 
 def test_03_inversion_fidelity_identity_linear_and_conv(desk):
@@ -285,9 +294,8 @@ def test_03_inversion_fidelity_identity_linear_and_conv(desk):
     # optimizer can drive the error to its oscillation floor
     state_id = ModelState(IdentityBackbone(2, 4))
     target = rng.standard_normal(8).astype(np.float32)
-    cfg = InversionConfig(init="normal", learning_rate=2e-4, iterations=25000,
-                          seed=3)
-    _, mae_id = invert_anchor(state_id, target, cfg)
+    cfg = InversionConfig(learning_rate=2e-4, iterations=25000, seed=3)
+    mae_id = _invert_one(state_id, target, cfg)
     assert mae_id < 1e-4
 
     # linear backbone with a reachable target: compare against the
@@ -299,9 +307,8 @@ def test_03_inversion_fidelity_identity_linear_and_conv(desk):
     w64 = w.astype(np.float64)
     sol = np.linalg.lstsq(w64.T, target.astype(np.float64), rcond=None)[0]
     oracle_mae = float(np.mean(np.abs(sol @ w64 - target)))
-    cfg = InversionConfig(init="normal", learning_rate=5e-4, iterations=12000,
-                          seed=3)
-    _, mae_lin = invert_anchor(state_lin, target, cfg)
+    cfg = InversionConfig(learning_rate=5e-4, iterations=12000, seed=3)
+    mae_lin = _invert_one(state_lin, target, cfg)
     assert mae_lin - oracle_mae < 1e-3
 
     # trained conv backbone: invert the full desk anchor memory with the

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from anchorinv import evaluation
+from anchorinv import cli, evaluation
 from anchorinv.cli import (ABLATE_AXES, WORKERS_ENV, ConfigError, apply_seed,
                            load_config, main, resolve_preset, _resolve_workers)
 from anchorinv.presets import get_preset, with_synth_classes
@@ -93,8 +93,27 @@ def test_resolve_preset_rejects_unknown_sections():
     with pytest.raises(ConfigError) as err:
         resolve_preset(_small_config(methods=["anchorinv", "dreambooth"]))
     assert "dreambooth" in str(err.value) and "protonet" in str(err.value)
+    with pytest.raises(ConfigError) as err:  # every inversion starts from a normal draw
+        resolve_preset(_small_config(inversion={"init": "normal"}))
+    assert "init" in str(err.value)
     with pytest.raises(ConfigError):
         resolve_preset({})  # no preset key
+
+
+@pytest.mark.parametrize("adaptation, message", [
+    ({"anchor_strategy": "best"}, "unknown strategy 'best'"),
+    ({"anchor_strategy": "random_closest", "anchor_fraction": 0.0}, "anchor_fraction")],
+    ids=["unknown-strategy", "zero-fraction"])
+def test_train_base_rejects_bad_anchor_settings_before_training(tmp_path, capsys, spy_engine,
+                                                                adaptation, message):
+    trainings = spy_engine("train_base", module=cli)
+    cfg = _small_config(adaptation=dict(anchors_per_class=3, real_per_class=3, **adaptation))
+    config = _write_config(tmp_path / "bad.json", cfg)
+    out = tmp_path / "o"
+    assert main(["train-base", "--config", config, "--out", str(out)]) == 1
+    assert trainings == []
+    assert not (out / "checkpoint.bin").exists()
+    assert message in capsys.readouterr().err
 
 
 def test_synth_override_defaults_survive_shared_frequencies():

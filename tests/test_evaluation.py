@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from anchorinv import evaluation
 from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
 from anchorinv.data import Dataset, split_sessions
 from anchorinv.evaluation import (TrialPlan, TrialReport, macro_f1,
@@ -374,8 +375,12 @@ def test_render_report_keeps_both_std_decimals():
     ("base-classes", [2, 3], 2, "collides"), ("temperature", [1.0], 2, "axis"),
     ("strategy", [{"k": 2}], 2, "name"),
     ("strategy", [{"name": "closest", "fracton": 0.3}], 2, "takes only"),
-    ("strategy", ["random_sample", "best"], 2, "unknown strategy")])
-def test_sweep_rejects_bad_axis_values(axis, values, unseen, match):
+    ("strategy", ["random_sample", "best"], 2, "unknown strategy"),
+    ("strategy", ["closest", {"name": "random_closest", "fraction": 0.0}], 2,
+     "anchor_fraction")])
+def test_sweep_rejects_bad_axis_values(axis, values, unseen, match, spy_engine):
+    trainings = spy_engine("train_base", module=evaluation)
     data = _four_direction_data(np.random.default_rng(160), per_class=4)
     with pytest.raises(ValueError, match=match):
         sweep(get_preset("desk"), data, data, axis, values, unseen=unseen)
+    assert trainings == []  # every value is checked before any training

@@ -1,8 +1,10 @@
 """Source hygiene of the package, checked with the stdlib ``ast`` module.
 
 Every name a module imports is read somewhere in it (or re-exported through
-``__all__``), and no module uses an ``assert`` statement: ``python -O``
-strips those, so the package's guards must raise named errors instead.
+``__all__``), every name a module lists in ``__all__`` is bound in it, so an
+export left behind by a deletion fails here, and no module uses an
+``assert`` statement: ``python -O`` strips those, so the package's guards
+must raise named errors instead.
 
 The engine's hot loop (``autodiff.py`` and ``optim.py``, run for every node
 of every Adam step) calls neither ``np.where``, the ``np.all`` / ``np.any``
@@ -64,6 +66,23 @@ def unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
                   if name not in read)
 
 
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names the module body binds: defs, classes, assignments and imports."""
+    out = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def unbound_exports(tree: ast.Module) -> list[str]:
+    """Names listed in ``__all__`` that the module never binds."""
+    return sorted(_exported_names(tree) - _bound_names(tree))
+
+
 def assert_lines(tree: ast.Module) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
 
@@ -110,6 +129,12 @@ def test_no_unused_imports(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    unbound = unbound_exports(_parse(path))
+    assert not unbound, f"{path.name}: __all__ lists unbound names {unbound}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     lines = assert_lines(_parse(path))
     assert not lines, f"{path.name}: assert statements at lines {lines}"
@@ -133,6 +158,11 @@ def test_scanner_flags_what_it_should():
     tree = ast.parse("import os\nimport numpy as np\nfrom typing import Sequence, Any\n"
                      "from . import helper\n__all__ = ['helper']\nx: Any = np.zeros(1)\n")
     assert unused_imports(tree) == [("Sequence", 3), ("os", 1)]
+    assert unbound_exports(tree) == []
+    assert unbound_exports(ast.parse(
+        "from .m import a\nb = 1\nc: int = 2\nd, (e, f) = 3, (4, 5)\n"
+        "def g():\n    h = 6\nclass K:\n    pass\n"
+        "__all__ = ['a', 'b', 'c', 'd', 'f', 'g', 'h', 'K', 'gone']\n")) == ["gone", "h"]
     assert assert_lines(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == [2]
     assert slow_numpy_calls(ast.parse("a = np.where(m, x, 0)\nb = x.all()\nc = np.any(x)\n"
                                       "d = np.all(np.isfinite(x))\ne = where(x)\n")) == [1, 3, 4]

@@ -21,11 +21,11 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
 from anchorinv.inversion import (InversionConfig, LabelInversionConfig,
                                  ReplaySet, deepdream_config, deepinv_config,
-                                 feature_stat_penalty, invert_anchor,
-                                 invert_set, label_space_invert,
+                                 feature_stat_penalty, invert_set,
                                  label_space_invert_batch, total_variation)
 from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats, IdentityBackbone,
-                             LinearBackbone, ModelState, embed_batch, predict, scores_graph)
+                             LinearBackbone, ModelState, embed_batch, predict_batch,
+                             scores_graph)
 from anchorinv.optim import FreezingViolation
 from anchorinv.seeds import make_rng
 
@@ -40,13 +40,20 @@ def _linear_state(rng, channels=2, timesteps=3, out_dim=4):
     return ModelState(LinearBackbone(channels, timesteps, weight))
 
 
+def _invert_one(state, target, config, loss_trajectory=None):
+    """Invert one anchor; returns its (H, W) sample and final feature MAE."""
+    anchors = AnchorSet(np.asarray(target).reshape(1, -1), np.zeros(1), np.zeros(1))
+    replay = invert_set(state, anchors, config, loss_trajectory)
+    return replay.samples[0], float(replay.feature_mae[0])
+
+
 # ---------------------------------------------------------------------------
 # configs
 
 
 def test_inversion_config_validation():
-    with pytest.raises(ValueError):
-        InversionConfig(init="ones")
+    with pytest.raises(TypeError):  # every inversion starts from a normal draw
+        InversionConfig(init="normal")
     with pytest.raises(ValueError):
         InversionConfig(iterations=0)
     with pytest.raises(ValueError):
@@ -56,8 +63,10 @@ def test_inversion_config_validation():
 def test_label_config_validation():
     with pytest.raises(ValueError):
         LabelInversionConfig(l2_weight=-0.1)
-    with pytest.raises(ValueError):
-        LabelInversionConfig(init="mean")
+    with pytest.raises(TypeError):
+        LabelInversionConfig(init="normal")
+    with pytest.raises(TypeError):  # the labels are label_space_invert_batch's argument
+        LabelInversionConfig(target_label=1)
     cfg = deepdream_config(iterations=10)
     assert cfg.l2_weight == cfg.tv_weight == cfg.feature_stat_weight == 0.0
     cfg = deepinv_config(iterations=10)
@@ -87,7 +96,7 @@ def test_identity_backbone_recovers_target():
     # under the mean-absolute objective, so iterations * rate must exceed
     # the largest coordinate distance
     config = InversionConfig(learning_rate=1e-3, iterations=6000, seed=7)
-    sample, mae = invert_anchor(state, target, config)
+    sample, mae = _invert_one(state, target, config)
     assert sample.shape == (2, 3)
     assert mae < 1e-3
     np.testing.assert_allclose(sample.reshape(-1), target, atol=5e-3)
@@ -97,10 +106,10 @@ def test_coarser_rate_gives_coarser_fit():
     rng = np.random.default_rng(111)
     state = _identity_state()
     target = rng.standard_normal(6).astype(np.float32)
-    _, fine = invert_anchor(state, target,
-                            InversionConfig(learning_rate=1e-3, iterations=6000, seed=7))
-    _, coarse = invert_anchor(state, target,
-                              InversionConfig(learning_rate=5e-2, iterations=6000, seed=7))
+    _, fine = _invert_one(state, target,
+                          InversionConfig(learning_rate=1e-3, iterations=6000, seed=7))
+    _, coarse = _invert_one(state, target,
+                            InversionConfig(learning_rate=5e-2, iterations=6000, seed=7))
     assert fine < coarse
 
 
@@ -109,8 +118,8 @@ def test_linear_backbone_reachable_target():
     state = _linear_state(rng)  # 6 inputs -> 4 features: targets are reachable
     x_true = rng.standard_normal((2, 3)).astype(np.float32)
     target = x_true.reshape(-1) @ state.backbone.params["weight"].data
-    _, mae = invert_anchor(state, target,
-                           InversionConfig(learning_rate=2e-3, iterations=4000, seed=3))
+    _, mae = _invert_one(state, target,
+                         InversionConfig(learning_rate=2e-3, iterations=4000, seed=3))
     assert mae < 1e-2
 
 
@@ -118,8 +127,8 @@ def test_linear_backbone_unreachable_target_bounded_by_least_squares():
     rng = np.random.default_rng(113)
     state = _linear_state(rng, out_dim=8)  # rank 6 map into 8 dims
     target = (rng.standard_normal(8) * 3).astype(np.float32)
-    _, mae = invert_anchor(state, target,
-                           InversionConfig(learning_rate=1e-2, iterations=3000, seed=3))
+    _, mae = _invert_one(state, target,
+                         InversionConfig(learning_rate=1e-2, iterations=3000, seed=3))
     w = state.backbone.params["weight"].data.astype(np.float64)
     x_ls, *_ = np.linalg.lstsq(w.T, target.astype(np.float64), rcond=None)
     lstsq_l1 = np.abs(w.T @ x_ls - target).mean()
@@ -132,7 +141,7 @@ def test_linear_backbone_unreachable_target_bounded_by_least_squares():
 def test_invert_anchor_dimension_mismatch():
     state = _identity_state()
     with pytest.raises(ad.ShapeError):
-        invert_anchor(state, np.zeros(4, dtype=np.float32), InversionConfig(iterations=1))
+        _invert_one(state, np.zeros(4, dtype=np.float32), InversionConfig(iterations=1))
 
 
 def test_loss_trajectory_recorded_and_decreasing():
@@ -140,8 +149,8 @@ def test_loss_trajectory_recorded_and_decreasing():
     state = _identity_state()
     target = rng.standard_normal(6).astype(np.float32)
     traj = []
-    invert_anchor(state, target,
-                  InversionConfig(learning_rate=1e-3, iterations=500, seed=2), traj)
+    _invert_one(state, target,
+                InversionConfig(learning_rate=1e-3, iterations=500, seed=2), traj)
     assert len(traj) == 500
     assert traj[-1] < traj[0]
 
@@ -287,23 +296,10 @@ def test_single_anchor_call_matches_set_leader():
     a = rng.standard_normal(6).astype(np.float32)
     b = rng.standard_normal(6).astype(np.float32)
     config = InversionConfig(learning_rate=1e-3, iterations=150, seed=4)
-    single, _ = invert_anchor(state, a, config)
+    single, _ = _invert_one(state, a, config)
     anchors = AnchorSet(np.stack([a, b]), np.array([0, 1]), np.zeros(2))
     joint = invert_set(state, anchors, config)
     np.testing.assert_array_equal(single, joint.samples[0])
-
-
-def test_zeros_init_differs_from_normal_init():
-    rng = np.random.default_rng(120)
-    state = _identity_state()
-    target = rng.standard_normal(6).astype(np.float32)
-    s_norm, _ = invert_anchor(state, target,
-                              InversionConfig(init="normal", learning_rate=1e-3,
-                                              iterations=50, seed=3))
-    s_zero, _ = invert_anchor(state, target,
-                              InversionConfig(init="zeros", learning_rate=1e-3,
-                                              iterations=50, seed=3))
-    assert s_norm.tobytes() != s_zero.tobytes()
 
 
 def test_inversion_iteration_builds_one_loss_node(spy_engine):
@@ -318,21 +314,24 @@ def test_inversion_iteration_builds_one_loss_node(spy_engine):
     assert calls == ["scaled_l1"] * 3
 
 
-def test_zeros_init_on_desk_backbone_raises_stalled():
-    # at x = 0 no pre-ReLU activation of the desk base model is positive, so
-    # the ReLU passes no gradient and Adam never moves a sample off zero
-    preset = anchorinv.get_preset("desk")
-    train, _ = anchorinv.materialize_synth(preset)
-    split = anchorinv.build_split(preset, train)
-    state = anchorinv.train_base(split.base.x, split.base.y, preset.backbone_config,
-                                 preset.base_train)
-    target = state.class_weights[state.seen_classes()[0]].data
-    with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0\]"):
-        invert_anchor(state, target, InversionConfig(init="zeros", iterations=5))
+def test_negative_pre_relu_activations_raise_stalled():
+    # a spatial bias of -1e3 puts every pre-ReLU activation of a desk model
+    # below zero at any input near the init, so the ReLU passes no gradient
+    # and Adam never moves a sample
+    cfg = BACKBONE_PRESETS["desk"]
+    state = ModelState(ConvBackbone.initialize(cfg, seed=3))
+    state.backbone.params["spatial_b"].data[:] = -1e3
+    rng = np.random.default_rng(125)
+    for c in (0, 1):
+        state.register_class(c, rng.standard_normal(cfg.feature_dim).astype(np.float32))
+    target = state.class_weights[0].data
+    with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0\] never moved"):
+        _invert_one(state, target, InversionConfig(iterations=5))
     with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0, 1\]"):
-        label_space_invert_batch(state, [0, 1], LabelInversionConfig(init="zeros",
-                                                                     iterations=5))
-    _, mae = invert_anchor(state, target, InversionConfig(init="normal", iterations=5))
+        label_space_invert_batch(state, [0, 1], LabelInversionConfig(iterations=5))
+    # the same model with a zero spatial bias moves every sample
+    state.backbone.params["spatial_b"].data[:] = 0.0
+    _, mae = _invert_one(state, target, InversionConfig(iterations=5))
     assert np.isfinite(mae)
 
 
@@ -419,10 +418,10 @@ def _two_class_state():
 
 def test_deepdream_moves_toward_target_class():
     state = _two_class_state()
-    config = LabelInversionConfig(target_label=1, iterations=400,
-                                  learning_rate=5e-2, seed=6)
-    sample, final_ce = label_space_invert(state, config)
-    assert predict(state, sample.reshape(-1)) == 1
+    config = LabelInversionConfig(iterations=400, learning_rate=5e-2, seed=6)
+    replay = label_space_invert_batch(state, [1], config)
+    sample, final_ce = replay.samples[0], float(replay.feature_mae[0])
+    assert predict_batch(state, replay.samples)[0] == 1
     # with orthogonal unit class weights the best achievable similarity gap
     # is sqrt(2), at the direction bisecting +w1 and -w0
     best_ce = -np.log(1.0 / (1.0 + np.exp(-np.sqrt(2.0) / state.temperature)))

@@ -13,13 +13,13 @@ import pytest
 
 from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
-from anchorinv.inversion import InversionConfig, invert_anchor
+from anchorinv.anchors import AnchorSet
+from anchorinv.inversion import InversionConfig, invert_set
 from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
                              ConvBackboneConfig, IdentityBackbone,
                              LinearBackbone, ModelState, TrainingDivergedError, accuracy,
-                             class_scores, compute_prototypes,
-                             cosine_distance, cross_entropy_graph, embed_batch, label_columns,
-                             predict, predict_batch, prototype_of,
+                             compute_prototypes, cross_entropy_graph, embed_batch,
+                             label_columns, predict_batch, prototype_of,
                              reuse_conv_inputs, scores_batch, scores_graph,
                              train_base)
 
@@ -187,12 +187,13 @@ def test_embed_path_selection(spy_convs):
         t.requires_grad = False
     assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
         == ["conv_pool", "im2col"]
-    target = np.ones(cfg.feature_dim, dtype=np.float32)
-    assert set(path_of(lambda: invert_anchor(state, target, InversionConfig(iterations=2)))) \
+    anchor = AnchorSet(np.ones((1, cfg.feature_dim), dtype=np.float32), np.zeros(1),
+                       np.zeros(1))
+    assert set(path_of(lambda: invert_set(state, anchor, InversionConfig(iterations=2)))) \
         == {"conv_pool", "im2col"}
     for t in params.values():
         t.requires_grad = True
-    assert set(path_of(lambda: invert_anchor(state, target, InversionConfig(iterations=2)))) \
+    assert set(path_of(lambda: invert_set(state, anchor, InversionConfig(iterations=2)))) \
         == {"conv_pool", "im2col"}
 
 
@@ -448,7 +449,12 @@ def test_linear_backbone_matches_matmul():
 
 
 # ---------------------------------------------------------------------------
-# cosine distance
+# cosine distance: the negated similarity of the classifier's primitive
+
+
+def cosine_distance(h, w) -> float:
+    rows = [Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (h, w)]
+    return -float(ad.cosine_similarity_matrix(*rows).data[0, 0])
 
 
 def test_cosine_distance_reference_points():
@@ -482,7 +488,7 @@ def test_class_scores_two_class_closed_form():
     state = _identity_state(channels=1, timesteps=2)
     state.register_class(0, np.array([1.0, 0.0], dtype=np.float32))
     state.register_class(1, np.array([0.0, 1.0], dtype=np.float32))
-    scores = class_scores(state, np.array([1.0, 0.0]))
+    scores = scores_batch(state, np.array([[1.0, 0.0]]))[0]
     p0 = 1.0 / (1.0 + math.exp(-1.0 / 16.0))
     np.testing.assert_allclose(scores, [p0, 1.0 - p0], atol=1e-9)
     np.testing.assert_allclose(scores, [0.5156, 0.4844], atol=1e-4)
@@ -526,7 +532,7 @@ def test_predict_tie_breaks_to_lowest_class_id():
     state.register_class(3, np.array([1.0, 0.0], dtype=np.float32))
     state.register_class(7, np.array([0.0, 1.0], dtype=np.float32))
     # equidistant from both weights
-    assert predict(state, np.array([1.0, 1.0])) == 3
+    assert predict_batch(state, np.array([[[1.0, 1.0]]]))[0] == 3
 
 
 def test_predict_batch_matches_predict():
@@ -536,7 +542,7 @@ def test_predict_batch_matches_predict():
         state.register_class(c, rng.standard_normal(6).astype(np.float32))
     x = rng.standard_normal((10, 2, 3)).astype(np.float32)
     batch = predict_batch(state, x)
-    single = [predict(state, embed_batch(state, x[i:i + 1]).data[0]) for i in range(10)]
+    single = [predict_batch(state, x[i:i + 1])[0] for i in range(10)]
     np.testing.assert_array_equal(batch, single)
 
 
