@@ -20,17 +20,15 @@ from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
                    SynthClassSpec, SynthSpec, desk_synth_spec,
                    paired_gain_spec, segment,
-                   split_sessions, synth_arrays, zscore_apply, zscore_fit,
-                   zscore_invert)
-from .evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
-                         random_chance_f1, render_report, render_sweep, run_trials,
-                         sample_trial_sets, summarize, sweep, wilcoxon_signed_rank)
-from .inversion import (InversionConfig, InversionStalledError, LabelInversionConfig,
-                        ReplaySet, deepdream_config, deepinv_config, feature_stat_penalty,
-                        invert_set, label_space_invert_batch, total_variation)
-from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
-                    ConvBackboneConfig, FeatureStats, IdentityBackbone,
-                    LinearBackbone, ModelState, TrainingDivergedError, accuracy,
+                   split_sessions, synth_arrays, zscore_apply, zscore_fit)
+from .evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1, render_report,
+                         render_sweep, run_trials, sample_trial_sets, summarize, sweep,
+                         wilcoxon_signed_rank)
+from .inversion import (InversionConfig, InversionStalledError, ReplaySet,
+                        feature_stat_penalty, invert_set, label_space_invert_batch,
+                        total_variation)
+from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone, ConvBackboneConfig,
+                    FeatureStats, ModelState, TrainingDivergedError, accuracy,
                     compute_prototypes, predict_batch, prototype_of, train_base)
 from .optim import Adam, FreezingViolation, minimize
 from .presets import (EXPERIMENT_PRESETS, ExperimentPreset, build_split, get_preset,
@@ -49,10 +47,10 @@ __all__ = [
     "Dataset", "SynthClassSpec", "SynthSpec", "StandardizationStats",
     "SessionSpec", "SessionSplit", "desk_synth_spec", "paired_gain_spec",
     "synth_arrays", "segment",
-    "split_sessions", "zscore_fit", "zscore_apply", "zscore_invert",
+    "split_sessions", "zscore_fit", "zscore_apply",
     # model
-    "ConvBackboneConfig", "BACKBONE_PRESETS", "ConvBackbone", "IdentityBackbone",
-    "LinearBackbone", "ModelState", "FeatureStats", "BaseTrainConfig",
+    "ConvBackboneConfig", "BACKBONE_PRESETS", "ConvBackbone", "ModelState",
+    "FeatureStats", "BaseTrainConfig",
     "TrainingDivergedError", "train_base", "accuracy", "predict_batch",
     "prototype_of", "compute_prototypes",
     # anchors
@@ -60,15 +58,14 @@ __all__ = [
     "incremental_anchors", "kmeans", "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion
-    "InversionConfig", "InversionStalledError", "LabelInversionConfig", "ReplaySet",
-    "invert_set", "label_space_invert_batch", "total_variation", "feature_stat_penalty",
-    "deepdream_config", "deepinv_config",
+    "InversionConfig", "InversionStalledError", "ReplaySet", "invert_set",
+    "label_space_invert_batch", "total_variation", "feature_stat_penalty",
     # adaptation
     "METHODS", "FinetuneConfig", "AdaptationConfig", "replay_batch", "composite_loss",
     "finetune_session", "adapt_protonet", "adapt_teen", "run_fscil",
     "base_anchor_memory", "sample_base_replay_store",
     # evaluation
-    "macro_f1", "per_class_f1", "random_chance_f1", "wilcoxon_signed_rank",
+    "macro_f1", "per_class_f1", "wilcoxon_signed_rank",
     "TrialPlan", "TrialReport", "sample_trial_sets", "run_trials", "summarize",
     "render_report", "sweep", "render_sweep",
     # presets

@@ -29,9 +29,8 @@ from .autodiff import Tensor
 from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_features,
                       select_anchors)
 from .data import Dataset
-from .inversion import (InversionConfig, ReplaySet, deepdream_config,
-                        deepinv_config, invert_set, label_space_invert_batch)
-from .model import (ModelState, embed_batch, label_columns, prototype_of,
+from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
+from .model import (CONV_LAYERS, ModelState, embed_batch, label_columns, prototype_of,
                     reuse_conv_inputs, scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
@@ -61,15 +60,15 @@ _REPLAY_STORE_STREAM = 0x8EA1
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Settings for one finetune_session call."""
+    """Settings for one finetune_session call.  It trains the listed
+    backbone layers and the classifier weights of the session's new
+    classes."""
 
     replay_weight: float = 1.0          # weight on the replay term
     learning_rate: float = 1e-3
     iterations: int = 200
     trainable_layers: tuple[str, ...] = ("spatial",)
-    train_new_classifier: bool = True
     prototype_init: bool = True
-    new_class_init_scale: float = 0.1   # when prototype_init is off
     seed: int = 5
 
     def __post_init__(self):
@@ -77,8 +76,9 @@ class FinetuneConfig:
             raise ValueError("replay weight must be >= 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.iterations > 0 and not (self.trainable_layers or self.train_new_classifier):
-            raise ValueError("trainable set empty with iterations > 0")
+        unknown = [layer for layer in self.trainable_layers if layer not in CONV_LAYERS]
+        if unknown:
+            raise ValueError(f"unknown trainable layers {unknown}; valid: {list(CONV_LAYERS)}")
 
 
 @dataclass(frozen=True)
@@ -172,15 +172,15 @@ def init_new_class_weights(state: ModelState, new: Dataset) -> ModelState:
     return state
 
 
-def random_new_class_weights(state: ModelState, class_ids: Sequence[int], seed: int,
-                             scale: float = 0.1) -> ModelState:
-    """Register new classes with scaled standard-normal weights."""
+def random_new_class_weights(state: ModelState, class_ids: Sequence[int],
+                             seed: int) -> ModelState:
+    """Register new classes with standard-normal weights scaled by 0.1."""
     for c in class_ids:
         if c in state.class_weights:
             raise ValueError(f"class {c} already registered")
     rng = make_rng(seed, 0x1F)
     for c in sorted(int(c) for c in class_ids):
-        init = scale * rng.standard_normal(state.feature_dim)
+        init = 0.1 * rng.standard_normal(state.feature_dim)
         state.register_class(c, init.astype(np.float32))
     return state
 
@@ -207,15 +207,13 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     if config.prototype_init:
         init_new_class_weights(out, new)
     else:
-        random_new_class_weights(out, new_classes, config.seed,
-                                 scale=config.new_class_init_scale)
+        random_new_class_weights(out, new_classes, config.seed)
 
     trainable: list[Tensor] = []
     for layer in config.trainable_layers:
         for name in out.backbone.layer_param_names(layer):
             trainable.append(out.backbone.params[name])
-    if config.train_new_classifier:
-        trainable.extend(out.class_weights[c] for c in sorted(new_classes))
+    trainable.extend(out.class_weights[c] for c in sorted(new_classes))
 
     trainable_ids = {id(t) for t in trainable}
     frozen = [t for t in out.all_parameters().values() if id(t) not in trainable_ids]
@@ -357,11 +355,11 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
             memory = memory.append(incremental_anchors(feats))
         elif method in ("deepdream", "deepinv"):
             labels = [c for c, k in sorted(label_counts.items()) for _ in range(k)]
-            maker = deepdream_config if method == "deepdream" else deepinv_config
-            li_cfg = replace(maker(iterations=config.label_inversion_iterations,
-                                   learning_rate=config.label_inversion_learning_rate),
-                             seed=session_seed)
-            replay = label_space_invert_batch(state, labels, li_cfg)
+            li_cfg = InversionConfig(learning_rate=config.label_inversion_learning_rate,
+                                     iterations=config.label_inversion_iterations,
+                                     seed=session_seed)
+            replay = label_space_invert_batch(state, labels, li_cfg,
+                                              regularized=method == "deepinv")
             state = finetune_session(state, replay, new, config.finetune)
             for c in new.classes():
                 label_counts[c] = int(np.sum(new.y == c))

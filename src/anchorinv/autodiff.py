@@ -42,7 +42,6 @@ __all__ = [
     "scaled_l1",
     "subtract_rowwise",
     "stack_rows",
-    "finite_difference_check",
 ]
 
 DEFAULT_DTYPE = np.float32
@@ -352,13 +351,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution / pooling ----------------------------------------------------
 
 
-def _conv_windows(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(N, C, Ho, Wo, kh, kw) sliding windows of ``xd``, which the tests build
-    their reference convolution from, independently of ``_im2col``."""
-    view = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
-    return view[:, :, ::sh, ::sw, :, :]
-
-
 def _window_view(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     """(N, C, kh, kw, Ho, Wo) view of the windows of ``xd`` (N, C, H, W):
     [n, c, p, q, i, j] = xd[n, c, i * sh + p, j * sw + q]."""
@@ -590,9 +582,9 @@ def _pool_matrix(width: int, kernel: int, stride: int, dtype) -> np.ndarray:
 
 
 def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
-              pool_kernel: int, pool_stride: int, relu: bool) -> Tensor:
-    """A frozen (H, k) conv over a batch ``x`` (N, H, W), then ReLU (when
-    ``relu``) and average pooling along time, flattened per sample.
+              pool_kernel: int, pool_stride: int) -> Tensor:
+    """A frozen (H, k) conv over a batch ``x`` (N, H, W), then ReLU and
+    average pooling along time, flattened per sample.
 
     ``weight`` (K, H, k) and ``bias`` (K,) are plain arrays, so they take no
     gradient: the VJP goes to ``x`` only.  Output is (N, K * P) in (filter,
@@ -625,7 +617,7 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
     b = bias.astype(dtype, copy=False)[:, None]
     block = _block_samples(h * kt * wo * dtype.itemsize)
     out = np.empty((n, k, po), dtype=dtype)
-    mask = np.empty((n, k, wo), dtype=bool) if relu else None
+    mask = np.empty((n, k, wo), dtype=bool)
     x4 = x.data.reshape(n, 1, h, w)
     for s in range(0, n, block):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -633,9 +625,8 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
             z += b
         # checked before the ReLU, which would hide an overflow to -inf
         _ensure_finite(z, "conv_pool")
-        if relu:
-            mask[s:s + block] = z > 0
-            np.maximum(z, 0, out=z)
+        mask[s:s + block] = z > 0
+        np.maximum(z, 0, out=z)
         out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
 
     def backward_fn(g):
@@ -643,8 +634,7 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
         g3 = g.reshape(n, k, po)
         for s in range(0, n, block):
             dz = (g3[s:s + block].reshape(-1, po) @ pool.T).reshape(-1, k, wo)
-            if relu:
-                dz *= mask[s:s + block]
+            dz *= mask[s:s + block]
             dx[s:s + block] = _col2im(np.matmul(w2.T, dz), dx[s:s + block].shape, h, kt, 1, stride)
         _accumulate(x, dx.reshape(x.shape))
 
@@ -856,42 +846,3 @@ def backward(output: Tensor) -> None:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
-
-
-# -- gradient checking -----------------------------------------------------------
-
-
-def finite_difference_check(fn: Callable[[Sequence[Tensor]], Tensor],
-                            inputs: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """Worst relative error between reverse-mode and central-difference gradients.
-
-    ``fn`` must map ``inputs`` to a scalar tensor and be re-evaluable (the
-    graph is rebuilt on every call).  Relative error for one coordinate is
-    ``|analytic - numeric| / (|numeric| + 1e-12)``.  Run with float64 inputs;
-    float32 rounding swamps the ``eps**2`` truncation term otherwise.
-    """
-    inputs = list(inputs)
-    out = fn(inputs)
-    if out.size != 1:
-        raise ShapeError("finite_difference_check needs a scalar-valued fn")
-    backward(out)
-    analytic = [None if t.grad is None else t.grad.copy() for t in inputs]
-
-    worst = 0.0
-    for t, grad in zip(inputs, analytic):
-        if not t.requires_grad:
-            continue
-        g = np.zeros_like(t.data) if grad is None else grad
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = fn(inputs).item()
-            flat[i] = orig - eps
-            f_minus = fn(inputs).item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(float(gflat[i]) - numeric) / (abs(numeric) + 1e-12)
-            worst = max(worst, rel)
-    return worst

@@ -94,6 +94,9 @@ def _override(obj, overrides: dict, context: str):
         raise ConfigError(f"unknown {context} config keys {unknown}")
     coerced = dict(overrides)
     if "trainable_layers" in coerced:
+        if not isinstance(coerced["trainable_layers"], list):
+            raise ConfigError(f"{context}.trainable_layers must be a JSON list, "
+                              f"got {coerced['trainable_layers']!r}")
         coerced["trainable_layers"] = tuple(coerced["trainable_layers"])
     return replace(obj, **coerced)
 

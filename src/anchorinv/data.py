@@ -24,7 +24,6 @@ __all__ = [
     "StandardizationStats",
     "zscore_fit",
     "zscore_apply",
-    "zscore_invert",
     "segment",
     "synth_arrays",
     "SessionSpec",
@@ -234,14 +233,6 @@ def zscore_apply(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     if x.shape[-2] != h:
         raise ValueError(f"channel mismatch: sample has {x.shape[-2]}, stats have {h}")
     return ((x - stats.mean[..., :, None]) / stats.std[..., :, None]).astype(np.float32)
-
-
-def zscore_invert(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
-    x = np.asarray(x)
-    h = stats.mean.shape[0]
-    if x.shape[-2] != h:
-        raise ValueError(f"channel mismatch: sample has {x.shape[-2]}, stats have {h}")
-    return (x * stats.std[..., :, None] + stats.mean[..., :, None]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

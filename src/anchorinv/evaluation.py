@@ -30,7 +30,6 @@ from .seeds import derive_seed, make_rng
 __all__ = [
     "macro_f1",
     "per_class_f1",
-    "random_chance_f1",
     "wilcoxon_signed_rank",
     "TrialPlan",
     "TrialReport",
@@ -82,13 +81,6 @@ def macro_f1(predictions: np.ndarray, labels: np.ndarray,
         raise ValueError("empty class subset")
     f1s = per_class_f1(predictions, labels, subset)
     return 100.0 * float(np.mean([f1s[c] for c in subset]))
-
-
-def random_chance_f1(num_classes: int) -> float:
-    """Expected macro-F1 of a uniform random guesser on a balanced set."""
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got {num_classes}")
-    return 100.0 / num_classes
 
 
 def summarize(values: Sequence[float]) -> tuple[float, float]:

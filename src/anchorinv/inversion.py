@@ -2,10 +2,10 @@
 
 Feature-space mode (the main path): optimize a synthetic input so its
 embedding matches a stored anchor under mean absolute error.  Label-space
-modes (baselines): optimize the classifier's cross-entropy toward a target
-label, optionally with l2 / total-variation / feature-statistics
-regularizers whose weights can be auto-balanced against the initial
-cross-entropy magnitude.
+mode (baselines): optimize the classifier's cross-entropy toward a target
+label (DeepDream), and with ``regularized`` also l2 / total-variation /
+feature-statistics terms, each weighted to the cross-entropy magnitude of
+the first iteration (DeepInversion).
 
 A batch of targets is optimized jointly but the objective is a plain sum of
 per-sample terms, so gradients never couple samples and the joint run is the
@@ -31,14 +31,11 @@ from .seeds import make_rng
 __all__ = [
     "InversionStalledError",
     "InversionConfig",
-    "LabelInversionConfig",
     "ReplaySet",
     "invert_set",
     "label_space_invert_batch",
     "total_variation",
     "feature_stat_penalty",
-    "deepdream_config",
-    "deepinv_config",
 ]
 
 class InversionStalledError(RuntimeError):
@@ -49,7 +46,7 @@ class InversionStalledError(RuntimeError):
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Anchor-mode inversion settings (loss is feature MAE)."""
+    """Settings of an inversion, in anchor mode or label-space mode."""
 
     learning_rate: float = 1e-2
     iterations: int = 4000
@@ -60,46 +57,6 @@ class InversionConfig:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-
-
-@dataclass(frozen=True)
-class LabelInversionConfig:
-    """Label-space inversion settings (loss is CE plus weighted regularizers)."""
-
-    cross_entropy_weight: float = 1.0
-    l2_weight: float = 0.0
-    tv_weight: float = 0.0
-    feature_stat_weight: float = 0.0
-    auto_balance: bool = False
-    learning_rate: float = 1e-2
-    iterations: int = 2000
-    seed: int = 5
-
-    def __post_init__(self):
-        for attr in ("cross_entropy_weight", "l2_weight", "tv_weight",
-                     "feature_stat_weight"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be >= 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-
-
-def deepdream_config(iterations: int = 2000, learning_rate: float = 1e-2,
-                     seed: int = 5) -> LabelInversionConfig:
-    """Cross-entropy only (all regularizer weights zero)."""
-    return LabelInversionConfig(iterations=iterations, learning_rate=learning_rate,
-                                seed=seed)
-
-
-def deepinv_config(iterations: int = 2000, learning_rate: float = 1e-2,
-                   seed: int = 5) -> LabelInversionConfig:
-    """Cross-entropy plus l2, total-variation, and feature-statistics terms,
-    auto-balanced to the initial cross-entropy magnitude."""
-    return LabelInversionConfig(l2_weight=1.0, tv_weight=1.0, feature_stat_weight=1.0,
-                                auto_balance=True, iterations=iterations,
-                                learning_rate=learning_rate, seed=seed)
 
 
 @dataclass
@@ -232,10 +189,13 @@ def feature_stat_penalty(state: ModelState, batch) -> Tensor:
 
 
 def label_space_invert_batch(state: ModelState, labels: Sequence[int],
-                             config: LabelInversionConfig) -> ReplaySet:
-    """Synthesize one sample per requested label by minimizing cross-entropy
-    toward that label, plus the configured regularizers (jointly over the
-    batch; the feature-stat term is batch-based by design)."""
+                             config: InversionConfig, regularized: bool) -> ReplaySet:
+    """Synthesize one sample per requested label by minimizing the summed
+    cross-entropy toward that label, jointly over the batch.  With
+    ``regularized`` the l2 norm, the total variation and the feature-statistics
+    penalty of the batch are added, each weighted so that at iteration 0 it
+    equals the cross-entropy's magnitude; a term that is then below 1e-12 is
+    dropped."""
     cfg = state.backbone.config
     labels = [int(c) for c in labels]
     if not labels:
@@ -246,33 +206,26 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
 
     init = _init_batch(j, cfg.channels, cfg.timesteps, config.seed)
     x = Tensor(init.copy())
-    weights = {
-        "ce": config.cross_entropy_weight,
-        "l2": config.l2_weight,
-        "tv": config.tv_weight,
-        "fs": config.feature_stat_weight,
-    }
+    regularizers = {
+        "l2": lambda: ad.mul(x, x).sum(),
+        "tv": lambda: total_variation(x),
+        "fs": lambda: feature_stat_penalty(state, x),
+    } if regularized else {}
+    weights = dict.fromkeys(regularizers, 1.0)  # balanced at iteration 0
 
     def loss_fn(i: int) -> Tensor:
         scores = scores_graph(state, embed_batch(state, x))
         # summed, not averaged, over the batch: weight -1 per sample
-        terms = {"ce": ad.nll(scores, cols, np.full(j, -1.0))}
-        if weights["l2"] > 0:
-            terms["l2"] = ad.mul(x, x).sum()
-        if weights["tv"] > 0:
-            terms["tv"] = total_variation(x)
-        if weights["fs"] > 0:
-            terms["fs"] = feature_stat_penalty(state, x)
-        if i == 0 and config.auto_balance:
-            ce0 = abs(terms["ce"].item())
-            for key in ("l2", "tv", "fs"):
-                if weights[key] > 0:
-                    mag = abs(terms[key].item())
-                    weights[key] = ce0 / mag if mag > 1e-12 else 0.0
-        loss = ad.mul_scalar(terms["ce"], weights["ce"])
-        for key in ("l2", "tv", "fs"):
-            if key in terms and weights[key] > 0:
-                loss = ad.add(loss, ad.mul_scalar(terms[key], weights[key]))
+        loss = ad.nll(scores, cols, np.full(j, -1.0))
+        terms = {key: term() for key, term in regularizers.items() if weights[key] > 0}
+        if i == 0:
+            ce0 = abs(loss.item())
+            for key, term in terms.items():
+                mag = abs(term.item())
+                weights[key] = ce0 / mag if mag > 1e-12 else 0.0
+        for key, term in terms.items():
+            if weights[key] > 0:
+                loss = ad.add(loss, ad.mul_scalar(term, weights[key]))
         return loss
 
     minimize([x], loss_fn, config.iterations, config.learning_rate,

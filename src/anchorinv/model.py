@@ -25,9 +25,8 @@ from .seeds import make_rng
 __all__ = [
     "ConvBackboneConfig",
     "BACKBONE_PRESETS",
+    "CONV_LAYERS",
     "ConvBackbone",
-    "IdentityBackbone",
-    "LinearBackbone",
     "FeatureStats",
     "ModelState",
     "TrainingDivergedError",
@@ -74,15 +73,12 @@ class ConvBackboneConfig:
     temporal_stride: int
     pool_kernel: int
     pool_stride: int
-    activation: str = "relu"
 
     def __post_init__(self):
         for attr in ("channels", "timesteps", "filters", "temporal_kernel",
                      "temporal_stride", "pool_kernel", "pool_stride"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1, got {getattr(self, attr)}")
-        if self.activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation '{self.activation}'")
         if self.conv_width < 1 or self.pooled_width < 1:
             raise ValueError(f"config '{self.name}' collapses below one output column")
 
@@ -122,13 +118,19 @@ BACKBONE_PRESETS: dict[str, ConvBackboneConfig] = {
 
 
 # ---------------------------------------------------------------------------
-# backbones
+# backbone
+
+
+# the parameters of each backbone layer, in parameter order; a finetune's
+# trainable_layers name its keys
+CONV_LAYERS: dict[str, tuple[str, str]] = {
+    "temporal": ("temporal_w", "temporal_b"),
+    "spatial": ("spatial_w", "spatial_b"),
+}
 
 
 class ConvBackbone:
     """Temporal conv -> spatial conv -> ReLU -> average pool -> flatten."""
-
-    kind = "conv"
 
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
@@ -156,14 +158,12 @@ class ConvBackbone:
     # parameter bookkeeping ------------------------------------------------
 
     def param_names(self) -> list[str]:
-        return ["temporal_w", "temporal_b", "spatial_w", "spatial_b"]
+        return [name for names in CONV_LAYERS.values() for name in names]
 
     def layer_param_names(self, layer: str) -> list[str]:
-        if layer == "temporal":
-            return ["temporal_w", "temporal_b"]
-        if layer == "spatial":
-            return ["spatial_w", "spatial_b"]
-        raise KeyError(f"unknown layer '{layer}' (conv backbone has 'temporal', 'spatial')")
+        if layer not in CONV_LAYERS:
+            raise KeyError(f"unknown layer '{layer}' (conv backbone has {list(CONV_LAYERS)})")
+        return list(CONV_LAYERS[layer])
 
     def clone(self) -> "ConvBackbone":
         params = {k: _clone_tensor(v) for k, v in self.params.items()}
@@ -205,7 +205,7 @@ class ConvBackbone:
         if not ad.is_grad_enabled() or not any(p.requires_grad for p in params):
             weight, bias = ad.composed_weights(*(p.data for p in params))
             return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
-                                cfg.pool_stride, relu=cfg.activation == "relu")
+                                cfg.pool_stride)
         temporal_w, temporal_b, spatial_w, spatial_b = params
         project = cfg.filters <= cfg.temporal_kernel and not (
             x.requires_grad or temporal_w.requires_grad or temporal_b.requires_grad)
@@ -217,9 +217,7 @@ class ConvBackbone:
             h = ad.conv2d(x.reshape((n, 1, *cfg.sample_shape)),
                           weight.reshape((cfg.filters, 1, cfg.channels, cfg.temporal_kernel)),
                           bias, stride=(1, cfg.temporal_stride))
-        if cfg.activation == "relu":
-            h = ad.relu(h)
-        h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
+        h = ad.avg_pool2d(ad.relu(h), kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
 
     def _conv_input(self, x: Tensor, project: bool) -> Tensor | None:
@@ -263,95 +261,19 @@ class ConvBackbone:
 
 
 @contextmanager
-def reuse_conv_inputs(backbone):
+def reuse_conv_inputs(backbone: ConvBackbone):
     """Inside this scope a ``ConvBackbone`` keeps the conv input it built
     last (``ConvBackbone._conv_input``) and reuses it while it embeds that
     same tensor object, as a loop over one fixed batch does.  The match is
     by identity: the scope holds no copy and compares no contents, so an
     equal copy is rebuilt, and an input must not change in place inside the
-    scope.  Dropped on exit, also when the body raises; other backbones are
-    left as they are.
+    scope.  Dropped on exit, also when the body raises.
     """
-    if not isinstance(backbone, ConvBackbone):
-        yield
-        return
     saved, backbone._reused_input = backbone._reused_input, ()
     try:
         yield
     finally:
         backbone._reused_input = saved
-
-
-class IdentityBackbone:
-    """Flattens the input; embedding space is the input space (for tests
-    and for exercising inversion against an exactly attainable target)."""
-
-    kind = "identity"
-
-    def __init__(self, channels: int, timesteps: int):
-        self.config = _PlainShapeConfig(channels, timesteps, channels * timesteps)
-        self.params: dict[str, Tensor] = {}
-
-    def param_names(self) -> list[str]:
-        return []
-
-    def layer_param_names(self, layer: str) -> list[str]:
-        raise KeyError("identity backbone has no trainable layers")
-
-    def clone(self) -> "IdentityBackbone":
-        return IdentityBackbone(self.config.channels, self.config.timesteps)
-
-    def embed(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
-            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
-                             f"got {x.shape}")
-        return x.reshape((x.shape[0], cfg.feature_dim))
-
-
-class LinearBackbone:
-    """Single linear map: flatten then multiply by a (H*W, D) weight."""
-
-    kind = "linear"
-
-    def __init__(self, channels: int, timesteps: int, weight: Tensor):
-        if weight.ndim != 2 or weight.shape[0] != channels * timesteps:
-            raise ShapeError(f"linear weight must be ({channels * timesteps}, D), "
-                             f"got {weight.shape}")
-        self.config = _PlainShapeConfig(channels, timesteps, weight.shape[1])
-        self.params = {"weight": weight}
-
-    def param_names(self) -> list[str]:
-        return ["weight"]
-
-    def layer_param_names(self, layer: str) -> list[str]:
-        if layer == "linear":
-            return ["weight"]
-        raise KeyError(f"unknown layer '{layer}' (linear backbone has 'linear')")
-
-    def clone(self) -> "LinearBackbone":
-        return LinearBackbone(self.config.channels, self.config.timesteps,
-                              _clone_tensor(self.params["weight"]))
-
-    def embed(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
-            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
-                             f"got {x.shape}")
-        flat = x.reshape((x.shape[0], cfg.channels * cfg.timesteps))
-        return ad.matmul(flat, self.params["weight"])
-
-
-@dataclass(frozen=True)
-class _PlainShapeConfig:
-    channels: int
-    timesteps: int
-    feature_dim: int
-    name: str = "plain"
-
-    @property
-    def sample_shape(self) -> tuple[int, int]:
-        return (self.channels, self.timesteps)
 
 
 def _clone_tensor(t: Tensor) -> Tensor:
@@ -376,7 +298,7 @@ class FeatureStats:
 class ModelState:
     """Backbone parameters plus the per-class weight vectors and temperature."""
 
-    def __init__(self, backbone, temperature: float = DEFAULT_TEMPERATURE,
+    def __init__(self, backbone: ConvBackbone, temperature: float = DEFAULT_TEMPERATURE,
                  class_weights: dict[int, Tensor] | None = None,
                  feature_stats: FeatureStats | None = None):
         if temperature <= 0:

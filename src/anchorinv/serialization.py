@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import (ConvBackbone, ConvBackboneConfig, FeatureStats, IdentityBackbone,
-                    LinearBackbone, ModelState)
+from .model import ConvBackbone, ConvBackboneConfig, FeatureStats, ModelState
 from .autodiff import Tensor
 
 __all__ = [
@@ -128,25 +127,23 @@ def read_container(path, expect_kind: int | None = None) -> tuple[dict, dict[str
 # model checkpoints
 
 
+# the keys of a checkpoint's "backbone_config"; "activation" is always "relu",
+# kept so that the format of checkpoint files does not change
+_BACKBONE_KEYS = ("name", "channels", "timesteps", "filters", "temporal_kernel",
+                  "temporal_stride", "pool_kernel", "pool_stride")
+_ACTIVATION = "relu"
+
+
 def save_checkpoint(path, state: ModelState) -> None:
     backbone = state.backbone
     meta = {
         "temperature": state.temperature,
         "classes": state.seen_classes(),
-        "backbone_kind": backbone.kind,
+        "backbone_kind": "conv",
         "has_feature_stats": state.feature_stats is not None,
+        "backbone_config": dict({key: getattr(backbone.config, key) for key in _BACKBONE_KEYS},
+                                activation=_ACTIVATION),
     }
-    if backbone.kind == "conv":
-        cfg = backbone.config
-        meta["backbone_config"] = {
-            "name": cfg.name, "channels": cfg.channels, "timesteps": cfg.timesteps,
-            "filters": cfg.filters, "temporal_kernel": cfg.temporal_kernel,
-            "temporal_stride": cfg.temporal_stride, "pool_kernel": cfg.pool_kernel,
-            "pool_stride": cfg.pool_stride, "activation": cfg.activation,
-        }
-    else:
-        meta["backbone_config"] = {"channels": backbone.config.channels,
-                                   "timesteps": backbone.config.timesteps}
     arrays: dict[str, np.ndarray] = {}
     for name, tensor in backbone.params.items():
         arrays[f"backbone.{name}"] = tensor.data
@@ -158,22 +155,28 @@ def save_checkpoint(path, state: ModelState) -> None:
     write_container(path, KIND_CHECKPOINT, meta, arrays)
 
 
+def _backbone_config(meta: dict, path) -> ConvBackboneConfig:
+    """The ConvBackboneConfig a checkpoint's header describes; ContainerError
+    for a header ``save_checkpoint`` does not write."""
+    if meta.get("backbone_kind") != "conv":
+        raise ContainerError(f"unknown backbone kind {meta.get('backbone_kind')!r} in {path}")
+    cfg = meta.get("backbone_config")
+    keys = {*_BACKBONE_KEYS, "activation"}
+    if not isinstance(cfg, dict) or set(cfg) != keys:
+        raise ContainerError(f"backbone config in {path} does not have the keys {sorted(keys)}")
+    if cfg["activation"] != _ACTIVATION:
+        raise ContainerError(f"unknown activation {cfg['activation']!r} in {path}")
+    try:
+        return ConvBackboneConfig(**{key: cfg[key] for key in _BACKBONE_KEYS})
+    except (TypeError, ValueError) as err:
+        raise ContainerError(f"bad backbone config in {path}: {err}") from err
+
+
 def load_checkpoint(path) -> ModelState:
     meta, arrays = read_container(path, expect_kind=KIND_CHECKPOINT)
-    kind = meta["backbone_kind"]
-    cfg = meta["backbone_config"]
-    if kind == "conv":
-        config = ConvBackboneConfig(**cfg)
-        params = {name: Tensor(arrays[f"backbone.{name}"], requires_grad=True)
-                  for name in ("temporal_w", "temporal_b", "spatial_w", "spatial_b")}
-        backbone = ConvBackbone(config, params)
-    elif kind == "identity":
-        backbone = IdentityBackbone(cfg["channels"], cfg["timesteps"])
-    elif kind == "linear":
-        backbone = LinearBackbone(cfg["channels"], cfg["timesteps"],
-                                  Tensor(arrays["backbone.weight"], requires_grad=True))
-    else:
-        raise ContainerError(f"unknown backbone kind '{kind}'")
+    params = {name: Tensor(arrays[f"backbone.{name}"], requires_grad=True)
+              for name in ("temporal_w", "temporal_b", "spatial_w", "spatial_b")}
+    backbone = ConvBackbone(_backbone_config(meta, path), params)
     state = ModelState(backbone, temperature=meta["temperature"])
     for c in meta["classes"]:
         state.register_class(int(c), arrays[f"classifier.{c}"])

@@ -1,0 +1,159 @@
+"""Reference implementations the tests check the package against.
+
+The package's one backbone is the conv of ``anchorinv.model``; the two test
+backbones here make the feature map analytically invertible, so inversion
+and classifier tests get exact oracles:
+
+* ``IdentityBackbone`` flattens the input (the embedding space is the input
+  space, so every target is attainable);
+* ``LinearBackbone`` multiplies the flattened input by one weight matrix
+  (least squares gives reachability and a quality bound).
+
+Both quack like ``ConvBackbone`` where ``ModelState``, inversion and
+finetuning touch a backbone.  Beside them: central-difference gradient
+checking, the sliding windows the reference convolution is built from, the
+chance-level macro-F1 and the inverse of the z-score standardization.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from anchorinv import autodiff as ad
+from anchorinv.autodiff import ShapeError, Tensor
+from anchorinv.data import StandardizationStats
+
+
+@dataclass(frozen=True)
+class _PlainShapeConfig:
+    channels: int
+    timesteps: int
+    feature_dim: int
+    name: str = "plain"
+
+    @property
+    def sample_shape(self) -> tuple[int, int]:
+        return (self.channels, self.timesteps)
+
+
+class IdentityBackbone:
+    """Flattens the input; embedding space is the input space."""
+
+    # the conv input ``reuse_conv_inputs`` keeps: these backbones build none
+    _reused_input = None
+
+    def __init__(self, channels: int, timesteps: int):
+        self.config = _PlainShapeConfig(channels, timesteps, channels * timesteps)
+        self.params: dict[str, Tensor] = {}
+
+    def param_names(self) -> list[str]:
+        return []
+
+    def layer_param_names(self, layer: str) -> list[str]:
+        raise KeyError("identity backbone has no trainable layers")
+
+    def clone(self) -> "IdentityBackbone":
+        return IdentityBackbone(self.config.channels, self.config.timesteps)
+
+    def embed(self, x: Tensor) -> Tensor:
+        cfg = self.config
+        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
+            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
+                             f"got {x.shape}")
+        return x.reshape((x.shape[0], cfg.feature_dim))
+
+
+class LinearBackbone:
+    """Single linear map: flatten then multiply by a (H*W, D) weight."""
+
+    _reused_input = None
+
+    def __init__(self, channels: int, timesteps: int, weight: Tensor):
+        if weight.ndim != 2 or weight.shape[0] != channels * timesteps:
+            raise ShapeError(f"linear weight must be ({channels * timesteps}, D), "
+                             f"got {weight.shape}")
+        self.config = _PlainShapeConfig(channels, timesteps, weight.shape[1])
+        self.params = {"weight": weight}
+
+    def param_names(self) -> list[str]:
+        return ["weight"]
+
+    def layer_param_names(self, layer: str) -> list[str]:
+        if layer == "linear":
+            return ["weight"]
+        raise KeyError(f"unknown layer '{layer}' (linear backbone has 'linear')")
+
+    def clone(self) -> "LinearBackbone":
+        weight = self.params["weight"]
+        return LinearBackbone(self.config.channels, self.config.timesteps,
+                              Tensor(weight.data.copy(), requires_grad=weight.requires_grad))
+
+    def embed(self, x: Tensor) -> Tensor:
+        cfg = self.config
+        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
+            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
+                             f"got {x.shape}")
+        flat = x.reshape((x.shape[0], cfg.channels * cfg.timesteps))
+        return ad.matmul(flat, self.params["weight"])
+
+
+def finite_difference_check(fn: Callable[[Sequence[Tensor]], Tensor],
+                            inputs: Sequence[Tensor], eps: float = 1e-5) -> float:
+    """Worst relative error between reverse-mode and central-difference gradients.
+
+    ``fn`` must map ``inputs`` to a scalar tensor and be re-evaluable (the
+    graph is rebuilt on every call).  Relative error for one coordinate is
+    ``|analytic - numeric| / (|numeric| + 1e-12)``.  Run with float64 inputs;
+    float32 rounding swamps the ``eps**2`` truncation term otherwise.
+    """
+    inputs = list(inputs)
+    out = fn(inputs)
+    if out.size != 1:
+        raise ShapeError("finite_difference_check needs a scalar-valued fn")
+    ad.backward(out)
+    analytic = [None if t.grad is None else t.grad.copy() for t in inputs]
+
+    worst = 0.0
+    for t, grad in zip(inputs, analytic):
+        if not t.requires_grad:
+            continue
+        g = np.zeros_like(t.data) if grad is None else grad
+        flat = t.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = fn(inputs).item()
+            flat[i] = orig - eps
+            f_minus = fn(inputs).item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(float(gflat[i]) - numeric) / (abs(numeric) + 1e-12)
+            worst = max(worst, rel)
+    return worst
+
+
+def conv_windows(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, Ho, Wo, kh, kw) sliding windows of ``xd``, independently of the
+    engine's ``_im2col``."""
+    view = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(2, 3))
+    return view[:, :, ::sh, ::sw, :, :]
+
+
+def random_chance_f1(num_classes: int) -> float:
+    """Expected macro-F1 of a uniform random guesser on a balanced set."""
+    if num_classes < 1:
+        raise ValueError(f"need at least one class, got {num_classes}")
+    return 100.0 / num_classes
+
+
+def zscore_invert(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
+    """The inverse of ``zscore_apply``: x * std + mean per channel."""
+    x = np.asarray(x)
+    h = stats.mean.shape[0]
+    if x.shape[-2] != h:
+        raise ValueError(f"channel mismatch: sample has {x.shape[-2]}, stats have {h}")
+    return (x * stats.std[..., :, None] + stats.mean[..., :, None]).astype(np.float32)

@@ -18,10 +18,11 @@ from anchorinv.autodiff import Tensor
 from anchorinv.data import Dataset
 from anchorinv.inversion import InversionConfig, ReplaySet
 from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, ConvBackboneConfig,
-                             IdentityBackbone, ModelState, cross_entropy_graph,
-                             embed_batch, scores_graph, train_base)
+                             ModelState, cross_entropy_graph, embed_batch, scores_graph,
+                             train_base)
 from anchorinv.optim import minimize
 from anchorinv.presets import get_preset
+from oracles import IdentityBackbone
 
 
 def _tiny_config(**overrides):
@@ -143,8 +144,7 @@ def _reference_finetune(state, replay, new, config, log):
     if config.prototype_init:
         init_new_class_weights(out, new)
     else:
-        random_new_class_weights(out, new_classes, config.seed,
-                                 scale=config.new_class_init_scale)
+        random_new_class_weights(out, new_classes, config.seed)
     trainable = [out.backbone.params[name] for layer in config.trainable_layers
                  for name in out.backbone.layer_param_names(layer)]
     trainable += [out.class_weights[c] for c in new_classes]
@@ -304,16 +304,14 @@ def test_init_new_class_weights_prototypes():
 def test_random_new_class_weights():
     a = _two_class_state()
     b = _two_class_state()
-    random_new_class_weights(a, [2, 3], seed=4, scale=0.1)
-    random_new_class_weights(b, [3, 2], seed=4, scale=0.1)
+    random_new_class_weights(a, [2, 3], seed=4)
+    random_new_class_weights(b, [3, 2], seed=4)
     # registration order is sorted, so the draw is order-independent
     assert a.class_weights[2].data.tobytes() == b.class_weights[2].data.tobytes()
-    c = _two_class_state()
-    random_new_class_weights(c, [2, 3], seed=4, scale=0.2)
-    np.testing.assert_allclose(c.class_weights[2].data, 2.0 * a.class_weights[2].data,
-                               rtol=1e-6)
     with pytest.raises(ValueError):
         random_new_class_weights(a, [2], seed=4)
+    with pytest.raises(TypeError):  # the scale is always 0.1
+        random_new_class_weights(_two_class_state(), [2], seed=4, scale=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +407,16 @@ def test_finetune_config_validation():
         FinetuneConfig(replay_weight=-1.0)
     with pytest.raises(ValueError):
         FinetuneConfig(iterations=-1)
-    with pytest.raises(ValueError):
-        FinetuneConfig(trainable_layers=(), train_new_classifier=False)
-    FinetuneConfig(trainable_layers=(), train_new_classifier=False, iterations=0)
+    with pytest.raises(ValueError, match="temporl"):
+        FinetuneConfig(trainable_layers=("spatial", "temporl"))
+    with pytest.raises(ValueError):  # a string is not a list of layers
+        FinetuneConfig(trainable_layers="spatial")
+    # the new classes' weights always train, from prototypes or 0.1 x a normal draw
+    for field in ("train_new_classifier", "new_class_init_scale"):
+        with pytest.raises(TypeError):
+            FinetuneConfig(**{field: 1})
+    FinetuneConfig(trainable_layers=())
+    FinetuneConfig(trainable_layers=("temporal", "spatial"))
 
 
 def test_finetune_loss_log_decreases():

@@ -14,8 +14,9 @@ from anchorinv.anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiv
                                incremental_anchors, kmeans, load_anchor_set,
                                project_features, save_anchor_set, select_anchors)
 from anchorinv.data import Dataset
-from anchorinv.model import IdentityBackbone, ModelState
+from anchorinv.model import ModelState
 from anchorinv.serialization import ContainerError
+from oracles import IdentityBackbone
 
 
 def _feature_set(vectors, labels, session=0):

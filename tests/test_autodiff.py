@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from anchorinv import autodiff as ad
-from anchorinv.autodiff import (NonFiniteError, ShapeError, Tensor, backward,
-                                finite_difference_check, no_grad)
+from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor, backward, no_grad
+from oracles import conv_windows, finite_difference_check
 
 FD_TOL = 1e-6  # worst relative error allowed for analytic-vs-numeric gradients
 
@@ -205,7 +205,7 @@ def test_conv2d_shape_errors():
 
 def _conv2d_einsum_reference(x, w, b, g, stride):
     """Output and (dx, dW, db) of sum(conv2d(x, w, b) * g), from sliding windows."""
-    windows = ad._conv_windows(x, w.shape[2], w.shape[3], *stride)
+    windows = conv_windows(x, w.shape[2], w.shape[3], *stride)
     out = np.einsum("ncijpq,kcpq->nkij", windows, w)
     if b is not None:
         out = out + b[None, :, None, None]
@@ -467,38 +467,46 @@ def test_pool_matrix_is_cached_and_read_only():
         first[0, 0] = 1.0
 
 
-def _conv_pool_by_engine(x, w, b, stride, pool_kernel, pool_stride, relu):
+def _conv_pool_by_engine(x, w, b, stride, pool_kernel, pool_stride):
     """conv_pool written with the generic primitives: its reference."""
     n, h, width = x.shape
     k, _, kt = w.shape
     out = ad.conv2d(x.reshape((n, 1, h, width)), _t(w.reshape(k, 1, h, kt), False),
                     _t(b, False), stride=(1, stride))
-    if relu:
-        out = ad.relu(out)
-    out = ad.avg_pool2d(out, kernel=(1, pool_kernel), stride=(1, pool_stride))
+    out = ad.avg_pool2d(ad.relu(out), kernel=(1, pool_kernel), stride=(1, pool_stride))
     return out.reshape((n, out.size // n))
 
 
-# (stride, pool kernel, pool stride, relu): stride 1 with tiling windows, a
-# temporal stride, pooling windows that leave the last columns out, identity
+def _conv_pool_operands(rng, x_shape, w_shape, cut):
+    """x, w and b; without ``cut`` the bias lifts every conv output above
+    zero, where the ReLU passes all and conv_pool is linear in x."""
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[0])
+    if not cut:
+        b = np.abs(b) + np.abs(w).sum(axis=(1, 2)) * np.abs(x).max()
+    return x, w, b
+
+
+# (stride, pool kernel, pool stride, cut): stride 1 with tiling windows, a
+# temporal stride, pooling windows that leave the last columns out, and no
+# output cut by the ReLU
 _CONV_POOL_CASES = [(1, 4, 2, True), (3, 3, 2, True), (1, 5, 4, True), (2, 4, 3, False)]
 
 
-@pytest.mark.parametrize("stride,pool_kernel,pool_stride,relu", _CONV_POOL_CASES)
+@pytest.mark.parametrize("stride,pool_kernel,pool_stride,cut", _CONV_POOL_CASES)
 def test_conv_pool_matches_engine_primitives(monkeypatch, stride, pool_kernel, pool_stride,
-                                             relu):
+                                             cut):
     rng = np.random.default_rng(18)
-    x = rng.standard_normal((5, 3, 23))
-    w = rng.standard_normal((4, 3, 5))
-    b = rng.standard_normal(4)
+    x, w, b = _conv_pool_operands(rng, (5, 3, 23), (4, 3, 5), cut)
     xr = _t(x.copy())
-    ref = _conv_pool_by_engine(xr, w, b, stride, pool_kernel, pool_stride, relu)
+    ref = _conv_pool_by_engine(xr, w, b, stride, pool_kernel, pool_stride)
     g = _t(rng.standard_normal(ref.shape), False)
     backward(ad.tensor_sum(ad.mul(ref, g)))
     for block_bytes in (ad._IM2COL_BLOCK_BYTES, 1):  # one block; one sample per block
         monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES", block_bytes)
         xt = _t(x.copy())
-        out = ad.conv_pool(xt, w, b, stride, pool_kernel, pool_stride, relu)
+        out = ad.conv_pool(xt, w, b, stride, pool_kernel, pool_stride)
         backward(ad.tensor_sum(ad.mul(out, g)))
         np.testing.assert_allclose(out.data, ref.data, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(xt.grad, xr.grad, rtol=1e-10, atol=1e-12)
@@ -508,15 +516,15 @@ def test_conv_pool_shape_errors():
     x = _t(np.zeros((2, 3, 10)))
     w, b = np.zeros((4, 3, 5)), np.zeros(4)
     with pytest.raises(ShapeError):
-        ad.conv_pool(x, np.zeros((4, 2, 5)), b, 1, 2, 1, True)  # channel mismatch
+        ad.conv_pool(x, np.zeros((4, 2, 5)), b, 1, 2, 1)  # channel mismatch
     with pytest.raises(ShapeError):
-        ad.conv_pool(x, w, np.zeros(3), 1, 2, 1, True)          # bias length
+        ad.conv_pool(x, w, np.zeros(3), 1, 2, 1)          # bias length
     with pytest.raises(ShapeError):
-        ad.conv_pool(x, w, b, 0, 2, 1, True)                    # stride
+        ad.conv_pool(x, w, b, 0, 2, 1)                    # stride
     with pytest.raises(ShapeError):
-        ad.conv_pool(x, w, b, 1, 7, 1, True)                    # pool wider than conv
+        ad.conv_pool(x, w, b, 1, 7, 1)                    # pool wider than conv
     with pytest.raises(ShapeError):
-        ad.conv_pool(_t(np.zeros((2, 30))), w, b, 1, 2, 1, True)  # not (N, H, W)
+        ad.conv_pool(_t(np.zeros((2, 30))), w, b, 1, 2, 1)  # not (N, H, W)
 
 
 # ---------------------------------------------------------------------------
@@ -912,15 +920,13 @@ def test_fd_stack_rows():
     assert err < FD_TOL
 
 
-@pytest.mark.parametrize("stride,pool_kernel,pool_stride,relu", _CONV_POOL_CASES)
-def test_fd_conv_pool(stride, pool_kernel, pool_stride, relu):
+@pytest.mark.parametrize("stride,pool_kernel,pool_stride,cut", _CONV_POOL_CASES)
+def test_fd_conv_pool(stride, pool_kernel, pool_stride, cut):
     rng = np.random.default_rng(32)
-    x = rng.standard_normal((2, 3, 17))
-    w = rng.standard_normal((4, 3, 4))
-    b = rng.standard_normal(4)
+    x, w, b = _conv_pool_operands(rng, (2, 3, 17), (4, 3, 4), cut)
 
     def fn(ts):
-        out = ad.conv_pool(ts[0], w, b, stride, pool_kernel, pool_stride, relu)
+        out = ad.conv_pool(ts[0], w, b, stride, pool_kernel, pool_stride)
         return ad.tensor_sum(ad.mul(out, out))
 
     assert finite_difference_check(fn, [_t(x)]) < FD_TOL

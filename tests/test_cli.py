@@ -96,6 +96,11 @@ def test_resolve_preset_rejects_unknown_sections():
     with pytest.raises(ConfigError) as err:  # every inversion starts from a normal draw
         resolve_preset(_small_config(inversion={"init": "normal"}))
     assert "init" in str(err.value)
+    # the new classes' weights always train, from prototypes or 0.1 x a normal draw
+    for key, value in (("train_new_classifier", False), ("new_class_init_scale", 0.2)):
+        with pytest.raises(ConfigError) as err:
+            resolve_preset(_small_config(finetune={key: value}))
+        assert key in str(err.value)
     with pytest.raises(ConfigError):
         resolve_preset({})  # no preset key
 
@@ -106,14 +111,28 @@ def test_resolve_preset_rejects_unknown_sections():
     ids=["unknown-strategy", "zero-fraction"])
 def test_train_base_rejects_bad_anchor_settings_before_training(tmp_path, capsys, spy_engine,
                                                                 adaptation, message):
-    trainings = spy_engine("train_base", module=cli)
     cfg = _small_config(adaptation=dict(anchors_per_class=3, real_per_class=3, **adaptation))
+    _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine)
+
+
+def _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine):
+    """``train-base`` exits 1 with ``message`` before base training."""
+    trainings = spy_engine("train_base", module=cli)
     config = _write_config(tmp_path / "bad.json", cfg)
     out = tmp_path / "o"
     assert main(["train-base", "--config", config, "--out", str(out)]) == 1
     assert trainings == []
     assert not (out / "checkpoint.bin").exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers, message", [
+    (["temporl"], "temporl"), ("spatial", "must be a JSON list")],
+    ids=["unknown-layer", "string"])
+def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsys, spy_engine,
+                                                                 layers, message):
+    cfg = _small_config(finetune={"trainable_layers": layers})
+    _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine)
 
 
 def test_synth_override_defaults_survive_shared_frequencies():

@@ -15,13 +15,13 @@ import pytest
 from anchorinv import evaluation
 from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
 from anchorinv.data import Dataset, split_sessions
-from anchorinv.evaluation import (TrialPlan, TrialReport, macro_f1,
-                                  per_class_f1, random_chance_f1,
+from anchorinv.evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
                                   render_report, run_trials, sample_trial_sets,
                                   summarize, sweep, wilcoxon_signed_rank)
 from anchorinv.inversion import InversionConfig
-from anchorinv.model import IdentityBackbone, ModelState
+from anchorinv.model import ModelState
 from anchorinv.presets import get_preset
+from oracles import IdentityBackbone, random_chance_f1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ export left behind by a deletion fails here, and no module uses an
 ``assert`` statement: ``python -O`` strips those, so the package's guards
 must raise named errors instead.
 
+No top-level definition of the package is test-only: each one is named
+outside its own body, in a package module other than ``__init__.py``, a
+demo or ``perfbench/``, as a name, an attribute or a string (``perfbench``
+wraps engine primitives by their names), where ``__all__`` lists do not
+count.  What only the tests need lives in ``tests/oracles.py``.
+
 The engine's hot loop (``autodiff.py`` and ``optim.py``, run for every node
 of every Adam step) calls neither ``np.where``, the ``np.all`` / ``np.any``
 wrappers nor ``np.linalg.norm``.  Measured with numpy 2.4 on a 2-vCPU x86
@@ -25,8 +31,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anchorinv"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "anchorinv"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# where a package definition may be named: every module but __init__.py,
+# the demos and the benchmark
+CALLERS = ([path for path in MODULES if path.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
 HOT_LOOP_MODULES = [PACKAGE / "autodiff.py", PACKAGE / "optim.py"]
 HOT_LOOP_BANNED = {"where", "all", "any"}
 HOT_LOOP_BANNED_LINALG = {"norm"}
@@ -81,6 +92,38 @@ def _bound_names(tree: ast.Module) -> set[str]:
 def unbound_exports(tree: ast.Module) -> list[str]:
     """Names listed in ``__all__`` that the module never binds."""
     return sorted(_exported_names(tree) - _bound_names(tree))
+
+
+def _mentioned(node: ast.AST) -> set[str]:
+    """Names, attributes and string constants under ``node``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unnamed_definitions(package: list[ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Top-level defs and classes of the ``package`` modules that no
+    ``callers`` module names outside their own body and ``__all__``."""
+    defined, mentioned = set(), set()
+    for tree in callers:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and any(_is_name(t, "__all__")
+                                                     for t in node.targets)):
+                continue
+            names = _mentioned(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            mentioned |= names
+    for tree in package:
+        defined |= {node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return sorted(defined - mentioned)
 
 
 def assert_lines(tree: ast.Module) -> list[int]:
@@ -154,6 +197,12 @@ def test_only_the_block_helper_reads_the_block_budget():
     assert not reads, f"{BLOCK_BUDGET} read outside {BLOCK_HELPER}: {reads}"
 
 
+def test_no_definition_is_test_only():
+    package = [_parse(path) for path in MODULES if path.name != "__init__.py"]
+    unused = unnamed_definitions(package, [_parse(path) for path in CALLERS])
+    assert not unused, f"defined in src/anchorinv but named only by tests: {unused}"
+
+
 def test_scanner_flags_what_it_should():
     tree = ast.parse("import os\nimport numpy as np\nfrom typing import Sequence, Any\n"
                      "from . import helper\n__all__ = ['helper']\nx: Any = np.zeros(1)\n")
@@ -164,6 +213,15 @@ def test_scanner_flags_what_it_should():
         "def g():\n    h = 6\nclass K:\n    pass\n"
         "__all__ = ['a', 'b', 'c', 'd', 'f', 'g', 'h', 'K', 'gone']\n")) == ["gone", "h"]
     assert assert_lines(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == [2]
+    module = ast.parse("__all__ = ['dead', 'alive', 'wrapped', 'loop', 'K']\n"
+                       "def dead():\n    return 'dead'\n"
+                       "def alive():\n    return helper()\n"
+                       "def loop(n):\n    return loop(n - 1)\n"
+                       "def helper():\n    return 1\n"
+                       "def wrapped():\n    pass\n"
+                       "class K:\n    pass\n")
+    caller = ast.parse("import m\nm.alive()\nx: 'K' = None\nENGINE = ('wrapped',)\n")
+    assert unnamed_definitions([module], [module, caller]) == ["dead", "loop"]
     assert slow_numpy_calls(ast.parse("a = np.where(m, x, 0)\nb = x.all()\nc = np.any(x)\n"
                                       "d = np.all(np.isfinite(x))\ne = where(x)\n")) == [1, 3, 4]
     assert slow_numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"

@@ -19,15 +19,13 @@ import anchorinv.autodiff as ad
 import anchorinv.inversion as inversion
 from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
-from anchorinv.inversion import (InversionConfig, LabelInversionConfig,
-                                 ReplaySet, deepdream_config, deepinv_config,
-                                 feature_stat_penalty, invert_set,
-                                 label_space_invert_batch, total_variation)
-from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats, IdentityBackbone,
-                             LinearBackbone, ModelState, embed_batch, predict_batch,
-                             scores_graph)
-from anchorinv.optim import FreezingViolation
+from anchorinv.inversion import (InversionConfig, ReplaySet, feature_stat_penalty,
+                                 invert_set, label_space_invert_batch, total_variation)
+from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats, ModelState,
+                             embed_batch, predict_batch, scores_graph)
+from anchorinv.optim import FreezingViolation, minimize
 from anchorinv.seeds import make_rng
+from oracles import IdentityBackbone, LinearBackbone
 
 
 def _identity_state(channels=2, timesteps=3):
@@ -61,16 +59,21 @@ def test_inversion_config_validation():
 
 
 def test_label_config_validation():
-    with pytest.raises(ValueError):
-        LabelInversionConfig(l2_weight=-0.1)
+    # label-space inversion takes the InversionConfig, and only ``regularized``
+    # tells its two baselines apart
+    for field in ("l2_weight", "tv_weight", "feature_stat_weight", "auto_balance",
+                  "cross_entropy_weight", "target_label"):
+        with pytest.raises(TypeError):
+            InversionConfig(**{field: 1.0})
+    state = _two_class_state()
+    state.feature_stats = FeatureStats(mean=np.zeros(2, dtype=np.float32),
+                                       var=np.ones(2, dtype=np.float32))
     with pytest.raises(TypeError):
-        LabelInversionConfig(init="normal")
-    with pytest.raises(TypeError):  # the labels are label_space_invert_batch's argument
-        LabelInversionConfig(target_label=1)
-    cfg = deepdream_config(iterations=10)
-    assert cfg.l2_weight == cfg.tv_weight == cfg.feature_stat_weight == 0.0
-    cfg = deepinv_config(iterations=10)
-    assert cfg.auto_balance and cfg.l2_weight == 1.0
+        label_space_invert_batch(state, [0, 1], InversionConfig(iterations=5))
+    for regularized in (False, True):
+        replay = label_space_invert_batch(state, [0, 1], InversionConfig(iterations=5),
+                                          regularized)
+        assert len(replay) == 2
 
 
 def test_replay_set_validation():
@@ -234,7 +237,7 @@ def test_label_inversion_detects_parameter_drift(monkeypatch):
     state.register_class(1, rng.standard_normal(4))
     _drifting_embed(monkeypatch, state)
     with pytest.raises(FreezingViolation):
-        label_space_invert_batch(state, [0, 1], deepdream_config(iterations=3))
+        label_space_invert_batch(state, [0, 1], InversionConfig(iterations=3), False)
 
 
 _DRIFT_UNDER_O = textwrap.dedent("""
@@ -242,7 +245,8 @@ _DRIFT_UNDER_O = textwrap.dedent("""
     import anchorinv.inversion as inversion
     from anchorinv import AnchorSet, FreezingViolation, InversionConfig, invert_set
     from anchorinv.autodiff import Tensor
-    from anchorinv.model import LinearBackbone, ModelState
+    from anchorinv.model import ModelState
+    from oracles import LinearBackbone
 
     assert False, "assert statements must be stripped in this interpreter"
     weight = Tensor(np.ones((6, 4), dtype=np.float32), requires_grad=True)
@@ -265,8 +269,9 @@ _DRIFT_UNDER_O = textwrap.dedent("""
 def test_drift_guard_survives_python_optimize_flag():
     # python -O strips assert statements; the freezing guard must not be one
     src = str(Path(anchorinv.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)  # for the oracles module
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-O", "-c", _DRIFT_UNDER_O], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -328,7 +333,7 @@ def test_negative_pre_relu_activations_raise_stalled():
     with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0\] never moved"):
         _invert_one(state, target, InversionConfig(iterations=5))
     with pytest.raises(anchorinv.InversionStalledError, match=r"samples \[0, 1\]"):
-        label_space_invert_batch(state, [0, 1], LabelInversionConfig(iterations=5))
+        label_space_invert_batch(state, [0, 1], InversionConfig(iterations=5), False)
     # the same model with a zero spatial bias moves every sample
     state.backbone.params["spatial_b"].data[:] = 0.0
     _, mae = _invert_one(state, target, InversionConfig(iterations=5))
@@ -418,8 +423,8 @@ def _two_class_state():
 
 def test_deepdream_moves_toward_target_class():
     state = _two_class_state()
-    config = LabelInversionConfig(iterations=400, learning_rate=5e-2, seed=6)
-    replay = label_space_invert_batch(state, [1], config)
+    config = InversionConfig(iterations=400, learning_rate=5e-2, seed=6)
+    replay = label_space_invert_batch(state, [1], config, regularized=False)
     sample, final_ce = replay.samples[0], float(replay.feature_mae[0])
     assert predict_batch(state, replay.samples)[0] == 1
     # with orthogonal unit class weights the best achievable similarity gap
@@ -432,20 +437,20 @@ def test_deepdream_moves_toward_target_class():
 
 def test_label_inversion_batch_counts_and_unknown_label():
     state = _two_class_state()
-    replay = label_space_invert_batch(state, [0, 1, 1],
-                                      LabelInversionConfig(iterations=5))
+    config = InversionConfig(iterations=5)
+    replay = label_space_invert_batch(state, [0, 1, 1], config, False)
     assert len(replay) == 3
     np.testing.assert_array_equal(replay.labels, [0, 1, 1])
     np.testing.assert_array_equal(replay.sessions, [0, 0, 0])
     with pytest.raises(KeyError):
-        label_space_invert_batch(state, [0, 7], LabelInversionConfig(iterations=5))
-    assert len(label_space_invert_batch(state, [], LabelInversionConfig(iterations=5))) == 0
+        label_space_invert_batch(state, [0, 7], config, False)
+    assert len(label_space_invert_batch(state, [], config, False)) == 0
 
 
 def test_label_inversion_leaves_model_untouched():
     state = _two_class_state()
     before = {c: t.data.tobytes() for c, t in state.class_weights.items()}
-    label_space_invert_batch(state, [0, 1], LabelInversionConfig(iterations=20))
+    label_space_invert_batch(state, [0, 1], InversionConfig(iterations=20), False)
     for c, blob in before.items():
         assert state.class_weights[c].data.tobytes() == blob
         assert state.class_weights[c].requires_grad
@@ -453,7 +458,8 @@ def test_label_inversion_leaves_model_untouched():
 
 def test_auto_balance_matches_hand_scaled_weights():
     # reconstruct the shared initialization, measure each raw term on it, and
-    # check that auto-balancing equals running with explicitly scaled weights
+    # check that the regularized inversion equals minimizing the loss with
+    # explicitly scaled weights
     state = _two_class_state()
     state.feature_stats = FeatureStats(mean=np.zeros(2, dtype=np.float32),
                                        var=np.ones(2, dtype=np.float32))
@@ -471,13 +477,20 @@ def test_auto_balance_matches_hand_scaled_weights():
     tv_0 = abs(total_variation(xt).item())
     fs_0 = abs(feature_stat_penalty(state, xt).item())
 
-    auto = label_space_invert_batch(state, labels, LabelInversionConfig(
-        l2_weight=1.0, tv_weight=1.0, feature_stat_weight=1.0, auto_balance=True,
-        iterations=iters, seed=seed))
-    manual = label_space_invert_batch(state, labels, LabelInversionConfig(
-        l2_weight=ce0 / l2_0, tv_weight=ce0 / tv_0, feature_stat_weight=ce0 / fs_0,
-        auto_balance=False, iterations=iters, seed=seed))
-    np.testing.assert_allclose(auto.samples, manual.samples, rtol=1e-5, atol=1e-7)
+    config = InversionConfig(iterations=iters, seed=seed)
+    auto = label_space_invert_batch(state, labels, config, regularized=True)
+    x = Tensor(x0.copy())
+
+    def manual_loss(i):
+        scores = scores_graph(state, embed_batch(state, x))
+        loss = ad.nll(scores, cols, np.full(len(labels), -1.0))
+        for term, weight in ((ad.mul(x, x).sum(), ce0 / l2_0), (total_variation(x), ce0 / tv_0),
+                             (feature_stat_penalty(state, x), ce0 / fs_0)):
+            loss = ad.add(loss, ad.mul_scalar(term, weight))
+        return loss
+
+    minimize([x], manual_loss, iters, config.learning_rate)
+    np.testing.assert_allclose(auto.samples, x.data, rtol=1e-5, atol=1e-7)
 
 
 def test_deepinv_regularizers_shrink_the_sample():
@@ -486,8 +499,7 @@ def test_deepinv_regularizers_shrink_the_sample():
     state = _two_class_state()
     state.feature_stats = FeatureStats(mean=np.zeros(2, dtype=np.float32),
                                        var=np.full(2, 0.1, dtype=np.float32))
-    plain = label_space_invert_batch(state, [1], deepdream_config(
-        iterations=300, learning_rate=5e-2, seed=8))
-    reg = label_space_invert_batch(state, [1], deepinv_config(
-        iterations=300, learning_rate=5e-2, seed=8))
+    config = InversionConfig(iterations=300, learning_rate=5e-2, seed=8)
+    plain = label_space_invert_batch(state, [1], config, regularized=False)
+    reg = label_space_invert_batch(state, [1], config, regularized=True)
     assert np.linalg.norm(reg.samples) < np.linalg.norm(plain.samples)

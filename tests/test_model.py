@@ -15,13 +15,13 @@ from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
 from anchorinv.anchors import AnchorSet
 from anchorinv.inversion import InversionConfig, invert_set
-from anchorinv.model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone,
-                             ConvBackboneConfig, IdentityBackbone,
-                             LinearBackbone, ModelState, TrainingDivergedError, accuracy,
+from anchorinv.model import (BACKBONE_PRESETS, CONV_LAYERS, BaseTrainConfig, ConvBackbone,
+                             ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
                              compute_prototypes, cross_entropy_graph, embed_batch,
                              label_columns, predict_batch, prototype_of,
                              reuse_conv_inputs, scores_batch, scores_graph,
                              train_base)
+from oracles import IdentityBackbone, LinearBackbone
 
 
 def _tiny_config(**overrides):
@@ -58,8 +58,8 @@ def test_feature_dim_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         _tiny_config(filters=0)
-    with pytest.raises(ValueError):
-        _tiny_config(activation="tanh")
+    with pytest.raises(TypeError):  # the backbone always applies its ReLU
+        _tiny_config(activation="relu")
     with pytest.raises(ValueError):
         _tiny_config(temporal_kernel=17)  # conv width collapses to zero
 
@@ -112,13 +112,13 @@ def test_conv_backbone_matches_loop_oracle():
 
 
 # geometries for the frozen-path oracle: the desk preset, a temporal stride,
-# pooling windows that leave the last conv columns out, and no ReLU
+# pooling windows that leave the last conv columns out, and three filters
 _FROZEN_PATH_CONFIGS = [
     BACKBONE_PRESETS["desk"],
     _tiny_config(name="strided", timesteps=40, filters=4, temporal_kernel=6,
                  temporal_stride=3, pool_kernel=4, pool_stride=3),
     _tiny_config(name="ragged", timesteps=37, filters=3, pool_kernel=6, pool_stride=4),
-    _tiny_config(name="linear", filters=3, activation="identity"),
+    _tiny_config(name="linear", filters=3),
 ]
 
 
@@ -152,9 +152,8 @@ def test_frozen_path_matches_engine_path(cfg):
     with ad.no_grad():
         assert np.abs(backbone.embed(Tensor(x)).data - engine[0]).max() \
             <= 1e-5 * np.abs(engine[0]).max()
-    if cfg.activation == "relu":
-        expect = _embed_loops(x.astype(np.float64), cfg, backbone.params)
-        np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
+    expect = _embed_loops(x.astype(np.float64), cfg, backbone.params)
+    np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
 
 
 def test_embed_path_selection(spy_convs):
@@ -205,9 +204,7 @@ def _embed_two_convs(backbone, x):
     h = ad.conv2d(x.reshape((n, 1, cfg.channels, cfg.timesteps)), p["temporal_w"],
                   p["temporal_b"], stride=(1, cfg.temporal_stride))
     h = ad.conv2d(h, p["spatial_w"], p["spatial_b"])
-    if cfg.activation == "relu":
-        h = ad.relu(h)
-    h = ad.avg_pool2d(h, kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
+    h = ad.avg_pool2d(ad.relu(h), kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
     return h.reshape((n, cfg.feature_dim))
 
 
@@ -222,14 +219,14 @@ def _features_and_grads(embed, backbone, x, g):
 
 
 # the desk preset, a reduced bci geometry (22 channels, k_t 25, pool 75 / 15),
-# the nhie temporal stride 4, and no ReLU
+# the nhie temporal stride 4, and three filters
 _COMPOSED_PATH_CONFIGS = [
     BACKBONE_PRESETS["desk"],
     _tiny_config(name="bci-reduced", channels=22, timesteps=150, filters=6,
                  temporal_kernel=25, pool_kernel=75, pool_stride=15),
     _tiny_config(name="nhie-stride-4", channels=8, timesteps=200, filters=5,
                  temporal_kernel=64, temporal_stride=4, pool_kernel=8, pool_stride=4),
-    _tiny_config(name="linear", filters=3, activation="identity"),
+    _tiny_config(name="linear", filters=3),
 ]
 
 
@@ -429,6 +426,8 @@ def test_layer_param_names():
     assert backbone.layer_param_names("spatial") == ["spatial_w", "spatial_b"]
     with pytest.raises(KeyError):
         backbone.layer_param_names("classifier")
+    assert [n for layer in CONV_LAYERS for n in backbone.layer_param_names(layer)] \
+        == backbone.param_names()
 
 
 def test_identity_backbone_flattens():

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from anchorinv.data import Dataset
-from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats,
-                             LinearBackbone, ModelState, embed_batch)
+from anchorinv.model import BACKBONE_PRESETS, ConvBackbone, FeatureStats, ModelState, embed_batch
 from anchorinv.autodiff import Tensor
 from anchorinv.serialization import (KIND_ANCHORS, KIND_CHECKPOINT,
                                      ContainerError, canonical_json,
@@ -139,17 +138,49 @@ def test_checkpoint_preserves_feature_stats(tmp_path):
     np.testing.assert_array_equal(loaded.feature_stats.var, state.feature_stats.var)
 
 
-def test_checkpoint_round_trip_linear(tmp_path):
-    rng = np.random.default_rng(102)
-    weight = Tensor(rng.standard_normal((6, 3)).astype(np.float32), requires_grad=True)
-    state = ModelState(LinearBackbone(2, 3, weight))
-    state.register_class(4, rng.standard_normal(3))
+def _desk_state():
+    state = ModelState(ConvBackbone.initialize(BACKBONE_PRESETS["desk"], seed=4))
+    rng = np.random.default_rng(103)
+    for c in (0, 3):
+        state.register_class(c, rng.standard_normal(state.feature_dim).astype(np.float32))
+    state.feature_stats = FeatureStats(mean=np.full(state.feature_dim, 0.25, dtype=np.float32),
+                                       var=np.full(state.feature_dim, 2.0, dtype=np.float32))
+    return state
+
+
+def test_checkpoint_format_is_unchanged(tmp_path):
+    # the format is pinned to the byte, "activation": "relu" included, so
+    # that every checkpoint written so far still loads
     path = tmp_path / "model.bin"
-    save_checkpoint(path, state)
+    save_checkpoint(path, _desk_state())
+    assert file_sha256(path) == \
+        "ce77dfdcf859adf0e09cb839cc139cd80c5627d90dc13431dbde71bfe4e1f42f"
+    meta, _ = read_container(path)
+    assert meta["backbone_kind"] == "conv" and meta["backbone_config"]["activation"] == "relu"
     loaded = load_checkpoint(path)
-    assert loaded.backbone.kind == "linear"
-    assert loaded.backbone.params["weight"].data.tobytes() == weight.data.tobytes()
-    assert loaded.seen_classes() == [4]
+    assert loaded.backbone.config == BACKBONE_PRESETS["desk"]
+    assert loaded.seen_classes() == [0, 3]
+
+
+@pytest.mark.parametrize("patch", [
+    lambda meta: meta.update(backbone_kind="identity"),
+    lambda meta: meta.update(backbone_kind="linear"),
+    lambda meta: meta.update(backbone_kind="mlp"),
+    lambda meta: meta["backbone_config"].update(dilation=2),
+    lambda meta: meta["backbone_config"].pop("pool_stride"),
+    lambda meta: meta["backbone_config"].update(activation="identity"),
+    lambda meta: meta["backbone_config"].update(filters=0),
+    lambda meta: meta["backbone_config"].update(filters="8")],
+    ids=["identity-kind", "linear-kind", "unknown-kind", "extra-key", "missing-key",
+         "identity-activation", "zero-filters", "string-filters"])
+def test_load_checkpoint_rejects_a_malformed_header(tmp_path, patch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _desk_state())
+    meta, arrays = read_container(path)
+    patch(meta)
+    write_container(path, KIND_CHECKPOINT, meta, arrays)
+    with pytest.raises(ContainerError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_wrong_kind_file(tmp_path):
