@@ -1,11 +1,11 @@
 """Incremental-session adaptation: composite replay loss, constrained
 finetuning, and the method adapters used for comparisons.
 
-Finetuning touches only a configured trainable set — by default the last
-backbone layer plus the classifier entries of the classes introduced in the
-current session.  Everything else (earlier backbone layers, all prior-class
-weights) is frozen, and the freezing is verified by checksum after every
-finetune call.
+Finetuning trains the last backbone layer (the spatial conv) and the
+classifier entries of the classes introduced in the current session, on the
+new set and the replay at equal weight.  Everything else (the temporal conv,
+all prior-class weights) is frozen, and the freezing is verified by checksum
+after every finetune call.
 
 Methods:
     anchorinv   invert the accumulated anchor memory, finetune with replay
@@ -30,7 +30,7 @@ from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_featur
                       select_anchors)
 from .data import Dataset
 from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
-from .model import (CONV_LAYERS, ModelState, embed_batch, label_columns, prototype_of,
+from .model import (ModelState, check_count, embed_batch, label_columns, prototype_of,
                     reuse_conv_inputs, scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
@@ -56,29 +56,21 @@ METHODS = ("anchorinv", "finetune", "protonet", "teen", "deepdream", "deepinv",
 
 _SESSION_STREAM = 0x5E55
 _REPLAY_STORE_STREAM = 0x8EA1
+# TEEN's calibration: softmax sharpness and the weight of the new prototype
+_TEEN_TAU, _TEEN_ALPHA = 32.0, 0.5
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Settings for one finetune_session call.  It trains the listed
-    backbone layers and the classifier weights of the session's new
-    classes."""
+    """Settings for one finetune_session call."""
 
-    replay_weight: float = 1.0          # weight on the replay term
     learning_rate: float = 1e-3
     iterations: int = 200
-    trainable_layers: tuple[str, ...] = ("spatial",)
     prototype_init: bool = True
     seed: int = 5
 
     def __post_init__(self):
-        if self.replay_weight < 0:
-            raise ValueError("replay weight must be >= 0")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        unknown = [layer for layer in self.trainable_layers if layer not in CONV_LAYERS]
-        if unknown:
-            raise ValueError(f"unknown trainable layers {unknown}; valid: {list(CONV_LAYERS)}")
+        check_count("iterations", self.iterations, 0)
 
 
 @dataclass(frozen=True)
@@ -88,19 +80,15 @@ class AdaptationConfig:
     finetune: FinetuneConfig = FinetuneConfig()
     inversion: InversionConfig = InversionConfig()
     label_inversion_iterations: int = 1000
-    label_inversion_learning_rate: float = 1e-2
     anchors_per_class: int = 10
     anchor_strategy: str = "random_sample"
     anchor_fraction: float = 0.5
-    teen_tau: float = 32.0
-    teen_alpha: float = 0.5
     real_per_class: int = 50
 
     def __post_init__(self):
-        if self.teen_tau <= 0 or not 0.0 <= self.teen_alpha <= 1.0:
-            raise ValueError("TEEN needs tau > 0 and alpha in [0, 1]")
-        if self.anchors_per_class < 1 or self.real_per_class < 1:
-            raise ValueError("per-class counts must be >= 1")
+        check_count("label_inversion_iterations", self.label_inversion_iterations, 1)
+        check_count("anchors_per_class", self.anchors_per_class, 1)
+        check_count("real_per_class", self.real_per_class, 1)
         # checked here, not first in select_anchors, so that a bad setting
         # fails before base training
         if self.anchor_strategy not in STRATEGIES:
@@ -114,32 +102,31 @@ class AdaptationConfig:
 # composite loss
 
 
-def replay_batch(replay, new: Dataset | None,
-                 replay_weight: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def replay_batch(replay, new: Dataset | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """The joint batch of a finetune session: samples ``x`` as one float32
     Tensor, labels ``y`` and per-sample loss weights ``w``, new set first.
 
     ``replay`` may be a ReplaySet, a Dataset (real replay), or None/empty
-    (the replay term is then defined as zero).  Each sample of the new set
-    weighs -1/N_new and each replay sample -replay_weight/N_replay: negated,
-    so that the weighted sum of log-probabilities is the loss.
+    (the replay term is then defined as zero).  Each sample of a set of N
+    weighs -1/N: negated, so that the weighted sum of log-probabilities is
+    the loss.
     """
     replay_x, replay_y = _replay_arrays(replay)
-    parts = []  # (samples, labels, weight of the set's mean)
+    parts = []  # (samples, labels)
     if new is not None and len(new) > 0:
-        parts.append((new.x, new.y, 1.0))
+        parts.append((new.x, new.y))
     if replay_x is not None and replay_x.shape[0] > 0:
-        parts.append((replay_x, replay_y, float(replay_weight)))
+        parts.append((replay_x, replay_y))
     if not parts:
         raise ValueError("both the new set and the replay set are empty")
-    x = np.concatenate([np.asarray(xs, np.float32) for xs, _, _ in parts])
-    y = np.concatenate([np.asarray(ys) for _, ys, _ in parts])
-    w = np.concatenate([np.full(len(ys), -weight / len(ys)) for _, ys, weight in parts])
+    x = np.concatenate([np.asarray(xs, np.float32) for xs, _ in parts])
+    y = np.concatenate([np.asarray(ys) for _, ys in parts])
+    w = np.concatenate([np.full(len(ys), -1.0 / len(ys)) for _, ys in parts])
     return Tensor(x), y, w
 
 
 def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
-    """CE(new) + replay_weight * CE(replay), each mean-reduced over its set,
+    """CE(new) + CE(replay), each mean-reduced over its set,
     of the joint batch ``x``, ``y``, ``w`` that ``replay_batch`` builds: the
     batch is embedded as one, and each sample's log-probability of its true
     class is weighted by its ``w``."""
@@ -193,7 +180,8 @@ def finetune_session(state: ModelState, replay, new: Dataset,
                      config: FinetuneConfig,
                      loss_log: list[float] | None = None) -> ModelState:
     """Clone the state, register the session's new classes, and run full-batch
-    Adam on the composite loss over the configured trainable set only.
+    Adam on the composite loss over the backbone's ``FINETUNED`` parameters
+    and the new class weights only.
 
     Returns the adapted clone.  Frozen tensors are checksummed before and
     after; any drift raises ``FreezingViolation``.
@@ -209,10 +197,7 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     else:
         random_new_class_weights(out, new_classes, config.seed)
 
-    trainable: list[Tensor] = []
-    for layer in config.trainable_layers:
-        for name in out.backbone.layer_param_names(layer):
-            trainable.append(out.backbone.params[name])
+    trainable = [out.backbone.params[name] for name in out.backbone.FINETUNED]
     trainable.extend(out.class_weights[c] for c in sorted(new_classes))
 
     trainable_ids = {id(t) for t in trainable}
@@ -220,7 +205,7 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     if config.iterations == 0:
         return out
 
-    x, y, w = replay_batch(replay, new, config.replay_weight)
+    x, y, w = replay_batch(replay, new)
 
     def loss_fn(i: int) -> Tensor:
         return composite_loss(out, x, y, w)
@@ -240,20 +225,16 @@ def finetune_session(state: ModelState, replay, new: Dataset,
 
 def adapt_protonet(state: ModelState, new: Dataset) -> ModelState:
     """Frozen backbone; new classes classified by their prototypes."""
-    out = state.clone()
-    for c in new.classes():
-        if c in out.class_weights:
-            del out.class_weights[c]  # idempotent re-adaptation
-    init_new_class_weights(out, new)
-    return out
+    return init_new_class_weights(state.clone(), new)
 
 
-def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int],
-               tau: float = 32.0, alpha: float = 0.5) -> ModelState:
+def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int]) -> ModelState:
     """Prototype adapter with calibration: each new prototype is pulled toward
     a softmax-weighted mixture of base-class weights.
 
     p' = alpha * p_new + (1 - alpha) * sum_b softmax_b(tau * cos(p_new, w_b)) * w_b
+
+    with tau = ``_TEEN_TAU`` and alpha = ``_TEEN_ALPHA``.
     """
     base_ids = sorted(int(c) for c in base_class_ids)
     if not base_ids:
@@ -271,11 +252,11 @@ def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int],
         proto = prototype_of(out, new.x[idx]).astype(np.float64)
         unit = proto / max(np.linalg.norm(proto), 1e-12)
         sims = base_unit @ unit
-        z = tau * sims
+        z = _TEEN_TAU * sims
         z -= z.max()
         w = np.exp(z)
         w /= w.sum()
-        calibrated = alpha * proto + (1.0 - alpha) * (w @ base_mat)
+        calibrated = _TEEN_ALPHA * proto + (1.0 - _TEEN_ALPHA) * (w @ base_mat)
         out.register_class(c, calibrated.astype(np.float32))
     return out
 
@@ -343,8 +324,7 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
         if method == "protonet":
             state = adapt_protonet(state, new)
         elif method == "teen":
-            state = adapt_teen(state, new, base_ids, tau=config.teen_tau,
-                               alpha=config.teen_alpha)
+            state = adapt_teen(state, new, base_ids)
         elif method == "finetune":
             state = finetune_session(state, None, new, config.finetune)
         elif method == "anchorinv":
@@ -355,9 +335,8 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
             memory = memory.append(incremental_anchors(feats))
         elif method in ("deepdream", "deepinv"):
             labels = [c for c, k in sorted(label_counts.items()) for _ in range(k)]
-            li_cfg = InversionConfig(learning_rate=config.label_inversion_learning_rate,
-                                     iterations=config.label_inversion_iterations,
-                                     seed=session_seed)
+            li_cfg = replace(config.inversion, iterations=config.label_inversion_iterations,
+                             seed=session_seed)
             replay = label_space_invert_batch(state, labels, li_cfg,
                                               regularized=method == "deepinv")
             state = finetune_session(state, replay, new, config.finetune)

@@ -17,7 +17,8 @@ from . import autodiff as ad
 from .data import Dataset
 from .model import ModelState, embed_batch, _exact_mean
 from .seeds import make_rng
-from .serialization import KIND_ANCHORS, ContainerError, read_container, write_container
+from .serialization import (KIND_ANCHORS, ContainerError, check_arrays, read_container,
+                            write_container)
 
 __all__ = [
     "FeatureSet",
@@ -35,6 +36,7 @@ __all__ = [
 STRATEGIES = ("random_sample", "closest", "random_closest", "kmeans", "full")
 
 _COS_EPS = 1e-12
+_KMEANS_ITERS = 100  # Lloyd iterations at most
 
 
 class KMeansObjectiveError(RuntimeError):
@@ -192,8 +194,9 @@ def incremental_anchors(features: FeatureSet) -> AnchorSet:
 # k-means
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding.
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding, for ``_KMEANS_ITERS``
+    iterations at most.
 
     Returns (k, D) centroids.  The sum of squared distances to the nearest
     centroid must not increase across iterations (``KMeansObjectiveError``
@@ -206,8 +209,6 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> n
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     rng = make_rng(seed, 0x4B)
 
     # k-means++ seeding
@@ -225,7 +226,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> n
 
     prev_objective = np.inf
     assignments = None
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = _pairwise_sq_dist(points, centroids)
         new_assignments = np.argmin(d2, axis=1)
         objective = float(d2[np.arange(n), new_assignments].sum())
@@ -273,7 +274,12 @@ def save_anchor_set(path, anchors: AnchorSet) -> None:
 
 
 def load_anchor_set(path, expected_dim: int | None = None) -> AnchorSet:
+    """The AnchorSet ``save_anchor_set`` wrote; ContainerError for a missing,
+    extra or wrongly shaped array, or a dimension other than ``expected_dim``."""
     meta, arrays = read_container(path, expect_kind=KIND_ANCHORS)
+    j = arrays["vectors"].shape[:1] if "vectors" in arrays else ()
+    check_arrays(arrays, {"vectors": ((*j, meta.get("dim")), np.float32),
+                          "labels": (j, np.int64), "sessions": (j, np.int64)}, path)
     anchors = AnchorSet(vectors=arrays["vectors"], labels=arrays["labels"],
                         sessions=arrays["sessions"], strategy=meta["strategy"],
                         per_class=int(meta["per_class"]))

@@ -644,27 +644,27 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
 # -- classifier-facing fused primitives ----------------------------------------
 
 
-def softmax_with_temperature(x: Tensor, temperature: float, axis: int = -1) -> Tensor:
-    """Numerically stable softmax of ``x / temperature`` along ``axis``."""
+def softmax_with_temperature(x: Tensor, temperature: float) -> Tensor:
+    """Numerically stable softmax of ``x / temperature`` along the last axis."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     z = x.data / x.dtype.type(temperature)
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         _accumulate(x, ((g - inner) * out_data / x.dtype.type(temperature)))
 
     return _node(np.ascontiguousarray(out_data), (x,), backward_fn, "softmax")
 
 
-def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = _NORM_EPS) -> Tensor:
+def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarity between rows of ``a`` (N, D) and ``b`` (K, D).
 
     Fused primitive with a hand-derived adjoint so callers never need
-    broadcasting.  Rows with norm below ``eps`` are clamped to ``eps``; the
+    broadcasting.  Rows with norm below ``_NORM_EPS`` are clamped to it; the
     norm-direction term of the gradient is dropped for clamped rows (the
     clamped norm is constant there).
     """
@@ -676,13 +676,13 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = _NORM_EPS) -> Te
     # np.linalg.norm(axis=1) computes this, with its own overhead on top
     na = np.sqrt((a.data * a.data).sum(axis=1))
     nb = np.sqrt((b.data * b.data).sum(axis=1))
-    na_c = np.maximum(na, eps).astype(a.dtype, copy=False)
-    nb_c = np.maximum(nb, eps).astype(b.dtype, copy=False)
+    na_c = np.maximum(na, _NORM_EPS).astype(a.dtype, copy=False)
+    nb_c = np.maximum(nb, _NORM_EPS).astype(b.dtype, copy=False)
     u = a.data / na_c[:, None]
     v = b.data / nb_c[:, None]
     cos = u @ v.T  # (N, K)
-    live_a = na > eps
-    live_b = nb > eps
+    live_a = na > _NORM_EPS
+    live_b = nb > _NORM_EPS
 
     def backward_fn(g):
         if a.requires_grad:

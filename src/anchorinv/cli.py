@@ -21,6 +21,7 @@ import json
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -92,13 +93,19 @@ def _override(obj, overrides: dict, context: str):
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ConfigError(f"unknown {context} config keys {unknown}")
-    coerced = dict(overrides)
-    if "trainable_layers" in coerced:
-        if not isinstance(coerced["trainable_layers"], list):
-            raise ConfigError(f"{context}.trainable_layers must be a JSON list, "
-                              f"got {coerced['trainable_layers']!r}")
-        coerced["trainable_layers"] = tuple(coerced["trainable_layers"])
-    return replace(obj, **coerced)
+    return replace(obj, **overrides)
+
+
+@contextmanager
+def _section(name: str):
+    """Report a TypeError or ValueError raised while config section ``name``
+    is built as a ConfigError that names the section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad '{name}' config: {err}") from err
 
 
 def resolve_preset(cfg: dict) -> ExperimentPreset:
@@ -107,41 +114,39 @@ def resolve_preset(cfg: dict) -> ExperimentPreset:
     if "synth" in cfg:
         if not isinstance(cfg["synth"], dict):
             raise ConfigError("'synth' must be a JSON object")
-        try:
+        with _section("synth"):
             preset = with_synth_classes(preset, **cfg["synth"])
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
     if "base_train" in cfg:
-        preset = replace(preset, base_train=_override(preset.base_train,
-                                                      cfg["base_train"], "base_train"))
+        with _section("base_train"):
+            preset = replace(preset, base_train=_override(preset.base_train,
+                                                          cfg["base_train"], "base_train"))
     adaptation = preset.adaptation
     if "finetune" in cfg:
-        adaptation = replace(adaptation,
-                             finetune=_override(adaptation.finetune, cfg["finetune"],
-                                                "finetune"))
+        with _section("finetune"):
+            adaptation = replace(adaptation, finetune=_override(adaptation.finetune,
+                                                                cfg["finetune"], "finetune"))
     if "inversion" in cfg:
-        adaptation = replace(adaptation,
-                             inversion=_override(adaptation.inversion, cfg["inversion"],
-                                                 "inversion"))
+        with _section("inversion"):
+            adaptation = replace(adaptation, inversion=_override(adaptation.inversion,
+                                                                 cfg["inversion"], "inversion"))
     if "adaptation" in cfg:
         unknown = sorted(set(cfg["adaptation"]) - _ADAPTATION_SCALARS)
         if unknown:
             raise ConfigError(f"unknown adaptation config keys {unknown} "
                               f"(finetune/inversion have their own sections)")
-        adaptation = replace(adaptation, **cfg["adaptation"])
+        with _section("adaptation"):
+            adaptation = replace(adaptation, **cfg["adaptation"])
     preset = replace(preset, adaptation=adaptation)
 
     simple = {}
-    if "trials" in cfg:
-        simple["trials"] = int(cfg["trials"])
-    if "seed" in cfg:
-        simple["master_seed"] = int(cfg["seed"])
-    if "way" in cfg:
-        simple["way"] = int(cfg["way"])
-    if "shot" in cfg:
-        simple["shot"] = int(cfg["shot"])
+    for key, field in (("trials", "trials"), ("seed", "master_seed"), ("way", "way"),
+                       ("shot", "shot")):
+        if key in cfg:
+            with _section(key):
+                simple[field] = int(cfg[key])
     if "base_classes" in cfg:
-        simple["base_classes"] = tuple(int(c) for c in cfg["base_classes"])
+        with _section("base_classes"):
+            simple["base_classes"] = tuple(int(c) for c in cfg["base_classes"])
     if "methods" in cfg:
         methods = tuple(str(m) for m in cfg["methods"])
         unknown = [m for m in methods if m not in METHODS]

@@ -83,7 +83,6 @@ class SynthClassSpec:
     """
 
     frequency: float          # cycles per window
-    amplitude: float = 1.0
     phase_jitter: float = 1.0  # fraction of the full [-pi, pi) phase range
     noise_sigma: float = 0.5
     channel_gains: tuple[float, ...] | None = None
@@ -107,7 +106,7 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
-        params = [(c.frequency, c.amplitude, c.channel_gains) for c in self.classes]
+        params = [(c.frequency, c.channel_gains) for c in self.classes]
         if len(set(params)) != len(params):
             raise ValueError("class parameter sets must be pairwise distinct")
         if self.train_per_class < 1 or self.test_per_class < 0:
@@ -164,8 +163,7 @@ def _synth_sample(spec: SynthSpec, cls: SynthClassSpec, rng: np.random.Generator
     phase = cls.phase_jitter * rng.uniform(-np.pi, np.pi)
     # fixed per-channel phase offsets give the spatial conv something to use
     channel_phase = np.linspace(0.0, np.pi / 2, h)[:, None]
-    signal = cls.amplitude * np.sin(2 * np.pi * cls.frequency * t[None, :]
-                                    + phase + channel_phase)
+    signal = np.sin(2 * np.pi * cls.frequency * t[None, :] + phase + channel_phase)
     if cls.channel_gains is not None:
         signal = signal * np.asarray(cls.channel_gains)[:, None]
     noise = cls.noise_sigma * rng.standard_normal((h, w))
@@ -282,10 +280,6 @@ class SessionSplit:
     base_spec: SessionSpec
     pools: list[Dataset] = field(default_factory=list)
     pool_specs: list[SessionSpec] = field(default_factory=list)
-
-    @property
-    def num_sessions(self) -> int:
-        return 1 + len(self.pools)
 
     def classes_through(self, session: int) -> list[int]:
         seen = list(self.base_spec.class_ids)

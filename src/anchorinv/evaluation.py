@@ -220,9 +220,6 @@ class TrialReport:
     scores: dict[str, dict[str, list[list[float]]]]
     p_values: dict[str, list[float | None]]
 
-    def summary(self, method: str, metric: str, session: int) -> tuple[float, float]:
-        return summarize(self.scores[method][metric][session - 1])
-
     def to_dict(self) -> dict:
         return {
             "methods": list(self.methods),
@@ -277,7 +274,6 @@ def _run_one_trial(base_state: ModelState, base_anchors: AnchorSet | None,
 def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
                plan: TrialPlan, config: AdaptationConfig,
                base_anchors: AnchorSet | None = None,
-               base_replay_store: Dataset | None = None,
                workers: int = 1) -> TrialReport:
     """Paired multi-trial evaluation of every configured method.
 
@@ -289,15 +285,16 @@ def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
     num_sessions = len(split.pools)
     if base_anchors is None and "anchorinv" in plan.methods:
         base_anchors = base_anchor_memory(base_state, split.base, config)
-    if base_replay_store is None and "realreplay" in plan.methods:
-        base_replay_store = sample_base_replay_store(split.base, config.real_per_class,
-                                                     plan.master_seed)
+    replay_store = None
+    if "realreplay" in plan.methods:
+        replay_store = sample_base_replay_store(split.base, config.real_per_class,
+                                                plan.master_seed)
 
     base_eval = _evaluate_session(base_state, test, base_ids, base_ids)
     trial_seeds = [derive_seed(plan.master_seed, _TRIAL_STREAM, m)
                    for m in range(plan.trials)]
     run_one = functools.partial(_run_one_trial, base_state, base_anchors,
-                                base_replay_store, split, test, plan.methods, config)
+                                replay_store, split, test, plan.methods, config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, trial_seeds))

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
-from .model import ModelState, embed_batch, label_columns, scores_graph
+from .model import ModelState, check_count, embed_batch, label_columns, scores_graph
 from .optim import minimize
 from .seeds import make_rng
 
@@ -53,8 +53,7 @@ class InversionConfig:
     seed: int = 5
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        check_count("iterations", self.iterations, 1)
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
 
@@ -148,33 +147,25 @@ def invert_set(state: ModelState, anchors: AnchorSet, config: InversionConfig,
 # regularizers
 
 
-def total_variation(x) -> Tensor:
-    """Anisotropic total variation along the time axis: sum |x[., w+1] - x[., w]|.
-
-    Accepts an (H, W) matrix or an (N, H, W) batch; differentiable.
-    """
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-    if t.ndim == 2:
-        t = t.reshape((1,) + t.shape)
-    if t.ndim != 3:
-        raise ad.ShapeError(f"total_variation expects (H, W) or (N, H, W), got {x.shape}")
-    n, h, w = t.shape
+def total_variation(x: Tensor) -> Tensor:
+    """Anisotropic total variation along the time axis of an (N, H, W) batch:
+    sum |x[., ., w+1] - x[., ., w]|; differentiable."""
+    if x.ndim != 3:
+        raise ad.ShapeError(f"total_variation expects (N, H, W), got {x.shape}")
+    n, h, w = x.shape
     if w < 2:
         raise ad.ShapeError(f"total_variation needs at least 2 timesteps, got {w}")
-    kernel = Tensor(np.array([[[[-1.0, 1.0]]]], dtype=t.data.dtype))
-    diffs = ad.conv2d(t.reshape((n, 1, h, w)), kernel)
+    kernel = Tensor(np.array([[[[-1.0, 1.0]]]], dtype=x.data.dtype))
+    diffs = ad.conv2d(x.reshape((n, 1, h, w)), kernel)
     return ad.absolute(diffs).sum()
 
 
-def feature_stat_penalty(state: ModelState, batch) -> Tensor:
-    """Squared distance between the batch's embedding mean/variance and the
-    statistics stored at base training (differentiable in the batch)."""
+def feature_stat_penalty(state: ModelState, batch: Tensor) -> Tensor:
+    """Squared distance between the (N, H, W) batch's embedding mean/variance
+    and the statistics stored at base training (differentiable in the batch)."""
     if state.feature_stats is None:
         raise ValueError("model has no stored feature statistics")
-    t = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=np.float32))
-    if t.ndim != 3:
-        raise ad.ShapeError(f"expected an (N, H, W) batch, got {t.shape}")
-    feats = embed_batch(state, t)                     # (N, D)
+    feats = embed_batch(state, batch)                 # (N, D)
     mean = ad.tensor_mean(feats, axis=0)              # (D,)
     centered = ad.subtract_rowwise(feats, mean)
     var = ad.tensor_mean(ad.mul(centered, centered), axis=0)

@@ -25,7 +25,6 @@ from .seeds import make_rng
 __all__ = [
     "ConvBackboneConfig",
     "BACKBONE_PRESETS",
-    "CONV_LAYERS",
     "ConvBackbone",
     "FeatureStats",
     "ModelState",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _COS_EPS = 1e-12
+# the cosine classifier's softmax temperature
 DEFAULT_TEMPERATURE = 16.0
 
 
@@ -121,16 +121,11 @@ BACKBONE_PRESETS: dict[str, ConvBackboneConfig] = {
 # backbone
 
 
-# the parameters of each backbone layer, in parameter order; a finetune's
-# trainable_layers name its keys
-CONV_LAYERS: dict[str, tuple[str, str]] = {
-    "temporal": ("temporal_w", "temporal_b"),
-    "spatial": ("spatial_w", "spatial_b"),
-}
-
-
 class ConvBackbone:
     """Temporal conv -> spatial conv -> ReLU -> average pool -> flatten."""
+
+    # the parameters of the last layer, which finetuning trains
+    FINETUNED = ("spatial_w", "spatial_b")
 
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
@@ -158,12 +153,7 @@ class ConvBackbone:
     # parameter bookkeeping ------------------------------------------------
 
     def param_names(self) -> list[str]:
-        return [name for names in CONV_LAYERS.values() for name in names]
-
-    def layer_param_names(self, layer: str) -> list[str]:
-        if layer not in CONV_LAYERS:
-            raise KeyError(f"unknown layer '{layer}' (conv backbone has {list(CONV_LAYERS)})")
-        return list(CONV_LAYERS[layer])
+        return ["temporal_w", "temporal_b", *self.FINETUNED]
 
     def clone(self) -> "ConvBackbone":
         params = {k: _clone_tensor(v) for k, v in self.params.items()}
@@ -188,8 +178,8 @@ class ConvBackbone:
         block at a time.  Either way the path holds at most one block of
         columns plus the (N, K, W_o) activations and their gradient.
 
-        When neither ``x`` nor the temporal layer takes a gradient (the
-        default finetune, which trains ``spatial`` only) and the layer has
+        When neither ``x`` nor the temporal layer takes a gradient (a
+        finetune, which trains the spatial layer only) and the layer has
         no more filters than taps (F <= k_t: desk, nhie, grabmyo), the
         F * H features the frozen layer makes per time step are no more
         numbers than the H * k_t rows of a column, so the conv of
@@ -296,15 +286,11 @@ class FeatureStats:
 
 
 class ModelState:
-    """Backbone parameters plus the per-class weight vectors and temperature."""
+    """Backbone parameters plus the per-class weight vectors."""
 
-    def __init__(self, backbone: ConvBackbone, temperature: float = DEFAULT_TEMPERATURE,
-                 class_weights: dict[int, Tensor] | None = None,
+    def __init__(self, backbone: ConvBackbone, class_weights: dict[int, Tensor] | None = None,
                  feature_stats: FeatureStats | None = None):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
         self.backbone = backbone
-        self.temperature = float(temperature)
         self.class_weights: dict[int, Tensor] = dict(class_weights or {})
         self.feature_stats = feature_stats
         self.train_losses: list[float] | None = None
@@ -316,8 +302,7 @@ class ModelState:
     def seen_classes(self) -> list[int]:
         return sorted(self.class_weights)
 
-    def register_class(self, class_id: int, vector: np.ndarray | Tensor,
-                       requires_grad: bool = True) -> None:
+    def register_class(self, class_id: int, vector: np.ndarray | Tensor) -> None:
         data = vector.data if isinstance(vector, Tensor) else np.asarray(vector)
         if data.shape != (self.feature_dim,):
             raise ShapeError(f"class weight must have shape ({self.feature_dim},), "
@@ -325,7 +310,7 @@ class ModelState:
         if class_id in self.class_weights:
             raise ValueError(f"class {class_id} already registered")
         self.class_weights[class_id] = Tensor(np.asarray(data, dtype=np.float32).copy(),
-                                              requires_grad=requires_grad)
+                                              requires_grad=True)
 
     def weight_matrix(self) -> Tensor:
         """Class weights stacked in ascending class-id order (graph node)."""
@@ -337,7 +322,6 @@ class ModelState:
     def clone(self) -> "ModelState":
         out = ModelState(
             self.backbone.clone(),
-            temperature=self.temperature,
             class_weights={c: _clone_tensor(w) for c, w in self.class_weights.items()},
             feature_stats=None if self.feature_stats is None else self.feature_stats.copy(),
         )
@@ -360,13 +344,6 @@ def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.maximum(norms, _COS_EPS)[:, None]
 
 
-def _scores_from_similarities(sim: np.ndarray, temperature: float) -> np.ndarray:
-    z = sim / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for a feature batch (N, D) -> (N, K)."""
     classes = state.seen_classes()
@@ -376,14 +353,16 @@ def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
     if feats.ndim != 2 or feats.shape[1] != state.feature_dim:
         raise ShapeError(f"expected features (N, {state.feature_dim}), got {feats.shape}")
     weights = np.stack([state.class_weights[c].data for c in classes]).astype(np.float64)
-    sim = _normalized_rows(feats) @ _normalized_rows(weights).T
-    return _scores_from_similarities(sim, state.temperature)
+    z = (_normalized_rows(feats) @ _normalized_rows(weights).T) / DEFAULT_TEMPERATURE
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def scores_graph(state: ModelState, feats: Tensor) -> Tensor:
     """Differentiable class probabilities (N, K) over the seen classes."""
     sim = ad.cosine_similarity_matrix(feats, state.weight_matrix())
-    return ad.softmax_with_temperature(sim, state.temperature, axis=-1)
+    return ad.softmax_with_temperature(sim, DEFAULT_TEMPERATURE)
 
 
 def embed_batch(state: ModelState, x) -> Tensor:
@@ -488,13 +467,25 @@ def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequenc
     return ad.mul_scalar(ad.nll(scores, columns, w), -1.0 / float(w.sum()))
 
 
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an int (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class BaseTrainConfig:
     epochs: int = 300
     learning_rate: float = 5e-3
-    temperature: float = DEFAULT_TEMPERATURE
     weighted_loss: bool = False
     seed: int = 5
+
+    def __post_init__(self):
+        check_count("epochs", self.epochs, 1)
+        if self.learning_rate < 0:
+            raise ValueError(f"learning rate must be non-negative, got {self.learning_rate}")
 
 
 def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig,
@@ -511,7 +502,7 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
         raise ValueError(f"base training needs >= 2 classes, got {classes}")
 
     backbone = ConvBackbone.initialize(backbone_config, config.seed)
-    state = ModelState(backbone, temperature=config.temperature)
+    state = ModelState(backbone)
     rng = make_rng(config.seed, 0xC1)
     for c in classes:
         init = rng.normal(0.0, 1.0, size=backbone_config.feature_dim).astype(np.float32)

@@ -3,8 +3,8 @@
 Standard bias-corrected Adam (Kingma & Ba).  The update is elementwise, so
 the optimizer holds the parameters, the first and the second moments as three
 flat vectors over all of its parameters, and a step is one pass over them;
-``step`` consumes the ``.grad`` populated by ``backward`` (or an explicit
-gradient list) and updates parameter data in place.
+``step`` consumes the ``.grad`` populated by ``backward`` and updates
+parameter data in place.  The betas and epsilon are the paper's defaults.
 
 ``minimize`` is the only optimisation loop of the package: base training,
 anchor inversion, label-space inversion and finetuning all run through it,
@@ -23,6 +23,8 @@ from .autodiff import NonFiniteError, ShapeError, Tensor
 
 __all__ = ["Adam", "FreezingViolation", "minimize"]
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class FreezingViolation(RuntimeError):
     """A tensor held frozen during ``minimize`` changed while it ran."""
@@ -36,8 +38,7 @@ class Adam:
     once; replace a parameter's values in place, not by rebinding ``data``.
     """
 
-    def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float = 1e-3):
         params = list(params)
         if not params:
             raise ValueError("Adam needs at least one parameter")
@@ -45,15 +46,10 @@ class Adam:
             raise TypeError("Adam parameters must be Tensors")
         if len({p.dtype for p in params}) != 1:
             raise TypeError("Adam parameters must share one dtype")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
         if learning_rate < 0:
             raise ValueError(f"learning rate must be non-negative, got {learning_rate}")
         self.params = params
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._flat = np.concatenate([p.data.reshape(-1) for p in params])
         end = 0
@@ -63,25 +59,20 @@ class Adam:
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
 
-    def step(self, grads: Sequence[np.ndarray | None] | None = None) -> None:
-        """Apply one Adam update.
+    def step(self) -> None:
+        """Apply one Adam update from each parameter's ``.grad``.
 
-        ``grads[i] is None`` (or a missing ``.grad``) counts as a zero
-        gradient: the moments decay but fresh state leaves the parameter
-        bit-identical.  The gradients are concatenated in numpy's promoted
-        dtype, so float64 gradients into float32 parameters are accumulated
-        in float64 and cast into the float32 moments, as a per-parameter
-        in-place update does.  In a step that mixes float32 and float64
-        gradients the float32 ones are promoted too.
+        A missing ``.grad`` counts as a zero gradient: the moments decay but
+        fresh state leaves the parameter bit-identical.  The gradients are
+        concatenated in numpy's promoted dtype, so float64 gradients into
+        float32 parameters are accumulated in float64 and cast into the
+        float32 moments, as a per-parameter in-place update does.  In a step
+        that mixes float32 and float64 gradients the float32 ones are
+        promoted too.
         """
-        if grads is None:
-            grads = [p.grad for p in self.params]
-        else:
-            grads = list(grads)
-            if len(grads) != len(self.params):
-                raise ShapeError(f"got {len(grads)} gradients for {len(self.params)} parameters")
         flat = []
-        for p, g in zip(self.params, grads):
+        for p in self.params:
+            g = p.grad
             if g is None:
                 g = np.zeros(p.size, dtype=p.dtype)
             elif np.shape(g) != p.shape:
@@ -93,14 +84,14 @@ class Adam:
 
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - _BETA1 ** t
+        bias2 = 1.0 - _BETA2 ** t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * np.square(g)
-        self._flat -= (self.learning_rate / bias1) * m / (np.sqrt(v / bias2) + self.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * np.square(g)
+        self._flat -= (self.learning_rate / bias1) * m / (np.sqrt(v / bias2) + _EPS)
         if not np.isfinite(self._flat).all():
             raise NonFiniteError("parameter diverged to non-finite values in Adam.step")
 

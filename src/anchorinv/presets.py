@@ -75,9 +75,8 @@ def _desk_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "realreplay"),
         base_train=BaseTrainConfig(epochs=300, learning_rate=5e-3, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(replay_weight=1.0, learning_rate=5e-4,
-                                    iterations=300, trainable_layers=("spatial",),
-                                    prototype_init=True, seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=5e-4, iterations=300, prototype_init=True,
+                                    seed=DEFAULT_SEED),
             inversion=InversionConfig(learning_rate=1e-2, iterations=800, seed=DEFAULT_SEED),
             label_inversion_iterations=300,
             anchors_per_class=25,
@@ -104,9 +103,8 @@ def _bci_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "teen"),
         base_train=BaseTrainConfig(epochs=1500, learning_rate=2e-4, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(replay_weight=1.0, learning_rate=2e-5,
-                                    iterations=1550, trainable_layers=("spatial",),
-                                    prototype_init=False, seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=2e-5, iterations=1550, prototype_init=False,
+                                    seed=DEFAULT_SEED),
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
@@ -131,9 +129,8 @@ def _nhie_preset() -> ExperimentPreset:
         base_train=BaseTrainConfig(epochs=2000, learning_rate=1e-5,
                                    weighted_loss=True, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(replay_weight=1.0, learning_rate=1e-5,
-                                    iterations=1250, trainable_layers=("spatial",),
-                                    prototype_init=False, seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=1e-5, iterations=1250, prototype_init=False,
+                                    seed=DEFAULT_SEED),
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
@@ -157,9 +154,8 @@ def _grabmyo_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "teen"),
         base_train=BaseTrainConfig(epochs=2000, learning_rate=5e-5, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(replay_weight=1.0, learning_rate=5e-6,
-                                    iterations=1300, trainable_layers=("spatial",),
-                                    prototype_init=True, seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=5e-6, iterations=1300, prototype_init=True,
+                                    seed=DEFAULT_SEED),
             inversion=InversionConfig(learning_rate=1e-2, iterations=2000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .model import ConvBackbone, ConvBackboneConfig, FeatureStats, ModelState
+from .model import (DEFAULT_TEMPERATURE, ConvBackbone, ConvBackboneConfig, FeatureStats,
+                    ModelState)
 from .autodiff import Tensor
 
 __all__ = [
@@ -54,6 +55,20 @@ _TAG_OF_KIND = {"f": 0, "i": 1}
 
 class ContainerError(RuntimeError):
     """Corrupt, truncated, or incompatible container file."""
+
+
+def check_arrays(arrays: dict[str, np.ndarray], expected: dict[str, tuple], path) -> None:
+    """ContainerError unless ``arrays`` holds exactly the named arrays of
+    ``expected``, each of its (shape, dtype)."""
+    missing = sorted(set(expected) - set(arrays))
+    extra = sorted(set(arrays) - set(expected))
+    if missing or extra:
+        raise ContainerError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
+    for name, (shape, dtype) in expected.items():
+        arr = arrays[name]
+        if arr.shape != shape or arr.dtype != dtype:
+            raise ContainerError(f"{path}: array '{name}' is {arr.dtype} {arr.shape}, "
+                                 f"expected {np.dtype(dtype)} {shape}")
 
 
 def write_container(path, kind: int, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -127,8 +142,9 @@ def read_container(path, expect_kind: int | None = None) -> tuple[dict, dict[str
 # model checkpoints
 
 
-# the keys of a checkpoint's "backbone_config"; "activation" is always "relu",
-# kept so that the format of checkpoint files does not change
+# the keys of a checkpoint's "backbone_config"; "activation" is always "relu"
+# and the header's "temperature" always DEFAULT_TEMPERATURE, kept so that the
+# format of checkpoint files does not change
 _BACKBONE_KEYS = ("name", "channels", "timesteps", "filters", "temporal_kernel",
                   "temporal_stride", "pool_kernel", "pool_stride")
 _ACTIVATION = "relu"
@@ -137,7 +153,7 @@ _ACTIVATION = "relu"
 def save_checkpoint(path, state: ModelState) -> None:
     backbone = state.backbone
     meta = {
-        "temperature": state.temperature,
+        "temperature": DEFAULT_TEMPERATURE,
         "classes": state.seen_classes(),
         "backbone_kind": "conv",
         "has_feature_stats": state.feature_stats is not None,
@@ -173,13 +189,29 @@ def _backbone_config(meta: dict, path) -> ConvBackboneConfig:
 
 
 def load_checkpoint(path) -> ModelState:
+    """The ModelState ``save_checkpoint`` wrote; ContainerError for a header
+    it does not write, or a missing, extra or wrongly shaped array."""
     meta, arrays = read_container(path, expect_kind=KIND_CHECKPOINT)
+    cfg = _backbone_config(meta, path)
+    if meta.get("temperature") != DEFAULT_TEMPERATURE:
+        raise ContainerError(f"temperature {meta.get('temperature')!r} in {path} is not "
+                             f"{DEFAULT_TEMPERATURE}")
+    classes = meta.get("classes")
+    if not isinstance(classes, list) or not all(type(c) is int for c in classes):
+        raise ContainerError(f"class list {classes!r} in {path} is not a list of ints")
+    f, h, kt, d = cfg.filters, cfg.channels, cfg.temporal_kernel, cfg.feature_dim
+    expected = {"backbone.temporal_w": (f, 1, 1, kt), "backbone.temporal_b": (f,),
+                "backbone.spatial_w": (f, f, h, 1), "backbone.spatial_b": (f,)}
+    expected.update({f"classifier.{c}": (d,) for c in classes})
+    if meta.get("has_feature_stats"):
+        expected.update({"feature_stats.mean": (d,), "feature_stats.var": (d,)})
+    check_arrays(arrays, {name: (shape, np.float32) for name, shape in expected.items()}, path)
+
     params = {name: Tensor(arrays[f"backbone.{name}"], requires_grad=True)
               for name in ("temporal_w", "temporal_b", "spatial_w", "spatial_b")}
-    backbone = ConvBackbone(_backbone_config(meta, path), params)
-    state = ModelState(backbone, temperature=meta["temperature"])
-    for c in meta["classes"]:
-        state.register_class(int(c), arrays[f"classifier.{c}"])
+    state = ModelState(ConvBackbone(cfg, params))
+    for c in classes:
+        state.register_class(c, arrays[f"classifier.{c}"])
     if meta.get("has_feature_stats"):
         state.feature_stats = FeatureStats(mean=arrays["feature_stats.mean"],
                                            var=arrays["feature_stats.var"])
@@ -191,11 +223,10 @@ def load_checkpoint(path) -> ModelState:
 
 
 def write_manifest_dataset(root, dataset: Dataset, split: str,
-                           sample_rate: float = 1.0,
-                           synthetic: bool = False,
-                           subject_ids: np.ndarray | None = None) -> Path:
+                           synthetic: bool = False) -> Path:
     """Write per-sample raw float32 payloads plus a JSON manifest; returns the
-    manifest path."""
+    manifest path.  Every entry's ``subject_id`` is 0 and the manifest's
+    ``sample_rate`` 1.0, kept so that the manifest format does not change."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     n, h, w = dataset.x.shape
@@ -207,7 +238,7 @@ def write_manifest_dataset(root, dataset: Dataset, split: str,
         entries.append({
             "file": rel,
             "class_id": int(dataset.y[i]),
-            "subject_id": int(subject_ids[i]) if subject_ids is not None else 0,
+            "subject_id": 0,
             "split": split,
             "synthetic": bool(synthetic),
         })
@@ -215,7 +246,7 @@ def write_manifest_dataset(root, dataset: Dataset, split: str,
         "version": 1,
         "channels": int(h),
         "timesteps": int(w),
-        "sample_rate": float(sample_rate),
+        "sample_rate": 1.0,
         "entries": entries,
     }
     path = root / f"manifest_{split}.json"

@@ -44,6 +44,7 @@ class IdentityBackbone:
 
     # the conv input ``reuse_conv_inputs`` keeps: these backbones build none
     _reused_input = None
+    FINETUNED = ()  # finetuning trains only the new class weights
 
     def __init__(self, channels: int, timesteps: int):
         self.config = _PlainShapeConfig(channels, timesteps, channels * timesteps)
@@ -51,9 +52,6 @@ class IdentityBackbone:
 
     def param_names(self) -> list[str]:
         return []
-
-    def layer_param_names(self, layer: str) -> list[str]:
-        raise KeyError("identity backbone has no trainable layers")
 
     def clone(self) -> "IdentityBackbone":
         return IdentityBackbone(self.config.channels, self.config.timesteps)
@@ -70,6 +68,7 @@ class LinearBackbone:
     """Single linear map: flatten then multiply by a (H*W, D) weight."""
 
     _reused_input = None
+    FINETUNED = ("weight",)
 
     def __init__(self, channels: int, timesteps: int, weight: Tensor):
         if weight.ndim != 2 or weight.shape[0] != channels * timesteps:
@@ -80,11 +79,6 @@ class LinearBackbone:
 
     def param_names(self) -> list[str]:
         return ["weight"]
-
-    def layer_param_names(self, layer: str) -> list[str]:
-        if layer == "linear":
-            return ["weight"]
-        raise KeyError(f"unknown layer '{layer}' (linear backbone has 'linear')")
 
     def clone(self) -> "LinearBackbone":
         weight = self.params["weight"]

@@ -17,9 +17,9 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
 from anchorinv.data import Dataset
 from anchorinv.inversion import InversionConfig, ReplaySet
-from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, ConvBackboneConfig,
-                             ModelState, cross_entropy_graph, embed_batch, scores_graph,
-                             train_base)
+from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, ConvBackbone,
+                             ConvBackboneConfig, ModelState, cross_entropy_graph, embed_batch,
+                             scores_graph, train_base)
 from anchorinv.optim import minimize
 from anchorinv.presets import get_preset
 from oracles import IdentityBackbone
@@ -60,11 +60,15 @@ def test_composite_loss_hand_oracle():
     new = _dataset([[1.0, 0.0]], [0])       # cos sims (1, 0) -> CE toward 0
     replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
                        np.array([1]), np.array([0]), np.zeros(1))
-    ce_new = _softmax_ce([1.0, 0.0], 16.0, 0)
-    ce_replay = _softmax_ce([0.0, 1.0], 16.0, 1)
-    for w in (0.0, 1.0, 2.5):
-        got = composite_loss(state, *replay_batch(replay, new, w)).item()
-        assert got == pytest.approx(ce_new + w * ce_replay, rel=1e-5)
+    ce_new = _softmax_ce([1.0, 0.0], DEFAULT_TEMPERATURE, 0)
+    ce_replay = _softmax_ce([0.0, 1.0], DEFAULT_TEMPERATURE, 1)
+    got = composite_loss(state, *replay_batch(replay, new)).item()
+    assert got == pytest.approx(ce_new + ce_replay, rel=1e-5)
+    # the two sets weigh the same: a replay of two copies gives the same loss
+    doubled = ReplaySet(np.concatenate([replay.samples] * 2), np.array([1, 1]),
+                        np.zeros(2), np.zeros(2))
+    assert composite_loss(state, *replay_batch(doubled, new)).item() \
+        == pytest.approx(got, rel=1e-6)
 
 
 def test_composite_loss_is_one_loss_node(spy_engine):
@@ -73,22 +77,22 @@ def test_composite_loss_is_one_loss_node(spy_engine):
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
                        np.array([1]), np.array([0]), np.zeros(1))
-    composite_loss(state, *replay_batch(replay, new, 2.0))
+    composite_loss(state, *replay_batch(replay, new))
     assert calls == ["nll"]
 
 
 def test_composite_loss_replay_conventions():
     state = _two_class_state()
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    base = composite_loss(state, *replay_batch(None, new, 3.0)).item()
+    base = composite_loss(state, *replay_batch(None, new)).item()
     empty = ReplaySet.empty(1, 2)
-    assert composite_loss(state, *replay_batch(empty, new, 3.0)).item() == base
+    assert composite_loss(state, *replay_batch(empty, new)).item() == base
     # a Dataset works as real replay and matches the equivalent ReplaySet
     rows = np.asarray([[[0.0, 1.0]]], dtype=np.float32)
     as_set = ReplaySet(rows, np.array([1]), np.zeros(1), np.zeros(1))
     as_data = Dataset(rows, np.array([1], dtype=np.int64))
-    a = composite_loss(state, *replay_batch(as_set, new, 1.0)).item()
-    b = composite_loss(state, *replay_batch(as_data, new, 1.0)).item()
+    a = composite_loss(state, *replay_batch(as_set, new)).item()
+    b = composite_loss(state, *replay_batch(as_data, new)).item()
     assert a == b
 
 
@@ -96,23 +100,23 @@ def test_composite_loss_replay_only_and_errors():
     state = _two_class_state()
     replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
                        np.array([1]), np.zeros(1), np.zeros(1))
-    expect = 2.0 * _softmax_ce([0.0, 1.0], 16.0, 1)
-    got = composite_loss(state, *replay_batch(replay, None, 2.0)).item()
+    expect = _softmax_ce([0.0, 1.0], DEFAULT_TEMPERATURE, 1)
+    got = composite_loss(state, *replay_batch(replay, None)).item()
     assert got == pytest.approx(expect, rel=1e-5)
     with pytest.raises(ValueError):
-        replay_batch(None, None, 1.0)
+        replay_batch(None, None)
     with pytest.raises(TypeError):
-        replay_batch([1, 2, 3], None, 1.0)
+        replay_batch([1, 2, 3], None)
 
 
-def _two_means_loss(state, replay, new, weight):
-    """mean CE(new) + weight * mean CE(replay), each set embedded on its own."""
+def _two_means_loss(state, replay, new):
+    """mean CE(new) + mean CE(replay), each set embedded on its own."""
     classes = state.seen_classes()
 
     def ce(x, y):
         return cross_entropy_graph(scores_graph(state, embed_batch(state, x)), y, classes)
 
-    return ad.add(ce(new.x, new.y), ad.mul_scalar(ce(replay.samples, replay.labels), weight))
+    return ad.add(ce(new.x, new.y), ce(replay.samples, replay.labels))
 
 
 def _conv_sets(shape, n_new, n_replay, seed):
@@ -131,9 +135,8 @@ def test_composite_loss_conv_backbone_unequal_sets():
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=5, n_replay=7, seed=136)
     state.register_class(2, np.random.default_rng(136).standard_normal(state.feature_dim))
-    for w in (0.0, 1.0, 2.5):
-        got = composite_loss(state, *replay_batch(replay, new, w)).item()
-        assert got == pytest.approx(_two_means_loss(state, replay, new, w).item(), rel=1e-5)
+    got = composite_loss(state, *replay_batch(replay, new)).item()
+    assert got == pytest.approx(_two_means_loss(state, replay, new).item(), rel=1e-5)
 
 
 def _reference_finetune(state, replay, new, config, log):
@@ -145,13 +148,11 @@ def _reference_finetune(state, replay, new, config, log):
         init_new_class_weights(out, new)
     else:
         random_new_class_weights(out, new_classes, config.seed)
-    trainable = [out.backbone.params[name] for layer in config.trainable_layers
-                 for name in out.backbone.layer_param_names(layer)]
+    trainable = [out.backbone.params[name] for name in ("spatial_w", "spatial_b")]
     trainable += [out.class_weights[c] for c in new_classes]
     ids = {id(t) for t in trainable}
     frozen = [t for t in out.all_parameters().values() if id(t) not in ids]
-    log.extend(minimize(trainable, lambda i: _two_means_loss(out, replay, new,
-                                                             config.replay_weight),
+    log.extend(minimize(trainable, lambda i: _two_means_loss(out, replay, new),
                         config.iterations, config.learning_rate, frozen=frozen))
     return out
 
@@ -167,8 +168,7 @@ _DESK_FINETUNE = get_preset("desk").adaptation.finetune
 
 
 @pytest.mark.parametrize("cfg,config", [
-    (_tiny_config(), FinetuneConfig(learning_rate=1e-2, iterations=40, replay_weight=2.5,
-                                    seed=4)),
+    (_tiny_config(), FinetuneConfig(learning_rate=1e-2, iterations=40, seed=4)),
     (BACKBONE_PRESETS["desk"], _DESK_FINETUNE),
 ], ids=["tiny", "desk"])
 def test_finetune_matches_uncached_reference(cfg, config):
@@ -196,15 +196,15 @@ def _after_last_conv_pool(calls):
     return calls[start + 1:]
 
 
-def test_finetune_trainable_temporal_unfolds_once(spy_convs):
-    """Training the temporal layer keeps the reuse: the joint batch, whose
-    columns fit one block, is unfolded once per session and convolved once
-    per iteration.  The reference embeds its two sets as new arrays on every
+def test_finetune_composed_conv_unfolds_once(spy_convs):
+    """With more temporal filters than taps (6 > 5, as at bci) finetuning runs
+    the composed conv and keeps the reuse: the joint batch, whose columns fit
+    one block, is unfolded once per session and convolved once per
+    iteration.  The reference embeds its two sets as new arrays on every
     iteration, so each of its embeds builds its columns anew."""
-    state = _conv_state()
+    state = _conv_state(cfg=_tiny_config(filters=6))
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=139)
-    config = FinetuneConfig(learning_rate=1e-2, iterations=6,
-                            trainable_layers=("temporal", "spatial"), seed=1)
+    config = FinetuneConfig(learning_rate=1e-2, iterations=6, seed=1)
     calls = spy_convs()
     got_log, want_log = [], []
     got = finetune_session(state, replay, new, config, got_log)
@@ -217,7 +217,7 @@ def test_finetune_trainable_temporal_unfolds_once(spy_convs):
     _assert_close_states(got, want)
     for name in ("temporal_w", "temporal_b"):
         assert got.backbone.params[name].data.tobytes() \
-            != state.backbone.params[name].data.tobytes()
+            == state.backbone.params[name].data.tobytes()
     assert got.backbone._reused_input is None
 
 
@@ -318,8 +318,8 @@ def test_random_new_class_weights():
 # finetuning and the freezing contract
 
 
-def _conv_state(seed=3):
-    backbone = ConvBackbone.initialize(_tiny_config(), seed=seed)
+def _conv_state(seed=3, cfg=None):
+    backbone = ConvBackbone.initialize(cfg or _tiny_config(), seed=seed)
     state = ModelState(backbone)
     rng = np.random.default_rng(seed + 100)
     state.register_class(0, rng.standard_normal(state.feature_dim))
@@ -332,8 +332,7 @@ def test_finetune_freezes_everything_outside_trainable_set():
     rng = np.random.default_rng(131)
     new = Dataset(rng.standard_normal((6, 3, 16)).astype(np.float32),
                   np.full(6, 2, dtype=np.int64))
-    config = FinetuneConfig(learning_rate=1e-2, iterations=5,
-                            trainable_layers=("spatial",), seed=1)
+    config = FinetuneConfig(learning_rate=1e-2, iterations=5, seed=1)
     out = finetune_session(state, None, new, config)
     # untouched: temporal layer, old classifier entries, the input state itself
     for name in ("temporal_w", "temporal_b"):
@@ -404,19 +403,25 @@ def test_finetune_naive_is_empty_replay():
 
 def test_finetune_config_validation():
     with pytest.raises(ValueError):
-        FinetuneConfig(replay_weight=-1.0)
-    with pytest.raises(ValueError):
         FinetuneConfig(iterations=-1)
-    with pytest.raises(ValueError, match="temporl"):
-        FinetuneConfig(trainable_layers=("spatial", "temporl"))
-    with pytest.raises(ValueError):  # a string is not a list of layers
-        FinetuneConfig(trainable_layers="spatial")
-    # the new classes' weights always train, from prototypes or 0.1 x a normal draw
-    for field in ("train_new_classifier", "new_class_init_scale"):
+    for bad in (1.5, "5", True):
+        with pytest.raises(ValueError, match="iterations"):
+            FinetuneConfig(iterations=bad)
+    FinetuneConfig(iterations=0)
+    # the new classes' weights always train, from prototypes or 0.1 x a normal
+    # draw, beside the spatial layer, on the new set and the replay at weight 1
+    for field in ("train_new_classifier", "new_class_init_scale", "replay_weight",
+                  "trainable_layers"):
         with pytest.raises(TypeError):
             FinetuneConfig(**{field: 1})
-    FinetuneConfig(trainable_layers=())
-    FinetuneConfig(trainable_layers=("temporal", "spatial"))
+
+
+def test_adaptation_config_counts():
+    for field in ("anchors_per_class", "real_per_class", "label_inversion_iterations"):
+        for bad in (0, 2.0, "5", True):
+            with pytest.raises(ValueError, match=field):
+                AdaptationConfig(**{field: bad})
+    AdaptationConfig(anchors_per_class=1, real_per_class=1, label_inversion_iterations=1)
 
 
 def test_finetune_loss_log_decreases():
@@ -435,7 +440,7 @@ def test_finetune_loss_log_decreases():
 # prototype adapters
 
 
-def test_adapt_protonet_prototypes_and_idempotence():
+def test_adapt_protonet_prototypes_and_repeated_class():
     state = _two_class_state()
     rng = np.random.default_rng(136)
     rows = rng.standard_normal((4, 1, 2)).astype(np.float32)
@@ -444,19 +449,8 @@ def test_adapt_protonet_prototypes_and_idempotence():
     np.testing.assert_allclose(a.class_weights[2].data,
                                rows.reshape(4, 2).mean(axis=0), rtol=1e-6)
     assert 2 not in state.class_weights  # input state untouched
-    b = adapt_protonet(a, new)  # re-adapting the same session is allowed
-    assert b.class_weights[2].data.tobytes() == a.class_weights[2].data.tobytes()
-
-
-def test_adapt_teen_alpha_one_is_protonet():
-    state = _two_class_state()
-    rng = np.random.default_rng(137)
-    rows = rng.standard_normal((5, 1, 2)).astype(np.float32)
-    new = Dataset(rows, np.full(5, 2, dtype=np.int64))
-    teen = adapt_teen(state, new, [0, 1], tau=32.0, alpha=1.0)
-    proto = adapt_protonet(state, new)
-    np.testing.assert_allclose(teen.class_weights[2].data,
-                               proto.class_weights[2].data, rtol=1e-6)
+    with pytest.raises(ValueError, match="already registered"):
+        adapt_protonet(a, new)  # as finetune and teen do
 
 
 def test_adapt_teen_formula_oracle():
@@ -464,8 +458,8 @@ def test_adapt_teen_formula_oracle():
     rng = np.random.default_rng(138)
     rows = rng.standard_normal((6, 1, 2)).astype(np.float32)
     new = Dataset(rows, np.full(6, 2, dtype=np.int64))
-    tau, alpha = 8.0, 0.3
-    got = adapt_teen(state, new, [0, 1], tau=tau, alpha=alpha).class_weights[2].data
+    tau, alpha = 32.0, 0.5
+    got = adapt_teen(state, new, [0, 1]).class_weights[2].data
 
     proto = rows.reshape(6, 2).astype(np.float64).mean(axis=0)
     base = np.stack([state.class_weights[0].data,
@@ -488,10 +482,12 @@ def test_adapt_teen_validation():
     adapted = adapt_teen(state, new, [0, 1])
     with pytest.raises(ValueError):
         adapt_teen(adapted, new, [0, 1])  # class 2 now already registered
-    with pytest.raises(ValueError):
-        AdaptationConfig(teen_alpha=1.5)
-    with pytest.raises(ValueError):
-        AdaptationConfig(teen_tau=0.0)
+    for kwargs in ({"tau": 8.0}, {"alpha": 0.3}):  # fixed at 32 and 0.5
+        with pytest.raises(TypeError):
+            adapt_teen(state, new, [0, 1], **kwargs)
+    for field in ("teen_tau", "teen_alpha", "label_inversion_learning_rate"):
+        with pytest.raises(TypeError):
+            AdaptationConfig(**{field: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +527,7 @@ def _chain_fixture():
     s2 = Dataset(sample(3, 5), np.full(5, 3, dtype=np.int64))
     state = _two_class_state()
     config = AdaptationConfig(
-        finetune=FinetuneConfig(trainable_layers=(), learning_rate=1e-2,
-                                iterations=3, seed=1),
+        finetune=FinetuneConfig(learning_rate=1e-2, iterations=3, seed=1),
         inversion=InversionConfig(iterations=5, seed=1),
         label_inversion_iterations=5,
         anchors_per_class=4, real_per_class=4)

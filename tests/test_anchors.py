@@ -15,7 +15,8 @@ from anchorinv.anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiv
                                project_features, save_anchor_set, select_anchors)
 from anchorinv.data import Dataset
 from anchorinv.model import ModelState
-from anchorinv.serialization import ContainerError
+from anchorinv.serialization import (KIND_ANCHORS, ContainerError, read_container,
+                                     write_container)
 from oracles import IdentityBackbone
 
 
@@ -273,8 +274,8 @@ def test_kmeans_validation():
         kmeans(points, k=5)
     with pytest.raises(ValueError):
         kmeans(np.zeros((0, 2)), k=1)
-    with pytest.raises(ValueError):
-        kmeans(points, k=2, max_iters=0)
+    with pytest.raises(TypeError):  # Lloyd runs at most 100 iterations
+        kmeans(points, k=2, max_iters=1)
 
 
 def test_kmeans_objective_increase_raises(monkeypatch):
@@ -327,3 +328,23 @@ def test_anchor_load_checks_dimension(tmp_path):
     assert load_anchor_set(path, expected_dim=5).dim == 5
     with pytest.raises(ContainerError):
         load_anchor_set(path, expected_dim=104)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda arrays: arrays.pop("vectors"),
+    lambda arrays: arrays.pop("labels"),
+    lambda arrays: arrays.pop("sessions"),
+    lambda arrays: arrays.update(extra=arrays["labels"]),
+    lambda arrays: arrays.update(labels=arrays["labels"][:1]),
+    lambda arrays: arrays.update(vectors=arrays["vectors"][:, :4])],
+    ids=["missing-vectors", "missing-labels", "missing-sessions", "extra-array",
+         "short-labels", "narrow-vectors"])
+def test_anchor_load_rejects_malformed_arrays(tmp_path, patch):
+    path = tmp_path / "anchors.bin"
+    save_anchor_set(path, AnchorSet(np.ones((2, 5), dtype=np.float32), np.array([0, 1]),
+                                    np.zeros(2)))
+    meta, arrays = read_container(path)
+    patch(arrays)
+    write_container(path, KIND_ANCHORS, meta, arrays)
+    with pytest.raises(ContainerError):
+        load_anchor_set(path)

@@ -564,16 +564,16 @@ def test_cosine_similarity_matrix_oracle():
 
 
 def test_cosine_similarity_vjp_drops_the_norm_term_of_clamped_rows():
-    """The VJP with a row of each side below ``eps`` equals the masked
-    formula, ``np.where`` over the live rows, and a clamped row's gradient is
-    its direction term alone: (g @ v) / eps."""
+    """The VJP with a row of each side below ``eps`` (``_NORM_EPS``) equals
+    the masked formula, ``np.where`` over the live rows, and a clamped row's
+    gradient is its direction term alone: (g @ v) / eps."""
     rng = np.random.default_rng(37)
-    eps = 1e-12
+    eps = ad._NORM_EPS
     a, b, g = rng.standard_normal((4, 6)), rng.standard_normal((3, 6)), rng.standard_normal((4, 3))
     a[2] *= 1e-14 / np.linalg.norm(a[2])
     b[1] *= 1e-14 / np.linalg.norm(b[1])
     at, bt = _t(a), _t(b)
-    cos = ad.cosine_similarity_matrix(at, bt, eps)
+    cos = ad.cosine_similarity_matrix(at, bt)
     backward(ad.tensor_sum(ad.mul(cos, _t(g, False))))
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     na_c, nb_c = np.maximum(na, eps)[:, None], np.maximum(nb, eps)[:, None]

@@ -101,6 +101,18 @@ def test_resolve_preset_rejects_unknown_sections():
         with pytest.raises(ConfigError) as err:
             resolve_preset(_small_config(finetune={key: value}))
         assert key in str(err.value)
+    # one-valued settings are constants: the cosine temperature 16, replay at
+    # weight 1, finetuning of the spatial layer, TEEN's tau 32 and alpha 0.5,
+    # and label-space inversion at the inversion section's learning rate
+    for section, key, value in (("base_train", "temperature", 8.0),
+                                ("finetune", "replay_weight", 2.0),
+                                ("finetune", "trainable_layers", ["temporal", "spatial"]),
+                                ("adaptation", "teen_tau", 16.0),
+                                ("adaptation", "teen_alpha", 0.3),
+                                ("adaptation", "label_inversion_learning_rate", 1e-3)):
+        with pytest.raises(ConfigError) as err:
+            resolve_preset(_small_config(**{section: {key: value}}))
+        assert key in str(err.value)
     with pytest.raises(ConfigError):
         resolve_preset({})  # no preset key
 
@@ -123,16 +135,30 @@ def _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine):
     assert main(["train-base", "--config", config, "--out", str(out)]) == 1
     assert trainings == []
     assert not (out / "checkpoint.bin").exists()
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("layers, message", [
-    (["temporl"], "temporl"), ("spatial", "must be a JSON list")],
-    ids=["unknown-layer", "string"])
+# finetuning always trains the spatial layer, so any trainable_layers is refused
+@pytest.mark.parametrize("layers", [["temporl"], "spatial"], ids=["unknown-layer", "string"])
 def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsys, spy_engine,
-                                                                 layers, message):
+                                                                 layers):
     cfg = _small_config(finetune={"trainable_layers": layers})
-    _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine)
+    _assert_train_base_refuses(cfg, "unknown finetune config keys ['trainable_layers']",
+                               tmp_path, capsys, spy_engine)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"base_classes": 5}, "bad 'base_classes' config"),
+    ({"inversion": {"iterations": "5"}}, "bad 'inversion' config: iterations"),
+    ({"adaptation": {"anchors_per_class": "5"}}, "bad 'adaptation' config: anchors_per_class"),
+    ({"base_train": {"epochs": 0}}, "bad 'base_train' config: epochs must be >= 1"),
+    ({"finetune": {"iterations": 1.5}}, "bad 'finetune' config: iterations must be an integer")],
+    ids=["base-classes-int", "iterations-string", "anchors-string", "zero-epochs",
+         "float-iterations"])
+def test_train_base_rejects_bad_value_types_before_training(tmp_path, capsys, spy_engine,
+                                                            extra, message):
+    _assert_train_base_refuses(_small_config(**extra), message, tmp_path, capsys, spy_engine)
 
 
 def test_synth_override_defaults_survive_shared_frequencies():

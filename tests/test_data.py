@@ -293,7 +293,7 @@ def _labelled_dataset(num_classes, per_class=12):
 
 def test_split_two_base_two_sessions():
     split = split_sessions(_labelled_dataset(4), base_classes=[0, 1], way=1, shot=10)
-    assert split.num_sessions == 3  # base + 2 incremental
+    assert len(split.pools) == 2  # 2 incremental sessions after the base
     assert split.base_spec.class_ids == (0, 1)
     assert [s.class_ids for s in split.pool_specs] == [(2,), (3,)]
     assert split.base.classes() == [0, 1]
@@ -302,7 +302,7 @@ def test_split_two_base_two_sessions():
 
 def test_split_sixteen_class_geometry():
     split = split_sessions(_labelled_dataset(16), base_classes=range(10), way=1, shot=1)
-    assert split.num_sessions == 7  # base + 6 incremental
+    assert len(split.pools) == 6  # 6 incremental sessions after the base
     assert [s.class_ids for s in split.pool_specs] == [(c,) for c in range(10, 16)]
 
 

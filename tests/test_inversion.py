@@ -21,8 +21,8 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
 from anchorinv.inversion import (InversionConfig, ReplaySet, feature_stat_penalty,
                                  invert_set, label_space_invert_batch, total_variation)
-from anchorinv.model import (BACKBONE_PRESETS, ConvBackbone, FeatureStats, ModelState,
-                             embed_batch, predict_batch, scores_graph)
+from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, ConvBackbone, FeatureStats,
+                             ModelState, embed_batch, predict_batch, scores_graph)
 from anchorinv.optim import FreezingViolation, minimize
 from anchorinv.seeds import make_rng
 from oracles import IdentityBackbone, LinearBackbone
@@ -52,8 +52,9 @@ def _invert_one(state, target, config, loss_trajectory=None):
 def test_inversion_config_validation():
     with pytest.raises(TypeError):  # every inversion starts from a normal draw
         InversionConfig(init="normal")
-    with pytest.raises(ValueError):
-        InversionConfig(iterations=0)
+    for bad in (0, 2.0, "5", True):  # a count is an int, not a bool, float or str
+        with pytest.raises(ValueError, match="iterations"):
+            InversionConfig(iterations=bad)
     with pytest.raises(ValueError):
         InversionConfig(learning_rate=0.0)
 
@@ -345,7 +346,7 @@ def test_negative_pre_relu_activations_raise_stalled():
 
 
 def test_total_variation_hand_case():
-    assert total_variation(np.array([[0.0, 1.0, 0.0]])).item() == pytest.approx(2.0)
+    assert total_variation(Tensor(np.array([[[0.0, 1.0, 0.0]]]))).item() == pytest.approx(2.0)
 
 
 def _tv_loops(batch):
@@ -360,18 +361,17 @@ def _tv_loops(batch):
 def test_total_variation_matches_loop_oracle():
     rng = np.random.default_rng(121)
     batch = rng.standard_normal((3, 4, 7)).astype(np.float32)
-    got = total_variation(batch).item()
+    got = total_variation(Tensor(batch)).item()
     assert got == pytest.approx(_tv_loops(batch), rel=1e-5)
-    # 2-d input treated as a single sample
-    got2 = total_variation(batch[0]).item()
-    assert got2 == pytest.approx(_tv_loops(batch[:1]), rel=1e-5)
+    got1 = total_variation(Tensor(batch[:1])).item()
+    assert got1 == pytest.approx(_tv_loops(batch[:1]), rel=1e-5)
 
 
 def test_total_variation_validation():
+    with pytest.raises(ad.ShapeError):  # an (H, W) matrix is not a batch
+        total_variation(Tensor(np.zeros((2, 5), dtype=np.float32)))
     with pytest.raises(ad.ShapeError):
-        total_variation(np.zeros(5, dtype=np.float32))
-    with pytest.raises(ad.ShapeError):
-        total_variation(np.zeros((2, 1), dtype=np.float32))
+        total_variation(Tensor(np.zeros((1, 2, 1), dtype=np.float32)))
 
 
 def test_feature_stat_penalty_two_pass_oracle():
@@ -386,7 +386,7 @@ def test_feature_stat_penalty_two_pass_oracle():
     var = ((feats - mean) ** 2).mean(axis=0)
     expect = (((mean - state.feature_stats.mean) ** 2).sum()
               + ((var - state.feature_stats.var) ** 2).sum())
-    got = feature_stat_penalty(state, batch).item()
+    got = feature_stat_penalty(state, Tensor(batch)).item()
     assert got == pytest.approx(expect, rel=1e-4)
 
 
@@ -397,17 +397,17 @@ def test_feature_stat_penalty_zero_when_matched():
     feats = batch.reshape(8, 6)
     state.feature_stats = FeatureStats(mean=feats.mean(axis=0),
                                        var=feats.var(axis=0))
-    assert feature_stat_penalty(state, batch).item() == pytest.approx(0.0, abs=1e-9)
+    assert feature_stat_penalty(state, Tensor(batch)).item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_feature_stat_penalty_requires_stats():
     state = _identity_state()
     with pytest.raises(ValueError):
-        feature_stat_penalty(state, np.zeros((2, 2, 3), dtype=np.float32))
+        feature_stat_penalty(state, Tensor(np.zeros((2, 2, 3), dtype=np.float32)))
     state.feature_stats = FeatureStats(mean=np.zeros(6, dtype=np.float32),
                                        var=np.ones(6, dtype=np.float32))
     with pytest.raises(ad.ShapeError):
-        feature_stat_penalty(state, np.zeros((2, 3), dtype=np.float32))
+        feature_stat_penalty(state, Tensor(np.zeros((2, 3), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def test_deepdream_moves_toward_target_class():
     assert predict_batch(state, replay.samples)[0] == 1
     # with orthogonal unit class weights the best achievable similarity gap
     # is sqrt(2), at the direction bisecting +w1 and -w0
-    best_ce = -np.log(1.0 / (1.0 + np.exp(-np.sqrt(2.0) / state.temperature)))
+    best_ce = -np.log(1.0 / (1.0 + np.exp(-np.sqrt(2.0) / DEFAULT_TEMPERATURE)))
     assert final_ce == pytest.approx(best_ce, abs=5e-3)
     direction = sample.reshape(-1) / np.linalg.norm(sample)
     np.testing.assert_allclose(direction, [-np.sqrt(0.5), np.sqrt(0.5)], atol=0.05)

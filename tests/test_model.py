@@ -15,8 +15,8 @@ from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
 from anchorinv.anchors import AnchorSet
 from anchorinv.inversion import InversionConfig, invert_set
-from anchorinv.model import (BACKBONE_PRESETS, CONV_LAYERS, BaseTrainConfig, ConvBackbone,
-                             ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
+from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, BaseTrainConfig,
+                             ConvBackbone, ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
                              compute_prototypes, cross_entropy_graph, embed_batch,
                              label_columns, predict_batch, prototype_of,
                              reuse_conv_inputs, scores_batch, scores_graph,
@@ -31,8 +31,8 @@ def _tiny_config(**overrides):
     return ConvBackboneConfig(**base)
 
 
-def _identity_state(channels=2, timesteps=3, temperature=16.0):
-    return ModelState(IdentityBackbone(channels, timesteps), temperature=temperature)
+def _identity_state(channels=2, timesteps=3):
+    return ModelState(IdentityBackbone(channels, timesteps))
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +422,10 @@ def test_backbone_embed_shape_errors():
 
 def test_layer_param_names():
     backbone = ConvBackbone.initialize(_tiny_config(), seed=1)
-    assert backbone.layer_param_names("temporal") == ["temporal_w", "temporal_b"]
-    assert backbone.layer_param_names("spatial") == ["spatial_w", "spatial_b"]
-    with pytest.raises(KeyError):
-        backbone.layer_param_names("classifier")
-    assert [n for layer in CONV_LAYERS for n in backbone.layer_param_names(layer)] \
-        == backbone.param_names()
+    assert backbone.param_names() == ["temporal_w", "temporal_b", "spatial_w", "spatial_b"]
+    assert list(backbone.params) == backbone.param_names()
+    # finetuning trains the last layer, the spatial conv
+    assert backbone.FINETUNED == ("spatial_w", "spatial_b")
 
 
 def test_identity_backbone_flattens():
@@ -599,11 +597,6 @@ def test_all_parameters_keys():
                     "backbone.spatial_w", "backbone.spatial_b", "classifier.3"}
 
 
-def test_temperature_must_be_positive():
-    with pytest.raises(ValueError):
-        ModelState(IdentityBackbone(1, 2), temperature=0.0)
-
-
 # ---------------------------------------------------------------------------
 # prototypes
 
@@ -665,14 +658,14 @@ def test_compute_prototypes_validation():
 
 
 def test_cross_entropy_hand_computed():
-    state = _identity_state(channels=1, timesteps=2, temperature=1.0)
+    state = _identity_state(channels=1, timesteps=2)
     state.register_class(0, np.array([1.0, 0.0], dtype=np.float32))
     state.register_class(1, np.array([0.0, 1.0], dtype=np.float32))
     feats = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
     scores = scores_graph(state, feats)
     loss = cross_entropy_graph(scores, np.array([0, 1]), [0, 1])
-    # each row: sim (1, 0) to the true class, so p_true = 1 / (1 + e^-1)
-    expect = -math.log(1.0 / (1.0 + math.exp(-1.0)))
+    # each row: sim (1, 0) to the true class, so p_true = 1 / (1 + e^(-1/T))
+    expect = -math.log(1.0 / (1.0 + math.exp(-1.0 / DEFAULT_TEMPERATURE)))
     assert loss.item() == pytest.approx(expect, rel=1e-5)
 
 
@@ -827,6 +820,17 @@ def test_train_base_memory_is_bounded_by_one_column_block(name, n):
         tracemalloc.stop()
     over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
     assert over <= 8, f"peak is the block plus {over:.2f} x the activation bytes"
+
+
+def test_base_train_config_validation():
+    for bad in (0, -1, 1.5, "5", True):
+        with pytest.raises(ValueError, match="epochs"):
+            BaseTrainConfig(epochs=bad)
+    with pytest.raises(ValueError, match="learning rate"):
+        BaseTrainConfig(learning_rate=-1e-3)
+    BaseTrainConfig(epochs=1, learning_rate=0.0)
+    with pytest.raises(TypeError):  # the cosine temperature is always 16
+        BaseTrainConfig(temperature=16.0)
 
 
 def test_train_base_validation():

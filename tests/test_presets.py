@@ -1,11 +1,26 @@
 """Structural tests for the named experiment presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
+from anchorinv.inversion import InversionConfig
+from anchorinv.model import BaseTrainConfig
 from anchorinv.presets import (EXPERIMENT_PRESETS, ExperimentPreset,
                                build_split, get_preset, materialize_synth,
                                with_synth_classes)
+
+# settings the four presets give one value, and why each stays a setting
+ONE_VALUED = {
+    "BaseTrainConfig.seed": "--seed sets it",
+    "FinetuneConfig.seed": "--seed sets it",
+    "InversionConfig.seed": "--seed sets it",
+    "InversionConfig.learning_rate": "acceptance test 3 inverts at 2e-4 and 5e-4",
+    "AdaptationConfig.anchor_strategy": "an ablate strategy-axis value",
+    "AdaptationConfig.anchor_fraction": "an ablate strategy-axis value",
+}
 
 
 def test_preset_registry():
@@ -17,7 +32,6 @@ def test_preset_registry():
         assert "anchorinv" in preset.methods
         assert "finetune" in preset.methods
         assert "protonet" in preset.methods
-        assert preset.adaptation.finetune.trainable_layers == ("spatial",)
     with pytest.raises(KeyError):
         get_preset("emg")
 
@@ -99,3 +113,23 @@ def test_with_synth_classes_takes_synth_section_keys():
     assert [c.frequency for c in again.synth.classes] == [2.0, 2.5, 3.0]
     with pytest.raises(ValueError, match="amplitude"):
         with_synth_classes(desk, 4, amplitude=2.0)
+
+
+def _config_values(preset):
+    """Each config of a preset, by its class name."""
+    adaptation = preset.adaptation
+    return {"BaseTrainConfig": preset.base_train, "FinetuneConfig": adaptation.finetune,
+            "InversionConfig": adaptation.inversion, "AdaptationConfig": adaptation}
+
+
+def test_every_setting_has_two_values_in_use():
+    """A setting the presets give one value is a constant, unless ONE_VALUED
+    names it with its reason."""
+    one_valued = set()
+    for cls in (BaseTrainConfig, FinetuneConfig, InversionConfig, AdaptationConfig):
+        for field in dataclasses.fields(cls):
+            values = {repr(getattr(_config_values(p)[cls.__name__], field.name))
+                      for p in EXPERIMENT_PRESETS.values()}
+            if len(values) < 2:
+                one_valued.add(f"{cls.__name__}.{field.name}")
+    assert one_valued == set(ONE_VALUED)

@@ -113,7 +113,6 @@ def test_checkpoint_round_trip_conv(tmp_path):
     save_checkpoint(path, state)
     loaded = load_checkpoint(path)
     assert loaded.seen_classes() == [0, 1]
-    assert loaded.temperature == state.temperature
     for name, tensor in state.backbone.params.items():
         assert loaded.backbone.params[name].data.tobytes() == tensor.data.tobytes()
         assert loaded.backbone.params[name].requires_grad
@@ -170,14 +169,37 @@ def test_checkpoint_format_is_unchanged(tmp_path):
     lambda meta: meta["backbone_config"].pop("pool_stride"),
     lambda meta: meta["backbone_config"].update(activation="identity"),
     lambda meta: meta["backbone_config"].update(filters=0),
-    lambda meta: meta["backbone_config"].update(filters="8")],
+    lambda meta: meta["backbone_config"].update(filters="8"),
+    lambda meta: meta.update(temperature=1.0),
+    lambda meta: meta.update(classes=["0", "3"])],
     ids=["identity-kind", "linear-kind", "unknown-kind", "extra-key", "missing-key",
-         "identity-activation", "zero-filters", "string-filters"])
+         "identity-activation", "zero-filters", "string-filters", "temperature",
+         "string-classes"])
 def test_load_checkpoint_rejects_a_malformed_header(tmp_path, patch):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _desk_state())
     meta, arrays = read_container(path)
     patch(meta)
+    write_container(path, KIND_CHECKPOINT, meta, arrays)
+    with pytest.raises(ContainerError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda arrays: arrays.pop("backbone.spatial_w"),
+    lambda arrays: arrays.pop("classifier.3"),
+    lambda arrays: arrays.pop("feature_stats.var"),
+    lambda arrays: arrays.update({"classifier.5": arrays["classifier.3"]}),
+    lambda arrays: arrays.update({"backbone.spatial_w": np.zeros((2, 8, 4, 1), np.float32)}),
+    lambda arrays: arrays.update({"classifier.0": arrays["classifier.0"][:-1]}),
+    lambda arrays: arrays.update({"backbone.temporal_b": np.zeros(8, np.int64)})],
+    ids=["missing-backbone", "missing-classifier", "missing-stats", "extra-classifier",
+         "short-spatial-w", "short-classifier", "integer-bias"])
+def test_load_checkpoint_rejects_malformed_arrays(tmp_path, patch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _desk_state())
+    meta, arrays = read_container(path)
+    patch(arrays)
     write_container(path, KIND_CHECKPOINT, meta, arrays)
     with pytest.raises(ContainerError):
         load_checkpoint(path)
@@ -198,8 +220,7 @@ def test_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(103)
     x = rng.standard_normal((5, 3, 8)).astype(np.float32)
     y = np.array([0, 1, 1, 2, 0], dtype=np.int64)
-    manifest_path = write_manifest_dataset(tmp_path, Dataset(x, y), "train",
-                                           sample_rate=250.0, synthetic=True)
+    manifest_path = write_manifest_dataset(tmp_path, Dataset(x, y), "train", synthetic=True)
     assert manifest_path.name == "manifest_train.json"
     loaded = read_manifest_dataset(manifest_path)
     assert loaded.x.dtype == np.float32
@@ -235,10 +256,15 @@ def test_manifest_empty_dataset(tmp_path):
 
 def test_manifest_subject_ids(tmp_path):
     x = np.zeros((2, 1, 4), dtype=np.float32)
-    write_manifest_dataset(tmp_path, Dataset(x, np.array([0, 1])), "train",
-                           subject_ids=np.array([10, 42]))
+    write_manifest_dataset(tmp_path, Dataset(x, np.array([0, 1])), "train")
     manifest = json.loads((tmp_path / "manifest_train.json").read_text())
-    assert [e["subject_id"] for e in manifest["entries"]] == [10, 42]
+    # format constants: one subject, one sample per time step
+    assert [e["subject_id"] for e in manifest["entries"]] == [0, 0]
+    assert manifest["sample_rate"] == 1.0
+    for name in ("subject_ids", "sample_rate"):
+        with pytest.raises(TypeError):
+            write_manifest_dataset(tmp_path, Dataset(x, np.array([0, 1])), "train",
+                                   **{name: 1})
 
 
 # ---------------------------------------------------------------------------
