@@ -31,7 +31,7 @@ from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_featur
 from .data import Dataset
 from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
 from .model import (ModelState, check_count, embed_batch, label_columns, prototype_of,
-                    reuse_conv_inputs, scores_graph)
+                    scores_graph)
 from .optim import minimize
 from .seeds import derive_seed, make_rng
 
@@ -127,9 +127,9 @@ def replay_batch(replay, new: Dataset | None) -> tuple[Tensor, np.ndarray, np.nd
 
 def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -> Tensor:
     """CE(new) + CE(replay), each mean-reduced over its set,
-    of the joint batch ``x``, ``y``, ``w`` that ``replay_batch`` builds: the
-    batch is embedded as one, and each sample's log-probability of its true
-    class is weighted by its ``w``."""
+    of the joint batch ``x``, ``y``, ``w`` that ``replay_batch`` builds, or
+    of ``x``'s ``conv_input``: the batch is embedded as one, and each
+    sample's log-probability of its true class is weighted by its ``w``."""
     scores = scores_graph(state, embed_batch(state, x))
     return ad.nll(scores, label_columns(y, state.seen_classes()), w)
 
@@ -206,14 +206,13 @@ def finetune_session(state: ModelState, replay, new: Dataset,
         return out
 
     x, y, w = replay_batch(replay, new)
+    conv_input = out.backbone.conv_input(x, trainable)  # every iteration embeds x
 
     def loss_fn(i: int) -> Tensor:
-        return composite_loss(out, x, y, w)
+        return composite_loss(out, conv_input, y, w)
 
-    # x is the same tensor every iteration, so its conv input is built once
-    with reuse_conv_inputs(out.backbone):
-        losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
-                          frozen=frozen)
+    losses = minimize(trainable, loss_fn, config.iterations, config.learning_rate,
+                      frozen=frozen)
     if loss_log is not None:
         loss_log.extend(losses)
     return out
@@ -244,13 +243,13 @@ def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int]) -
         raise ValueError(f"base classes {missing} not registered")
     out = state.clone()
     base_mat = np.stack([out.class_weights[c].data for c in base_ids]).astype(np.float64)
-    base_unit = base_mat / np.maximum(np.linalg.norm(base_mat, axis=1), 1e-12)[:, None]
+    base_unit = base_mat / np.maximum(np.linalg.norm(base_mat, axis=1), ad._NORM_EPS)[:, None]
     for c in new.classes():
         if c in out.class_weights:
             raise ValueError(f"class {c} already registered")
         idx = np.flatnonzero(new.y == c)
         proto = prototype_of(out, new.x[idx]).astype(np.float64)
-        unit = proto / max(np.linalg.norm(proto), 1e-12)
+        unit = proto / max(np.linalg.norm(proto), ad._NORM_EPS)
         sims = base_unit @ unit
         z = _TEEN_TAU * sims
         z -= z.max()

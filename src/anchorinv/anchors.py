@@ -35,7 +35,6 @@ __all__ = [
 
 STRATEGIES = ("random_sample", "closest", "random_closest", "kmeans", "full")
 
-_COS_EPS = 1e-12
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 
 
@@ -127,8 +126,8 @@ def _cosine_distance_to(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     # distances (the stable tie-break below then picks the lowest index)
     v = vectors.astype(np.float64)
     t = target.astype(np.float64)
-    v = v / np.maximum(np.linalg.norm(v, axis=1), _COS_EPS)[:, None]
-    t = t / max(np.linalg.norm(t), _COS_EPS)
+    v = v / np.maximum(np.linalg.norm(v, axis=1), ad._NORM_EPS)[:, None]
+    t = t / max(np.linalg.norm(t), ad._NORM_EPS)
     return -(v @ t)
 
 
@@ -274,15 +273,22 @@ def save_anchor_set(path, anchors: AnchorSet) -> None:
 
 
 def load_anchor_set(path, expected_dim: int | None = None) -> AnchorSet:
-    """The AnchorSet ``save_anchor_set`` wrote; ContainerError for a missing,
-    extra or wrongly shaped array, or a dimension other than ``expected_dim``."""
+    """The AnchorSet ``save_anchor_set`` wrote; ContainerError for a header
+    whose ``strategy`` is not in ``STRATEGIES``, whose ``per_class`` is not an
+    int or whose ``dim`` is not an int >= 1, for a missing, extra or wrongly
+    shaped array, or a dimension other than ``expected_dim``."""
     meta, arrays = read_container(path, expect_kind=KIND_ANCHORS)
+    per_class, dim = meta.get("per_class"), meta.get("dim")
+    if (meta.get("strategy") not in STRATEGIES or type(per_class) is not int
+            or type(dim) is not int or dim < 1):
+        raise ContainerError(f"bad anchor store header in {path}: strategy "
+                             f"{meta.get('strategy')!r}, per_class {per_class!r}, dim {dim!r}")
     j = arrays["vectors"].shape[:1] if "vectors" in arrays else ()
-    check_arrays(arrays, {"vectors": ((*j, meta.get("dim")), np.float32),
+    check_arrays(arrays, {"vectors": ((*j, dim), np.float32),
                           "labels": (j, np.int64), "sessions": (j, np.int64)}, path)
     anchors = AnchorSet(vectors=arrays["vectors"], labels=arrays["labels"],
                         sessions=arrays["sessions"], strategy=meta["strategy"],
-                        per_class=int(meta["per_class"]))
+                        per_class=per_class)
     if expected_dim is not None and anchors.dim != expected_dim:
         raise ContainerError(f"anchor dimension {anchors.dim} != model dimension "
                              f"{expected_dim}")

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_DTYPE = np.float32
+# the floor of every norm a cosine divides by, here and in the package
 _NORM_EPS = 1e-12
 # bytes of one ``_im2col`` block: bounds the columns a conv holds at any batch
 # size; read only through ``_block_samples``

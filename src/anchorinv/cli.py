@@ -138,23 +138,18 @@ def resolve_preset(cfg: dict) -> ExperimentPreset:
             adaptation = replace(adaptation, **cfg["adaptation"])
     preset = replace(preset, adaptation=adaptation)
 
-    simple = {}
     for key, field in (("trials", "trials"), ("seed", "master_seed"), ("way", "way"),
-                       ("shot", "shot")):
+                       ("shot", "shot"), ("base_classes", "base_classes")):
         if key in cfg:
             with _section(key):
-                simple[field] = int(cfg[key])
-    if "base_classes" in cfg:
-        with _section("base_classes"):
-            simple["base_classes"] = tuple(int(c) for c in cfg["base_classes"])
+                value = tuple(cfg[key]) if key == "base_classes" else cfg[key]
+                preset = replace(preset, **{field: value})
     if "methods" in cfg:
         methods = tuple(str(m) for m in cfg["methods"])
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid methods: {list(METHODS)}")
-        simple["methods"] = methods
-    if simple:
-        preset = replace(preset, **simple)
+        preset = replace(preset, methods=methods)
     return preset
 
 

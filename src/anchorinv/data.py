@@ -263,11 +263,10 @@ def segment(recording: np.ndarray, window: int, overlap: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Index, class ids, and few-shot geometry of one session."""
+    """Index, class ids, and shots per class of one session."""
 
     index: int
     class_ids: tuple[int, ...]
-    way: int
     shot: int
 
 
@@ -304,8 +303,7 @@ def split_sessions(train: Dataset, base_classes: Sequence[int], way: int,
     if shot < 1:
         raise ValueError("shot must be >= 1")
 
-    base_spec = SessionSpec(index=0, class_ids=tuple(base_ids),
-                            way=len(base_ids), shot=0)
+    base_spec = SessionSpec(index=0, class_ids=tuple(base_ids), shot=0)
     split = SessionSplit(base=train.of_classes(base_ids), base_spec=base_spec)
     for s in range(len(incremental) // way):
         ids = tuple(incremental[s * way:(s + 1) * way])
@@ -315,5 +313,5 @@ def split_sessions(train: Dataset, base_classes: Sequence[int], way: int,
             if have < shot:
                 raise ValueError(f"class {c} has {have} training samples < shot {shot}")
         split.pools.append(pool)
-        split.pool_specs.append(SessionSpec(index=s + 1, class_ids=ids, way=way, shot=shot))
+        split.pool_specs.append(SessionSpec(index=s + 1, class_ids=ids, shot=shot))
     return split

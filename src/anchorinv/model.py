@@ -11,7 +11,6 @@ can be replaced by class-mean prototypes.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,6 +25,7 @@ __all__ = [
     "ConvBackboneConfig",
     "BACKBONE_PRESETS",
     "ConvBackbone",
+    "ConvInput",
     "FeatureStats",
     "ModelState",
     "TrainingDivergedError",
@@ -37,13 +37,11 @@ __all__ = [
     "prototype_of",
     "label_columns",
     "cross_entropy_graph",
-    "reuse_conv_inputs",
     "BaseTrainConfig",
     "train_base",
     "accuracy",
 ]
 
-_COS_EPS = 1e-12
 # the cosine classifier's softmax temperature
 DEFAULT_TEMPERATURE = 16.0
 
@@ -121,6 +119,16 @@ BACKBONE_PRESETS: dict[str, ConvBackboneConfig] = {
 # backbone
 
 
+@dataclass(frozen=True)
+class ConvInput:
+    """What ``ConvBackbone.embed``'s conv runs over: an (N, H, W) batch's
+    frozen temporal ``"features"`` (N, F, H, W_o) or ``"columns"``
+    (N, H * k_t, 1, W_o), both with no graph, or its ``"samples"``."""
+
+    kind: str
+    data: Tensor
+
+
 class ConvBackbone:
     """Temporal conv -> spatial conv -> ReLU -> average pool -> flatten."""
 
@@ -130,9 +138,6 @@ class ConvBackbone:
     def __init__(self, config: ConvBackboneConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        # (input, projected, its features or columns) inside reuse_conv_inputs,
-        # () there until the first is built, None outside
-        self._reused_input: tuple[Tensor, bool, Tensor] | tuple[()] | None = None
 
     @classmethod
     def initialize(cls, config: ConvBackboneConfig, seed: int) -> "ConvBackbone":
@@ -161,109 +166,87 @@ class ConvBackbone:
 
     # forward ----------------------------------------------------------------
 
-    def embed(self, x: Tensor) -> Tensor:
-        """Embed a batch: (N, H, W) -> (N, D).
+    def embed(self, x: Tensor | ConvInput) -> Tensor:
+        """Embed an (N, H, W) batch or its ``conv_input`` to (N, D).
 
         The two convs have no nonlinearity between them, so they run as one
-        (H, k_t) conv of the weight and bias ``ad.composed_weights`` builds
-        from the four parameters.  When grad mode is off or no backbone
-        parameter has ``requires_grad`` (inversion, prediction, prototypes),
-        the frozen ``ad.conv_pool`` runs it.  Otherwise (base training,
-        finetuning) it runs through engine nodes that record the parameter
-        gradients: ``ad.conv2d`` of the ``ad.compose_conv`` weight, then
-        ReLU, ``ad.avg_pool2d`` and a reshape.  The conv runs as a 1 x 1
-        conv over the columns of ``x`` when ``_conv_input`` builds them, and
-        otherwise over ``x`` as (N, 1, H, W) with the weight as
-        (K, 1, H, k_t), building its columns one ``_IM2COL_BLOCK_BYTES``
-        block at a time.  Either way the path holds at most one block of
-        columns plus the (N, K, W_o) activations and their gradient.
-
-        When neither ``x`` nor the temporal layer takes a gradient (a
-        finetune, which trains the spatial layer only) and the layer has
-        no more filters than taps (F <= k_t: desk, nhie, grabmyo), the
-        F * H features the frozen layer makes per time step are no more
-        numbers than the H * k_t rows of a column, so the conv of
-        ``spatial_w`` runs over those features (``_conv_input``) and no
-        compose nodes are built.
+        (H, k_t) conv of the weight and bias ``ad.composed_weights`` builds.
+        A batch with grad mode off or no parameter with ``requires_grad``
+        (inversion, prediction, prototypes) runs the frozen ``ad.conv_pool``.
+        Otherwise the conv runs over a ``conv_input``, the batch's for the
+        tensors with ``requires_grad`` if none is passed in, as engine nodes
+        that record the parameter gradients: ``ad.conv2d`` of the
+        ``ad.compose_conv`` weight, or of ``spatial_w`` over the features,
+        then ReLU, ``ad.avg_pool2d`` and a reshape.  Over the samples the
+        conv builds their columns one ``_IM2COL_BLOCK_BYTES`` block at a time.
         """
         cfg = self.config
-        n = x.shape[0]
-        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
-            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
-                             f"got {x.shape}")
         params = [self.params[name] for name in self.param_names()]
-        if not ad.is_grad_enabled() or not any(p.requires_grad for p in params):
-            weight, bias = ad.composed_weights(*(p.data for p in params))
-            return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
-                                cfg.pool_stride)
         temporal_w, temporal_b, spatial_w, spatial_b = params
-        project = cfg.filters <= cfg.temporal_kernel and not (
-            x.requires_grad or temporal_w.requires_grad or temporal_b.requires_grad)
-        weight, bias = (spatial_w, spatial_b) if project else ad.compose_conv(*params)
-        conv_input = self._conv_input(x, project)
-        if conv_input is not None:
-            h = ad.conv2d(conv_input, weight, bias)
+        if isinstance(x, ConvInput):
+            conv_input, kind = x, x.kind
         else:
-            h = ad.conv2d(x.reshape((n, 1, *cfg.sample_shape)),
-                          weight.reshape((cfg.filters, 1, cfg.channels, cfg.temporal_kernel)),
-                          bias, stride=(1, cfg.temporal_stride))
+            trained = [t for t in (x, *params) if t.requires_grad]
+            conv_input, kind = None, self._input_kind(x, trained)  # checks the shape
+            if not ad.is_grad_enabled() or not any(p.requires_grad for p in params):
+                weight, bias = ad.composed_weights(*(p.data for p in params))
+                return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
+                                    cfg.pool_stride)
+        if kind == "features" and (temporal_w.requires_grad or temporal_b.requires_grad):
+            raise ValueError("frozen temporal features embedded while the temporal layer trains")
+        weight, bias = (spatial_w, spatial_b) if kind == "features" else ad.compose_conv(*params)
+        if conv_input is None:  # built after compose_conv, in the engine's node order
+            conv_input = self.conv_input(x, trained)
+        data = conv_input.data
+        n = data.shape[0]
+        if kind == "samples":  # as (N, 1, H, W), with the weight as (K, 1, H, k_t)
+            data = data.reshape((n, 1, *cfg.sample_shape))
+            weight = weight.reshape((cfg.filters, 1, cfg.channels, cfg.temporal_kernel))
+        h = ad.conv2d(data, weight, bias,
+                      stride=(1, cfg.temporal_stride if kind == "samples" else 1))
         h = ad.avg_pool2d(ad.relu(h), kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
         return h.reshape((n, cfg.feature_dim))
 
-    def _conv_input(self, x: Tensor, project: bool) -> Tensor | None:
-        """What ``embed``'s conv runs over in place of ``x`` (N, H, W), built
-        only for an ``x`` that takes no gradient, so with no graph:
-
-        * with ``project``, the (N, F, H, W_o) features of the frozen
-          temporal layer: ``ad.conv2d`` of ``temporal_w`` over ``x`` as
-          (N, 1, H, W);
-        * otherwise the (N, H * k_t, 1, W_o) ``ad._im2col`` columns of
-          ``x``, when the whole batch's fit one ``_IM2COL_BLOCK_BYTES``
-          block (``ad._block_samples``); else None, and ``embed`` runs the
-          blocked conv over ``x``.  Both give the same bits, and the columns
-          spare the conv's VJP its second ``_im2col``.
-
-        Inside ``reuse_conv_inputs`` the one built last is returned again
-        for the same tensor object (``seen is x``).  The columns do not
-        depend on the weights, so trainable layers keep the reuse; the
-        features depend on the temporal layer, which stays frozen while they
-        are reused, as finetuning checks.
+    def conv_input(self, x: Tensor, trained: Sequence[Tensor]) -> ConvInput:
+        """What ``embed``'s conv runs over for the (N, H, W) batch ``x`` while
+        the tensors in ``trained`` take gradients; a training loop builds it
+        once, for the list it hands ``minimize``, and embeds it every step.
+        ``"features"`` when neither ``x`` nor the temporal layer trains and
+        F <= k_t (desk, nhie, grabmyo): the F * H features per time step are
+        no more numbers than the H * k_t rows of a column.  Else ``"columns"``
+        when ``x`` does not train and they fit one ``_IM2COL_BLOCK_BYTES``
+        block, sparing the conv's VJP its second ``_im2col``; else ``"samples"``.
         """
+        kind = self._input_kind(x, trained)
         cfg = self.config
         n, h, w = x.shape
-        if not project:
-            column_bytes = h * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize
-            if x.requires_grad or n > ad._block_samples(column_bytes):
-                return None
-        kept = self._reused_input
-        if kept and kept[0] is x and kept[1] == project:
-            return kept[2]
-        if project:
-            out = ad.conv2d(x.reshape((n, 1, h, w)), self.params["temporal_w"],
-                            self.params["temporal_b"], stride=(1, cfg.temporal_stride))
-        else:
+        if kind == "features":
+            with ad.no_grad():
+                data = ad.conv2d(x.reshape((n, 1, h, w)), self.params["temporal_w"],
+                                 self.params["temporal_b"], stride=(1, cfg.temporal_stride))
+        elif kind == "columns":
             cols = ad._im2col(x.data.reshape(n, 1, h, w), h, cfg.temporal_kernel, 1,
                               cfg.temporal_stride)
-            out = Tensor(cols.reshape(n, h * cfg.temporal_kernel, 1, cfg.conv_width))
-        if kept is not None:
-            self._reused_input = (x, project, out)
-        return out
+            data = Tensor(cols.reshape(n, h * cfg.temporal_kernel, 1, cfg.conv_width))
+        else:
+            data = x
+        return ConvInput(kind, data)
 
-
-@contextmanager
-def reuse_conv_inputs(backbone: ConvBackbone):
-    """Inside this scope a ``ConvBackbone`` keeps the conv input it built
-    last (``ConvBackbone._conv_input``) and reuses it while it embeds that
-    same tensor object, as a loop over one fixed batch does.  The match is
-    by identity: the scope holds no copy and compares no contents, so an
-    equal copy is rebuilt, and an input must not change in place inside the
-    scope.  Dropped on exit, also when the body raises.
-    """
-    saved, backbone._reused_input = backbone._reused_input, ()
-    try:
-        yield
-    finally:
-        backbone._reused_input = saved
+    def _input_kind(self, x: Tensor, trained: Sequence[Tensor]) -> str:
+        """The kind of ``conv_input``, the one place it is decided; a
+        ShapeError for a batch ``x`` not of shape (N, H, W)."""
+        cfg = self.config
+        if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
+            raise ShapeError(f"expected batch of shape (N, {cfg.channels}, {cfg.timesteps}), "
+                             f"got {x.shape}")
+        grads = {id(t) for t in trained}
+        if id(x) in grads:
+            return "samples"
+        temporal = {id(self.params["temporal_w"]), id(self.params["temporal_b"])}
+        if cfg.filters <= cfg.temporal_kernel and not grads & temporal:
+            return "features"
+        column_bytes = cfg.channels * cfg.temporal_kernel * cfg.conv_width * x.dtype.itemsize
+        return "columns" if x.shape[0] <= ad._block_samples(column_bytes) else "samples"
 
 
 def _clone_tensor(t: Tensor) -> Tensor:
@@ -341,7 +324,7 @@ class ModelState:
 
 def _normalized_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1)
-    return mat / np.maximum(norms, _COS_EPS)[:, None]
+    return mat / np.maximum(norms, ad._NORM_EPS)[:, None]
 
 
 def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
@@ -366,8 +349,8 @@ def scores_graph(state: ModelState, feats: Tensor) -> Tensor:
 
 
 def embed_batch(state: ModelState, x) -> Tensor:
-    """Embed an (N, H, W) array or tensor batch to (N, D)."""
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
+    """Embed an (N, H, W) array or tensor batch, or a ``ConvInput``, to (N, D)."""
+    t = x if isinstance(x, (Tensor, ConvInput)) else Tensor(np.asarray(x, dtype=np.float32))
     return state.backbone.embed(t)
 
 
@@ -519,15 +502,16 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
     def loss_fn(i: int) -> Tensor:
         nonlocal epoch
         epoch = i
-        scores = scores_graph(state, embed_batch(state, xt))
+        scores = scores_graph(state, embed_batch(state, conv_input))
         return cross_entropy_graph(scores, y, classes, weights)
 
     try:
         xt = Tensor(x)  # a non-finite input fails here, before epoch 0 runs
-        with reuse_conv_inputs(backbone):  # xt is the same tensor every epoch
-            losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
+        conv_input = backbone.conv_input(xt, params)  # every epoch embeds xt
+        losses = minimize(params, loss_fn, config.epochs, config.learning_rate)
     except NonFiniteError as err:
         raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {err}") from err
+    del conv_input  # its columns are not held while the prototypes build theirs
 
     compute_prototypes(state, x, y, classes)
     with ad.no_grad():

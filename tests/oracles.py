@@ -42,8 +42,6 @@ class _PlainShapeConfig:
 class IdentityBackbone:
     """Flattens the input; embedding space is the input space."""
 
-    # the conv input ``reuse_conv_inputs`` keeps: these backbones build none
-    _reused_input = None
     FINETUNED = ()  # finetuning trains only the new class weights
 
     def __init__(self, channels: int, timesteps: int):
@@ -56,6 +54,9 @@ class IdentityBackbone:
     def clone(self) -> "IdentityBackbone":
         return IdentityBackbone(self.config.channels, self.config.timesteps)
 
+    def conv_input(self, x: Tensor, trained) -> Tensor:
+        return x  # no conv: the batch itself
+
     def embed(self, x: Tensor) -> Tensor:
         cfg = self.config
         if x.ndim != 3 or x.shape[1:] != cfg.sample_shape:
@@ -67,7 +68,6 @@ class IdentityBackbone:
 class LinearBackbone:
     """Single linear map: flatten then multiply by a (H*W, D) weight."""
 
-    _reused_input = None
     FINETUNED = ("weight",)
 
     def __init__(self, channels: int, timesteps: int, weight: Tensor):
@@ -84,6 +84,9 @@ class LinearBackbone:
         weight = self.params["weight"]
         return LinearBackbone(self.config.channels, self.config.timesteps,
                               Tensor(weight.data.copy(), requires_grad=weight.requires_grad))
+
+    def conv_input(self, x: Tensor, trained) -> Tensor:
+        return x  # no conv: the batch itself
 
     def embed(self, x: Tensor) -> Tensor:
         cfg = self.config

@@ -140,7 +140,7 @@ def test_composite_loss_conv_backbone_unequal_sets():
 
 
 def _reference_finetune(state, replay, new, config, log):
-    """finetune_session without the temporal cache or the joint batch: the same
+    """finetune_session without the conv input built once or the joint batch: the same
     minimize over the two-mean loss, every embed on the engine path."""
     out = state.clone()
     new_classes = new.classes()
@@ -183,8 +183,6 @@ def test_finetune_matches_uncached_reference(cfg, config):
     assert len(got_log) == config.iterations
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
     _assert_close_states(got, want)
-    assert got.backbone._reused_input is None   # nothing left kept
-    assert state.backbone._reused_input is None
 
 
 def _after_last_conv_pool(calls):
@@ -198,8 +196,8 @@ def _after_last_conv_pool(calls):
 
 def test_finetune_composed_conv_unfolds_once(spy_convs):
     """With more temporal filters than taps (6 > 5, as at bci) finetuning runs
-    the composed conv and keeps the reuse: the joint batch, whose columns fit
-    one block, is unfolded once per session and convolved once per
+    the composed conv over the joint batch's columns, which fit one block:
+    they are unfolded once per session and convolved once per
     iteration.  The reference embeds its two sets as new arrays on every
     iteration, so each of its embeds builds its columns anew."""
     state = _conv_state(cfg=_tiny_config(filters=6))
@@ -218,7 +216,6 @@ def test_finetune_composed_conv_unfolds_once(spy_convs):
     for name in ("temporal_w", "temporal_b"):
         assert got.backbone.params[name].data.tobytes() \
             == state.backbone.params[name].data.tobytes()
-    assert got.backbone._reused_input is None
 
 
 def test_finetune_builds_frozen_temporal_features_once(spy_convs):
@@ -229,10 +226,9 @@ def test_finetune_builds_frozen_temporal_features_once(spy_convs):
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=140)
     calls = spy_convs("compose_conv")
-    out = finetune_session(state, replay, new, FinetuneConfig(iterations=5, seed=1))
+    finetune_session(state, replay, new, FinetuneConfig(iterations=5, seed=1))
     assert _after_last_conv_pool(calls) == ["conv2d", "im2col"] + ["conv2d"] * 5
     assert "compose_conv" not in calls
-    assert out.backbone._reused_input is None
 
 
 def test_finetune_memory_is_bounded_by_the_frozen_temporal_features():

@@ -348,3 +348,29 @@ def test_anchor_load_rejects_malformed_arrays(tmp_path, patch):
     write_container(path, KIND_ANCHORS, meta, arrays)
     with pytest.raises(ContainerError):
         load_anchor_set(path)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda meta: meta.pop("strategy"),
+    lambda meta: meta.update(strategy="best"),
+    lambda meta: meta.pop("per_class"),
+    lambda meta: meta.update(per_class=2.5),
+    lambda meta: meta.update(per_class=True),
+    lambda meta: meta.pop("dim"),
+    lambda meta: meta.update(dim="5"),
+    lambda meta: meta.update(dim=0)],
+    ids=["missing-strategy", "unknown-strategy", "missing-per-class", "float-per-class",
+         "bool-per-class", "missing-dim", "string-dim", "zero-dim"])
+def test_anchor_load_rejects_malformed_headers(tmp_path, patch):
+    """A hand-built header with one defect is a ContainerError, not a
+    KeyError or a message about array shapes."""
+    meta = {"strategy": "closest", "per_class": 2, "dim": 5}
+    arrays = {"vectors": np.ones((2, 5), dtype=np.float32), "labels": np.array([0, 1]),
+              "sessions": np.zeros(2, dtype=np.int64)}
+    path = tmp_path / "anchors.bin"
+    write_container(path, KIND_ANCHORS, meta, arrays)
+    assert load_anchor_set(path).per_class == 2
+    patch(meta)
+    write_container(path, KIND_ANCHORS, meta, arrays)
+    with pytest.raises(ContainerError, match="header"):
+        load_anchor_set(path)

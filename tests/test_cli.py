@@ -153,9 +153,15 @@ def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsy
     ({"inversion": {"iterations": "5"}}, "bad 'inversion' config: iterations"),
     ({"adaptation": {"anchors_per_class": "5"}}, "bad 'adaptation' config: anchors_per_class"),
     ({"base_train": {"epochs": 0}}, "bad 'base_train' config: epochs must be >= 1"),
-    ({"finetune": {"iterations": 1.5}}, "bad 'finetune' config: iterations must be an integer")],
+    ({"finetune": {"iterations": 1.5}}, "bad 'finetune' config: iterations must be an integer"),
+    ({"trials": 2.7}, "bad 'trials' config: trials must be an integer, got 2.7"),
+    ({"shot": 3.9}, "bad 'shot' config: shot must be an integer, got 3.9"),
+    ({"seed": 1.5}, "bad 'seed' config: master_seed must be an integer, got 1.5"),
+    ({"way": True}, "bad 'way' config: way must be an integer, got True"),
+    ({"base_classes": [0, 1.5]}, "bad 'base_classes' config: base class must be an integer")],
     ids=["base-classes-int", "iterations-string", "anchors-string", "zero-epochs",
-         "float-iterations"])
+         "float-iterations", "float-trials", "float-shot", "float-seed", "bool-way",
+         "float-base-class"])
 def test_train_base_rejects_bad_value_types_before_training(tmp_path, capsys, spy_engine,
                                                             extra, message):
     _assert_train_base_refuses(_small_config(**extra), message, tmp_path, capsys, spy_engine)

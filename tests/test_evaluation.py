@@ -244,7 +244,7 @@ def test_sample_trial_sets_counts_and_membership():
     sets = sample_trial_sets(split, trial_seed=77)
     assert len(sets) == 2
     for few, spec, pool in zip(sets, split.pool_specs, split.pools):
-        assert len(few) == spec.way * spec.shot
+        assert len(few) == len(spec.class_ids) * spec.shot
         for c in spec.class_ids:
             assert int(np.sum(few.y == c)) == spec.shot
         for i in range(len(few)):

@@ -22,8 +22,8 @@ costs 6.7 us on an 8-element array, ``np.isfinite(x).all()`` 3.6 us;
 ``np.sqrt((a * a).sum(axis=1))``, the same bits, 10.1 us.
 
 The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
-``autodiff._block_samples``, which every blocked conv and the column cache
-rule of ``ConvBackbone`` ask for their block size.
+``autodiff._block_samples``, which every blocked conv and the rule by which
+``ConvBackbone.conv_input`` picks the columns ask for their block size.
 """
 
 import ast

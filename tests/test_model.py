@@ -19,8 +19,7 @@ from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, BaseTrainCon
                              ConvBackbone, ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
                              compute_prototypes, cross_entropy_graph, embed_batch,
                              label_columns, predict_batch, prototype_of,
-                             reuse_conv_inputs, scores_batch, scores_graph,
-                             train_base)
+                             scores_batch, scores_graph, train_base)
 from oracles import IdentityBackbone, LinearBackbone
 
 
@@ -289,72 +288,71 @@ def test_frozen_temporal_layer_matches_two_conv_oracle(spy_convs, cfg, dtype, rt
         assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
 
 
-def test_reuse_conv_inputs_scope(spy_convs, monkeypatch):
-    """Inside the scope the conv input built for a tensor, its columns or its
-    frozen temporal features, is built once and reused while that same
-    tensor comes back, whichever layers train; an equal copy is another
-    tensor, whose input is built anew and replaces the kept one.  A gradient
-    on the input bypasses the reuse, and so do columns larger than one
-    ``_IM2COL_BLOCK_BYTES`` block; outside the scope every call builds its
-    columns; nothing stays kept after the scope, also when its body raises."""
+def test_conv_input_kinds(spy_convs):
+    """``conv_input`` builds the frozen temporal features (F 2 <= k_t 5) when
+    neither the input nor the temporal layer trains, the columns when the
+    input does not train, and otherwise hands back the samples.  Each embed
+    of the columns or the features builds nothing from the input again and
+    gives the features of the raw input."""
     calls = spy_convs()
     backbone = _random_backbone(_tiny_config(), np.random.default_rng(53))
-    x = np.random.default_rng(54).standard_normal((4, 3, 16)).astype(np.float32)
-    xt = Tensor(x)
-    want = backbone.embed(Tensor(x)).data
-
-    def builds(fn):
-        """Passes over a raw input while fn runs: columns, or the conv that
-        makes the temporal features."""
+    x = Tensor(np.random.default_rng(54).standard_normal((4, 3, 16)).astype(np.float32))
+    params = list(backbone.params.values())
+    want = backbone.embed(x).data
+    spatial = [backbone.params["spatial_w"], backbone.params["spatial_b"]]
+    columns = backbone.conv_input(x, params)
+    assert columns.kind == "columns"
+    for _ in range(2):
         calls.clear()
-        fn()
-        return calls.count("im2col")
+        assert backbone.embed(columns).data.tobytes() == want.tobytes()
+        assert calls == ["conv2d"]
+    assert backbone.conv_input(x, [x] + params).kind == "samples"
+    calls.clear()
+    features = backbone.conv_input(x, spatial)
+    assert features.kind == "features" and calls == ["conv2d", "im2col"]
+    assert not features.data.requires_grad   # built with no graph
+    for t in params:
+        t.requires_grad = t in spatial
+    calls.clear()
+    got = backbone.embed(features).data
+    assert calls == ["conv2d"]
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    with pytest.raises(ShapeError):
+        backbone.conv_input(Tensor(np.zeros((2, 4, 16), dtype=np.float32)), params)
 
-    assert builds(lambda: backbone.embed(xt)) == 1
-    assert builds(lambda: backbone.embed(xt)) == 1   # outside the scope nothing is kept
-    with reuse_conv_inputs(backbone):
-        assert builds(lambda: backbone.embed(xt)) == 1
-        assert builds(lambda: backbone.embed(xt)) == 0
-        assert backbone.embed(xt).data.tobytes() == want.tobytes()
-        copy = Tensor(x.copy())
-        assert builds(lambda: backbone.embed(copy)) == 1
-        assert backbone._reused_input[0] is copy
-        assert builds(lambda: backbone.embed(xt)) == 1
-        # the blocked conv over the input itself: its columns are not kept
-        assert builds(lambda: backbone.embed(Tensor(x, requires_grad=True))) == 1
-        assert backbone._reused_input[0] is xt
-        for name, t in backbone.params.items():
-            t.requires_grad = name.startswith("spatial")
-        # the frozen temporal features of xt (F 2 <= k_t 5), made once
-        assert builds(lambda: backbone.embed(xt)) == 1
-        assert calls == ["conv2d", "im2col", "conv2d"]
-        assert builds(lambda: backbone.embed(xt)) == 0
-        features = backbone.embed(xt).data
-        assert np.abs(features - want).max() <= 1e-5 * np.abs(want).max()
-        for t in backbone.params.values():
-            t.requires_grad = True
-        assert builds(lambda: backbone.embed(xt)) == 1   # the columns again
-        assert builds(lambda: backbone.embed(xt)) == 0
-    assert backbone._reused_input is None
-    # a block of one sample's columns: a 4-sample batch runs the blocked conv,
-    # one pass per sample on every call, and a 1-sample batch is kept
+
+def test_features_input_refuses_a_trainable_temporal_layer():
+    """Features built for a frozen temporal layer are refused, by a named
+    ValueError, once ``temporal_w`` takes a gradient: they would not follow
+    the layer's updates."""
+    backbone = _random_backbone(_tiny_config(), np.random.default_rng(56))
+    x = Tensor(np.random.default_rng(57).standard_normal((2, 3, 16)).astype(np.float32))
+    features = backbone.conv_input(x, [backbone.params["spatial_w"]])
+    backbone.params["temporal_b"].requires_grad = False
+    with pytest.raises(ValueError, match="while the temporal layer trains"):
+        backbone.embed(features)
+
+
+def test_conv_input_past_one_block_is_the_samples(spy_convs, monkeypatch):
+    """With a block of one sample's columns, a 4-sample batch's conv input is
+    the samples, whose conv unfolds them one sample at a time on every embed,
+    with the bits of the columns; a 1-sample batch's is its columns."""
+    calls = spy_convs()
+    backbone = _random_backbone(_tiny_config(), np.random.default_rng(53))
+    x = Tensor(np.random.default_rng(54).standard_normal((4, 3, 16)).astype(np.float32))
+    params = list(backbone.params.values())
+    columns = backbone.conv_input(x, params)
+    want = backbone.embed(columns).data
     cfg = backbone.config
     monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES",
                         cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4)
-    one = Tensor(x[:1])
-    with reuse_conv_inputs(backbone):
-        assert builds(lambda: backbone.embed(xt)) == 4
-        assert builds(lambda: backbone.embed(xt)) == 4
-        assert backbone.embed(xt).data.tobytes() == want.tobytes()
-        assert builds(lambda: backbone.embed(one)) == 1
-        assert builds(lambda: backbone.embed(one)) == 0
-    with pytest.raises(RuntimeError):
-        with reuse_conv_inputs(backbone):
-            backbone.embed(xt)
-            raise RuntimeError("the body fails")
-    assert backbone._reused_input is None
-    with reuse_conv_inputs(IdentityBackbone(3, 16)):  # no conv input to build
-        pass
+    samples = backbone.conv_input(x, params)
+    assert samples.kind == "samples" and samples.data is x
+    for _ in range(2):
+        calls.clear()
+        assert backbone.embed(samples).data.tobytes() == want.tobytes()
+        assert calls.count("im2col") == 4
+    assert backbone.conv_input(Tensor(x.data[:1]), params).kind == "columns"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -782,7 +780,6 @@ def test_train_base_unfolds_its_input_once(spy_convs):
     x, y = _separable_data()
     state = train_base(x, y, _tiny_config(channels=4), BaseTrainConfig(epochs=4, seed=5))
     assert calls[:calls.index("conv_pool")] == ["im2col"] + ["conv2d"] * 4
-    assert state.backbone._reused_input is None
 
 
 def test_train_base_epoch_builds_one_loss_node(spy_engine):
