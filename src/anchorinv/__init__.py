@@ -14,8 +14,8 @@ from .adaptation import (METHODS, AdaptationConfig, FinetuneConfig, adapt_proton
                          finetune_session, replay_batch, run_fscil,
                          sample_base_replay_store)
 from .anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiveError,
-                      incremental_anchors, kmeans, load_anchor_set, project_features,
-                      save_anchor_set, select_anchors)
+                      check_anchor_counts, incremental_anchors, kmeans, load_anchor_set,
+                      project_features, save_anchor_set, select_anchors)
 from .autodiff import NonFiniteError, ShapeError, Tensor
 from .data import (Dataset, SessionSpec, SessionSplit, StandardizationStats,
                    SynthClassSpec, SynthSpec, desk_synth_spec,
@@ -54,7 +54,8 @@ __all__ = [
     "TrainingDivergedError", "train_base", "accuracy", "predict_batch",
     "prototype_of", "compute_prototypes",
     # anchors
-    "FeatureSet", "AnchorSet", "STRATEGIES", "project_features", "select_anchors",
+    "FeatureSet", "AnchorSet", "STRATEGIES", "project_features", "check_anchor_counts",
+    "select_anchors",
     "incremental_anchors", "kmeans", "KMeansObjectiveError",
     "save_anchor_set", "load_anchor_set",
     # inversion

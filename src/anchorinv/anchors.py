@@ -25,6 +25,7 @@ __all__ = [
     "AnchorSet",
     "STRATEGIES",
     "project_features",
+    "check_anchor_counts",
     "select_anchors",
     "incremental_anchors",
     "kmeans",
@@ -131,6 +132,25 @@ def _cosine_distance_to(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     return -(v @ t)
 
 
+def check_anchor_counts(labels: np.ndarray, strategy: str, per_class: int,
+                        fraction: float = 0.5) -> None:
+    """ValueError unless ``strategy`` can take ``per_class`` anchors from each
+    class of ``labels``: 1 <= ``per_class`` <= the class size, and for
+    ``random_closest`` no more than its ceil(``fraction`` x size) closest
+    members; ``full`` takes every member.  ``select_anchors`` applies it, and
+    the pipelines apply it to their base labels before base training."""
+    if strategy == "full":
+        return
+    classes, sizes = np.unique(labels, return_counts=True)
+    for c, n_k in zip(classes.tolist(), sizes.tolist()):
+        if not 1 <= per_class <= n_k:
+            raise ValueError(f"class {c}: cannot take {per_class} of {n_k} members")
+        pool_size = int(np.ceil(fraction * n_k))
+        if strategy == "random_closest" and per_class > pool_size:
+            raise ValueError(f"class {c}: cannot take {per_class} from the "
+                             f"{pool_size} closest members")
+
+
 def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: int = 0,
                    fraction: float = 0.5) -> AnchorSet:
     """Select ``per_class`` anchors per class by the named strategy, one of
@@ -139,9 +159,9 @@ def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: in
     ``random_sample`` draws members at random, ``closest`` takes the members
     nearest the class prototype by cosine distance, ``random_closest`` draws
     from the closest ``fraction`` of members, ``kmeans`` returns centroids and
-    ``full`` keeps every member (``per_class`` unused).  Every other strategy
-    needs 1 <= ``per_class`` <= the class size; closest-ranking ties break by
-    lowest feature index (stable sort).
+    ``full`` keeps every member (``per_class`` unused).  The counts must pass
+    ``check_anchor_counts``; closest-ranking ties break by lowest feature
+    index (stable sort).
     """
     if strategy not in STRATEGIES:
         raise KeyError(f"unknown strategy '{strategy}'; valid: {sorted(STRATEGIES)}")
@@ -149,6 +169,7 @@ def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: in
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if len(features) == 0:
         raise ValueError("empty feature set")
+    check_anchor_counts(features.labels, strategy, per_class, fraction)
 
     chunks, labels = [], []
     for c in features.classes():
@@ -156,8 +177,6 @@ def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: in
         n_k = class_vecs.shape[0]
         if strategy == "full":
             chosen = class_vecs
-        elif not 1 <= per_class <= n_k:
-            raise ValueError(f"class {c}: cannot take {per_class} of {n_k} members")
         elif strategy == "kmeans":
             chosen = kmeans(class_vecs, per_class, seed=seed)
         elif strategy == "random_sample":
@@ -170,9 +189,6 @@ def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: in
                 chosen = class_vecs[np.sort(order[:per_class])]
             else:
                 pool_size = int(np.ceil(fraction * n_k))
-                if per_class > pool_size:
-                    raise ValueError(f"class {c}: cannot take {per_class} from the "
-                                     f"{pool_size} closest members")
                 pick = make_rng(seed, c).choice(pool_size, size=per_class, replace=False)
                 chosen = class_vecs[np.sort(order[pick])]
         chunks.append(np.asarray(chosen, dtype=np.float32))

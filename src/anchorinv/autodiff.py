@@ -48,8 +48,13 @@ DEFAULT_DTYPE = np.float32
 # the floor of every norm a cosine divides by, here and in the package
 _NORM_EPS = 1e-12
 # bytes of one ``_im2col`` block: bounds the columns a conv holds at any batch
-# size; read only through ``_block_samples``
-_IM2COL_BLOCK_BYTES = 16 << 20
+# size.  4 MB is the L2 cache of the two cores the BLAS threads run on (2 MB
+# each), so a block stays cache-resident between the copy that builds it and
+# the matmul that reads it: one sample per block at bci (2.05 MB of columns)
+# and at grabmyo (8.3 MB, past any such budget), two at nhie (1.85 MB), and
+# every desk batch up to 520 samples (8064 B each) in one block.  Read only
+# through ``_block_samples``
+_IM2COL_BLOCK_BYTES = 4 << 20
 
 
 class ShapeError(ValueError):

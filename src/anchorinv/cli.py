@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import METHODS, AdaptationConfig, base_anchor_memory
-from .anchors import load_anchor_set, save_anchor_set
+from .anchors import check_anchor_counts, load_anchor_set, save_anchor_set
 from .data import Dataset
 from .evaluation import (SWEEP_AXES as ABLATE_AXES, TrialPlan, TrialReport, render_report,
                          render_sweep, run_trials, sweep)
@@ -184,6 +184,9 @@ def load_datasets(preset: ExperimentPreset, cfg: dict) -> tuple[Dataset, Dataset
 def cmd_train_base(cfg: dict, preset: ExperimentPreset, staging: Path) -> None:
     train, _ = load_datasets(preset, cfg)
     split = build_split(preset, train)
+    adaptation = preset.adaptation
+    check_anchor_counts(split.base.y, adaptation.anchor_strategy, adaptation.anchors_per_class,
+                        adaptation.anchor_fraction)
     state = train_base(split.base.x, split.base.y, preset.backbone_config,
                        preset.base_train)
     anchors = base_anchor_memory(state, split.base, preset.adaptation)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adaptation import (METHODS, AdaptationConfig, base_anchor_memory, run_fscil,
                          sample_base_replay_store)
-from .anchors import AnchorSet
+from .anchors import AnchorSet, check_anchor_counts
 from .data import Dataset, SessionSplit
 from .model import ModelState, predict_batch, train_base
 from .presets import ExperimentPreset, build_split
@@ -375,14 +375,24 @@ def sweep(preset: ExperimentPreset, train: Dataset, test: Dataset, axis: str,
     the other axes score every method on all classes.  Only that axis changes
     base training, so each distinct base-class set is trained once.
     """
+    points = _sweep_points(preset, axis, values, unseen, train.classes())
+
+    def split_of(run_preset: ExperimentPreset, class_ids) -> SessionSplit:
+        run_train = train if class_ids is None else train.of_classes(class_ids)
+        return build_split(run_preset, run_train)
+
+    # every value's split and base anchor counts, before any training
+    for _, run_preset, class_ids, _ in points:
+        base_labels = split_of(run_preset, class_ids).base.y
+        if "anchorinv" in run_preset.methods:
+            adaptation = run_preset.adaptation
+            check_anchor_counts(base_labels, adaptation.anchor_strategy,
+                                adaptation.anchors_per_class, adaptation.anchor_fraction)
     states: dict[tuple[int, ...], ModelState] = {}
     rows: list[dict] = []
-    for value, run_preset, class_ids, metric in _sweep_points(preset, axis, values, unseen,
-                                                              train.classes()):
-        run_train, run_test = train, test
-        if class_ids is not None:
-            run_train, run_test = train.of_classes(class_ids), test.of_classes(class_ids)
-        split = build_split(run_preset, run_train)
+    for value, run_preset, class_ids, metric in points:
+        split = split_of(run_preset, class_ids)
+        run_test = test if class_ids is None else test.of_classes(class_ids)
         key = split.base_spec.class_ids
         if key not in states:
             states[key] = train_base(split.base.x, split.base.y,

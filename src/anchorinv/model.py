@@ -178,7 +178,8 @@ class ConvBackbone:
         that record the parameter gradients: ``ad.conv2d`` of the
         ``ad.compose_conv`` weight, or of ``spatial_w`` over the features,
         then ReLU, ``ad.avg_pool2d`` and a reshape.  Over the samples the
-        conv builds their columns one ``_IM2COL_BLOCK_BYTES`` block at a time.
+        conv builds their columns one ``_IM2COL_BLOCK_BYTES`` block at a time:
+        one sample per block at bci and grabmyo, two at nhie.
         """
         cfg = self.config
         params = [self.params[name] for name in self.param_names()]
@@ -215,7 +216,8 @@ class ConvBackbone:
         F <= k_t (desk, nhie, grabmyo): the F * H features per time step are
         no more numbers than the H * k_t rows of a column.  Else ``"columns"``
         when ``x`` does not train and they fit one ``_IM2COL_BLOCK_BYTES``
-        block, sparing the conv's VJP its second ``_im2col``; else ``"samples"``.
+        block (every desk batch up to 520 samples; one sample at bci),
+        sparing the conv's VJP its second ``_im2col``; else ``"samples"``.
         """
         kind = self._input_kind(x, trained)
         cfg = self.config

@@ -121,7 +121,12 @@ def read_container(path, expect_kind: int | None = None) -> tuple[dict, dict[str
     if expect_kind is not None and kind != expect_kind:
         raise ContainerError(f"container kind {kind} != expected {expect_kind}")
     (meta_len,) = reader.unpack("<I")
-    meta = json.loads(reader.take(meta_len).decode("utf-8"))
+    try:
+        meta = json.loads(reader.take(meta_len).decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+        raise ContainerError(f"container header of {path} is not UTF-8 JSON: {err}") from err
+    if not isinstance(meta, dict):
+        raise ContainerError(f"container header of {path} is not a JSON object")
     (count,) = reader.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -256,27 +256,47 @@ def test_finetune_memory_is_bounded_by_the_frozen_temporal_features():
 
 def test_finetune_memory_is_bounded_by_one_column_block():
     """A default finetune at the bci geometry (F = 40 > k_t = 25: the composed
-    conv, whose 40-sample joint batch has columns over 5 blocks) rebuilds its
-    columns block by block and frees each step's graph before the next: its
-    traced peak stays under one ``_IM2COL_BLOCK_BYTES`` block plus 5.75
-    (N, K, W_o) float32 activations.  Keeping the whole-batch columns reads
-    19 x the activations past the block, and keeping the previous step's
-    graph while a new joint batch is built each step 6.5 x."""
+    conv, whose 40-sample joint batch has columns over 40 blocks, one sample
+    each) rebuilds its columns block by block and frees each step's graph
+    before the next: its traced peak stays under one ``_IM2COL_BLOCK_BYTES``
+    block plus 5.75 (N, K, W_o) float32 activations.  With a 16 MB block,
+    keeping the whole-batch columns read 19 x the activations past the block,
+    and keeping the previous step's graph while a new joint batch is built
+    each step 6.5 x."""
+    peak, activation_bytes = _bci_finetune_peak()
+    over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
+    assert over <= 5.75, f"peak is the block plus {over:.2f} x the activation bytes"
+
+
+def test_bci_finetune_builds_one_sample_of_columns_at_a_time():
+    """At the default block budget the default bci finetune of the test above
+    builds one sample's columns (2.05 MB) at a time: its traced peak stays
+    under those columns plus 5.5 (N, K, W_o) float32 activations.  A 16 MB
+    budget, which builds 7 samples' columns at once, reads 7.4 x the
+    activations past one sample's columns."""
+    cfg = BACKBONE_PRESETS["bci"]
+    peak, activation_bytes = _bci_finetune_peak()
+    over = (peak - cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4) / activation_bytes
+    assert over <= 5.5, f"peak is one sample's columns plus {over:.2f} x the activation bytes"
+
+
+def _bci_finetune_peak() -> tuple[int, int]:
+    """The traced peak of a two-iteration default finetune at the bci geometry
+    on a 40-sample joint batch, and the bytes of its (N, K, W_o) float32
+    activations."""
     cfg = BACKBONE_PRESETS["bci"]
     state = ModelState(ConvBackbone.initialize(cfg, seed=5))
     rng = np.random.default_rng(143)
     for c in (0, 1):
         state.register_class(c, rng.standard_normal(state.feature_dim))
     new, replay = _conv_sets(cfg.sample_shape, n_new=4, n_replay=36, seed=144)
-    activation_bytes = 40 * cfg.filters * cfg.conv_width * 4
     tracemalloc.start()
     try:
         finetune_session(state, replay, new, FinetuneConfig(iterations=2, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
-    assert over <= 5.75, f"peak is the block plus {over:.2f} x the activation bytes"
+    return peak, 40 * cfg.filters * cfg.conv_width * 4
 
 
 # ---------------------------------------------------------------------------

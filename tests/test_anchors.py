@@ -11,8 +11,9 @@ import pytest
 import anchorinv.anchors as anchors_mod
 from anchorinv.adaptation import AdaptationConfig, base_anchor_memory
 from anchorinv.anchors import (STRATEGIES, AnchorSet, FeatureSet, KMeansObjectiveError,
-                               incremental_anchors, kmeans, load_anchor_set,
-                               project_features, save_anchor_set, select_anchors)
+                               check_anchor_counts, incremental_anchors, kmeans,
+                               load_anchor_set, project_features, save_anchor_set,
+                               select_anchors)
 from anchorinv.data import Dataset
 from anchorinv.model import ModelState
 from anchorinv.serialization import (KIND_ANCHORS, ContainerError, read_container,
@@ -170,6 +171,31 @@ def test_random_closest_pool_too_small():
     feats = _random_features(rng, n_per_class=10, classes=[0])
     with pytest.raises(ValueError):
         select_anchors(feats, "random_closest", per_class=5, fraction=0.2)
+
+
+# classes of 10 and 6 members; at fraction 0.6 their closest pools hold 6 and 4
+@pytest.mark.parametrize("strategy, per_class, message", [
+    ("random_sample", 0, "class 0: cannot take 0 of 10 members"),
+    ("closest", 7, "class 1: cannot take 7 of 6 members"),
+    ("kmeans", 11, "class 0: cannot take 11 of 10 members"),
+    ("random_closest", 7, "class 0: cannot take 7 from the 6 closest members"),
+    ("random_closest", 5, "class 1: cannot take 5 from the 4 closest members"),
+    ("random_closest", 4, None),
+    ("kmeans", 6, None),
+    ("full", 99, None)])
+def test_check_anchor_counts_is_the_rule_select_anchors_applies(strategy, per_class, message):
+    """``check_anchor_counts`` on the labels alone refuses what
+    ``select_anchors`` refuses, with the same message, naming the first class
+    that cannot give the count; ``full`` has no count."""
+    feats = _feature_set(np.random.default_rng(89).standard_normal((16, 6)), [0] * 10 + [1] * 6)
+    if message is None:
+        check_anchor_counts(feats.labels, strategy, per_class, fraction=0.6)
+        select_anchors(feats, strategy, per_class, fraction=0.6)
+        return
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_anchor_counts(feats.labels, strategy, per_class, fraction=0.6)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        select_anchors(feats, strategy, per_class, fraction=0.6)
 
 
 def test_full_set_keeps_everything():

@@ -12,6 +12,7 @@ import pytest
 
 from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor, backward, no_grad
+from anchorinv.model import BACKBONE_PRESETS
 from oracles import conv_windows, finite_difference_check
 
 FD_TOL = 1e-6  # worst relative error allowed for analytic-vs-numeric gradients
@@ -510,6 +511,54 @@ def test_conv_pool_matches_engine_primitives(monkeypatch, stride, pool_kernel, p
         backward(ad.tensor_sum(ad.mul(out, g)))
         np.testing.assert_allclose(out.data, ref.data, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(xt.grad, xr.grad, rtol=1e-10, atol=1e-12)
+
+
+def test_bci_convs_build_one_sample_of_columns_per_block(monkeypatch):
+    """At the bci geometry (22 x 1000, k_t = 25: 2.05 MB of columns a sample)
+    the default budget makes every ``_im2col`` of ``conv2d``'s forward and dW
+    and of ``conv_pool``'s forward, and every ``_col2im`` of their dx, one
+    sample's; the outputs, dW, db and both dx are the bits of a 16 MB budget,
+    which holds all three samples in one block."""
+    cfg = BACKBONE_PRESETS["bci"]
+    n, h, width, kt, k = 3, cfg.channels, cfg.timesteps, cfg.temporal_kernel, cfg.filters
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((n, h, width)).astype(np.float32)
+    w = (rng.standard_normal((k, h, kt)) / np.sqrt(h * kt)).astype(np.float32)
+    b = (0.1 * rng.standard_normal(k)).astype(np.float32)
+    im2col, col2im = ad._im2col, ad._col2im
+
+    def run(budget):
+        """(kernel, leading dimension) per call, and the conv results."""
+        calls = []
+
+        def im2col_spy(xd, *args):
+            calls.append(("im2col", xd.shape[0]))
+            return im2col(xd, *args)
+
+        def col2im_spy(cols, shape, *args):
+            calls.append(("col2im", shape[0]))
+            return col2im(cols, shape, *args)
+
+        monkeypatch.setattr(ad, "_IM2COL_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ad, "_im2col", im2col_spy)
+        monkeypatch.setattr(ad, "_col2im", col2im_spy)
+        ts = [Tensor(a.copy(), requires_grad=True)
+              for a in (x.reshape(n, 1, h, width), w.reshape(k, 1, h, kt), b)]
+        out = ad.conv2d(*ts, stride=(1, cfg.temporal_stride))
+        backward(ad.tensor_sum(ad.mul(out, Tensor(np.sin(out.data)))))
+        xp = Tensor(x.copy(), requires_grad=True)
+        pooled = ad.conv_pool(xp, w, b, cfg.temporal_stride, cfg.pool_kernel, cfg.pool_stride)
+        backward(ad.tensor_sum(ad.mul(pooled, Tensor(np.cos(pooled.data)))))
+        return calls, [out.data] + [t.grad for t in ts] + [pooled.data, xp.grad]
+
+    calls, got = run(ad._IM2COL_BLOCK_BYTES)
+    # conv2d: forward and dW im2col, dx col2im; conv_pool: forward im2col, dx col2im
+    assert calls == ([("im2col", 1)] * 2 * n + [("col2im", 1)] * n
+                     + [("im2col", 1)] * n + [("col2im", 1)] * n)
+    calls, want = run(16 << 20)
+    assert calls == [("im2col", n)] * 2 + [("col2im", n), ("im2col", n), ("col2im", n)]
+    for name, a, c in zip(["out", "dx", "dW", "db", "pooled", "pooled dx"], got, want):
+        assert a.tobytes() == c.tobytes(), name
 
 
 def test_conv_pool_shape_errors():

@@ -139,6 +139,19 @@ def _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine):
     assert err.startswith("error: ") and message in err
 
 
+# the desk preset takes 25 anchors from each base class of 30 training samples
+@pytest.mark.parametrize("adaptation, message", [
+    ({"anchor_strategy": "random_closest", "anchor_fraction": 0.5},
+     "class 0: cannot take 25 from the 15 closest members"),
+    ({"anchors_per_class": 31}, "class 0: cannot take 31 of 30 members")],
+    ids=["random-closest-pool", "more-than-members"])
+def test_train_base_rejects_impossible_anchor_counts_before_training(tmp_path, capsys,
+                                                                     spy_engine, adaptation,
+                                                                     message):
+    _assert_train_base_refuses({"preset": "desk", "adaptation": adaptation}, message,
+                               tmp_path, capsys, spy_engine)
+
+
 # finetuning always trains the spatial layer, so any trainable_layers is refused
 @pytest.mark.parametrize("layers", [["temporl"], "spatial"], ids=["unknown-layer", "string"])
 def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsys, spy_engine,
@@ -339,6 +352,22 @@ def test_ablate_base_classes_axis(trained, tmp_path, spy_engine):
     for row in rows:
         assert row["metric"] == "incremental"
     assert len(trainings) == 2
+
+
+def test_ablate_rejects_an_impossible_anchor_count_before_training(tmp_path, capsys,
+                                                                   spy_engine):
+    """Every strategy value's anchor counts are checked before the first
+    value trains: the second value cannot take the desk preset's 25 anchors
+    from the 15 closest of 30 members."""
+    trainings = spy_engine("train_base", module=evaluation)
+    cfg = {"preset": "desk", "ablate": {"strategy": [
+        "random_sample", {"name": "random_closest", "fraction": 0.5}]}}
+    config = _write_config(tmp_path / "ablate.json", cfg)
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", config, "--out", str(out), "--axis", "strategy"]) == 1
+    assert trainings == []
+    assert not (out / "ablate.json").exists()
+    assert "class 0: cannot take 25 from the 15 closest members" in capsys.readouterr().err
 
 
 def test_ablate_axis_validation(trained, tmp_path, capsys):

@@ -801,22 +801,41 @@ def test_train_base_memory_is_bounded_by_one_column_block(name, n):
     ``_IM2COL_BLOCK_BYTES`` block of columns plus a few (N, K, W_o) float32
     activations and gradients, never the unfolded columns of the whole batch
     (H * k_t / K = 14 to 45 times as many floats): its traced peak stays
-    under the block plus 8 activations.  Keeping the whole-batch columns
-    reads 16 x the activations past the block at bci, N = 32, and 47 x at
-    grabmyo."""
+    under the block plus 8 activations.  With a 16 MB block, keeping the
+    whole-batch columns read 16 x the activations past the block at bci,
+    N = 32, and 47 x at grabmyo."""
+    peak, activation_bytes = _train_base_peak(name, n)
+    over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
+    assert over <= 8, f"peak is the block plus {over:.2f} x the activation bytes"
+
+
+def test_bci_train_base_builds_one_sample_of_columns_at_a_time():
+    """At the default block budget a bci base-training epoch at N = 24 (the
+    batch of the bci benchmark's set-up) builds one sample's columns (2.05 MB)
+    at a time: its traced peak stays under those columns plus 5 (N, K, W_o)
+    float32 activations.  A 16 MB budget, which builds 7 samples' columns at
+    once, reads 8.4 x the activations past one sample's columns."""
+    cfg = BACKBONE_PRESETS["bci"]
+    _train_base_peak("bci", 2)  # the bci pooling matrices and numpy's lazy imports
+    peak, activation_bytes = _train_base_peak("bci", 24)
+    over = (peak - cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4) / activation_bytes
+    assert over <= 5, f"peak is one sample's columns plus {over:.2f} x the activation bytes"
+
+
+def _train_base_peak(name: str, n: int) -> tuple[int, int]:
+    """The traced peak of one base-training epoch of ``n`` random samples at
+    the ``name`` geometry, and the bytes of its (N, K, W_o) float32 activations."""
     cfg = BACKBONE_PRESETS[name]
     rng = np.random.default_rng(57)
     x = rng.standard_normal((n, cfg.channels, cfg.timesteps)).astype(np.float32)
     y = np.arange(n) % 2
-    activation_bytes = n * cfg.filters * cfg.conv_width * 4
     tracemalloc.start()
     try:
         train_base(x, y, cfg, BaseTrainConfig(epochs=1, seed=5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
-    assert over <= 8, f"peak is the block plus {over:.2f} x the activation bytes"
+    return peak, n * cfg.filters * cfg.conv_width * 4
 
 
 def test_base_train_config_validation():

@@ -3,10 +3,12 @@ checkpoints, dataset manifests, and canonical JSON helpers."""
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from anchorinv.anchors import load_anchor_set
 from anchorinv.data import Dataset
 from anchorinv.model import BACKBONE_PRESETS, ConvBackbone, FeatureStats, ModelState, embed_batch
 from anchorinv.autodiff import Tensor
@@ -97,6 +99,26 @@ def test_container_bad_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ContainerError):
         read_container(path)
+
+
+@pytest.mark.parametrize("load,kind", [(load_anchor_set, KIND_ANCHORS),
+                                       (load_checkpoint, KIND_CHECKPOINT)],
+                         ids=["anchors", "checkpoint"])
+@pytest.mark.parametrize("header", [b"[1, 2]", b'{"a": "\xff"}', b'{"a": 1'],
+                         ids=["list", "not-utf8", "invalid-json"])
+def test_loaders_reject_a_header_that_is_not_a_json_object(tmp_path, load, kind, header):
+    """A header that is not UTF-8 JSON, or is JSON but not an object, is a
+    ContainerError from ``read_container``, before a loader reads a key."""
+    path = tmp_path / "c.bin"
+    write_container(path, kind, {}, {})
+    blob = path.read_bytes()
+    # magic (8 bytes), version (4) and kind (1); then the header's u32 length,
+    # the header "{}" and the u32 array count
+    path.write_bytes(blob[:13] + struct.pack("<I", len(header)) + header + blob[-4:])
+    with pytest.raises(ContainerError, match="header"):
+        read_container(path)
+    with pytest.raises(ContainerError, match="header"):
+        load(path)
 
 
 # ---------------------------------------------------------------------------
