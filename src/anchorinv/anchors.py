@@ -117,8 +117,7 @@ def project_features(state: ModelState, dataset: Dataset, session: int = 0) -> F
     if len(dataset) == 0:
         return FeatureSet(np.zeros((0, state.feature_dim), dtype=np.float32),
                           np.zeros(0, dtype=np.int64), session=session)
-    with ad.no_grad():
-        feats = embed_batch(state, dataset.x).data
+    feats = embed_batch(state, dataset.x).data
     return FeatureSet(feats.copy(), dataset.y.copy(), session=session)
 
 

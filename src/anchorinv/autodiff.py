@@ -3,7 +3,9 @@
 Minimal define-by-run engine on top of numpy.  Every primitive builds an
 output tensor that remembers its parent tensors and a closure that pushes the
 output gradient back to them; ``backward`` topologically sorts the graph from
-a scalar output and runs the closures in reverse.
+a scalar output and runs the closures in reverse.  A primitive records its
+node exactly when one of its parents has ``requires_grad``; that flag is the
+one switch, and a primitive over tensors without it records no graph.
 
 Conventions, chosen to keep failure modes loud rather than silent:
 
@@ -27,8 +29,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
-    "no_grad",
-    "is_grad_enabled",
     "backward",
     "conv2d",
     "avg_pool2d",
@@ -63,29 +63,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A tensor primitive produced NaN or Inf."""
-
-
-_GRAD_ENABLED = True
-
-
-class no_grad:
-    """Context manager that disables graph construction inside its body."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._saved = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved
-        return False
-
-
-def is_grad_enabled() -> bool:
-    """False inside ``no_grad``: primitives then record no graph."""
-    return _GRAD_ENABLED
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -154,14 +131,10 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    grad = any(p.requires_grad for p in parents)
+    out.requires_grad = grad
+    out._parents = tuple(parents) if grad else ()
+    out._backward_fn = backward_fn if grad else None
     return out
 
 

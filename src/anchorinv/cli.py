@@ -33,7 +33,7 @@ from .data import Dataset
 from .evaluation import (SWEEP_AXES as ABLATE_AXES, TrialPlan, TrialReport, render_report,
                          render_sweep, run_trials, sweep)
 from .inversion import invert_set
-from .model import accuracy, train_base
+from .model import accuracy, check_count, train_base
 from .presets import (ExperimentPreset, build_split, get_preset, materialize_synth,
                       with_synth_classes)
 from .serialization import (canonical_json, load_checkpoint, read_manifest_dataset,
@@ -240,11 +240,13 @@ def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
     values = ablate_cfg[axis]
     if not isinstance(values, list) or not values:
         raise ConfigError(f"'ablate.{axis}' must be a nonempty list of axis values")
+    unseen = ablate_cfg.get("unseen", 6)
+    with _section("ablate"):
+        check_count("unseen", unseen, 1)
 
     # no axis changes the synthetic spec, so every run shares one data set
     train, test = load_datasets(preset, cfg)
-    rows = sweep(preset, train, test, axis, values, unseen=int(ablate_cfg.get("unseen", 6)),
-                 workers=workers)
+    rows = sweep(preset, train, test, axis, values, unseen=unseen, workers=workers)
     payload = {"axis": axis, "trials": preset.trials, "rows": rows}
     (staging / "ablate.json").write_text(canonical_json(payload))
     (staging / "ablate.txt").write_text(render_sweep(axis, rows))

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -235,6 +235,12 @@ class TrialReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrialReport":
+        """The report whose ``to_dict`` is ``payload``; ValueError for a
+        payload without exactly the report's keys."""
+        keys = {f.name for f in fields(cls)}
+        if not isinstance(payload, dict) or set(payload) != keys:
+            got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+            raise ValueError(f"a report needs exactly the keys {sorted(keys)}, got {got}")
         return cls(**payload)
 
 

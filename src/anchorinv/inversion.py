@@ -136,8 +136,7 @@ def invert_set(state: ModelState, anchors: AnchorSet, config: InversionConfig,
     _raise_if_stalled(init, x.data)
     if loss_trajectory is not None:
         loss_trajectory.extend(loss / j for loss in losses)
-    with ad.no_grad():
-        final_feats = embed_batch(state, Tensor(x.data)).data
+    final_feats = embed_batch(state, Tensor(x.data)).data
     final_mae = np.abs(final_feats.astype(np.float64) - targets.astype(np.float64)).mean(axis=1)
     return ReplaySet(samples=x.data.copy(), labels=anchors.labels.copy(),
                      sessions=anchors.sessions.copy(), feature_mae=final_mae)
@@ -222,9 +221,7 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     minimize([x], loss_fn, config.iterations, config.learning_rate,
              frozen=state.all_parameters().values())
     _raise_if_stalled(init, x.data)
-    with ad.no_grad():
-        feats = embed_batch(state, Tensor(x.data))
-        scores = scores_graph(state, feats).data
+    scores = scores_graph(state, embed_batch(state, Tensor(x.data))).data
     final_ce = -np.log(np.maximum(scores[np.arange(j), cols], 1e-300)).astype(np.float64)
     return ReplaySet(samples=x.data.copy(), labels=label_arr,
                      sessions=np.zeros(j, dtype=np.int64), feature_mae=final_ce)

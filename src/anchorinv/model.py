@@ -123,7 +123,8 @@ BACKBONE_PRESETS: dict[str, ConvBackboneConfig] = {
 class ConvInput:
     """What ``ConvBackbone.embed``'s conv runs over: an (N, H, W) batch's
     frozen temporal ``"features"`` (N, F, H, W_o) or ``"columns"``
-    (N, H * k_t, 1, W_o), both with no graph, or its ``"samples"``."""
+    (N, H * k_t, 1, W_o), both plain data with no graph whatever the
+    parameters' flags, or its ``"samples"``."""
 
     kind: str
     data: Tensor
@@ -146,12 +147,10 @@ class ConvBackbone:
         t_std = math.sqrt(2.0 / kt)
         s_std = math.sqrt(2.0 / (f * h))
         params = {
-            "temporal_w": Tensor(rng.normal(0.0, t_std, size=(f, 1, 1, kt)).astype(np.float32),
-                                 requires_grad=True),
-            "temporal_b": Tensor(np.zeros(f, dtype=np.float32), requires_grad=True),
-            "spatial_w": Tensor(rng.normal(0.0, s_std, size=(f, f, h, 1)).astype(np.float32),
-                                requires_grad=True),
-            "spatial_b": Tensor(np.zeros(f, dtype=np.float32), requires_grad=True),
+            "temporal_w": Tensor(rng.normal(0.0, t_std, size=(f, 1, 1, kt)).astype(np.float32)),
+            "temporal_b": Tensor(np.zeros(f, dtype=np.float32)),
+            "spatial_w": Tensor(rng.normal(0.0, s_std, size=(f, f, h, 1)).astype(np.float32)),
+            "spatial_b": Tensor(np.zeros(f, dtype=np.float32)),
         }
         return cls(config, params)
 
@@ -171,8 +170,9 @@ class ConvBackbone:
 
         The two convs have no nonlinearity between them, so they run as one
         (H, k_t) conv of the weight and bias ``ad.composed_weights`` builds.
-        A batch with grad mode off or no parameter with ``requires_grad``
-        (inversion, prediction, prototypes) runs the frozen ``ad.conv_pool``.
+        A batch while no parameter has ``requires_grad``, as they rest
+        everywhere but in the ``minimize`` of base training and finetuning
+        (inversion, prediction, prototypes), runs the frozen ``ad.conv_pool``.
         Otherwise the conv runs over a ``conv_input``, the batch's for the
         tensors with ``requires_grad`` if none is passed in, as engine nodes
         that record the parameter gradients: ``ad.conv2d`` of the
@@ -189,7 +189,7 @@ class ConvBackbone:
         else:
             trained = [t for t in (x, *params) if t.requires_grad]
             conv_input, kind = None, self._input_kind(x, trained)  # checks the shape
-            if not ad.is_grad_enabled() or not any(p.requires_grad for p in params):
+            if not any(p.requires_grad for p in params):
                 weight, bias = ad.composed_weights(*(p.data for p in params))
                 return ad.conv_pool(x, weight, bias, cfg.temporal_stride, cfg.pool_kernel,
                                     cfg.pool_stride)
@@ -218,14 +218,15 @@ class ConvBackbone:
         when ``x`` does not train and they fit one ``_IM2COL_BLOCK_BYTES``
         block (every desk batch up to 520 samples; one sample at bci),
         sparing the conv's VJP its second ``_im2col``; else ``"samples"``.
+        The features and columns are data alone, detached from any graph.
         """
         kind = self._input_kind(x, trained)
         cfg = self.config
         n, h, w = x.shape
         if kind == "features":
-            with ad.no_grad():
-                data = ad.conv2d(x.reshape((n, 1, h, w)), self.params["temporal_w"],
-                                 self.params["temporal_b"], stride=(1, cfg.temporal_stride))
+            data = Tensor(ad.conv2d(x.reshape((n, 1, h, w)), self.params["temporal_w"],
+                                    self.params["temporal_b"],
+                                    stride=(1, cfg.temporal_stride)).data)
         elif kind == "columns":
             cols = ad._im2col(x.data.reshape(n, 1, h, w), h, cfg.temporal_kernel, 1,
                               cfg.temporal_stride)
@@ -294,8 +295,7 @@ class ModelState:
                              f"got {data.shape}")
         if class_id in self.class_weights:
             raise ValueError(f"class {class_id} already registered")
-        self.class_weights[class_id] = Tensor(np.asarray(data, dtype=np.float32).copy(),
-                                              requires_grad=True)
+        self.class_weights[class_id] = Tensor(np.asarray(data, dtype=np.float32).copy())
 
     def weight_matrix(self) -> Tensor:
         """Class weights stacked in ascending class-id order (graph node)."""
@@ -359,9 +359,7 @@ def embed_batch(state: ModelState, x) -> Tensor:
 def predict_batch(state: ModelState, x: np.ndarray) -> np.ndarray:
     """Predicted class ids for an (N, H, W) batch (inference only); exact ties
     resolve to the lowest class id."""
-    with ad.no_grad():
-        feats = embed_batch(state, x).data
-    scores = scores_batch(state, feats)
+    scores = scores_batch(state, embed_batch(state, x).data)
     classes = np.asarray(state.seen_classes())
     return classes[np.argmax(scores, axis=1)]
 
@@ -387,9 +385,7 @@ def prototype_of(state: ModelState, samples: np.ndarray) -> np.ndarray:
     """Mean embedding of an (N, H, W) sample stack, as float32 (D,)."""
     if samples.shape[0] == 0:
         raise ValueError("cannot take a prototype of zero samples")
-    with ad.no_grad():
-        feats = embed_batch(state, samples).data
-    return _exact_mean(feats).astype(np.float32)
+    return _exact_mean(embed_batch(state, samples).data).astype(np.float32)
 
 
 def compute_prototypes(state: ModelState, x: np.ndarray, y: np.ndarray,
@@ -410,8 +406,7 @@ def compute_prototypes(state: ModelState, x: np.ndarray, y: np.ndarray,
         if idx.size == 0:
             raise ValueError(f"no samples for class {c}")
         proto = prototype_of(state, np.asarray(x)[idx])
-        old = state.class_weights[c]
-        state.class_weights[c] = Tensor(proto, requires_grad=old.requires_grad)
+        state.class_weights[c] = Tensor(proto)
     return state
 
 
@@ -516,8 +511,7 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
     del conv_input  # its columns are not held while the prototypes build theirs
 
     compute_prototypes(state, x, y, classes)
-    with ad.no_grad():
-        feats = embed_batch(state, xt).data
+    feats = embed_batch(state, xt).data
     state.feature_stats = FeatureStats(mean=feats.mean(axis=0).astype(np.float32),
                                        var=feats.var(axis=0).astype(np.float32))
     state.train_losses = losses

@@ -101,8 +101,10 @@ def minimize(params: Sequence[Tensor], loss_fn: Callable[[int], Tensor], iterati
     """Run ``iterations`` steps of Adam on ``loss_fn(i)`` over ``params``.
 
     ``params`` get ``requires_grad`` and ``frozen`` lose it for the duration
-    of the loop; every flag is restored afterwards.  The bytes of ``frozen``
-    are snapshotted first, and any change raises ``FreezingViolation``.
+    of the loop; every flag is restored afterwards.  This is the one place
+    the package turns the flag on: its parameters rest without it.  The
+    bytes of ``frozen`` are snapshotted first, and any change raises
+    ``FreezingViolation``.
     Returns the loss of every iteration.
     """
     params, frozen = list(params), list(frozen)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .model import (DEFAULT_TEMPERATURE, ConvBackbone, ConvBackboneConfig, FeatureStats,
-                    ModelState)
+                    ModelState, check_count)
 from .autodiff import Tensor
 
 __all__ = [
@@ -131,7 +131,10 @@ def read_container(path, expect_kind: int | None = None) -> tuple[dict, dict[str
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ContainerError(f"array name in {path} is not UTF-8: {err}") from err
         tag, ndim = reader.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise ContainerError(f"unknown dtype tag {tag} in {path}")
@@ -212,7 +215,7 @@ def load_checkpoint(path) -> ModelState:
         expected.update({"feature_stats.mean": (d,), "feature_stats.var": (d,)})
     check_arrays(arrays, {name: (shape, np.float32) for name, shape in expected.items()}, path)
 
-    params = {name: Tensor(arrays[f"backbone.{name}"], requires_grad=True)
+    params = {name: Tensor(arrays[f"backbone.{name}"])
               for name in ("temporal_w", "temporal_b", "spatial_w", "spatial_b")}
     state = ModelState(ConvBackbone(cfg, params))
     for c in classes:
@@ -260,11 +263,28 @@ def write_manifest_dataset(root, dataset: Dataset, split: str,
 
 
 def read_manifest_dataset(manifest_path) -> Dataset:
+    """The Dataset a manifest lists; ContainerError naming the manifest unless
+    it is a JSON object with int ``channels`` and ``timesteps`` of at least 1
+    and ``entries`` whose every entry has a ``file`` and an int ``class_id``."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
-    h, w = int(manifest["channels"]), int(manifest["timesteps"])
+    if not isinstance(manifest, dict):
+        raise ContainerError(f"manifest {manifest_path} is not a JSON object")
+    missing = [key for key in ("channels", "timesteps", "entries") if key not in manifest]
+    if missing:
+        raise ContainerError(f"manifest {manifest_path} lacks the keys {missing}")
+    h, w = manifest["channels"], manifest["timesteps"]
+    try:
+        check_count("channels", h, 1)
+        check_count("timesteps", w, 1)
+    except ValueError as err:
+        raise ContainerError(f"manifest {manifest_path}: {err}") from err
     xs, ys = [], []
     for entry in manifest["entries"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) \
+                or type(entry.get("class_id")) is not int:
+            raise ContainerError(f"manifest {manifest_path} has an entry without a file "
+                                 f"or an int class_id: {entry!r}")
         blob = (manifest_path.parent / entry["file"]).read_bytes()
         arr = np.frombuffer(blob, dtype="<f4")
         if arr.size != h * w:

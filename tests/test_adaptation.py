@@ -361,9 +361,9 @@ def test_finetune_freezes_everything_outside_trainable_set():
     assert out.backbone.params["spatial_w"].data.tobytes() \
         != state.backbone.params["spatial_w"].data.tobytes()
     assert 2 in out.class_weights
-    # requires_grad flags restored afterwards
+    # every flag back at rest, frozen, afterwards
     for t in out.all_parameters().values():
-        assert t.requires_grad
+        assert not t.requires_grad
 
 
 def test_finetune_zero_iterations_only_registers():

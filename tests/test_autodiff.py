@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from anchorinv import autodiff as ad
-from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor, backward, no_grad
+from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor, backward
 from anchorinv.model import BACKBONE_PRESETS
 from oracles import conv_windows, finite_difference_check
 
@@ -59,13 +59,14 @@ def test_detach_breaks_graph():
     np.testing.assert_allclose(d.data, [2.0, 4.0])
 
 
-def test_no_grad_suppresses_graph():
-    a = _t([1.0, 2.0])
-    with no_grad():
-        out = ad.mul_scalar(a, 3.0)
+def test_node_without_a_parent_that_requires_grad_records_no_graph():
+    a = _t([1.0, 2.0], requires_grad=False)
+    out = ad.mul_scalar(a, 3.0)
     assert not out.requires_grad
+    assert out._parents == () and out._backward_fn is None
+    a.requires_grad = True
     out2 = ad.mul_scalar(a, 3.0)
-    assert out2.requires_grad
+    assert out2.requires_grad and out2._parents == (a,)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,20 @@ def test_ablate_rejects_an_impossible_anchor_count_before_training(tmp_path, cap
     assert "class 0: cannot take 25 from the 15 closest members" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unseen", [2.7, True, 0, "3"], ids=["float", "bool", "zero", "string"])
+def test_ablate_rejects_a_bad_unseen_count_before_training(tmp_path, capsys, spy_engine,
+                                                           unseen):
+    trainings = spy_engine("train_base", module=evaluation)
+    cfg = _small_config(ablate={"base-classes": [2, 3], "unseen": unseen})
+    config = _write_config(tmp_path / "ablate.json", cfg)
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", config, "--out", str(out),
+                 "--axis", "base-classes"]) == 1
+    assert trainings == []
+    assert not (out / "ablate.json").exists()
+    assert "error: bad 'ablate' config: unseen must be" in capsys.readouterr().err
+
+
 def test_ablate_axis_validation(trained, tmp_path, capsys):
     cfg = _small_config(ablate={"shots": [1]})
     config = _write_config(tmp_path / "a.json", cfg)
@@ -442,6 +456,16 @@ def test_render_report_stdout_and_file(trained, tmp_path, capsys):
                  "--out", str(render_out)]) == 0
     assert (render_out / "report.txt").read_text() == (out / "report.txt").read_text()
     assert (out / "report.txt").read_text() == stdout
+
+
+@pytest.mark.parametrize("payload", [{"methods": ["a"]}, [1, 2]], ids=["missing-keys", "list"])
+def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["render-report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a report needs exactly the keys")
+    assert captured.out == ""
 
 
 def test_workers_env_variable(trained, tmp_path, monkeypatch, capsys):

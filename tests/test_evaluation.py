@@ -331,6 +331,10 @@ def test_trial_report_round_trip():
     assert again.to_dict() == report.to_dict()
     assert summarize(again.scores["finetune"]["all"][0]) \
         == summarize(report.scores["finetune"]["all"][0])
+    missing = {k: v for k, v in payload.items() if k != "p_values"}
+    for bad in (missing, dict(payload, extra=1)):
+        with pytest.raises(ValueError, match="exactly the keys"):
+            TrialReport.from_dict(bad)
 
 
 def test_render_report_layout():

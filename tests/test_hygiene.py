@@ -21,12 +21,20 @@ costs 6.7 us on an 8-element array, ``np.isfinite(x).all()`` 3.6 us;
 ``np.linalg.norm(a, axis=1)`` of a (60, 104) float32 matrix 11.6 us,
 ``np.sqrt((a * a).sum(axis=1))``, the same bits, 10.1 us.
 
+Whether a primitive records a graph has one switch, each tensor's
+``requires_grad``: no module names a global grad mode (a name that
+``GRAD_MODE`` matches, as the grad-mode scopes and queries of other engines
+do), every tensor the package builds rests without the flag (no module
+passes ``requires_grad=True``), and only ``optim.py``, whose ``minimize``
+trains the tensors it is handed, assigns the flag ``True``.
+
 The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
 ``autodiff._block_samples``, which every blocked conv and the rule by which
 ``ConvBackbone.conv_input`` picks the columns ask for their block size.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +49,9 @@ CALLERS = ([path for path in MODULES if path.name != "__init__.py"]
 HOT_LOOP_MODULES = [PACKAGE / "autodiff.py", PACKAGE / "optim.py"]
 HOT_LOOP_BANNED = {"where", "all", "any"}
 HOT_LOOP_BANNED_LINALG = {"norm"}
+GRAD_MODE = re.compile(r"(?i)(no|enable)_?grad|grad_(enabled|mode)")
+# the one module that may turn a tensor's requires_grad on
+FLAG_SETTER = PACKAGE / "optim.py"
 BLOCK_BUDGET = "_IM2COL_BLOCK_BYTES"
 BLOCK_HELPER = "_block_samples"
 
@@ -148,6 +159,29 @@ def slow_numpy_calls(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def _is_true(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is True
+
+
+def grad_switch_lines(tree: ast.Module, may_set_flag: bool = False) -> list[int]:
+    """Lines that name a global grad mode, pass ``requires_grad=True`` or,
+    unless ``may_set_flag``, assign ``True`` to a ``.requires_grad``."""
+    lines = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef))
+                else None)
+        if (name is not None and GRAD_MODE.search(name)) or (
+                isinstance(node, ast.keyword) and node.arg == "requires_grad"
+                and _is_true(node.value)) or (
+                not may_set_flag and isinstance(node, ast.Assign) and _is_true(node.value)
+                and any(isinstance(t, ast.Attribute) and t.attr == "requires_grad"
+                        for t in node.targets)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def block_budget_reads(tree: ast.Module) -> list[int]:
     """Lines outside a ``_block_samples`` function that read
     ``_IM2COL_BLOCK_BYTES``, by name or as an attribute."""
@@ -197,6 +231,13 @@ def test_only_the_block_helper_reads_the_block_budget():
     assert not reads, f"{BLOCK_BUDGET} read outside {BLOCK_HELPER}: {reads}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tensors_rest_frozen_and_only_minimize_trains(path):
+    lines = grad_switch_lines(_parse(path), may_set_flag=path == FLAG_SETTER)
+    assert not lines, (f"{path.name}: a grad mode, requires_grad=True or an assigned "
+                       f"requires_grad = True at lines {lines}")
+
+
 def test_no_definition_is_test_only():
     package = [_parse(path) for path in MODULES if path.name != "__init__.py"]
     unused = unnamed_definitions(package, [_parse(path) for path in CALLERS])
@@ -227,6 +268,20 @@ def test_scanner_flags_what_it_should():
     assert slow_numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"
                                       "q = np.linalg.qr(a)\nr = np.sqrt((a * a).sum(axis=1))\n"
                                       "s = np.norm(a)\n")) == [1]
+    switches = ast.parse("from torch import enable_grad\n"
+                         "w = Tensor(x, requires_grad=True)\n"
+                         "p.requires_grad = True\n"
+                         "a.requires_grad = b.requires_grad = True\n"
+                         "with ad.nograd():\n    pass\n"
+                         "on = ad.set_grad_enabled(False)\n"
+                         "v = Tensor(x, requires_grad=False)\n"
+                         "t.requires_grad = flag\n"
+                         "q.requires_grad = False\n"
+                         "_GRAD_MODE = True\n"
+                         "def grad_mode():\n    pass\n"
+                         "known_grad = requires_grad(n)\n")
+    assert grad_switch_lines(switches) == [1, 2, 3, 4, 5, 7, 11, 12]
+    assert grad_switch_lines(switches, may_set_flag=True) == [1, 2, 5, 7, 11, 12]
     assert block_budget_reads(ast.parse(
         "_IM2COL_BLOCK_BYTES = 16\n"
         "def _block_samples(b):\n    return _IM2COL_BLOCK_BYTES // b\n"

@@ -205,7 +205,7 @@ def test_invert_set_leaves_model_untouched():
     for name, tensor in state.backbone.params.items():
         assert tensor.data.tobytes() == before[name]
         assert tensor.requires_grad == before_flags[name]
-    assert state.class_weights[0].requires_grad
+    assert not state.class_weights[0].requires_grad  # back at rest
 
 
 def _drifting_embed(monkeypatch, state):
@@ -453,7 +453,7 @@ def test_label_inversion_leaves_model_untouched():
     label_space_invert_batch(state, [0, 1], InversionConfig(iterations=20), False)
     for c, blob in before.items():
         assert state.class_weights[c].data.tobytes() == blob
-        assert state.class_weights[c].requires_grad
+        assert not state.class_weights[c].requires_grad  # back at rest
 
 
 def test_auto_balance_matches_hand_scaled_weights():

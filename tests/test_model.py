@@ -148,9 +148,8 @@ def test_frozen_path_matches_engine_path(cfg):
     frozen = _embed_with_dx(backbone, x, g, trainable=False)
     for got, want in zip(frozen, engine):
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
-    with ad.no_grad():
-        assert np.abs(backbone.embed(Tensor(x)).data - engine[0]).max() \
-            <= 1e-5 * np.abs(engine[0]).max()
+    assert np.abs(backbone.embed(Tensor(x)).data - engine[0]).max() \
+        <= 1e-5 * np.abs(engine[0]).max()
     expect = _embed_loops(x.astype(np.float64), cfg, backbone.params)
     np.testing.assert_allclose(frozen[0], expect, rtol=1e-4, atol=1e-5)
 
@@ -169,28 +168,26 @@ def test_embed_path_selection(spy_convs):
         return list(calls)
 
     params = state.backbone.params
+    # the parameters rest frozen: the fused conv, also for an x that takes a gradient
+    assert path_of(lambda: embed_batch(state, x)) == ["conv_pool", "im2col"]
+    assert path_of(lambda: predict_batch(state, x)) == ["conv_pool", "im2col"]
+    assert path_of(lambda: prototype_of(state, x)) == ["conv_pool", "im2col"]
+    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
+        == ["conv_pool", "im2col"]
+    for t in params.values():
+        t.requires_grad = True
     # trainable: a 1 x 1 conv over the columns of x, or, when x takes a
     # gradient, the conv over x itself
     assert path_of(lambda: embed_batch(state, x)) == ["compose_conv", "im2col", "conv2d"]
     assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
         == ["compose_conv", "conv2d", "im2col"]
-    with ad.no_grad():
-        assert path_of(lambda: embed_batch(state, x)) == ["conv_pool", "im2col"]
-    assert path_of(lambda: predict_batch(state, x)) == ["conv_pool", "im2col"]
-    assert path_of(lambda: prototype_of(state, x)) == ["conv_pool", "im2col"]
     params["temporal_w"].requires_grad = params["temporal_b"].requires_grad = False
     # the frozen temporal features, then spatial over them
     assert path_of(lambda: embed_batch(state, x)) == ["conv2d", "im2col", "conv2d"]
     for t in params.values():
         t.requires_grad = False
-    assert path_of(lambda: embed_batch(state, Tensor(x, requires_grad=True))) \
-        == ["conv_pool", "im2col"]
     anchor = AnchorSet(np.ones((1, cfg.feature_dim), dtype=np.float32), np.zeros(1),
                        np.zeros(1))
-    assert set(path_of(lambda: invert_set(state, anchor, InversionConfig(iterations=2)))) \
-        == {"conv_pool", "im2col"}
-    for t in params.values():
-        t.requires_grad = True
     assert set(path_of(lambda: invert_set(state, anchor, InversionConfig(iterations=2)))) \
         == {"conv_pool", "im2col"}
 
@@ -328,7 +325,7 @@ def test_features_input_refuses_a_trainable_temporal_layer():
     backbone = _random_backbone(_tiny_config(), np.random.default_rng(56))
     x = Tensor(np.random.default_rng(57).standard_normal((2, 3, 16)).astype(np.float32))
     features = backbone.conv_input(x, [backbone.params["spatial_w"]])
-    backbone.params["temporal_b"].requires_grad = False
+    backbone.params["temporal_w"].requires_grad = True
     with pytest.raises(ValueError, match="while the temporal layer trains"):
         backbone.embed(features)
 
@@ -397,7 +394,7 @@ def test_frozen_path_float32_overflow_raises(sign):
         backbone.params[name].data[...] = 1.0   # every composed weight is positive
     x = Tensor(np.full((2, 3, 16), sign * 1e38, dtype=np.float32))
     # sign -1 overflows to -inf, which the ReLU would otherwise hide
-    with ad.no_grad(), pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError):
         backbone.embed(x)
 
 
@@ -748,8 +745,7 @@ def test_train_base_replaces_weights_with_prototypes():
     x, y = _separable_data()
     cfg = _tiny_config(channels=4)
     state = train_base(x, y, cfg, BaseTrainConfig(epochs=20, seed=5))
-    with ad.no_grad():
-        feats = embed_batch(state, x[y == 0]).data
+    feats = embed_batch(state, x[y == 0]).data
     np.testing.assert_allclose(state.class_weights[0].data, feats.mean(axis=0),
                                rtol=1e-4, atol=1e-5)
 

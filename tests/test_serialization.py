@@ -121,6 +121,22 @@ def test_loaders_reject_a_header_that_is_not_a_json_object(tmp_path, load, kind,
         load(path)
 
 
+@pytest.mark.parametrize("load,kind", [(load_anchor_set, KIND_ANCHORS),
+                                       (load_checkpoint, KIND_CHECKPOINT)],
+                         ids=["anchors", "checkpoint"])
+def test_loaders_reject_an_array_name_that_is_not_utf8(tmp_path, load, kind):
+    path = tmp_path / "c.bin"
+    write_container(path, kind, {}, {"ab": np.zeros(1, np.float32)})
+    blob = path.read_bytes()
+    # the name's u16 length (2) is followed by its two bytes
+    at = blob.index(struct.pack("<H", 2) + b"ab") + 2
+    path.write_bytes(blob[:at] + b"\xff\xfe" + blob[at + 2:])
+    with pytest.raises(ContainerError, match="array name"):
+        read_container(path)
+    with pytest.raises(ContainerError, match="array name"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # model checkpoints
 
@@ -137,7 +153,7 @@ def test_checkpoint_round_trip_conv(tmp_path):
     assert loaded.seen_classes() == [0, 1]
     for name, tensor in state.backbone.params.items():
         assert loaded.backbone.params[name].data.tobytes() == tensor.data.tobytes()
-        assert loaded.backbone.params[name].requires_grad
+        assert not loaded.backbone.params[name].requires_grad  # loaded at rest, frozen
     for c in (0, 1):
         assert (loaded.class_weights[c].data.tobytes()
                 == state.class_weights[c].data.tobytes())
@@ -267,6 +283,29 @@ def test_manifest_size_mismatch(tmp_path):
     (tmp_path / "train_00000.f32").write_bytes(b"\x00" * 8)  # 2 floats, not 6
     with pytest.raises(ContainerError):
         read_manifest_dataset(path)
+
+
+@pytest.mark.parametrize("patch,match", [
+    (lambda manifest: [manifest], "not a JSON object"),
+    (lambda manifest: {k: v for k, v in manifest.items() if k != "channels"}, "channels"),
+    (lambda manifest: {k: v for k, v in manifest.items() if k != "timesteps"}, "timesteps"),
+    (lambda manifest: {k: v for k, v in manifest.items() if k != "entries"}, "entries"),
+    (lambda manifest: dict(manifest, channels=2.9), "channels must be an integer"),
+    (lambda manifest: dict(manifest, channels=True, timesteps=6), "channels must be an integer"),
+    (lambda manifest: dict(manifest, timesteps=0), "timesteps must be >= 1"),
+    (lambda manifest: dict(manifest, entries=[{"class_id": 0}]), "without a file"),
+    (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32"}]), "int class_id"),
+    (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32", "class_id": 1.5}]),
+     "int class_id")],
+    ids=["list-root", "no-channels", "no-timesteps", "no-entries", "float-channels",
+         "bool-channels", "zero-timesteps", "no-file", "no-class", "float-class"])
+def test_manifest_malformed_is_a_container_error_naming_it(tmp_path, patch, match):
+    x = np.zeros((1, 2, 3), dtype=np.float32)
+    path = write_manifest_dataset(tmp_path, Dataset(x, np.array([0])), "train")
+    path.write_text(json.dumps(patch(json.loads(path.read_text()))))
+    with pytest.raises(ContainerError, match=match) as info:
+        read_manifest_dataset(path)
+    assert str(path) in str(info.value)
 
 
 def test_manifest_empty_dataset(tmp_path):
