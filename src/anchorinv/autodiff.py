@@ -1,11 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Minimal define-by-run engine on top of numpy.  Every primitive builds an
-output tensor that remembers its parent tensors and a closure that pushes the
-output gradient back to them; ``backward`` topologically sorts the graph from
-a scalar output and runs the closures in reverse.  A primitive records its
-node exactly when one of its parents has ``requires_grad``; that flag is the
-one switch, and a primitive over tensors without it records no graph.
+Minimal define-by-run engine on top of numpy.  A primitive records a node
+exactly when one of its parents has ``requires_grad``; that flag is the one
+switch, and a primitive over tensors without it records no graph.  The node
+is a ``_GradNode``: where the output's gradient accumulates, the gradient
+targets of its parents (a leaf tensor is its own target) and a closure, the
+VJP, that pushes the output gradient back to them.  A VJP keeps only what it
+reads (a mask, a sign, an input the gradient multiplies, shapes), never a
+parent tensor, so an intermediate output no VJP reads is freed once the
+forward pass drops it.  ``backward`` topologically sorts the nodes from a
+scalar output, runs the VJPs in reverse and frees each node's gradient once
+its VJP has consumed it.
 
 Conventions, chosen to keep failure modes loud rather than silent:
 
@@ -73,7 +78,7 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -85,8 +90,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node: _GradNode | None = None
 
     # -- introspection ----------------------------------------------------
 
@@ -124,24 +128,42 @@ class Tensor:
         return tensor_sum(self, axis)
 
 
+class _GradNode:
+    """Where the gradient of one computed tensor accumulates during
+    ``backward``: ``parents`` are the gradient targets of the tensor's
+    parents, None for a parent without ``requires_grad``, and
+    ``backward_fn(g, *parents)`` adds the VJP of the output gradient ``g``
+    to them."""
+
+    __slots__ = ("grad", "parents", "backward_fn")
+
+    def __init__(self, parents: tuple, backward_fn: Callable[..., None]):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
-    """Wrap a freshly computed array, checked finite, as a graph node."""
+          backward_fn: Callable[..., None], op: str) -> Tensor:
+    """Wrap a freshly computed array, checked finite, as a graph node.
+
+    The gradient target of a parent is its ``_GradNode``, or the parent
+    itself when it is a leaf; the flags are read here, once."""
     _ensure_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    grad = any(p.requires_grad for p in parents)
+    targets = tuple([(p._node or p) if p.requires_grad else None for p in parents])
+    grad = targets.count(None) < len(targets)
     out.requires_grad = grad
-    out._parents = tuple(parents) if grad else ()
-    out._backward_fn = backward_fn if grad else None
+    out._node = _GradNode(targets, backward_fn) if grad else None
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(target: _GradNode | Tensor | None, g: np.ndarray) -> None:
+    if target is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    target.grad = g if target.grad is None else target.grad + g
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -157,9 +179,9 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
-    def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+    def backward_fn(g, ta, tb):
+        _accumulate(ta, g)
+        _accumulate(tb, g)
 
     return _node(a.data + b.data, (a, b), backward_fn, "add")
 
@@ -167,35 +189,38 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
-    def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+    def backward_fn(g, ta, tb):
+        _accumulate(ta, g)
+        _accumulate(tb, -g)
 
     return _node(a.data - b.data, (a, b), backward_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
+    a_data, b_data = a.data, b.data
 
-    def backward_fn(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    def backward_fn(g, ta, tb):
+        _accumulate(ta, g * b_data)
+        _accumulate(tb, g * a_data)
 
-    return _node(a.data * b.data, (a, b), backward_fn, "mul")
+    return _node(a_data * b_data, (a, b), backward_fn, "mul")
 
 
 def add_scalar(a: Tensor, s: float) -> Tensor:
-    def backward_fn(g):
-        _accumulate(a, g)
+    def backward_fn(g, ta):
+        _accumulate(ta, g)
 
     return _node(a.data + a.dtype.type(s), (a,), backward_fn, "add_scalar")
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward_fn(g):
-        _accumulate(a, g * a.dtype.type(s))
+    s = a.dtype.type(s)
 
-    return _node(a.data * a.dtype.type(s), (a,), backward_fn, "mul_scalar")
+    def backward_fn(g, ta):
+        _accumulate(ta, g * s)
+
+    return _node(a.data * s, (a,), backward_fn, "mul_scalar")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -205,8 +230,8 @@ def neg(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
-    def backward_fn(g):
-        _accumulate(a, g * mask)
+    def backward_fn(g, ta):
+        _accumulate(ta, g * mask)
 
     return _node(np.maximum(a.data, 0), (a,), backward_fn, "relu")
 
@@ -215,18 +240,19 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)
 
-    def backward_fn(g):
-        _accumulate(a, g * out_data)
+    def backward_fn(g, ta):
+        _accumulate(ta, g * out_data)
 
     return _node(out_data, (a,), backward_fn, "exp")
 
 
 def log(a: Tensor) -> Tensor:
+    a_data = a.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
+        out_data = np.log(a_data)
 
-    def backward_fn(g):
-        _accumulate(a, g / a.data)
+    def backward_fn(g, ta):
+        _accumulate(ta, g / a_data)
 
     return _node(out_data, (a,), backward_fn, "log")
 
@@ -234,8 +260,8 @@ def log(a: Tensor) -> Tensor:
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
 
-    def backward_fn(g):
-        _accumulate(a, g * sign)
+    def backward_fn(g, ta):
+        _accumulate(ta, g * sign)
 
     return _node(np.abs(a.data), (a,), backward_fn, "abs")
 
@@ -247,9 +273,10 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in (shape if isinstance(shape, Iterable) else (shape,)))
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
+    in_shape = a.shape
 
-    def backward_fn(g):
-        _accumulate(a, g.reshape(a.shape))
+    def backward_fn(g, ta):
+        _accumulate(ta, g.reshape(in_shape))
 
     return _node(a.data.reshape(shape), (a,), backward_fn, "reshape")
 
@@ -258,23 +285,24 @@ def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
 
-    def backward_fn(g):
-        _accumulate(a, np.ascontiguousarray(g.T))
+    def backward_fn(g, ta):
+        _accumulate(ta, np.ascontiguousarray(g.T))
 
     return _node(np.ascontiguousarray(a.data.T), (a,), backward_fn, "transpose")
 
 
 def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    shape, dtype = a.shape, a.dtype
     if axis is None:
-        def backward_fn(g):
-            _accumulate(a, np.full_like(a.data, g.reshape(())))
+        def backward_fn(g, ta):
+            _accumulate(ta, np.full(shape, g.reshape(()), dtype=dtype))
 
-        return _node(np.asarray(a.data.sum(), dtype=a.dtype), (a,), backward_fn, "sum")
+        return _node(np.asarray(a.data.sum(), dtype=dtype), (a,), backward_fn, "sum")
 
     axis = int(axis)
 
-    def backward_axis_fn(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+    def backward_axis_fn(g, ta):
+        _accumulate(ta, np.broadcast_to(np.expand_dims(g, axis), shape).copy())
 
     return _node(a.data.sum(axis=axis), (a,), backward_axis_fn, "sum")
 
@@ -288,12 +316,13 @@ def tensor_mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def l2_norm(a: Tensor) -> Tensor:
-    norm = float(np.sqrt(np.sum(np.square(a.data, dtype=np.float64))))
-    out_data = np.asarray(norm, dtype=a.dtype)
+    a_data = a.data
+    norm = float(np.sqrt(np.sum(np.square(a_data, dtype=np.float64))))
+    out_data = np.asarray(norm, dtype=a_data.dtype)
 
-    def backward_fn(g):
+    def backward_fn(g, ta):
         scale = g.reshape(()) / max(norm, _NORM_EPS)
-        _accumulate(a, (scale * a.data).astype(a.dtype, copy=False))
+        _accumulate(ta, (scale * a_data).astype(a_data.dtype, copy=False))
 
     return _node(out_data, (a,), backward_fn, "l2_norm")
 
@@ -304,25 +333,26 @@ def l2_norm(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul needs equal dtypes, got {a.dtype} and {b.dtype}")
+    a_data, b_data = a.data, b.data
     if a.ndim == 2 and b.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
-        def backward_fn(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+        def backward_fn(g, ta, tb):
+            _accumulate(ta, g @ b_data.T)
+            _accumulate(tb, a_data.T @ g)
 
-        return _node(a.data @ b.data, (a, b), backward_fn, "matmul")
+        return _node(a_data @ b_data, (a, b), backward_fn, "matmul")
 
     if a.ndim == 2 and b.ndim == 1:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
-        def backward_vec_fn(g):
-            _accumulate(a, np.outer(g, b.data).astype(a.dtype, copy=False))
-            _accumulate(b, a.data.T @ g)
+        def backward_vec_fn(g, ta, tb):
+            _accumulate(ta, np.outer(g, b_data).astype(a_data.dtype, copy=False))
+            _accumulate(tb, a_data.T @ g)
 
-        return _node(a.data @ b.data, (a, b), backward_vec_fn, "matmul")
+        return _node(a_data @ b_data, (a, b), backward_vec_fn, "matmul")
 
     raise ShapeError(f"matmul supports (m,k)@(k,n) or (m,k)@(k,), got {a.shape} @ {b.shape}")
 
@@ -413,21 +443,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError("conv2d needs matching dtypes")
     parents = (x, weight) if bias is None else (x, weight, bias)
     ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    xd = x.data
     w2 = weight.data.reshape(k, c * kh * kw)
-    block = _block_samples(c * kh * kw * ho * wo * x.dtype.itemsize)
+    block = _block_samples(c * kh * kw * ho * wo * xd.itemsize)
 
     def cols(s):
-        return _im2col(x.data[s:s + block], kh, kw, sh, sw)  # (nb, C * kh * kw, Ho * Wo)
+        return _im2col(xd[s:s + block], kh, kw, sh, sw)  # (nb, C * kh * kw, Ho * Wo)
 
-    out_data = np.empty((n, k, ho * wo), dtype=x.dtype)
+    out_data = np.empty((n, k, ho * wo), dtype=xd.dtype)
     for s in range(0, n, block):
         np.matmul(w2, cols(s), out=out_data[s:s + block])
     if bias is not None:
         out_data += bias.data[:, None]
 
-    def backward_fn(g):
+    def backward_fn(g, tx, tw, tb=None):
         g3 = g.reshape(n, k, ho * wo)
-        if weight.requires_grad:
+        if tw is not None:
             def dw_rows(s):
                 return np.matmul(g3[s:s + block], cols(s).transpose(0, 2, 1))
 
@@ -437,15 +468,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             for s in range(block, n, block):
                 for row in dw_rows(s):
                     dw += row
-            _accumulate(weight, dw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g3.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dx = np.empty(x.shape, dtype=x.dtype)
+            _accumulate(tw, dw.reshape(k, c, kh, kw))
+        if tb is not None:
+            _accumulate(tb, g3.sum(axis=(0, 2)))
+        if tx is not None:
+            dx = np.empty((n, c, h, w), dtype=xd.dtype)
             for s in range(0, n, block):
                 dx[s:s + block] = _col2im(np.matmul(w2.T, g3[s:s + block]),
                                           dx[s:s + block].shape, kh, kw, sh, sw)
-            _accumulate(x, dx)
+            _accumulate(tx, dx)
 
     return _node(out_data.reshape(n, k, ho, wo), parents, backward_fn, "conv2d")
 
@@ -495,21 +526,21 @@ def compose_conv(temporal_w: Tensor, temporal_b: Tensor, spatial_w: Tensor,
     tb = temporal_b.data
     sw = spatial_w.data.reshape(k, f, h)
 
-    def weight_backward(g):
+    def weight_backward(g, t_tw, t_sw):
         gw = g.reshape(k, h, kt)
-        if spatial_w.requires_grad:
-            _accumulate(spatial_w, np.matmul(tw, gw.transpose(0, 2, 1)).reshape(spatial_w.shape))
-        if temporal_w.requires_grad:
+        if t_sw is not None:
+            _accumulate(t_sw, np.matmul(tw, gw.transpose(0, 2, 1)).reshape(k, f, h, 1))
+        if t_tw is not None:
             dt = sw.transpose(1, 0, 2).reshape(f, k * h) @ gw.reshape(k * h, kt)
-            _accumulate(temporal_w, dt.reshape(temporal_w.shape))
+            _accumulate(t_tw, dt.reshape(f, 1, 1, kt))
 
-    def bias_backward(g):
-        _accumulate(spatial_b, g)
-        if spatial_w.requires_grad:
+    def bias_backward(g, t_tb, t_sw, t_sb):
+        _accumulate(t_sb, g)
+        if t_sw is not None:
             ds = np.repeat(np.multiply.outer(g, tb), h, axis=1)  # (K, F * H)
-            _accumulate(spatial_w, ds.reshape(spatial_w.shape))
-        if temporal_b.requires_grad:
-            _accumulate(temporal_b, g @ sw.sum(axis=2))
+            _accumulate(t_sw, ds.reshape(k, f, h, 1))
+        if t_tb is not None:
+            _accumulate(t_tb, g @ sw.sum(axis=2))
 
     return (_node(weight.reshape(k, h * kt, 1, 1), (temporal_w, spatial_w), weight_backward,
                   "compose_conv"),
@@ -538,9 +569,9 @@ def avg_pool2d(x: Tensor, kernel: tuple[int, int], stride: tuple[int, int]) -> T
     pw = _pool_matrix(w, kw, sw, x.dtype)
     wo = pw.shape[1]
 
-    def backward_fn(g):
+    def backward_fn(g, tx):
         gh = g if ph is None else ph @ g
-        _accumulate(x, (gh.reshape(-1, wo) @ pw.T).reshape(x.shape))
+        _accumulate(tx, (gh.reshape(-1, wo) @ pw.T).reshape(n, c, h, w))
 
     out = (x.data.reshape(-1, w) @ pw).reshape(n, c, h, wo)
     return _node(out if ph is None else ph.T @ out, (x,), backward_fn, "avg_pool2d")
@@ -608,14 +639,14 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
         np.maximum(z, 0, out=z)
         out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
 
-    def backward_fn(g):
-        dx = np.empty_like(x4)
+    def backward_fn(g, tx):
+        dx = np.empty((n, 1, h, w), dtype=dtype)
         g3 = g.reshape(n, k, po)
         for s in range(0, n, block):
             dz = (g3[s:s + block].reshape(-1, po) @ pool.T).reshape(-1, k, wo)
             dz *= mask[s:s + block]
             dx[s:s + block] = _col2im(np.matmul(w2.T, dz), dx[s:s + block].shape, h, kt, 1, stride)
-        _accumulate(x, dx.reshape(x.shape))
+        _accumulate(tx, dx.reshape(n, h, w))
 
     return _node(out.reshape(n, k * po), (x,), backward_fn, "conv_pool")
 
@@ -627,14 +658,15 @@ def softmax_with_temperature(x: Tensor, temperature: float) -> Tensor:
     """Numerically stable softmax of ``x / temperature`` along the last axis."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z = x.data / x.dtype.type(temperature)
+    temperature = x.dtype.type(temperature)
+    z = x.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def backward_fn(g):
+    def backward_fn(g, tx):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(x, ((g - inner) * out_data / x.dtype.type(temperature)))
+        _accumulate(tx, ((g - inner) * out_data / temperature))
 
     return _node(np.ascontiguousarray(out_data), (x,), backward_fn, "softmax")
 
@@ -663,13 +695,13 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
     live_a = na > _NORM_EPS
     live_b = nb > _NORM_EPS
 
-    def backward_fn(g):
-        if a.requires_grad:
+    def backward_fn(g, ta, tb):
+        if ta is not None:
             da = (g @ v - ((g * cos).sum(axis=1) * live_a)[:, None] * u) / na_c[:, None]
-            _accumulate(a, da.astype(a.dtype, copy=False))
-        if b.requires_grad:
+            _accumulate(ta, da.astype(u.dtype, copy=False))
+        if tb is not None:
             db = (g.T @ u - ((g * cos).sum(axis=0) * live_b)[:, None] * v) / nb_c[:, None]
-            _accumulate(b, db.astype(b.dtype, copy=False))
+            _accumulate(tb, db.astype(v.dtype, copy=False))
 
     return _node(np.ascontiguousarray(cos), (a, b), backward_fn, "cosine_similarity_matrix")
 
@@ -698,7 +730,7 @@ def nll(probs: Tensor, columns: np.ndarray, weights: np.ndarray | None = None) -
     chain's bits.  Only the picked probabilities are logged; a zero among
     them makes the loss non-finite, which raises ``NonFiniteError``."""
     rows, idx = _row_indices(probs, columns, "nll")
-    dtype = probs.dtype.type
+    shape, dtype = probs.shape, probs.dtype.type
     picked = probs.data[rows, idx]
     if weights is None:
         scale = dtype(1.0 / picked.size)
@@ -713,12 +745,12 @@ def nll(probs: Tensor, columns: np.ndarray, weights: np.ndarray | None = None) -
         else:
             out_data = np.asarray((logp * w).sum(), dtype=probs.dtype)
 
-    def backward_fn(g):
+    def backward_fn(g, tp):
         # the chain's sum VJP casts its scalar gradient to the operand dtype
         g = dtype(g * dtype(-1.0) * scale) if weights is None else dtype(g) * w
-        dp = np.zeros_like(probs.data)
+        dp = np.zeros(shape, dtype=dtype)
         dp[rows, idx] = g / picked
-        _accumulate(probs, dp)
+        _accumulate(tp, dp)
 
     return _node(np.asarray(out_data), (probs,), backward_fn, "nll")
 
@@ -730,13 +762,14 @@ def scaled_l1(a: Tensor, target: Tensor, scale: float) -> Tensor:
     chain's bits."""
     _check_same_shape(a, target, "scaled_l1")
     diff = a.data - target.data
-    s = a.dtype.type(scale)
+    cast = a.dtype.type
+    s = cast(scale)
 
-    def backward_fn(g):
-        da = a.dtype.type(g * s) * np.sign(diff)
-        _accumulate(a, da)
-        if target.requires_grad:
-            _accumulate(target, -da)
+    def backward_fn(g, ta, t_target):
+        da = cast(g * s) * np.sign(diff)
+        _accumulate(ta, da)
+        if t_target is not None:
+            _accumulate(t_target, -da)
 
     return _node(np.asarray(np.abs(diff).sum(), dtype=a.dtype) * s, (a, target), backward_fn,
                  "scaled_l1")
@@ -745,11 +778,12 @@ def scaled_l1(a: Tensor, target: Tensor, scale: float) -> Tensor:
 def take_per_row(x: Tensor, indices: np.ndarray) -> Tensor:
     """Gather one element per row: out[n] = x[n, indices[n]]."""
     rows, idx = _row_indices(x, indices, "take_per_row")
+    shape, dtype = x.shape, x.dtype
 
-    def backward_fn(g):
-        dx = np.zeros_like(x.data)
+    def backward_fn(g, tx):
+        dx = np.zeros(shape, dtype=dtype)
         dx[rows, idx] = g
-        _accumulate(x, dx)
+        _accumulate(tx, dx)
 
     return _node(np.ascontiguousarray(x.data[rows, idx]), (x,), backward_fn, "take_per_row")
 
@@ -761,9 +795,9 @@ def subtract_rowwise(x: Tensor, v: Tensor) -> Tensor:
     if x.dtype != v.dtype:
         raise ShapeError("subtract_rowwise needs matching dtypes")
 
-    def backward_fn(g):
-        _accumulate(x, g)
-        _accumulate(v, -g.sum(axis=0))
+    def backward_fn(g, tx, tv):
+        _accumulate(tx, g)
+        _accumulate(tv, -g.sum(axis=0))
 
     return _node(x.data - v.data[None, :], (x, v), backward_fn, "subtract_rowwise")
 
@@ -779,9 +813,9 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     if any(r.dtype != rows[0].dtype for r in rows):
         raise ShapeError("stack_rows needs matching dtypes")
 
-    def backward_fn(g):
-        for i, r in enumerate(rows):
-            _accumulate(r, g[i])
+    def backward_fn(g, *targets):
+        for i, t in enumerate(targets):
+            _accumulate(t, g[i])
 
     return _node(np.stack([r.data for r in rows]), tuple(rows), backward_fn, "stack_rows")
 
@@ -789,39 +823,48 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
 # -- backward pass --------------------------------------------------------------
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: _GradNode | Tensor) -> list[_GradNode | Tensor]:
+    """The gradient targets ``root`` depends on, each after its parents; a
+    leaf tensor has none."""
+    order: list[_GradNode | Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_GradNode | Tensor, bool]] = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        target, processed = stack.pop()
         if processed:
-            order.append(node)
+            order.append(target)
             continue
-        if id(node) in visited:
+        if id(target) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
+        visited.add(id(target))
+        stack.append((target, True))
+        if type(target) is _GradNode:
+            for parent in target.parents:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
     return order
 
 
 def backward(output: Tensor) -> None:
-    """Populate ``.grad`` on every tensor the scalar ``output`` depends on.
+    """Populate ``.grad`` on every leaf tensor with ``requires_grad`` that
+    the scalar ``output`` depends on.
 
-    Gradients from a previous backward pass through the same graph are
-    discarded first, so each call yields fresh derivatives.
+    Each node's gradient is freed as soon as its VJP has consumed it, so
+    afterwards only the leaves hold one.  Gradients from a previous backward
+    pass through the same graph are discarded first, so each call yields
+    fresh derivatives.
     """
     if output.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
     if not output.requires_grad:
         raise ValueError("output does not depend on any tensor with requires_grad=True")
-    order = _toposort(output)
-    for node in order:
-        node.grad = None
-    output.grad = np.ones_like(output.data)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+    root = output._node or output
+    order = _toposort(root)
+    for target in order:
+        target.grad = None
+    root.grad = np.ones_like(output.data)
+    for target in reversed(order):
+        if type(target) is _GradNode and target.grad is not None:
+            g, target.grad = target.grad, None
+            target.backward_fn(g, *target.parents)
+            del g

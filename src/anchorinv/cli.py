@@ -341,7 +341,11 @@ def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
         value = int(flag)
     else:
-        value = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ConfigError(f"worker count must be >= 1, got {value}")
     return value

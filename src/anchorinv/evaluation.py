@@ -23,7 +23,7 @@ from .adaptation import (METHODS, AdaptationConfig, base_anchor_memory, run_fsci
                          sample_base_replay_store)
 from .anchors import AnchorSet, check_anchor_counts
 from .data import Dataset, SessionSplit
-from .model import ModelState, predict_batch, train_base
+from .model import ModelState, check_count, check_integer, predict_batch, train_base
 from .presets import ExperimentPreset, build_split
 from .seeds import derive_seed, make_rng
 
@@ -174,8 +174,8 @@ class TrialPlan:
     methods: tuple[str, ...]
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        check_count("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed)  # any sign, as in ExperimentPreset
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise KeyError(f"unknown methods {unknown}; valid methods: {list(METHODS)}")

@@ -447,10 +447,15 @@ def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequenc
     return ad.mul_scalar(ad.nll(scores, columns, w), -1.0 / float(w.sum()))
 
 
-def check_count(name: str, value, least: int) -> None:
-    """ValueError unless ``value`` is an int (not a bool) of at least ``least``."""
+def check_integer(name: str, value) -> None:
+    """ValueError unless ``value`` is an int, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an int (not a bool) of at least ``least``."""
+    check_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 

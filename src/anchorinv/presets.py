@@ -13,13 +13,12 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .adaptation import AdaptationConfig, FinetuneConfig
 from .data import (Dataset, SessionSplit, SynthSpec, desk_synth_spec,
                    paired_gain_spec, split_sessions, synth_arrays)
 from .inversion import InversionConfig
-from .model import BACKBONE_PRESETS, BaseTrainConfig, ConvBackboneConfig, check_count
+from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackboneConfig, check_count,
+                    check_integer)
 
 __all__ = [
     "ExperimentPreset",
@@ -61,8 +60,7 @@ class ExperimentPreset:
         # any sign: derive_seed reads a seed modulo 2**64
         for name, value in [("master_seed", self.master_seed)] + [
                 ("base class", c) for c in self.base_classes]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, value)
         if not set(self.base_classes) <= set(range(self.num_classes)):
             raise ValueError("base classes outside the class range")
 

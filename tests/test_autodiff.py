@@ -63,10 +63,11 @@ def test_node_without_a_parent_that_requires_grad_records_no_graph():
     a = _t([1.0, 2.0], requires_grad=False)
     out = ad.mul_scalar(a, 3.0)
     assert not out.requires_grad
-    assert out._parents == () and out._backward_fn is None
+    assert out._node is None
     a.requires_grad = True
     out2 = ad.mul_scalar(a, 3.0)
-    assert out2.requires_grad and out2._parents == (a,)
+    # a leaf is its own gradient target
+    assert out2.requires_grad and out2._node.parents == (a,)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +802,33 @@ def test_backward_requires_scalar_and_graph():
     plain = Tensor([1.0])
     with pytest.raises(ValueError):
         backward(plain)
+
+
+def test_backward_frees_every_node_gradient_and_sets_the_leaves():
+    """After ``backward`` only the leaves hold a gradient: each node's is
+    freed once its VJP has consumed it, fan-out included."""
+    rng = np.random.default_rng(24)
+    x = _t(rng.standard_normal((3, 4)))
+    w = _t(rng.standard_normal((4, 2)))
+    frozen = _t(rng.standard_normal((3, 2)), requires_grad=False)
+    h = ad.relu(ad.matmul(x, w))
+    loss = ad.tensor_sum(ad.mul(h, ad.add(h, frozen)))
+    backward(loss)
+    nodes, leaves, stack = [], [], [loss._node]
+    while stack:
+        target = stack.pop()
+        if isinstance(target, ad._GradNode):
+            nodes.append(target)
+            stack += [p for p in target.parents if p is not None]
+        else:
+            leaves.append(target)
+    assert len({id(n) for n in nodes}) == 5
+    assert all(n.grad is None for n in nodes)
+    assert {id(t) for t in leaves} == {id(x), id(w)}
+    assert x.grad is not None and w.grad is not None and frozen.grad is None
+    hd = np.maximum(x.data @ w.data, 0)
+    np.testing.assert_allclose(w.grad, x.data.T @ ((2 * hd + frozen.data) * (hd > 0)),
+                               rtol=1e-12)
 
 
 def test_grad_does_not_flow_to_frozen_inputs():

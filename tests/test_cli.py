@@ -479,3 +479,14 @@ def test_workers_env_variable(trained, tmp_path, monkeypatch, capsys):
     assert "worker count" in capsys.readouterr().err
     monkeypatch.setenv(WORKERS_ENV, "2")
     assert main(["run", "--config", config, "--out", str(tmp_path / "o2")]) == 0
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", ""])
+def test_workers_env_variable_that_is_not_an_integer_names_it(tmp_path, monkeypatch, capsys,
+                                                             value):
+    config = _write_config(tmp_path / "run.json", _small_config())
+    monkeypatch.setenv(WORKERS_ENV, value)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {WORKERS_ENV} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "o").exists()

@@ -237,6 +237,18 @@ def test_trial_plan_validation():
     assert "anchorinv" in str(err.value)
 
 
+@pytest.mark.parametrize("field,value", [("trials", 2.5), ("trials", True), ("trials", "2"),
+                                         ("master_seed", 1.5), ("master_seed", True),
+                                         ("master_seed", "1"), ("master_seed", None)])
+def test_trial_plan_refuses_what_is_not_an_integer(field, value):
+    plan = dict(trials=1, master_seed=0, methods=("protonet",))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrialPlan(**{**plan, field: value})
+    # a seed of any sign, as a numpy integer too
+    TrialPlan(**{**plan, "master_seed": -3})
+    TrialPlan(**{**plan, "trials": np.int64(2), "master_seed": np.int64(7)})
+
+
 def test_sample_trial_sets_counts_and_membership():
     rng = np.random.default_rng(155)
     train = _four_direction_data(rng, per_class=12)

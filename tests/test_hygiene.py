@@ -28,6 +28,12 @@ do), every tensor the package builds rests without the flag (no module
 passes ``requires_grad=True``), and only ``optim.py``, whose ``minimize``
 trains the tensors it is handed, assigns the flag ``True``.
 
+No VJP keeps a parent tensor alive: a function nested in an ``autodiff.py``
+primitive names no parameter of that primitive annotated ``Tensor`` (or
+``Sequence[Tensor]``, ``Tensor | None``).  ``backward`` hands it its
+parents' gradient targets and it keeps only what it reads, so an
+intermediate output no VJP reads is freed once the forward pass drops it.
+
 The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
 ``autodiff._block_samples``, which every blocked conv and the rule by which
 ``ConvBackbone.conv_input`` picks the columns ask for their block size.
@@ -52,6 +58,7 @@ HOT_LOOP_BANNED_LINALG = {"norm"}
 GRAD_MODE = re.compile(r"(?i)(no|enable)_?grad|grad_(enabled|mode)")
 # the one module that may turn a tensor's requires_grad on
 FLAG_SETTER = PACKAGE / "optim.py"
+ENGINE = PACKAGE / "autodiff.py"
 BLOCK_BUDGET = "_IM2COL_BLOCK_BYTES"
 BLOCK_HELPER = "_block_samples"
 
@@ -182,6 +189,28 @@ def grad_switch_lines(tree: ast.Module, may_set_flag: bool = False) -> list[int]
     return sorted(lines)
 
 
+def _names_tensor(annotation: ast.AST | None) -> bool:
+    """Whether an annotation, quoted or not, names ``Tensor``."""
+    return annotation is not None and re.search(r"\bTensor\b", ast.unparse(annotation)) is not None
+
+
+def captured_tensor_lines(tree: ast.Module) -> list[int]:
+    """Lines where a function or lambda nested in a top-level function names
+    a parameter of that function annotated with ``Tensor``."""
+    lines = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        tensors = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                   if _names_tensor(a.annotation)}
+        for inner in ast.walk(fn):
+            if inner is not fn and isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                lines |= {n.lineno for n in ast.walk(inner)
+                          if isinstance(n, ast.Name) and n.id in tensors}
+    return sorted(lines)
+
+
 def block_budget_reads(tree: ast.Module) -> list[int]:
     """Lines outside a ``_block_samples`` function that read
     ``_IM2COL_BLOCK_BYTES``, by name or as an attribute."""
@@ -238,6 +267,11 @@ def test_tensors_rest_frozen_and_only_minimize_trains(path):
                        f"requires_grad = True at lines {lines}")
 
 
+def test_no_vjp_keeps_a_parent_tensor():
+    lines = captured_tensor_lines(_parse(ENGINE))
+    assert not lines, f"autodiff.py: a nested function names a Tensor parameter at lines {lines}"
+
+
 def test_no_definition_is_test_only():
     package = [_parse(path) for path in MODULES if path.name != "__init__.py"]
     unused = unnamed_definitions(package, [_parse(path) for path in CALLERS])
@@ -282,6 +316,18 @@ def test_scanner_flags_what_it_should():
                          "known_grad = requires_grad(n)\n")
     assert grad_switch_lines(switches) == [1, 2, 3, 4, 5, 7, 11, 12]
     assert grad_switch_lines(switches, may_set_flag=True) == [1, 2, 5, 7, 11, 12]
+    assert captured_tensor_lines(ast.parse(
+        "def relu(a: Tensor) -> Tensor:\n"
+        "    mask = a.data > 0\n"
+        "    def backward_fn(g, ta):\n        _accumulate(ta, g * mask)\n"
+        "    return _node(a.data, (a,), backward_fn)\n"
+        "def mul(a: Tensor, b: 'Tensor', s: float):\n"
+        "    def backward_fn(g):\n        _accumulate(a, g * b.data * s)\n"
+        "    return _node(a.data, (a, b), lambda g: b)\n"
+        "def stack(rows: Sequence[Tensor], bias: Tensor | None = None, *, w: Tensor):\n"
+        "    def backward_fn(g):\n        return rows, w\n"
+        "    def shape_of(x):\n        return bias.shape\n"
+        "    return rows\n")) == [8, 9, 12, 14]
     assert block_budget_reads(ast.parse(
         "_IM2COL_BLOCK_BYTES = 16\n"
         "def _block_samples(b):\n    return _IM2COL_BLOCK_BYTES // b\n"

@@ -7,6 +7,7 @@ checked against the closed-form softmax over cosine similarities.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +203,45 @@ def _embed_two_convs(backbone, x):
     h = ad.conv2d(h, p["spatial_w"], p["spatial_b"])
     h = ad.avg_pool2d(ad.relu(h), kernel=(1, cfg.pool_kernel), stride=(1, cfg.pool_stride))
     return h.reshape((n, cfg.feature_dim))
+
+
+@pytest.mark.parametrize("x_trains", [False, True], ids=["columns", "samples"])
+def test_trainable_embed_frees_the_activations_no_vjp_reads(monkeypatch, x_trains):
+    """A trainable embed keeps neither its pre-ReLU conv output nor its ReLU
+    output, two (N, K, W_o) arrays: the VJPs keep the ReLU mask and the
+    pooling geometry, so both arrays are freed while the loss graph lives,
+    and the gradients have the bytes of a run that keeps both referenced."""
+    cfg = BACKBONE_PRESETS["desk"]
+    rng = np.random.default_rng(61)
+    backbone = _random_backbone(cfg, rng)
+    x = rng.standard_normal((6, cfg.channels, cfg.timesteps)).astype(np.float32)
+    g = Tensor(rng.standard_normal((6, cfg.feature_dim)).astype(np.float32))
+    real = {name: getattr(ad, name) for name in ("conv2d", "relu")}
+
+    def grads(keep: bool):
+        outputs = []
+
+        def spy(fn):
+            def run(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                owner = out.data if out.data.base is None else out.data.base
+                outputs.append(out if keep else weakref.ref(owner))
+                return out
+            return run
+
+        for name, fn in real.items():
+            monkeypatch.setattr(ad, name, spy(fn))
+        for t in backbone.params.values():
+            t.requires_grad, t.grad = True, None
+        xt = Tensor(x, requires_grad=x_trains)
+        loss = ad.tensor_sum(ad.mul(backbone.embed(xt), g))
+        assert len(outputs) == 2
+        if not keep:
+            assert [ref() is None for ref in outputs] == [True, True]
+        ad.backward(loss)
+        return [t.grad.tobytes() for t in (xt, *backbone.params.values()) if t.requires_grad]
+
+    assert grads(keep=False) == grads(keep=True)
 
 
 def _features_and_grads(embed, backbone, x, g):
@@ -797,25 +837,27 @@ def test_train_base_memory_is_bounded_by_one_column_block(name, n):
     ``_IM2COL_BLOCK_BYTES`` block of columns plus a few (N, K, W_o) float32
     activations and gradients, never the unfolded columns of the whole batch
     (H * k_t / K = 14 to 45 times as many floats): its traced peak stays
-    under the block plus 8 activations.  With a 16 MB block, keeping the
+    under the block plus 4 activations.  With a 16 MB block, keeping the
     whole-batch columns read 16 x the activations past the block at bci,
-    N = 32, and 47 x at grabmyo."""
+    N = 32, and 47 x at grabmyo; VJPs that kept their parent tensors, and
+    with them the pre-ReLU and ReLU outputs, read 4.2 to 6.5 x."""
     peak, activation_bytes = _train_base_peak(name, n)
     over = (peak - ad._IM2COL_BLOCK_BYTES) / activation_bytes
-    assert over <= 8, f"peak is the block plus {over:.2f} x the activation bytes"
+    assert over <= 4, f"peak is the block plus {over:.2f} x the activation bytes"
 
 
 def test_bci_train_base_builds_one_sample_of_columns_at_a_time():
     """At the default block budget a bci base-training epoch at N = 24 (the
     batch of the bci benchmark's set-up) builds one sample's columns (2.05 MB)
-    at a time: its traced peak stays under those columns plus 5 (N, K, W_o)
+    at a time: its traced peak stays under those columns plus 3 (N, K, W_o)
     float32 activations.  A 16 MB budget, which builds 7 samples' columns at
-    once, reads 8.4 x the activations past one sample's columns."""
+    once, reads 8.4 x the activations past one sample's columns, and VJPs
+    that kept their parent tensors 4.7 x."""
     cfg = BACKBONE_PRESETS["bci"]
     _train_base_peak("bci", 2)  # the bci pooling matrices and numpy's lazy imports
     peak, activation_bytes = _train_base_peak("bci", 24)
     over = (peak - cfg.channels * cfg.temporal_kernel * cfg.conv_width * 4) / activation_bytes
-    assert over <= 5, f"peak is one sample's columns plus {over:.2f} x the activation bytes"
+    assert over <= 3, f"peak is one sample's columns plus {over:.2f} x the activation bytes"
 
 
 def _train_base_peak(name: str, n: int) -> tuple[int, int]:
