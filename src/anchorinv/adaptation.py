@@ -30,8 +30,7 @@ from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_featur
                       select_anchors)
 from .data import Dataset
 from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
-from .model import (ModelState, check_count, embed_batch, label_columns, prototype_of,
-                    scores_graph)
+from .model import ModelState, check_count, embed_batch, head_loss, prototype_of
 from .optim import minimize
 from .seeds import derive_seed, make_rng
 
@@ -130,8 +129,7 @@ def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -
     of the joint batch ``x``, ``y``, ``w`` that ``replay_batch`` builds, or
     of ``x``'s ``conv_input``: the batch is embedded as one, and each
     sample's log-probability of its true class is weighted by its ``w``."""
-    scores = scores_graph(state, embed_batch(state, x))
-    return ad.nll(scores, label_columns(y, state.seen_classes()), w)
+    return head_loss(state, embed_batch(state, x), y, w)
 
 
 def _replay_arrays(replay) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -243,18 +241,14 @@ def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int]) -
         raise ValueError(f"base classes {missing} not registered")
     out = state.clone()
     base_mat = np.stack([out.class_weights[c].data for c in base_ids]).astype(np.float64)
-    base_unit = base_mat / np.maximum(np.linalg.norm(base_mat, axis=1), ad._NORM_EPS)[:, None]
     for c in new.classes():
         if c in out.class_weights:
             raise ValueError(f"class {c} already registered")
         idx = np.flatnonzero(new.y == c)
         proto = prototype_of(out, new.x[idx]).astype(np.float64)
-        unit = proto / max(np.linalg.norm(proto), ad._NORM_EPS)
-        sims = base_unit @ unit
-        z = _TEEN_TAU * sims
-        z -= z.max()
-        w = np.exp(z)
-        w /= w.sum()
+        sims = ad.cosine_similarity_matrix(Tensor(proto[None]), Tensor(base_mat))
+        # dividing by 1 / 32 multiplies by 32 exactly
+        w = ad.softmax_with_temperature(sims, 1.0 / _TEEN_TAU).data[0]
         calibrated = _TEEN_ALPHA * proto + (1.0 - _TEEN_ALPHA) * (w @ base_mat)
         out.register_class(c, calibrated.astype(np.float32))
     return out

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .data import Dataset
 from .model import ModelState, embed_batch, _exact_mean
 from .seeds import make_rng
@@ -121,16 +122,6 @@ def project_features(state: ModelState, dataset: Dataset, session: int = 0) -> F
     return FeatureSet(feats.copy(), dataset.y.copy(), session=session)
 
 
-def _cosine_distance_to(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # normalize each side first so colinear inputs produce bitwise-equal
-    # distances (the stable tie-break below then picks the lowest index)
-    v = vectors.astype(np.float64)
-    t = target.astype(np.float64)
-    v = v / np.maximum(np.linalg.norm(v, axis=1), ad._NORM_EPS)[:, None]
-    t = t / max(np.linalg.norm(t), ad._NORM_EPS)
-    return -(v @ t)
-
-
 def check_anchor_counts(labels: np.ndarray, strategy: str, per_class: int,
                         fraction: float = 0.5) -> None:
     """ValueError unless ``strategy`` can take ``per_class`` anchors from each
@@ -182,8 +173,10 @@ def select_anchors(features: FeatureSet, strategy: str, per_class: int, seed: in
             pick = make_rng(seed, c).choice(n_k, size=per_class, replace=False)
             chosen = class_vecs[np.sort(pick)]
         else:
-            dist = _cosine_distance_to(class_vecs, _exact_mean(class_vecs))
-            order = np.argsort(dist, kind="stable")
+            # the engine normalises each side first, so colinear members tie bitwise
+            cos = ad.cosine_similarity_matrix(Tensor(class_vecs.astype(np.float64)),
+                                              Tensor(_exact_mean(class_vecs)[None]))
+            order = np.argsort(-cos.data[:, 0], kind="stable")
             if strategy == "closest":
                 chosen = class_vecs[np.sort(order[:per_class])]
             else:

@@ -96,6 +96,13 @@ def _override(obj, overrides: dict, context: str):
     return replace(obj, **overrides)
 
 
+def _object(cfg: dict, key: str) -> dict:
+    """The config section ``key``, a ConfigError naming it unless a JSON object."""
+    if not isinstance(cfg[key], dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {cfg[key]!r}")
+    return cfg[key]
+
+
 @contextmanager
 def _section(name: str):
     """Report a TypeError or ValueError raised while config section ``name``
@@ -112,25 +119,23 @@ def resolve_preset(cfg: dict) -> ExperimentPreset:
     """Build the effective preset: named preset + config overrides."""
     preset = get_preset(str(_require(cfg, "preset")))
     if "synth" in cfg:
-        if not isinstance(cfg["synth"], dict):
-            raise ConfigError("'synth' must be a JSON object")
         with _section("synth"):
-            preset = with_synth_classes(preset, **cfg["synth"])
+            preset = with_synth_classes(preset, **_object(cfg, "synth"))
     if "base_train" in cfg:
         with _section("base_train"):
-            preset = replace(preset, base_train=_override(preset.base_train,
-                                                          cfg["base_train"], "base_train"))
+            preset = replace(preset, base_train=_override(
+                preset.base_train, _object(cfg, "base_train"), "base_train"))
     adaptation = preset.adaptation
     if "finetune" in cfg:
         with _section("finetune"):
-            adaptation = replace(adaptation, finetune=_override(adaptation.finetune,
-                                                                cfg["finetune"], "finetune"))
+            adaptation = replace(adaptation, finetune=_override(
+                adaptation.finetune, _object(cfg, "finetune"), "finetune"))
     if "inversion" in cfg:
         with _section("inversion"):
-            adaptation = replace(adaptation, inversion=_override(adaptation.inversion,
-                                                                 cfg["inversion"], "inversion"))
+            adaptation = replace(adaptation, inversion=_override(
+                adaptation.inversion, _object(cfg, "inversion"), "inversion"))
     if "adaptation" in cfg:
-        unknown = sorted(set(cfg["adaptation"]) - _ADAPTATION_SCALARS)
+        unknown = sorted(set(_object(cfg, "adaptation")) - _ADAPTATION_SCALARS)
         if unknown:
             raise ConfigError(f"unknown adaptation config keys {unknown} "
                               f"(finetune/inversion have their own sections)")
@@ -145,7 +150,10 @@ def resolve_preset(cfg: dict) -> ExperimentPreset:
                 value = tuple(cfg[key]) if key == "base_classes" else cfg[key]
                 preset = replace(preset, **{field: value})
     if "methods" in cfg:
-        methods = tuple(str(m) for m in cfg["methods"])
+        methods = cfg["methods"]
+        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+            raise ConfigError(f"'methods' must be a list of method names, got {methods!r}")
+        methods = tuple(methods)
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; valid methods: {list(METHODS)}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -217,7 +219,7 @@ class TrialReport:
     base_classes: list[int]
     session_classes: list[list[int]]
     base_session: dict[str, float]
-    scores: dict[str, dict[str, list[list[float]]]]
+    scores: dict[str, dict[str, list[list[float | None]]]]
     p_values: dict[str, list[float | None]]
 
     def to_dict(self) -> dict:
@@ -236,12 +238,34 @@ class TrialReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "TrialReport":
         """The report whose ``to_dict`` is ``payload``; ValueError for a
-        payload without exactly the report's keys."""
+        payload without exactly the report's keys, or naming the first field
+        whose value does not have the field's type."""
         keys = {f.name for f in fields(cls)}
         if not isinstance(payload, dict) or set(payload) != keys:
             got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
             raise ValueError(f"a report needs exactly the keys {sorted(keys)}, got {got}")
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if not _has_type(payload[f.name], hints[f.name]):
+                raise ValueError(f"report field '{f.name}' must be {f.type}, "
+                                 f"got {payload[f.name]!r:.80}")
         return cls(**payload)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether the JSON value ``value`` has the type ``hint``: int, float,
+    str, None, or a list, dict or union of them.  A bool is not a number, and
+    an int is a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, (int, float) if hint is float else hint) and (
+        not isinstance(value, bool))
 
 
 def _evaluate_session(state: ModelState, test: Dataset, seen: list[int],

@@ -24,7 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
-from .model import ModelState, check_count, embed_batch, label_columns, scores_graph
+from .model import (ModelState, check_count, embed_batch, head_loss, label_columns,
+                    scores_graph)
 from .optim import minimize
 from .seeds import make_rng
 
@@ -204,9 +205,8 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     weights = dict.fromkeys(regularizers, 1.0)  # balanced at iteration 0
 
     def loss_fn(i: int) -> Tensor:
-        scores = scores_graph(state, embed_batch(state, x))
         # summed, not averaged, over the batch: weight -1 per sample
-        loss = ad.nll(scores, cols, np.full(j, -1.0))
+        loss = head_loss(state, embed_batch(state, x), label_arr, np.full(j, -1.0))
         terms = {key: term() for key, term in regularizers.items() if weights[key] > 0}
         if i == 0:
             ce0 = abs(loss.item())

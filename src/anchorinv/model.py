@@ -36,7 +36,7 @@ __all__ = [
     "compute_prototypes",
     "prototype_of",
     "label_columns",
-    "cross_entropy_graph",
+    "head_loss",
     "BaseTrainConfig",
     "train_base",
     "accuracy",
@@ -324,24 +324,15 @@ class ModelState:
 # classifier math
 
 
-def _normalized_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    return mat / np.maximum(norms, ad._NORM_EPS)[:, None]
-
-
 def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities for a feature batch (N, D) -> (N, K)."""
-    classes = state.seen_classes()
-    if not classes:
-        raise ValueError("no classes registered")
+    """Softmax class probabilities for a feature batch (N, D) -> (N, K): the
+    nodes of ``scores_graph``, run in float64."""
+    weights = state.weight_matrix().data.astype(np.float64)  # no classes: ValueError
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != state.feature_dim:
         raise ShapeError(f"expected features (N, {state.feature_dim}), got {feats.shape}")
-    weights = np.stack([state.class_weights[c].data for c in classes]).astype(np.float64)
-    z = (_normalized_rows(feats) @ _normalized_rows(weights).T) / DEFAULT_TEMPERATURE
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    sim = ad.cosine_similarity_matrix(Tensor(feats), Tensor(weights))
+    return ad.softmax_with_temperature(sim, DEFAULT_TEMPERATURE).data
 
 
 def scores_graph(state: ModelState, feats: Tensor) -> Tensor:
@@ -431,20 +422,14 @@ def label_columns(labels: np.ndarray, class_order: Sequence[int]) -> np.ndarray:
     return cols
 
 
-def cross_entropy_graph(scores: Tensor, labels: np.ndarray, class_order: Sequence[int],
-                        class_weights: dict[int, float] | None = None) -> Tensor:
-    """Mean negative log-probability of the true class.
-
-    ``scores`` is (N, K) with columns ordered by ``class_order``.  With
-    ``class_weights`` the mean becomes a weighted mean (weights normalized by
-    their sum), which reduces exactly to the plain mean for uniform weights.
-    """
-    labels = np.asarray(labels)
-    columns = label_columns(labels, class_order)
-    if class_weights is None:
-        return ad.nll(scores, columns)
-    w = np.array([class_weights[int(c)] for c in labels], dtype=scores.data.dtype)
-    return ad.mul_scalar(ad.nll(scores, columns, w), -1.0 / float(w.sum()))
+def head_loss(state: ModelState, feats: Tensor, labels: np.ndarray,
+              weights: np.ndarray | None = None) -> Tensor:
+    """The classifier's loss over the feature batch ``feats`` (N, D): the mean
+    negative log-probability of each label's class under ``scores_graph``, or
+    with ``weights`` (N,) the weighted sum of the log-probabilities, the
+    weights carrying the sign and the normalisation (``ad.nll``)."""
+    return ad.nll(scores_graph(state, feats), label_columns(labels, state.seen_classes()),
+                  weights)
 
 
 def check_integer(name: str, value) -> None:
@@ -494,9 +479,10 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
         state.register_class(c, init)
 
     weights = None
-    if config.weighted_loss:
-        counts = {c: int(np.sum(y == c)) for c in classes}
-        weights = {c: len(y) / (len(classes) * counts[c]) for c in classes}
+    if config.weighted_loss:  # -c_n / sum(c), with c_n one over the size of n's class
+        _, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+        inverse_counts = 1.0 / counts[inverse]
+        weights = -inverse_counts / inverse_counts.sum()
 
     params = list(state.backbone.params.values()) + [state.class_weights[c] for c in classes]
     epoch = 0
@@ -504,8 +490,7 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
     def loss_fn(i: int) -> Tensor:
         nonlocal epoch
         epoch = i
-        scores = scores_graph(state, embed_batch(state, conv_input))
-        return cross_entropy_graph(scores, y, classes, weights)
+        return head_loss(state, embed_batch(state, conv_input), y, weights)
 
     try:
         xt = Tensor(x)  # a non-finite input fails here, before epoch 0 runs

@@ -202,7 +202,9 @@ def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
     """Clone a synthetic preset onto a ``desk_synth_spec`` frequency ladder.
 
     Takes the keys of a config's ``synth`` section (``_SYNTH_KEYS``); any key
-    left out is read off the preset's own spec.  Callers adjust way and base
+    left out is read off the preset's own spec; ValueError unless the class,
+    sample, channel and time-step counts are ints of at least 1 (0 for
+    ``test_per_class``) and ``seed`` is an int.  Callers adjust way and base
     classes as needed.
     """
     if preset.synth is None:
@@ -227,6 +229,11 @@ def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
         "frequency_step": step if step > 0 else 1.0,
     }
     current.update(overrides)
-    num_classes = len(spec.classes) if num_classes is None else int(num_classes)
+    num_classes = len(spec.classes) if num_classes is None else num_classes
+    check_count("num_classes", num_classes, 1)
+    for key in ("train_per_class", "channels", "timesteps"):
+        check_count(key, current[key], 1)
+    check_count("test_per_class", current["test_per_class"], 0)
+    check_integer("seed", current["seed"])
     synth = desk_synth_spec(num_classes=num_classes, **current)
     return replace(preset, num_classes=num_classes, synth=synth)

@@ -264,10 +264,14 @@ def write_manifest_dataset(root, dataset: Dataset, split: str,
 
 def read_manifest_dataset(manifest_path) -> Dataset:
     """The Dataset a manifest lists; ContainerError naming the manifest unless
-    it is a JSON object with int ``channels`` and ``timesteps`` of at least 1
-    and ``entries`` whose every entry has a ``file`` and an int ``class_id``."""
+    it is a valid JSON object with int ``channels`` and ``timesteps`` of at
+    least 1 and an ``entries`` list whose every entry has a ``file`` and an
+    int ``class_id``."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ContainerError(f"manifest {manifest_path} is not valid JSON: {err}") from err
     if not isinstance(manifest, dict):
         raise ContainerError(f"manifest {manifest_path} is not a JSON object")
     missing = [key for key in ("channels", "timesteps", "entries") if key not in manifest]
@@ -279,6 +283,9 @@ def read_manifest_dataset(manifest_path) -> Dataset:
         check_count("timesteps", w, 1)
     except ValueError as err:
         raise ContainerError(f"manifest {manifest_path}: {err}") from err
+    if not isinstance(manifest["entries"], list):
+        raise ContainerError(f"manifest {manifest_path} has entries that are not a list: "
+                             f"{manifest['entries']!r}")
     xs, ys = [], []
     for entry in manifest["entries"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) \

@@ -11,8 +11,9 @@ and classifier tests get exact oracles:
 
 Both quack like ``ConvBackbone`` where ``ModelState``, inversion and
 finetuning touch a backbone.  Beside them: central-difference gradient
-checking, the sliding windows the reference convolution is built from, the
-chance-level macro-F1 and the inverse of the z-score standardization.
+checking, the cosine classifier's softmax in plain float64 numpy, the
+sliding windows the reference convolution is built from, the chance-level
+macro-F1 and the inverse of the z-score standardization.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ def finite_difference_check(fn: Callable[[Sequence[Tensor]], Tensor],
             rel = abs(float(gflat[i]) - numeric) / (abs(numeric) + 1e-12)
             worst = max(worst, rel)
     return worst
+
+
+def cosine_softmax(feats: np.ndarray, weights: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax of ``feats`` (N, D) against ``weights`` (K, D) by cosine over
+    ``temperature``, in float64 numpy: rows normalised by ``np.linalg.norm``
+    clamped at ``_NORM_EPS``, then the max-shifted softmax, as the package's
+    scorer was written before it ran the engine's nodes."""
+    def unit_rows(mat):
+        mat = np.asarray(mat, dtype=np.float64)
+        return mat / np.maximum(np.linalg.norm(mat, axis=1), ad._NORM_EPS)[:, None]
+
+    z = (unit_rows(feats) @ unit_rows(weights).T) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def conv_windows(xd: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from anchorinv.autodiff import Tensor
 from anchorinv.data import Dataset
 from anchorinv.inversion import InversionConfig, ReplaySet
 from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, ConvBackbone,
-                             ConvBackboneConfig, ModelState, cross_entropy_graph, embed_batch,
-                             scores_graph, train_base)
+                             ConvBackboneConfig, ModelState, embed_batch, head_loss,
+                             train_base)
 from anchorinv.optim import minimize
 from anchorinv.presets import get_preset
 from oracles import IdentityBackbone
@@ -111,10 +111,8 @@ def test_composite_loss_replay_only_and_errors():
 
 def _two_means_loss(state, replay, new):
     """mean CE(new) + mean CE(replay), each set embedded on its own."""
-    classes = state.seen_classes()
-
     def ce(x, y):
-        return cross_entropy_graph(scores_graph(state, embed_batch(state, x)), y, classes)
+        return head_loss(state, embed_batch(state, x), y)
 
     return ad.add(ce(new.x, new.y), ce(replay.samples, replay.labels))
 

@@ -6,6 +6,7 @@ is shared by the downstream commands to keep the suite fast.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,36 @@ def test_train_base_rejects_bad_value_types_before_training(tmp_path, capsys, sp
     _assert_train_base_refuses(_small_config(**extra), message, tmp_path, capsys, spy_engine)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"methods": 5}, "'methods' must be a list of method names, got 5"),
+    ({"methods": "anchorinv"}, "'methods' must be a list of method names, got 'anchorinv'"),
+    ({"methods": ["protonet", 3]}, "'methods' must be a list of method names"),
+    ({"adaptation": 5}, "'adaptation' must be a JSON object, got 5"),
+    ({"adaptation": ["anchors_per_class"]}, "'adaptation' must be a JSON object"),
+    ({"finetune": 5}, "'finetune' must be a JSON object, got 5")],
+    ids=["int-methods", "string-methods", "int-method", "int-adaptation", "list-adaptation",
+         "int-finetune"])
+def test_train_base_rejects_a_malformed_section_before_training(tmp_path, capsys, spy_engine,
+                                                                extra, message):
+    _assert_train_base_refuses({"preset": "desk", **extra}, message, tmp_path, capsys,
+                               spy_engine)
+
+
+@pytest.mark.parametrize("synth, message", [
+    ({"num_classes": 4.7}, "num_classes must be an integer, got 4.7"),
+    ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+    ({"train_per_class": 12.5}, "train_per_class must be an integer, got 12.5"),
+    ({"test_per_class": -1}, "test_per_class must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"channels": 4.0}, "channels must be an integer, got 4.0"),
+    ({"timesteps": True}, "timesteps must be an integer, got True")],
+    ids=["float-classes", "zero-classes", "float-train", "negative-test", "float-seed",
+         "float-channels", "bool-timesteps"])
+def test_synth_section_counts_are_checked(synth, message):
+    with pytest.raises(ConfigError, match=re.escape(f"bad 'synth' config: {message}")):
+        resolve_preset({"preset": "desk", "synth": synth})
+
+
 def test_synth_override_defaults_survive_shared_frequencies():
     # the stock desk classes come in same-frequency pairs; overriding only
     # the class count must still produce a valid frequency ladder
@@ -196,6 +227,7 @@ def test_synth_section_is_with_synth_classes():
         resolve_preset({"preset": "bci", "synth": {"num_classes": 6}})
     with pytest.raises(ConfigError):
         resolve_preset({"preset": "desk", "synth": [6]})
+    assert resolve_preset({"preset": "desk", "synth": {"test_per_class": 0}}).synth.test_per_class == 0
 
 
 def test_apply_seed_reaches_every_component():
@@ -458,13 +490,37 @@ def test_render_report_stdout_and_file(trained, tmp_path, capsys):
     assert (out / "report.txt").read_text() == stdout
 
 
-@pytest.mark.parametrize("payload", [{"methods": ["a"]}, [1, 2]], ids=["missing-keys", "list"])
-def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload):
+_REPORT = {"methods": ["protonet"], "trials": 1, "master_seed": 5, "num_sessions": 1,
+           "base_classes": [0, 1], "session_classes": [[2]],
+           "base_session": {"all": 90.0, "base": 90.0},
+           "scores": {"protonet": {"all": [[80.0]], "base": [[85.0]], "incremental": [[70.0]]}},
+           "p_values": {}}
+
+
+def test_render_report_reads_a_hand_written_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_REPORT))
+    assert main(["render-report", str(path)]) == 0
+    assert "protonet" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"methods": ["a"]}, "a report needs exactly the keys"),
+    ([1, 2], "a report needs exactly the keys"),
+    (dict(_REPORT, methods=5), "report field 'methods' must be list[str], got 5"),
+    (dict(_REPORT, num_sessions="2"), "report field 'num_sessions' must be int, got '2'"),
+    (dict(_REPORT, scores=[]), "report field 'scores' must be dict["),
+    (dict(_REPORT, scores={"protonet": {"all": [80.0]}}), "report field 'scores' must be"),
+    (dict(_REPORT, p_values=3), "report field 'p_values' must be dict[str, list[float | None]]"),
+    (dict(_REPORT, trials=True), "report field 'trials' must be int, got True")],
+    ids=["missing-keys", "list", "int-methods", "string-sessions", "list-scores",
+         "flat-scores", "int-p-values", "bool-trials"])
+def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))
     assert main(["render-report", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: a report needs exactly the keys")
+    assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""
 
 

@@ -34,6 +34,11 @@ primitive names no parameter of that primitive annotated ``Tensor`` (or
 parents' gradient targets and it keeps only what it reads, so an
 intermediate output no VJP reads is freed once the forward pass drops it.
 
+The cosine classifier's math is written once, in the engine: no module but
+``autodiff.py`` calls ``np.exp`` or ``np.linalg.norm``, so the classifier's
+scores, TEEN's calibration and the ``closest`` anchor ranking all run its
+``cosine_similarity_matrix`` and ``softmax_with_temperature``.
+
 The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
 ``autodiff._block_samples``, which every blocked conv and the rule by which
 ``ConvBackbone.conv_input`` picks the columns ask for their block size.
@@ -55,6 +60,8 @@ CALLERS = ([path for path in MODULES if path.name != "__init__.py"]
 HOT_LOOP_MODULES = [PACKAGE / "autodiff.py", PACKAGE / "optim.py"]
 HOT_LOOP_BANNED = {"where", "all", "any"}
 HOT_LOOP_BANNED_LINALG = {"norm"}
+# the cosine classifier's math, which only the engine writes
+ENGINE_MATH, ENGINE_MATH_LINALG = {"exp"}, {"norm"}
 GRAD_MODE = re.compile(r"(?i)(no|enable)_?grad|grad_(enabled|mode)")
 # the one module that may turn a tensor's requires_grad on
 FLAG_SETTER = PACKAGE / "optim.py"
@@ -152,16 +159,17 @@ def _is_name(node: ast.AST, name: str) -> bool:
     return isinstance(node, ast.Name) and node.id == name
 
 
-def slow_numpy_calls(tree: ast.Module) -> list[int]:
-    """Lines that call ``np.where``, ``np.all``, ``np.any`` or ``np.linalg.norm``."""
+def numpy_calls(tree: ast.Module, names: set[str], linalg_names: set[str]) -> list[int]:
+    """Lines that call ``np.<name>`` for a name in ``names`` or
+    ``np.linalg.<name>`` for one in ``linalg_names``."""
     lines = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         owner, attr = node.func.value, node.func.attr
-        if (_is_name(owner, "np") and attr in HOT_LOOP_BANNED) or (
+        if (_is_name(owner, "np") and attr in names) or (
                 isinstance(owner, ast.Attribute) and owner.attr == "linalg"
-                and _is_name(owner.value, "np") and attr in HOT_LOOP_BANNED_LINALG):
+                and _is_name(owner.value, "np") and attr in linalg_names):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -248,8 +256,14 @@ def test_no_assert_statements(path):
 
 @pytest.mark.parametrize("path", HOT_LOOP_MODULES, ids=lambda p: p.name)
 def test_hot_loop_avoids_slow_numpy_calls(path):
-    lines = slow_numpy_calls(_parse(path))
+    lines = numpy_calls(_parse(path), HOT_LOOP_BANNED, HOT_LOOP_BANNED_LINALG)
     assert not lines, f"{path.name}: np.where / np.all / np.any / np.linalg.norm at lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p != ENGINE], ids=lambda p: p.name)
+def test_only_the_engine_writes_the_cosine_softmax_math(path):
+    lines = numpy_calls(_parse(path), ENGINE_MATH, ENGINE_MATH_LINALG)
+    assert not lines, f"{path.name}: np.exp / np.linalg.norm outside autodiff.py at lines {lines}"
 
 
 def test_only_the_block_helper_reads_the_block_budget():
@@ -297,11 +311,17 @@ def test_scanner_flags_what_it_should():
                        "class K:\n    pass\n")
     caller = ast.parse("import m\nm.alive()\nx: 'K' = None\nENGINE = ('wrapped',)\n")
     assert unnamed_definitions([module], [module, caller]) == ["dead", "loop"]
-    assert slow_numpy_calls(ast.parse("a = np.where(m, x, 0)\nb = x.all()\nc = np.any(x)\n"
-                                      "d = np.all(np.isfinite(x))\ne = where(x)\n")) == [1, 3, 4]
-    assert slow_numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"
-                                      "q = np.linalg.qr(a)\nr = np.sqrt((a * a).sum(axis=1))\n"
-                                      "s = np.norm(a)\n")) == [1]
+    hot_loop = (HOT_LOOP_BANNED, HOT_LOOP_BANNED_LINALG)
+    assert numpy_calls(ast.parse("a = np.where(m, x, 0)\nb = x.all()\nc = np.any(x)\n"
+                                 "d = np.all(np.isfinite(x))\ne = where(x)\n"), *hot_loop) == [1, 3, 4]
+    assert numpy_calls(ast.parse("n = np.linalg.norm(a, axis=1)\nm = linalg.norm(a)\n"
+                                 "q = np.linalg.qr(a)\nr = np.sqrt((a * a).sum(axis=1))\n"
+                                 "s = np.norm(a)\n"), *hot_loop) == [1]
+    assert numpy_calls(ast.parse("e = np.exp(z)\nn = np.linalg.norm(a, axis=1)\n"
+                                 "f = exp(z)\ng = math.exp(1.0)\nh = x.exp()\n"
+                                 "k = np.expm1(z)\nm = la.norm(a)\nw = np.where(m)\n"
+                                 "q = np.maximum(np.linalg.norm(v), 1e-12)\n"),
+                       ENGINE_MATH, ENGINE_MATH_LINALG) == [1, 2, 9]
     switches = ast.parse("from torch import enable_grad\n"
                          "w = Tensor(x, requires_grad=True)\n"
                          "p.requires_grad = True\n"

@@ -18,10 +18,10 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.inversion import InversionConfig, invert_set
 from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, BaseTrainConfig,
                              ConvBackbone, ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
-                             compute_prototypes, cross_entropy_graph, embed_batch,
+                             compute_prototypes, embed_batch, head_loss,
                              label_columns, predict_batch, prototype_of,
                              scores_batch, scores_graph, train_base)
-from oracles import IdentityBackbone, LinearBackbone
+from oracles import IdentityBackbone, LinearBackbone, cosine_softmax
 
 
 def _tiny_config(**overrides):
@@ -559,6 +559,24 @@ def test_scores_graph_matches_scores_batch():
     np.testing.assert_allclose(graph, plain, rtol=1e-4, atol=1e-6)
 
 
+def test_scores_batch_matches_the_numpy_scorer_bytewise():
+    # the engine's float64 cosine and softmax nodes repeat the numpy formula's
+    # float operations, down to the last bit
+    rng = np.random.default_rng(58)
+    for d in (7, 104, 2440):
+        state = _identity_state(channels=1, timesteps=d)
+        for c in range(int(rng.integers(1, 13))):
+            state.register_class(c, rng.standard_normal(d).astype(np.float32))
+        weights = np.stack([state.class_weights[c].data for c in state.seen_classes()])
+        for _ in range(20):
+            n = int(rng.integers(1, 71))
+            feats = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3])
+            feats[rng.integers(n)] *= rng.choice([0.0, 1.0])  # a clamped norm
+            got = scores_batch(state, feats)
+            assert got.dtype == np.float64
+            assert got.tobytes() == cosine_softmax(feats, weights, DEFAULT_TEMPERATURE).tobytes()
+
+
 def test_predict_tie_breaks_to_lowest_class_id():
     state = _identity_state(channels=1, timesteps=2)
     state.register_class(3, np.array([1.0, 0.0], dtype=np.float32))
@@ -697,8 +715,7 @@ def test_cross_entropy_hand_computed():
     state.register_class(0, np.array([1.0, 0.0], dtype=np.float32))
     state.register_class(1, np.array([0.0, 1.0], dtype=np.float32))
     feats = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-    scores = scores_graph(state, feats)
-    loss = cross_entropy_graph(scores, np.array([0, 1]), [0, 1])
+    loss = head_loss(state, feats, np.array([0, 1]))
     # each row: sim (1, 0) to the true class, so p_true = 1 / (1 + e^(-1/T))
     expect = -math.log(1.0 / (1.0 + math.exp(-1.0 / DEFAULT_TEMPERATURE)))
     assert loss.item() == pytest.approx(expect, rel=1e-5)
@@ -711,9 +728,8 @@ def test_cross_entropy_uniform_weights_match_plain():
         state.register_class(c, rng.standard_normal(6).astype(np.float32))
     feats = Tensor(rng.standard_normal((9, 6)).astype(np.float32))
     y = np.array([0, 1, 2] * 3)
-    plain = cross_entropy_graph(scores_graph(state, feats), y, [0, 1, 2])
-    weighted = cross_entropy_graph(scores_graph(state, feats), y, [0, 1, 2],
-                                   {0: 1.0, 1: 1.0, 2: 1.0})
+    plain = head_loss(state, feats, y)
+    weighted = head_loss(state, feats, y, np.full(9, -1.0 / 9))
     assert plain.item() == pytest.approx(weighted.item(), rel=1e-6)
 
 
@@ -724,21 +740,18 @@ def test_cross_entropy_weighting_formula():
         state.register_class(c, rng.standard_normal(4).astype(np.float32))
     feats_arr = rng.standard_normal((4, 4)).astype(np.float32)
     y = np.array([0, 0, 0, 1])
-    weights = {0: 0.5, 1: 2.0}
-    scores = scores_graph(state, Tensor(feats_arr))
-    loss = cross_entropy_graph(scores, y, [0, 1], weights).item()
+    w = np.array([{0: 0.5, 1: 2.0}[int(c)] for c in y])
+    loss = head_loss(state, Tensor(feats_arr), y, -w / w.sum()).item()
     probs = scores_batch(state, feats_arr)
     logp = np.log(probs[np.arange(4), y])
-    w = np.array([weights[int(c)] for c in y])
     assert loss == pytest.approx(-float((w * logp).sum() / w.sum()), rel=1e-5)
 
 
 def test_cross_entropy_unknown_label():
     state = _identity_state(channels=1, timesteps=2)
     state.register_class(0, np.ones(2, dtype=np.float32))
-    scores = scores_graph(state, Tensor(np.ones((1, 2), dtype=np.float32)))
     with pytest.raises(KeyError):
-        cross_entropy_graph(scores, np.array([9]), [0])
+        head_loss(state, Tensor(np.ones((1, 2), dtype=np.float32)), np.array([9]))
 
 
 def test_label_columns_matches_a_dict_lookup():

@@ -296,13 +296,17 @@ def test_manifest_size_mismatch(tmp_path):
     (lambda manifest: dict(manifest, entries=[{"class_id": 0}]), "without a file"),
     (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32"}]), "int class_id"),
     (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32", "class_id": 1.5}]),
-     "int class_id")],
+     "int class_id"),
+    (lambda manifest: json.dumps(manifest)[:-1], "not valid JSON"),
+    (lambda manifest: dict(manifest, entries=5), "entries that are not a list: 5")],
     ids=["list-root", "no-channels", "no-timesteps", "no-entries", "float-channels",
-         "bool-channels", "zero-timesteps", "no-file", "no-class", "float-class"])
+         "bool-channels", "zero-timesteps", "no-file", "no-class", "float-class",
+         "invalid-json", "int-entries"])
 def test_manifest_malformed_is_a_container_error_naming_it(tmp_path, patch, match):
     x = np.zeros((1, 2, 3), dtype=np.float32)
     path = write_manifest_dataset(tmp_path, Dataset(x, np.array([0])), "train")
-    path.write_text(json.dumps(patch(json.loads(path.read_text()))))
+    patched = patch(json.loads(path.read_text()))  # a str is written as it is
+    path.write_text(patched if isinstance(patched, str) else json.dumps(patched))
     with pytest.raises(ContainerError, match=match) as info:
         read_manifest_dataset(path)
     assert str(path) in str(info.value)
