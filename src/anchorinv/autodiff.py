@@ -26,7 +26,8 @@ Conventions, chosen to keep failure modes loud rather than silent:
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
     "softmax_with_temperature",
     "cosine_similarity_matrix",
     "take_per_row",
-    "nll",
+    "cosine_nll",
     "scaled_l1",
     "subtract_rowwise",
     "stack_rows",
@@ -270,8 +271,8 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in (shape if isinstance(shape, Iterable) else (shape,)))
-    if int(np.prod(shape)) != a.size:
+    shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     in_shape = a.shape
 
@@ -396,12 +397,26 @@ def _tiles(size: int, kernel: int, stride: int) -> bool:
 def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
             sh: int, sw: int) -> np.ndarray:
     """Adjoint of ``_im2col``: adds each column entry back onto the position
-    of the (N, C, H, W) ``shape`` input it was read from."""
+    of the (N, C, H, W) ``shape`` input it was read from.
+
+    For a kernel of the full input height at column stride 1 (the
+    ``conv_pool`` VJP at every geometry but nhie's stride 4), one strided
+    copy places column offset q of each window at input column j + q of a
+    zeroed (N, C, H, kw, W) buffer, and one sum over its kw axis adds the
+    offsets in order from a +0.0 start: the bits of adding them one at a
+    time onto zeros."""
     n, c, h, w = shape
-    cols6 = cols.reshape(n, c, kh, kw, (h - kh) // sh + 1, (w - kw) // sw + 1)
+    wo = (w - kw) // sw + 1
+    cols6 = cols.reshape(n, c, kh, kw, (h - kh) // sh + 1, wo)
     tile_h, tile_w = _tiles(h, kh, sh), _tiles(w, kw, sw)
     if tile_h and tile_w:  # the columns are a permutation of the input
         return cols6.transpose(0, 1, 4, 2, 5, 3).reshape(shape)
+    if kh == h and sw == 1:
+        spread = np.zeros((n, c, h, kw, w), dtype=cols.dtype)
+        s_n, s_c, s_h, s_q, s_w = spread.strides
+        np.ndarray((n, c, h, kw, wo), spread.dtype, spread, 0,
+                   (s_n, s_c, s_h, s_q + s_w, s_w))[...] = cols6.reshape(n, c, h, kw, wo)
+        return np.add.reduce(spread, axis=3, initial=0.0)
     dx = np.zeros(shape, dtype=cols.dtype)
     windows = _window_view(dx, kh, kw, sh, sw)
     # the windows of a tiling axis are disjoint: all its offsets add at once
@@ -629,15 +644,15 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
     out = np.empty((n, k, po), dtype=dtype)
     mask = np.empty((n, k, wo), dtype=bool)
     x4 = x.data.reshape(n, 1, h, w)
-    for s in range(0, n, block):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, block):
             z = np.matmul(w2, _im2col(x4[s:s + block], h, kt, 1, stride))  # (nb, K, Wo)
             z += b
-        # checked before the ReLU, which would hide an overflow to -inf
-        _ensure_finite(z, "conv_pool")
-        mask[s:s + block] = z > 0
-        np.maximum(z, 0, out=z)
-        out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
+            # checked before the ReLU, which would hide an overflow to -inf
+            _ensure_finite(z, "conv_pool")
+            mask[s:s + block] = z > 0
+            np.maximum(z, 0, out=z)
+            out[s:s + block] = (z.reshape(-1, wo) @ pool).reshape(-1, k, po)
 
     def backward_fn(g, tx):
         dx = np.empty((n, 1, h, w), dtype=dtype)
@@ -654,19 +669,65 @@ def conv_pool(x: Tensor, weight: np.ndarray, bias: np.ndarray, stride: int,
 # -- classifier-facing fused primitives ----------------------------------------
 
 
+def _softmax(x: np.ndarray, temperature) -> np.ndarray:
+    """Softmax of ``x / temperature`` along the last axis, shifted by each
+    row's maximum; ``temperature`` is of ``x``'s dtype."""
+    z = x / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_vjp(g: np.ndarray, out: np.ndarray, temperature) -> np.ndarray:
+    """Gradient to the input of ``_softmax`` from the gradient ``g`` of its
+    output ``out``."""
+    dx = g - (g * out).sum(axis=-1, keepdims=True)
+    dx *= out
+    dx /= temperature
+    return dx
+
+
+def _unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the matrix ``m`` over their norms clamped at
+    ``_NORM_EPS``, the clamped norms, and which norms are above the clamp."""
+    # np.linalg.norm(axis=1) computes this, with its own overhead on top
+    norm = np.sqrt((m * m).sum(axis=1))
+    clamped = np.maximum(norm, _NORM_EPS).astype(m.dtype, copy=False)
+    return m / clamped[:, None], clamped, norm > _NORM_EPS
+
+
+def _unit_rows_vjp(g_dot: np.ndarray, g_cos: np.ndarray, rows: tuple) -> np.ndarray:
+    """Gradient to the matrix whose ``_unit_rows`` are ``rows``, from its
+    unit rows' cosines with other unit rows: ``g_dot`` is the cosines'
+    gradient times those other rows and ``g_cos`` the row sums of the
+    gradient times the cosines.  The norm-direction term is dropped for
+    clamped rows (the clamped norm is constant there)."""
+    unit, clamped, live = rows
+    grad = (g_dot - (g_cos * live)[:, None] * unit) / clamped[:, None]
+    return grad.astype(unit.dtype, copy=False)
+
+
+def _cosine_vjp(g: np.ndarray, cos: np.ndarray, rows_a: tuple, rows_b: tuple, need_a: bool,
+                need_b: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Gradients to ``a`` and ``b``, each None unless needed, from the
+    gradient ``g`` of their cosines ``cos``, where ``rows_a`` and ``rows_b``
+    are the ``_unit_rows`` of ``a`` and ``b``."""
+    gc = g * cos
+    da = _unit_rows_vjp(g @ rows_b[0], gc.sum(axis=1), rows_a) if need_a else None
+    db = _unit_rows_vjp(g.T @ rows_a[0], gc.sum(axis=0), rows_b) if need_b else None
+    return da, db
+
+
 def softmax_with_temperature(x: Tensor, temperature: float) -> Tensor:
     """Numerically stable softmax of ``x / temperature`` along the last axis."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     temperature = x.dtype.type(temperature)
-    z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(x.data, temperature)
 
     def backward_fn(g, tx):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(tx, ((g - inner) * out_data / temperature))
+        _accumulate(tx, _softmax_vjp(g, out_data, temperature))
 
     return _node(np.ascontiguousarray(out_data), (x,), backward_fn, "softmax")
 
@@ -683,76 +744,89 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cosine_similarity_matrix needs (N,D),(K,D); got {a.shape}, {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError("cosine_similarity_matrix needs matching dtypes")
-
-    # np.linalg.norm(axis=1) computes this, with its own overhead on top
-    na = np.sqrt((a.data * a.data).sum(axis=1))
-    nb = np.sqrt((b.data * b.data).sum(axis=1))
-    na_c = np.maximum(na, _NORM_EPS).astype(a.dtype, copy=False)
-    nb_c = np.maximum(nb, _NORM_EPS).astype(b.dtype, copy=False)
-    u = a.data / na_c[:, None]
-    v = b.data / nb_c[:, None]
-    cos = u @ v.T  # (N, K)
-    live_a = na > _NORM_EPS
-    live_b = nb > _NORM_EPS
+    rows_a, rows_b = _unit_rows(a.data), _unit_rows(b.data)
+    cos = rows_a[0] @ rows_b[0].T  # (N, K)
 
     def backward_fn(g, ta, tb):
-        if ta is not None:
-            da = (g @ v - ((g * cos).sum(axis=1) * live_a)[:, None] * u) / na_c[:, None]
-            _accumulate(ta, da.astype(u.dtype, copy=False))
-        if tb is not None:
-            db = (g.T @ u - ((g * cos).sum(axis=0) * live_b)[:, None] * v) / nb_c[:, None]
-            _accumulate(tb, db.astype(v.dtype, copy=False))
+        da, db = _cosine_vjp(g, cos, rows_a, rows_b, ta is not None, tb is not None)
+        _accumulate(ta, da)
+        _accumulate(tb, db)
 
     return _node(np.ascontiguousarray(cos), (a, b), backward_fn, "cosine_similarity_matrix")
 
 
-def _row_indices(x: Tensor, indices: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of one in-range column per row of the matrix ``x``."""
-    if x.ndim != 2:
-        raise ShapeError(f"{op} expects a matrix, got {x.shape}")
+def _row_indices(shape: tuple[int, ...], indices: np.ndarray,
+                 op: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of one in-range column per row of a matrix of ``shape``."""
+    if len(shape) != 2:
+        raise ShapeError(f"{op} expects a matrix, got {shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (x.shape[0],):
+    if idx.shape != (shape[0],):
         raise ShapeError(f"{op} needs one index per row, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[1]):
         raise ShapeError(f"{op} index out of range")
-    return np.arange(x.shape[0]), idx
+    return np.arange(shape[0]), idx
 
 
-def nll(probs: Tensor, columns: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """Negative log-likelihood of one label column per row of ``probs`` (N, K):
-    ``-mean_n log probs[n, columns[n]]``.  With ``weights`` (N,) it is the
-    weighted sum ``sum_n weights[n] * log probs[n, columns[n]]``, so the
-    weights carry the sign and the normalisation.
+def cosine_nll(feats: Tensor, rows: Sequence[Tensor], columns: np.ndarray,
+               weights: np.ndarray | None, temperature: float) -> Tensor:
+    """The cosine classifier's negative log-likelihood of one class column
+    per row of ``feats`` (N, D): ``-mean_n log p[n, columns[n]]``, where
+    ``p`` (N, K) is the softmax over ``temperature`` of the cosines between
+    the rows of ``feats`` and the K class weights ``rows``, each (D,).  With
+    ``weights`` (N,) it is the weighted sum ``sum_n weights[n] * log p[n,
+    columns[n]]``, so the weights carry the sign and the normalisation.
 
-    One node for the chain ``neg(mean(take_per_row(log(probs), columns)))``,
-    or ``sum(mul(take_per_row(log(probs), columns), weights))``: the same
-    float operations in the same order, so the loss and its gradient have the
-    chain's bits.  Only the picked probabilities are logged; a zero among
-    them makes the loss non-finite, which raises ``NonFiniteError``."""
-    rows, idx = _row_indices(probs, columns, "nll")
-    shape, dtype = probs.shape, probs.dtype.type
-    picked = probs.data[rows, idx]
+    One node for the chain ``stack_rows`` -> ``cosine_similarity_matrix`` ->
+    ``softmax_with_temperature`` -> ``neg(mean(take_per_row(log(p),
+    columns)))``, or ``sum(mul(take_per_row(log(p), columns), weights))``:
+    the same float operations in the same order, so the loss and its
+    gradients to ``feats`` and to each row have the chain's bits.  Only the
+    picked probabilities are logged; a zero among them makes the loss
+    non-finite, which raises ``NonFiniteError``."""
+    if feats.ndim != 2 or not rows or any(r.shape != (feats.shape[1],) for r in rows):
+        raise ShapeError(f"cosine_nll needs (N,D) features and (D,) rows, got {feats.shape} "
+                         f"and {sorted({r.shape for r in rows})}")
+    if any(r.dtype != feats.dtype for r in rows):
+        raise ShapeError("cosine_nll needs matching dtypes")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    picks = _row_indices((feats.shape[0], len(rows)), columns, "cosine_nll")
+    dtype = feats.dtype.type
+    temperature = dtype(temperature)
+    rows_a = _unit_rows(feats.data)
+    rows_b = _unit_rows(np.stack([r.data for r in rows]))
+    cos = rows_a[0] @ rows_b[0].T
+    probs = _softmax(cos, temperature)
+    picked = probs[picks]
     if weights is None:
         scale = dtype(1.0 / picked.size)
     else:
-        w = np.asarray(weights, dtype=probs.dtype)
+        w = np.asarray(weights, dtype=feats.dtype)
         if w.shape != picked.shape:
-            raise ShapeError(f"nll needs one weight per row, got {w.shape} for {picked.shape}")
+            raise ShapeError(f"cosine_nll needs one weight per row, got {w.shape} "
+                             f"for {picked.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.log(picked)
         if weights is None:
-            out_data = np.asarray(logp.sum(), dtype=probs.dtype) * scale * dtype(-1.0)
+            out_data = np.asarray(logp.sum(), dtype=feats.dtype) * scale * dtype(-1.0)
         else:
-            out_data = np.asarray((logp * w).sum(), dtype=probs.dtype)
+            out_data = np.asarray((logp * w).sum(), dtype=feats.dtype)
 
-    def backward_fn(g, tp):
+    def backward_fn(g, t_feats, *t_rows):
         # the chain's sum VJP casts its scalar gradient to the operand dtype
         g = dtype(g * dtype(-1.0) * scale) if weights is None else dtype(g) * w
-        dp = np.zeros(shape, dtype=dtype)
-        dp[rows, idx] = g / picked
-        _accumulate(tp, dp)
+        dp = np.zeros(probs.shape, dtype=dtype)
+        dp[picks] = g / picked
+        need_rows = t_rows.count(None) < len(t_rows)
+        da, db = _cosine_vjp(_softmax_vjp(dp, probs, temperature), cos, rows_a, rows_b,
+                             t_feats is not None, need_rows)
+        _accumulate(t_feats, da)
+        if need_rows:
+            for i, target in enumerate(t_rows):
+                _accumulate(target, db[i])
 
-    return _node(np.asarray(out_data), (probs,), backward_fn, "nll")
+    return _node(np.asarray(out_data), (feats, *rows), backward_fn, "cosine_nll")
 
 
 def scaled_l1(a: Tensor, target: Tensor, scale: float) -> Tensor:
@@ -777,7 +851,7 @@ def scaled_l1(a: Tensor, target: Tensor, scale: float) -> Tensor:
 
 def take_per_row(x: Tensor, indices: np.ndarray) -> Tensor:
     """Gather one element per row: out[n] = x[n, indices[n]]."""
-    rows, idx = _row_indices(x, indices, "take_per_row")
+    rows, idx = _row_indices(x.shape, indices, "take_per_row")
     shape, dtype = x.shape, x.dtype
 
     def backward_fn(g, tx):

@@ -116,8 +116,13 @@ def _section(name: str):
 
 
 def resolve_preset(cfg: dict) -> ExperimentPreset:
-    """Build the effective preset: named preset + config overrides."""
+    """Build the effective preset: named preset + config overrides.  The
+    ``manifest`` and ``ablate`` sections, which no preset field holds, are
+    checked to be JSON objects here too, before any command runs."""
     preset = get_preset(str(_require(cfg, "preset")))
+    for key in ("manifest", "ablate"):
+        if key in cfg:
+            _object(cfg, key)
     if "synth" in cfg:
         with _section("synth"):
             preset = with_synth_classes(preset, **_object(cfg, "synth"))

@@ -239,7 +239,8 @@ class TrialReport:
     def from_dict(cls, payload: dict) -> "TrialReport":
         """The report whose ``to_dict`` is ``payload``; ValueError for a
         payload without exactly the report's keys, or naming the first field
-        whose value does not have the field's type."""
+        whose value does not have the field's type or does not agree in
+        shape with ``methods``, ``trials`` and ``num_sessions``."""
         keys = {f.name for f in fields(cls)}
         if not isinstance(payload, dict) or set(payload) != keys:
             got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
@@ -249,7 +250,34 @@ class TrialReport:
             if not _has_type(payload[f.name], hints[f.name]):
                 raise ValueError(f"report field '{f.name}' must be {f.type}, "
                                  f"got {payload[f.name]!r:.80}")
-        return cls(**payload)
+        report = cls(**payload)
+        report._check_shapes()
+        return report
+
+    def _check_shapes(self) -> None:
+        """ValueError naming the first field that does not agree in shape
+        with ``methods``, ``trials`` and ``num_sessions``."""
+        sessions, trials = self.num_sessions, self.trials
+        if len(self.session_classes) != sessions:
+            raise ValueError(f"report field 'session_classes' must have num_sessions = "
+                             f"{sessions} items, got {len(self.session_classes)}")
+        if not {"all", "base"} <= set(self.base_session):
+            raise ValueError(f"report field 'base_session' must have the keys 'all' and "
+                             f"'base', got {sorted(self.base_session)}")
+        for method in self.methods:
+            metrics = self.scores.get(method, {})
+            if set(metrics) != {"all", "base", "incremental"}:
+                raise ValueError(f"report field 'scores' must give method '{method}' exactly "
+                                 f"'all', 'base' and 'incremental', got {sorted(metrics)}")
+            for metric, rows in metrics.items():
+                if len(rows) != sessions or any(len(row) != trials for row in rows):
+                    raise ValueError(f"report field 'scores' must give '{method}' '{metric}' "
+                                     f"num_sessions = {sessions} rows of trials = {trials} "
+                                     f"values, got row lengths {[len(r) for r in rows]}")
+        for pair, per_session in self.p_values.items():
+            if len(per_session) != sessions:
+                raise ValueError(f"report field 'p_values' must give '{pair}' num_sessions = "
+                                 f"{sessions} items, got {len(per_session)}")
 
 
 def _has_type(value, hint) -> bool:

@@ -427,9 +427,13 @@ def head_loss(state: ModelState, feats: Tensor, labels: np.ndarray,
     """The classifier's loss over the feature batch ``feats`` (N, D): the mean
     negative log-probability of each label's class under ``scores_graph``, or
     with ``weights`` (N,) the weighted sum of the log-probabilities, the
-    weights carrying the sign and the normalisation (``ad.nll``)."""
-    return ad.nll(scores_graph(state, feats), label_columns(labels, state.seen_classes()),
-                  weights)
+    weights carrying the sign and the normalisation.  One ``ad.cosine_nll``
+    node over the class weights in ``seen_classes`` order."""
+    classes = state.seen_classes()
+    if not classes:
+        raise ValueError("no classes registered")
+    return ad.cosine_nll(feats, [state.class_weights[c] for c in classes],
+                         label_columns(labels, classes), weights, DEFAULT_TEMPERATURE)
 
 
 def check_integer(name: str, value) -> None:

@@ -58,41 +58,61 @@ class Adam:
             p.data = self._flat[start:end].reshape(p.shape)
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
+        # scratch for step: the gradient terms (in the gradient's dtype, made
+        # at the first step), the update and its denominator, the finite checks
+        self._term: np.ndarray | None = None
+        self._update = np.empty_like(self._flat)
+        self._denom = np.empty_like(self._flat)
+        self._finite = np.empty(self._flat.shape, dtype=bool)
 
     def step(self) -> None:
         """Apply one Adam update from each parameter's ``.grad``.
 
         A missing ``.grad`` counts as a zero gradient: the moments decay but
         fresh state leaves the parameter bit-identical.  The gradients are
-        concatenated in numpy's promoted dtype, so float64 gradients into
-        float32 parameters are accumulated in float64 and cast into the
-        float32 moments, as a per-parameter in-place update does.  In a step
-        that mixes float32 and float64 gradients the float32 ones are
-        promoted too.
+        concatenated in numpy's promoted dtype (a single parameter's is used
+        as it is), so float64 gradients into float32 parameters are
+        accumulated in float64 and cast into the float32 moments, as a
+        per-parameter in-place update does.  In a step that mixes float32 and
+        float64 gradients the float32 ones are promoted too.  The moment and
+        update terms are written into scratch arrays the optimizer keeps, in
+        the operation order and dtypes of the plain expressions.
         """
-        flat = []
+        grads = []
         for p in self.params:
             g = p.grad
             if g is None:
                 g = np.zeros(p.size, dtype=p.dtype)
-            elif np.shape(g) != p.shape:
-                raise ShapeError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
-            flat.append(np.reshape(g, -1))
-        g = np.concatenate(flat)
-        if not np.isfinite(g).all():
+            elif g.shape != p.shape:
+                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+            grads.append(g.reshape(-1))
+        g = grads[0] if len(grads) == 1 else np.concatenate(grads)
+        finite = self._finite
+        if not np.isfinite(g, out=finite).all():
             raise NonFiniteError("non-finite gradient passed to Adam.step")
 
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - _BETA1 ** t
         bias2 = 1.0 - _BETA2 ** t
-        m, v = self._m, self._v
+        m, v, update, denom = self._m, self._v, self._update, self._denom
+        if self._term is None or self._term.dtype != g.dtype:
+            self._term = np.empty_like(g)
+        term = self._term
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        np.multiply(g, 1.0 - _BETA1, out=term)
+        m += term
         v *= _BETA2
-        v += (1.0 - _BETA2) * np.square(g)
-        self._flat -= (self.learning_rate / bias1) * m / (np.sqrt(v / bias2) + _EPS)
-        if not np.isfinite(self._flat).all():
+        np.square(g, out=term)
+        term *= 1.0 - _BETA2
+        v += term
+        np.multiply(m, self.learning_rate / bias1, out=update)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        update /= denom
+        self._flat -= update
+        if not np.isfinite(self._flat, out=finite).all():
             raise NonFiniteError("parameter diverged to non-finite values in Adam.step")
 
 

@@ -14,6 +14,13 @@ finetuning touch a backbone.  Beside them: central-difference gradient
 checking, the cosine classifier's softmax in plain float64 numpy, the
 sliding windows the reference convolution is built from, the chance-level
 macro-F1 and the inverse of the z-score standardization.
+
+The engine's earlier forms of three kernels stay here as byte-equality
+references for the rewritten ones: ``nll``, the one-node loss over given
+probabilities that ``ad.cosine_nll`` folded into the classifier head,
+``col2im_loop``, ``_col2im`` adding one kernel offset at a time, and
+``adam_step``, ``Adam.step`` as plain expressions over concatenated
+gradients.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from anchorinv import autodiff as ad
+from anchorinv import optim
 from anchorinv.autodiff import ShapeError, Tensor
 from anchorinv.data import StandardizationStats
 
@@ -170,3 +178,66 @@ def zscore_invert(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     if x.shape[-2] != h:
         raise ValueError(f"channel mismatch: sample has {x.shape[-2]}, stats have {h}")
     return (x * stats.std[..., :, None] + stats.mean[..., :, None]).astype(np.float32)
+
+
+def nll(probs: Tensor, columns: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Negative log-likelihood of one label column per row of ``probs`` (N, K):
+    ``-mean_n log probs[n, columns[n]]``, or with ``weights`` (N,) the
+    weighted sum ``sum_n weights[n] * log probs[n, columns[n]]``.  One node,
+    the engine's loss before the classifier head became one node, with the
+    bits of the chain ``neg(mean(take_per_row(log(probs), columns)))``."""
+    rows, idx = ad._row_indices(probs.shape, columns, "nll")
+    shape, dtype = probs.shape, probs.dtype.type
+    picked = probs.data[rows, idx]
+    if weights is None:
+        scale = dtype(1.0 / picked.size)
+    else:
+        w = np.asarray(weights, dtype=probs.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(picked)
+        if weights is None:
+            out_data = np.asarray(logp.sum(), dtype=probs.dtype) * scale * dtype(-1.0)
+        else:
+            out_data = np.asarray((logp * w).sum(), dtype=probs.dtype)
+
+    def backward_fn(g, tp):
+        g = dtype(g * dtype(-1.0) * scale) if weights is None else dtype(g) * w
+        dp = np.zeros(shape, dtype=dtype)
+        dp[rows, idx] = g / picked
+        ad._accumulate(tp, dp)
+
+    return ad._node(np.asarray(out_data), (probs,), backward_fn, "nll")
+
+
+def col2im_loop(cols: np.ndarray, shape: tuple[int, int, int, int], kh: int, kw: int,
+                sh: int, sw: int) -> np.ndarray:
+    """The adjoint of ``ad._im2col`` that adds the kernel offsets of every
+    non-tiling axis onto a zeroed input one at a time."""
+    n, c, h, w = shape
+    cols6 = cols.reshape(n, c, kh, kw, (h - kh) // sh + 1, (w - kw) // sw + 1)
+    tile_h, tile_w = ad._tiles(h, kh, sh), ad._tiles(w, kw, sw)
+    if tile_h and tile_w:
+        return cols6.transpose(0, 1, 4, 2, 5, 3).reshape(shape)
+    dx = np.zeros(shape, dtype=cols.dtype)
+    windows = ad._window_view(dx, kh, kw, sh, sw)
+    for p in [slice(None)] if tile_h else range(kh):
+        for q in [slice(None)] if tile_w else range(kw):
+            windows[:, :, p, q] += cols6[:, :, p, q]
+    return dx
+
+
+def adam_step(opt: optim.Adam) -> None:
+    """One update of ``opt`` (its moments, step count and parameters) as
+    plain numpy expressions over the concatenated gradients, a missing
+    ``.grad`` counting as zeros."""
+    g = np.concatenate([np.zeros(p.size, dtype=p.dtype) if p.grad is None
+                        else np.reshape(p.grad, -1) for p in opt.params])
+    opt.step_count += 1
+    t = opt.step_count
+    beta1, beta2, eps = optim._BETA1, optim._BETA2, optim._EPS
+    bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    opt._m *= beta1
+    opt._m += (1.0 - beta1) * g
+    opt._v *= beta2
+    opt._v += (1.0 - beta2) * np.square(g)
+    opt._flat -= (opt.learning_rate / bias1) * opt._m / (np.sqrt(opt._v / bias2) + eps)

@@ -169,13 +169,14 @@ def _graph_templates():
                                         stride=(1, 2)))
         return fn, [x] + params
 
-    def nll(weighted):
+    def cosine_nll(weighted):
         def build(rng):
-            logits = _t64(rng.uniform(-2.0, 2.0, (4, 3)))
+            feats = _t64(rng.uniform(-1.0, 1.0, (4, 3)))
+            rows = [_t64(rng.uniform(0.5, 1.0, 3) * rng.choice([-1.0, 1.0], 3))
+                    for _ in range(3)]
             cols = rng.integers(0, 3, 4)
             w = rng.uniform(-1.0, 1.0, 4) if weighted else None
-            return (lambda ts: ad.nll(ad.softmax_with_temperature(ts[0], 2.0), cols, w),
-                    [logits])
+            return lambda ts: ad.cosine_nll(ts[0], ts[1:], cols, w, 2.0), [feats] + rows
         return build
 
     def scaled_l1(rng):
@@ -200,8 +201,8 @@ def _graph_templates():
         ({"neg", "sum_axis", "l2_norm"}, negated_axis),
         ({"conv_pool", "l2_norm"}, conv_pool),
         ({"compose_conv", "reshape", "conv2d", "l2_norm"}, composed_conv),
-        ({"softmax_with_temperature", "nll"}, nll(weighted=False)),
-        ({"softmax_with_temperature", "nll", "nll_weighted"}, nll(weighted=True)),
+        ({"cosine_nll"}, cosine_nll(weighted=False)),
+        ({"cosine_nll", "cosine_nll_weighted"}, cosine_nll(weighted=True)),
         ({"scaled_l1"}, scaled_l1),
     ]
 
@@ -218,7 +219,7 @@ def _node_kinds() -> set[str]:
 def test_01_gradients_match_finite_differences_on_200_random_graphs(monkeypatch):
     """The graphs make a node of every kind the engine can make; the labels
     also name the forms one kind can take: ``sum`` and ``mean`` over an axis,
-    ``nll`` with weights."""
+    ``cosine_nll`` with weights."""
     made: set[str] = set()
     real_node = ad._node
 
@@ -240,7 +241,7 @@ def test_01_gradients_match_finite_differences_on_200_random_graphs(monkeypatch)
         covered |= names
     kinds = _node_kinds()
     assert made == kinds, made ^ kinds
-    assert {"sum_axis", "mean_axis", "nll_weighted"} <= covered
+    assert {"sum_axis", "mean_axis", "cosine_nll_weighted"} <= covered
     assert worst <= 1e-4
     assert time.monotonic() - t0 < 60.0
 

@@ -72,13 +72,16 @@ def test_composite_loss_hand_oracle():
 
 
 def test_composite_loss_is_one_loss_node(spy_engine):
-    calls = spy_engine("nll", "log", "take_per_row", "mul", "tensor_sum")
+    """The composite loss is one classifier-head node, ``cosine_nll``: no
+    stack, cosine, softmax or log / take_per_row / mul / sum chain."""
+    calls = spy_engine("cosine_nll", "stack_rows", "cosine_similarity_matrix",
+                       "softmax_with_temperature", "log", "take_per_row", "mul", "tensor_sum")
     state = _two_class_state()
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
                        np.array([1]), np.array([0]), np.zeros(1))
     composite_loss(state, *replay_batch(replay, new))
-    assert calls == ["nll"]
+    assert calls == ["cosine_nll"]
 
 
 def test_composite_loss_replay_conventions():

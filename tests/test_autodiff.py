@@ -13,7 +13,7 @@ import pytest
 from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor, backward
 from anchorinv.model import BACKBONE_PRESETS
-from oracles import conv_windows, finite_difference_check
+from oracles import col2im_loop, conv_windows, finite_difference_check, nll
 
 FD_TOL = 1e-6  # worst relative error allowed for analytic-vs-numeric gradients
 
@@ -336,6 +336,28 @@ def test_col2im_is_adjoint_of_im2col():
                                    err_msg=f"h {(h, kh, sh)}, w {(w, kw, sw)}")
 
 
+@pytest.mark.parametrize("name,n", [("desk", 30), ("bci", 1), ("nhie", 2)])
+def test_col2im_has_the_bits_of_the_offset_loop(name, n):
+    """``_col2im`` of the ``conv_pool`` VJP (a kernel of the full input
+    height; column stride 1 at desk and bci, 4 at nhie) writes the bytes of
+    adding one kernel offset at a time onto zeros (``oracles.col2im_loop``),
+    for column gradients with +0.0 and -0.0 entries; so do the
+    total-variation kernel and a multi-channel full-height kernel."""
+    cfg = BACKBONE_PRESETS[name]
+    h, w, kt, stride = cfg.channels, cfg.timesteps, cfg.temporal_kernel, cfg.temporal_stride
+    rng = np.random.default_rng(35)
+    for c, kh, kw, sw in [(1, h, kt, stride), (1, 1, 2, 1), (3, h, 5, 1)]:
+        shape = (n, c, h, w)
+        cols = rng.standard_normal(ad._im2col(np.zeros(shape, np.float32), kh, kw, 1, sw).shape)
+        cols = cols.astype(np.float32)
+        draw = rng.random(cols.shape)
+        cols[draw < 0.2], cols[draw > 0.8] = 0.0, -0.0
+        expect = col2im_loop(cols, shape, kh, kw, 1, sw)
+        got = ad._col2im(cols, shape, kh, kw, 1, sw)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes(), (c, kh, kw, sw)
+
+
 def test_im2col_and_col2im_need_no_copy_for_the_spatial_conv():
     """A full-height kernel one column wide at column stride 1 reads its
     columns in place and writes its input gradient in place."""
@@ -648,15 +670,34 @@ def test_take_per_row_forward():
         ad.take_per_row(x, np.array([0, 1]))
 
 
-def _softmax_probs(rng, n, k, dtype):
-    """Row probabilities of the engine's softmax, and their logits tensor."""
-    logits = Tensor(rng.standard_normal((n, k)).astype(dtype), requires_grad=True)
-    return logits, ad.softmax_with_temperature(logits, 0.5)
+def _head_inputs(rng, n, k, d, dtype, zero_rows=False):
+    """Features (N, D) and K class-weight rows (D,), all trainable; with
+    ``zero_rows`` about a tenth of each side is exactly zero, which the
+    cosine clamps."""
+    feats, rows = rng.standard_normal((n, d)), rng.standard_normal((k, d))
+    if zero_rows:
+        feats[rng.random(n) < 0.1] = 0.0
+        rows[rng.random(k) < 0.1] = 0.0
+    return (Tensor(feats.astype(dtype), requires_grad=True),
+            [Tensor(r.astype(dtype), requires_grad=True) for r in rows])
 
 
-# the fused losses and the chains they replace, at desk shapes (60 base
-# training samples of 6 classes, 70 finetune samples of 8, 8 label-space
-# samples, 24 inverted anchors of D = 104)
+def _head_chain(feats, rows, temperature):
+    """The classifier probabilities as the chain of primitives ``cosine_nll``
+    fuses: stack, cosine, softmax."""
+    return ad.softmax_with_temperature(ad.cosine_similarity_matrix(feats, ad.stack_rows(rows)),
+                                       temperature)
+
+
+def _head_bits(loss, feats, rows, downstream):
+    backward(ad.mul_scalar(loss, downstream))
+    assert loss.dtype == feats.dtype and feats.grad.dtype == feats.dtype
+    return [np.asarray(loss.data).tobytes(), feats.grad.tobytes()] + [r.grad.tobytes()
+                                                                       for r in rows]
+
+
+# the fused loss and the chains it replaces, at desk shapes (60 base training
+# samples of 6 classes, 70 finetune samples of 8, 8 label-space samples)
 _NLL_CASES = {
     "mean": (60, 6, None, lambda p, c, w: ad.neg(ad.tensor_mean(ad.take_per_row(ad.log(p), c)))),
     "weighted": (70, 8, "weights",
@@ -669,9 +710,10 @@ _NLL_CASES = {
 @pytest.mark.parametrize("case", _NLL_CASES.values(), ids=_NLL_CASES.keys())
 @pytest.mark.parametrize("downstream", [1.0, 0.37])
 def test_nll_has_the_bits_of_the_chain(case, downstream):
-    """Loss and logit gradient of ``nll`` equal those of the chain of
-    primitives it replaces, bit for bit, in float32; ``downstream`` scales the
-    loss afterwards, so the VJP also gets a gradient other than 1."""
+    """Loss and gradients (to the features and to every class row) of
+    ``cosine_nll`` equal those of the chain of primitives it replaces, bit
+    for bit, in float32; ``downstream`` scales the loss afterwards, so the
+    VJP also gets a gradient other than 1."""
     n, k, weighting, chain = case
     rng = np.random.default_rng(60)
     columns = rng.integers(0, k, n)
@@ -679,12 +721,93 @@ def test_nll_has_the_bits_of_the_chain(case, downstream):
                "minus-ones": np.full(n, -1.0, dtype=np.float32)}[weighting]
     results = []
     for fused in (True, False):
-        logits, probs = _softmax_probs(np.random.default_rng(61), n, k, np.float32)
-        loss = ad.nll(probs, columns, weights) if fused else chain(probs, columns, weights)
-        backward(ad.mul_scalar(loss, downstream))
-        assert loss.dtype == np.float32 and logits.grad.dtype == np.float32
-        results.append((np.asarray(loss.data).tobytes(), logits.grad.tobytes()))
+        feats, rows = _head_inputs(np.random.default_rng(61), n, k, 104, np.float32)
+        loss = (ad.cosine_nll(feats, rows, columns, weights, 16.0) if fused
+                else chain(_head_chain(feats, rows, 16.0), columns, weights))
+        results.append(_head_bits(loss, feats, rows, downstream))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cosine_nll_has_the_bits_of_the_old_head(dtype):
+    """On random batches (N <= 70, K <= 12, D of 7, 104 and 2440, some zero
+    rows on each side, weights absent and given) the loss and every gradient
+    of ``cosine_nll`` equal those of stack -> cosine -> softmax -> the
+    one-node ``nll`` it replaced (``oracles.nll``), and a frozen side gets
+    no gradient."""
+    rng = np.random.default_rng(64)
+    for trial in range(36):
+        n, k = int(rng.integers(1, 71)), int(rng.integers(2, 13))
+        d = (7, 104, 2440)[trial % 3]
+        columns = rng.integers(0, k, n)
+        weights = None if trial % 2 else rng.uniform(-1.0, 0.0, n)
+        seed = int(rng.integers(1 << 30))
+        results = []
+        for fused in (True, False):
+            feats, rows = _head_inputs(np.random.default_rng(seed), n, k, d, dtype, True)
+            loss = (ad.cosine_nll(feats, rows, columns, weights, 16.0) if fused
+                    else nll(_head_chain(feats, rows, 16.0), columns, weights))
+            results.append(_head_bits(loss, feats, rows, 1.0))
+        assert results[0] == results[1], (n, k, d, weights is None)
+    feats, rows = _head_inputs(rng, 5, 3, 7, dtype)
+    rows[1].requires_grad = False
+    frozen_feats = Tensor(feats.data)
+    backward(ad.cosine_nll(frozen_feats, rows, np.array([0, 1, 2, 1, 0]), None, 16.0))
+    assert frozen_feats.grad is None and rows[1].grad is None
+    assert rows[0].grad.shape == (7,) and rows[2].grad.shape == (7,)
+
+
+def test_fd_nll_and_scaled_l1():
+    """float64 central differences: ``cosine_nll`` in the features and the
+    class rows, with and without weights, at the default eps (it is no
+    polynomial); ``scaled_l1`` at eps 1e-3."""
+    rng = np.random.default_rng(63)
+    feats = rng.standard_normal((5, 4))
+    rows = [rng.standard_normal(4) for _ in range(3)]
+    columns = np.array([0, 2, 1, 1, 2])
+    weights = rng.standard_normal(5)
+    for w in (None, weights):
+        assert finite_difference_check(
+            lambda ts: ad.cosine_nll(ts[0], ts[1:], columns, w, 0.5),
+            [_t(feats)] + [_t(r) for r in rows]) < FD_TOL
+    a, b = rng.standard_normal((3, 7)), rng.standard_normal((3, 7))
+    assert finite_difference_check(lambda ts: ad.scaled_l1(ts[0], ts[1], 0.25),
+                                   [_t(a), _t(b)], eps=_FD_WIDE_EPS) < FD_TOL
+
+
+def test_nll_of_a_zero_picked_probability_raises():
+    # at temperature 1e-3 the other class's probability underflows to zero
+    feats = _t(np.eye(2))
+    rows = [_t([1.0, 0.0]), _t([0.0, 1.0])]
+    with pytest.raises(NonFiniteError, match="cosine_nll"):
+        ad.cosine_nll(feats, rows, np.array([1, 1]), None, 1e-3)
+    with pytest.raises(NonFiniteError, match="cosine_nll"):
+        ad.cosine_nll(feats, rows, np.array([1, 1]), np.array([0.0, 1.0]), 1e-3)
+    # a zero the labels do not pick does not enter the loss
+    assert ad.cosine_nll(feats, rows, np.array([0, 1]), None, 1e-3).item() == 0.0
+
+
+def test_fused_loss_shape_errors():
+    feats = _t(np.ones((3, 2)))
+    rows = [_t([1.0, 0.0]), _t([0.0, 1.0])]
+    for bad_feats, bad_rows in [(_t(np.ones(2)), rows), (feats, []),
+                                (feats, [_t([1.0, 0.0]), _t([1.0, 0.0, 0.0])])]:
+        with pytest.raises(ShapeError):
+            ad.cosine_nll(bad_feats, bad_rows, np.array([0, 1, 0]), None, 1.0)
+    with pytest.raises(ShapeError, match="dtypes"):
+        ad.cosine_nll(feats, [rows[0], Tensor(np.ones(2, dtype=np.float32))],
+                      np.array([0, 1, 0]), None, 1.0)
+    for columns in ([0, 1], [0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ShapeError):
+            ad.cosine_nll(feats, rows, np.array(columns), None, 1.0)
+    with pytest.raises(ShapeError):
+        ad.cosine_nll(feats, rows, np.array([0, 1, 1]), np.ones(2), 1.0)
+    with pytest.raises(ValueError, match="temperature"):
+        ad.cosine_nll(feats, rows, np.array([0, 1, 1]), None, 0.0)
+    with pytest.raises(ShapeError):
+        ad.scaled_l1(_t(np.zeros((2, 3))), _t(np.zeros((3, 2))), 1.0)
+    with pytest.raises(ShapeError):
+        ad.scaled_l1(_t(np.zeros(3)), Tensor(np.zeros(3, dtype=np.float32)), 1.0)
 
 
 @pytest.mark.parametrize("downstream", [1.0, 0.37])
@@ -700,50 +823,6 @@ def test_scaled_l1_has_the_bits_of_the_chain(downstream):
         backward(ad.mul_scalar(loss, downstream))
         results.append((np.asarray(loss.data).tobytes(), f.grad.tobytes()))
     assert results[0] == results[1]
-
-
-def test_fd_nll_and_scaled_l1():
-    """float64 central differences at eps 1e-3, ``nll`` on the softmax of
-    logits as the losses use it."""
-    rng = np.random.default_rng(63)
-    logits = rng.standard_normal((5, 4))
-    columns = np.array([0, 3, 1, 1, 2])
-    weights = rng.standard_normal(5)
-    for w in (None, weights):
-        assert finite_difference_check(
-            lambda ts: ad.nll(ad.softmax_with_temperature(ts[0], 2.0), columns, w),
-            [_t(logits)], eps=_FD_WIDE_EPS) < FD_TOL
-    a, b = rng.standard_normal((3, 7)), rng.standard_normal((3, 7))
-    assert finite_difference_check(lambda ts: ad.scaled_l1(ts[0], ts[1], 0.25),
-                                   [_t(a), _t(b)], eps=_FD_WIDE_EPS) < FD_TOL
-
-
-def test_nll_of_a_zero_picked_probability_raises():
-    probs = _t(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NonFiniteError, match="nll"):
-        ad.nll(probs, np.array([0, 0]))
-    with pytest.raises(NonFiniteError, match="nll"):
-        ad.nll(probs, np.array([0, 0]), np.array([1.0, 0.0]))
-    # a zero the labels do not pick does not enter the loss
-    assert ad.nll(probs, np.array([0, 1])).item() == pytest.approx(-np.log(0.5) / 2)
-
-
-def test_fused_loss_shape_errors():
-    probs = _t(np.full((3, 2), 0.5))
-    with pytest.raises(ShapeError):
-        ad.nll(_t(np.full(4, 0.5)), np.array([0, 1, 0, 1]))
-    with pytest.raises(ShapeError):
-        ad.nll(probs, np.array([0, 1]))
-    with pytest.raises(ShapeError):
-        ad.nll(probs, np.array([0, 2, 1]))
-    with pytest.raises(ShapeError):
-        ad.nll(probs, np.array([0, -1, 1]))
-    with pytest.raises(ShapeError):
-        ad.nll(probs, np.array([0, 1, 1]), np.ones(2))
-    with pytest.raises(ShapeError):
-        ad.scaled_l1(_t(np.zeros((2, 3))), _t(np.zeros((3, 2))), 1.0)
-    with pytest.raises(ShapeError):
-        ad.scaled_l1(_t(np.zeros(3)), Tensor(np.zeros(3, dtype=np.float32)), 1.0)
 
 
 def test_subtract_rowwise_forward():

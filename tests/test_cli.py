@@ -416,6 +416,21 @@ def test_ablate_rejects_a_bad_unseen_count_before_training(tmp_path, capsys, spy
     assert "error: bad 'ablate' config: unseen must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,extra", [
+    (["train-base"], {"manifest": ["train", "test"]}),
+    (["ablate", "--axis", "shots"], {"ablate": ["shots"]})], ids=["manifest", "ablate"])
+def test_sections_that_are_not_objects_are_refused_before_staging(tmp_path, capsys, verb,
+                                                                  extra):
+    """A ``manifest`` or ``ablate`` section that is not a JSON object fails
+    with an error naming it, before any staging directory exists."""
+    (key, value), = extra.items()
+    config = _write_config(tmp_path / "config.json", _small_config(**extra))
+    out = tmp_path / "out"
+    assert main([verb[0], "--config", config, "--out", str(out)] + verb[1:]) == 1
+    assert capsys.readouterr().err == f"error: '{key}' must be a JSON object, got {value!r}\n"
+    assert not (out / "quarantine").exists() and not (out / ".staging").exists()
+
+
 def test_ablate_axis_validation(trained, tmp_path, capsys):
     cfg = _small_config(ablate={"shots": [1]})
     config = _write_config(tmp_path / "a.json", cfg)
@@ -512,9 +527,28 @@ def test_render_report_reads_a_hand_written_report(tmp_path, capsys):
     (dict(_REPORT, scores=[]), "report field 'scores' must be dict["),
     (dict(_REPORT, scores={"protonet": {"all": [80.0]}}), "report field 'scores' must be"),
     (dict(_REPORT, p_values=3), "report field 'p_values' must be dict[str, list[float | None]]"),
-    (dict(_REPORT, trials=True), "report field 'trials' must be int, got True")],
+    (dict(_REPORT, trials=True), "report field 'trials' must be int, got True"),
+    (dict(_REPORT, num_sessions=2), "report field 'session_classes' must have num_sessions"),
+    (dict(_REPORT, base_session={"base": 90.0}),
+     "report field 'base_session' must have the keys 'all' and 'base'"),
+    (dict(_REPORT, scores={}), "report field 'scores' must give method 'protonet' exactly"),
+    (dict(_REPORT, scores={"protonet": {"all": [[80.0]], "base": [[85.0]]}}),
+     "report field 'scores' must give method 'protonet' exactly"),
+    (dict(_REPORT, num_sessions=2, session_classes=[[2], [3]]),
+     "report field 'scores' must give 'protonet' 'all' num_sessions = 2 rows"),
+    (dict(_REPORT, trials=2), "report field 'scores' must give 'protonet' 'all' num_sessions"),
+    (dict(_REPORT, scores={"protonet": {"all": [[80.0]], "base": [[85.0]],
+                                        "incremental": [[70.0, 1.0]]}}),
+     "report field 'scores' must give 'protonet' 'incremental'"),
+    (dict(_REPORT, methods=["protonet", "finetune"], p_values={"protonet|finetune": []}),
+     "report field 'scores' must give method 'finetune'"),
+    (dict(_REPORT, p_values={"protonet|finetune": [0.5, 0.5]}),
+     "report field 'p_values' must give 'protonet|finetune' num_sessions = 1 items")],
     ids=["missing-keys", "list", "int-methods", "string-sessions", "list-scores",
-         "flat-scores", "int-p-values", "bool-trials"])
+         "flat-scores", "int-p-values", "bool-trials", "short-session-classes",
+         "base-session-without-all", "method-without-scores", "scores-without-incremental",
+         "too-few-score-rows", "too-few-trials", "too-many-trials", "second-method-missing",
+         "long-p-values"])
 def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))

@@ -25,7 +25,7 @@ from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, ConvBackbone
                              ModelState, embed_batch, predict_batch, scores_graph)
 from anchorinv.optim import FreezingViolation, minimize
 from anchorinv.seeds import make_rng
-from oracles import IdentityBackbone, LinearBackbone
+from oracles import IdentityBackbone, LinearBackbone, nll
 
 
 def _identity_state(channels=2, timesteps=3):
@@ -483,7 +483,7 @@ def test_auto_balance_matches_hand_scaled_weights():
 
     def manual_loss(i):
         scores = scores_graph(state, embed_batch(state, x))
-        loss = ad.nll(scores, cols, np.full(len(labels), -1.0))
+        loss = nll(scores, cols, np.full(len(labels), -1.0))
         for term, weight in ((ad.mul(x, x).sum(), ce0 / l2_0), (total_variation(x), ce0 / tv_0),
                              (feature_stat_penalty(state, x), ce0 / fs_0)):
             loss = ad.add(loss, ad.mul_scalar(term, weight))

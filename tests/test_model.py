@@ -832,15 +832,17 @@ def test_train_base_unfolds_its_input_once(spy_convs):
 
 
 def test_train_base_epoch_builds_one_loss_node(spy_engine):
-    """A desk base-training epoch builds its cross-entropy as one ``nll``
-    node, not the log / take_per_row / mean / neg chain."""
-    calls = spy_engine("nll", "log", "take_per_row", "neg", "tensor_mean", "tensor_sum",
-                       "mul_scalar")
+    """A desk base-training epoch builds its cross-entropy as one
+    classifier-head node, ``cosine_nll``, not the stack / cosine / softmax /
+    log / take_per_row / mean / neg chain."""
+    calls = spy_engine("cosine_nll", "stack_rows", "cosine_similarity_matrix",
+                       "softmax_with_temperature", "log", "take_per_row", "neg",
+                       "tensor_mean", "tensor_sum", "mul_scalar")
     cfg = BACKBONE_PRESETS["desk"]
     rng = np.random.default_rng(58)
     x = rng.standard_normal((12, cfg.channels, cfg.timesteps)).astype(np.float32)
     train_base(x, np.arange(12) % 3, cfg, BaseTrainConfig(epochs=1, seed=5))
-    assert calls == ["nll"]
+    assert calls == ["cosine_nll"]
 
 
 @pytest.mark.parametrize("name,n", [("bci", 8), ("bci", 32), ("grabmyo", 16)],

@@ -10,6 +10,7 @@ import pytest
 from anchorinv import autodiff as ad
 from anchorinv.autodiff import NonFiniteError, ShapeError, Tensor
 from anchorinv.optim import Adam, FreezingViolation, minimize
+from oracles import adam_step
 
 
 def _adam_reference(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -265,6 +266,32 @@ def test_flat_step_keeps_the_bits_of_the_per_parameter_update():
             assert p.data.tobytes() == r.tobytes()
         assert opt._m.tobytes() == np.concatenate([m.reshape(-1) for m, _ in moments]).tobytes()
         assert opt._v.tobytes() == np.concatenate([v.reshape(-1) for _, v in moments]).tobytes()
+
+
+@pytest.mark.parametrize("shapes", [[(7680,)], [(3,), (2, 4), (4, 1, 1, 3)]],
+                         ids=["one", "several"])
+def test_step_has_the_bits_of_the_concatenating_step(shapes):
+    """``Adam.step`` (one parameter's gradient used as it is, terms written
+    into scratch arrays) leaves parameters, moments and step count with the
+    bytes of ``oracles.adam_step``, the plain expressions over concatenated
+    gradients: over float32 and float64 gradients into float32 parameters,
+    and missing gradients."""
+    rng = np.random.default_rng(44)
+    start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    opts = [Adam([Tensor(a.copy()) for a in start], learning_rate=0.05) for _ in range(2)]
+    for t in range(1, 13):
+        dtype = np.float64 if t % 4 == 0 else np.float32
+        grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        if t in (2, 7):
+            grads[t % len(shapes)] = None
+        for opt in opts:
+            for p, g in zip(opt.params, grads):
+                p.grad = g
+        opts[0].step()
+        adam_step(opts[1])
+        for name in ("_flat", "_m", "_v"):
+            assert getattr(opts[0], name).tobytes() == getattr(opts[1], name).tobytes(), (t, name)
+        assert opts[0].step_count == opts[1].step_count == t
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
