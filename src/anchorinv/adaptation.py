@@ -20,13 +20,13 @@ Methods:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .anchors import (STRATEGIES, AnchorSet, incremental_anchors, project_features,
+from .anchors import (STRATEGIES, AnchorSet, Strategy, incremental_anchors, project_features,
                       select_anchors)
 from .data import Dataset
 from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
@@ -50,8 +50,9 @@ __all__ = [
     "sample_base_replay_store",
 ]
 
-METHODS = ("anchorinv", "finetune", "protonet", "teen", "deepdream", "deepinv",
-           "realreplay")
+Method = Literal["anchorinv", "finetune", "protonet", "teen", "deepdream", "deepinv",
+                 "realreplay"]
+METHODS = get_args(Method)
 
 _SESSION_STREAM = 0x5E55
 _REPLAY_STORE_STREAM = 0x8EA1
@@ -80,7 +81,7 @@ class AdaptationConfig:
     inversion: InversionConfig = InversionConfig()
     label_inversion_iterations: int = 1000
     anchors_per_class: int = 10
-    anchor_strategy: str = "random_sample"
+    anchor_strategy: Strategy = "random_sample"
     anchor_fraction: float = 0.5
     real_per_class: int = 50
 

@@ -10,6 +10,7 @@ Only D-dimensional features are ever stored, never raw input samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -35,7 +36,8 @@ __all__ = [
     "load_anchor_set",
 ]
 
-STRATEGIES = ("random_sample", "closest", "random_closest", "kmeans", "full")
+Strategy = Literal["random_sample", "closest", "random_closest", "kmeans", "full"]
+STRATEGIES = get_args(Strategy)
 
 _KMEANS_ITERS = 100  # Lloyd iterations at most
 

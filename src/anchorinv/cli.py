@@ -16,28 +16,26 @@ partial outputs land in ``<out>/quarantine`` and the exit status is nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .adaptation import METHODS, AdaptationConfig, base_anchor_memory
+from .adaptation import base_anchor_memory
 from .anchors import check_anchor_counts, load_anchor_set, save_anchor_set
 from .data import Dataset
 from .evaluation import (SWEEP_AXES as ABLATE_AXES, TrialPlan, TrialReport, render_report,
                          render_sweep, run_trials, sweep)
 from .inversion import invert_set
 from .model import accuracy, check_count, train_base
-from .presets import (ExperimentPreset, build_split, get_preset, materialize_synth,
-                      with_synth_classes)
-from .serialization import (canonical_json, load_checkpoint, read_manifest_dataset,
-                            save_checkpoint, write_manifest_dataset)
+from .presets import (EXPERIMENT_PRESETS, ConfigError, ExperimentPreset, build_split,
+                      get_preset, materialize_synth, with_synth_classes)
+from .serialization import (canonical_json, load_checkpoint, load_json, read_json,
+                            read_manifest_dataset, save_checkpoint, write_manifest_dataset)
 
 __all__ = [
     "ConfigError",
@@ -49,16 +47,21 @@ __all__ = [
 
 WORKERS_ENV = "ANCHORINV_WORKERS"
 
-_TOP_KEYS = {"preset", "trials", "seed", "methods", "way", "shot", "base_classes",
-             "synth", "base_train", "finetune", "inversion", "adaptation",
-             "checkpoint", "anchors", "manifest", "ablate"}
-# finetune/inversion have their own top-level sections
-_ADAPTATION_SCALARS = ({f.name for f in dataclasses.fields(AdaptationConfig)}
-                       - {"finetune", "inversion"})
+# top-level keys that set a preset field, and the field each sets
+_PRESET_KEYS = {"trials": "trials", "seed": "master_seed", "way": "way", "shot": "shot",
+                "base_classes": "base_classes", "methods": "methods"}
 
 
-class ConfigError(ValueError):
-    """A config file is missing a key, has an unknown key, or is malformed."""
+class _Manifests(NamedTuple):  # a config's manifest section
+    train: str
+    test: str
+
+
+# the type of each top-level key that does not override a preset field; the
+# keys of the synth section are read by with_synth_classes
+_INPUT_KEYS = {"preset": Literal[tuple(EXPERIMENT_PRESETS)], "checkpoint": str, "anchors": str,
+               "manifest": _Manifests, "ablate": dict, "synth": dict}
+_TOP_KEYS = {*_PRESET_KEYS, *_INPUT_KEYS, "base_train", "finetune", "inversion", "adaptation"}
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +72,8 @@ def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file '{path}' does not exist")
-    try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config '{path}' is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+    cfg = read_json(load_json(path, ConfigError, f"config '{path}'"), dict, ConfigError,
+                    f"config '{path}'")
     unknown = sorted(set(cfg) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
@@ -87,82 +86,35 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _override(obj, overrides: dict, context: str):
-    """dataclasses.replace with unknown-key reporting."""
-    known = {f.name for f in dataclasses.fields(obj)}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ConfigError(f"unknown {context} config keys {unknown}")
-    return replace(obj, **overrides)
-
-
-def _object(cfg: dict, key: str) -> dict:
-    """The config section ``key``, a ConfigError naming it unless a JSON object."""
-    if not isinstance(cfg[key], dict):
-        raise ConfigError(f"'{key}' must be a JSON object, got {cfg[key]!r}")
-    return cfg[key]
-
-
-@contextmanager
-def _section(name: str):
-    """Report a TypeError or ValueError raised while config section ``name``
-    is built as a ConfigError that names the section."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad '{name}' config: {err}") from err
-
-
 def resolve_preset(cfg: dict) -> ExperimentPreset:
-    """Build the effective preset: named preset + config overrides.  The
-    ``manifest`` and ``ablate`` sections, which no preset field holds, are
-    checked to be JSON objects here too, before any command runs."""
-    preset = get_preset(str(_require(cfg, "preset")))
-    for key in ("manifest", "ablate"):
+    """Build the effective preset: named preset + config overrides.  Every
+    section and top-level value is read by ``read_json`` against the
+    annotation of what it sets, the ``checkpoint``, ``anchors``, ``manifest``
+    and ``ablate`` keys too, before any command runs."""
+    for key, hint in _INPUT_KEYS.items():
         if key in cfg:
-            _object(cfg, key)
-    if "synth" in cfg:
-        with _section("synth"):
-            preset = with_synth_classes(preset, **_object(cfg, "synth"))
-    if "base_train" in cfg:
-        with _section("base_train"):
-            preset = replace(preset, base_train=_override(
-                preset.base_train, _object(cfg, "base_train"), "base_train"))
-    adaptation = preset.adaptation
-    if "finetune" in cfg:
-        with _section("finetune"):
-            adaptation = replace(adaptation, finetune=_override(
-                adaptation.finetune, _object(cfg, "finetune"), "finetune"))
-    if "inversion" in cfg:
-        with _section("inversion"):
-            adaptation = replace(adaptation, inversion=_override(
-                adaptation.inversion, _object(cfg, "inversion"), "inversion"))
-    if "adaptation" in cfg:
-        unknown = sorted(set(_object(cfg, "adaptation")) - _ADAPTATION_SCALARS)
-        if unknown:
-            raise ConfigError(f"unknown adaptation config keys {unknown} "
-                              f"(finetune/inversion have their own sections)")
-        with _section("adaptation"):
-            adaptation = replace(adaptation, **cfg["adaptation"])
-    preset = replace(preset, adaptation=adaptation)
+            read_json(cfg[key], hint, ConfigError, f"'{key}' config")
+    preset = get_preset(_require(cfg, "preset"))
 
-    for key, field in (("trials", "trials"), ("seed", "master_seed"), ("way", "way"),
-                       ("shot", "shot"), ("base_classes", "base_classes")):
+    def section(key: str, obj):
+        """``obj`` with the overrides of config section ``key``."""
+        return read_json(cfg.get(key, {}), type(obj), ConfigError, f"'{key}' config", vars(obj))
+
+    if "synth" in cfg:
+        preset = with_synth_classes(preset, **cfg["synth"])
+    adaptation = section("adaptation", preset.adaptation)
+    nested = sorted({"finetune", "inversion"} & set(cfg.get("adaptation", {})))
+    if nested:
+        raise ConfigError(f"bad 'adaptation' config: unknown keys {nested} "
+                          f"(finetune and inversion have their own sections)")
+    adaptation = replace(adaptation, finetune=section("finetune", adaptation.finetune),
+                         inversion=section("inversion", adaptation.inversion))
+    preset = replace(preset, base_train=section("base_train", preset.base_train),
+                     adaptation=adaptation)
+    for key, field in _PRESET_KEYS.items():
         if key in cfg:
-            with _section(key):
-                value = tuple(cfg[key]) if key == "base_classes" else cfg[key]
-                preset = replace(preset, **{field: value})
-    if "methods" in cfg:
-        methods = cfg["methods"]
-        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-            raise ConfigError(f"'methods' must be a list of method names, got {methods!r}")
-        methods = tuple(methods)
-        unknown = [m for m in methods if m not in METHODS]
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}; valid methods: {list(METHODS)}")
-        preset = replace(preset, methods=methods)
+            preset = read_json({field: cfg[key]}, ExperimentPreset, ConfigError,
+                               f"'{key}' config", vars(preset))
     return preset
 
 
@@ -181,12 +133,7 @@ def apply_seed(preset: ExperimentPreset, seed: int) -> ExperimentPreset:
 
 def load_datasets(preset: ExperimentPreset, cfg: dict) -> tuple[Dataset, Dataset]:
     if "manifest" in cfg:
-        manifest = cfg["manifest"]
-        for key in ("train", "test"):
-            if key not in manifest:
-                raise ConfigError(f"config missing required key 'manifest.{key}'")
-        return (read_manifest_dataset(manifest["train"]),
-                read_manifest_dataset(manifest["test"]))
+        return tuple(read_manifest_dataset(cfg["manifest"][key]) for key in ("train", "test"))
     return materialize_synth(preset)
 
 
@@ -250,12 +197,14 @@ def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
     ablate_cfg = _require(cfg, "ablate")
     if axis not in ablate_cfg:
         raise ConfigError(f"config missing required key 'ablate.{axis}'")
-    values = ablate_cfg[axis]
-    if not isinstance(values, list) or not values:
+    values = read_json(ablate_cfg[axis], list, ConfigError, f"'ablate.{axis}' config")
+    if not values:
         raise ConfigError(f"'ablate.{axis}' must be a nonempty list of axis values")
     unseen = ablate_cfg.get("unseen", 6)
-    with _section("ablate"):
+    try:
         check_count("unseen", unseen, 1)
+    except ValueError as err:
+        raise ConfigError(f"bad 'ablate' config: {err}") from None
 
     # no axis changes the synthetic spec, so every run shares one data set
     train, test = load_datasets(preset, cfg)
@@ -310,7 +259,7 @@ def _render_audit(audit: dict) -> str:
 
 
 def cmd_render_report(report_path, out: Path | None) -> None:
-    payload = json.loads(Path(report_path).read_text())
+    payload = load_json(report_path, ValueError, f"report {report_path}")
     text = render_report(TrialReport.from_dict(payload))
     if out is None:
         sys.stdout.write(text)

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import check_count
 from .seeds import make_rng
 
 __all__ = [
@@ -109,8 +110,9 @@ class SynthSpec:
         params = [(c.frequency, c.channel_gains) for c in self.classes]
         if len(set(params)) != len(params):
             raise ValueError("class parameter sets must be pairwise distinct")
-        if self.train_per_class < 1 or self.test_per_class < 0:
-            raise ValueError("per-class sample counts out of range")
+        for name, least in (("train_per_class", 1), ("test_per_class", 0), ("channels", 1),
+                            ("timesteps", 1)):
+            check_count(name, getattr(self, name), least)
         for c in self.classes:
             if c.channel_gains is not None and len(c.channel_gains) != self.channels:
                 raise ValueError(f"channel_gains length {len(c.channel_gains)} != "
@@ -122,6 +124,7 @@ def desk_synth_spec(num_classes: int, train_per_class: int = 30, test_per_class:
                     noise_sigma: float = 0.5, base_frequency: float = 3.0,
                     frequency_step: float = 1.0) -> SynthSpec:
     """Evenly spaced class frequencies starting at ``base_frequency``."""
+    check_count("num_classes", num_classes, 1)
     classes = tuple(
         SynthClassSpec(frequency=base_frequency + frequency_step * c,
                        noise_sigma=noise_sigma)

@@ -13,21 +13,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import types
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .adaptation import (METHODS, AdaptationConfig, base_anchor_memory, run_fscil,
+from .adaptation import (METHODS, AdaptationConfig, Method, base_anchor_memory, run_fscil,
                          sample_base_replay_store)
 from .anchors import AnchorSet, check_anchor_counts
 from .data import Dataset, SessionSplit
 from .model import ModelState, check_count, check_integer, predict_batch, train_base
 from .presets import ExperimentPreset, build_split
 from .seeds import derive_seed, make_rng
+from .serialization import read_json
 
 __all__ = [
     "macro_f1",
@@ -173,7 +172,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
 class TrialPlan:
     trials: int
     master_seed: int
-    methods: tuple[str, ...]
+    methods: tuple[Method, ...]
 
     def __post_init__(self):
         check_count("trials", self.trials, 1)
@@ -212,7 +211,7 @@ class TrialReport:
     ``base_session`` holds the single pre-adaptation evaluation.
     """
 
-    methods: list[str]
+    methods: list[Method]
     trials: int
     master_seed: int
     num_sessions: int
@@ -223,49 +222,25 @@ class TrialReport:
     p_values: dict[str, list[float | None]]
 
     def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "num_sessions": self.num_sessions,
-            "base_classes": [int(c) for c in self.base_classes],
-            "session_classes": [[int(c) for c in cs] for cs in self.session_classes],
-            "base_session": {k: float(v) for k, v in self.base_session.items()},
-            "scores": self.scores,
-            "p_values": self.p_values,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TrialReport":
-        """The report whose ``to_dict`` is ``payload``; ValueError for a
-        payload without exactly the report's keys, or naming the first field
-        whose value does not have the field's type or does not agree in
-        shape with ``methods``, ``trials`` and ``num_sessions``."""
-        keys = {f.name for f in fields(cls)}
-        if not isinstance(payload, dict) or set(payload) != keys:
-            got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-            raise ValueError(f"a report needs exactly the keys {sorted(keys)}, got {got}")
-        hints = typing.get_type_hints(cls)
-        for f in fields(cls):
-            if not _has_type(payload[f.name], hints[f.name]):
-                raise ValueError(f"report field '{f.name}' must be {f.type}, "
-                                 f"got {payload[f.name]!r:.80}")
-        report = cls(**payload)
-        report._check_shapes()
-        return report
-
-    def _check_shapes(self) -> None:
-        """ValueError naming the first field that does not agree in shape
-        with ``methods``, ``trials`` and ``num_sessions``."""
-        sessions, trials = self.num_sessions, self.trials
-        if len(self.session_classes) != sessions:
+    def from_dict(cls, payload) -> "TrialReport":
+        """The report whose ``to_dict`` is ``payload``; ValueError unless
+        ``read_json`` reads it, or naming the first field that does not agree
+        in shape with ``methods``, ``trials`` and ``num_sessions``."""
+        report = read_json(payload, cls, ValueError, "report")
+        sessions, trials = report.num_sessions, report.trials
+        if not report.methods:
+            raise ValueError("report field 'methods' must name at least one method")
+        if len(report.session_classes) != sessions:
             raise ValueError(f"report field 'session_classes' must have num_sessions = "
-                             f"{sessions} items, got {len(self.session_classes)}")
-        if not {"all", "base"} <= set(self.base_session):
+                             f"{sessions} items, got {len(report.session_classes)}")
+        if not {"all", "base"} <= set(report.base_session):
             raise ValueError(f"report field 'base_session' must have the keys 'all' and "
-                             f"'base', got {sorted(self.base_session)}")
-        for method in self.methods:
-            metrics = self.scores.get(method, {})
+                             f"'base', got {sorted(report.base_session)}")
+        for method in report.methods:
+            metrics = report.scores.get(method, {})
             if set(metrics) != {"all", "base", "incremental"}:
                 raise ValueError(f"report field 'scores' must give method '{method}' exactly "
                                  f"'all', 'base' and 'incremental', got {sorted(metrics)}")
@@ -274,26 +249,11 @@ class TrialReport:
                     raise ValueError(f"report field 'scores' must give '{method}' '{metric}' "
                                      f"num_sessions = {sessions} rows of trials = {trials} "
                                      f"values, got row lengths {[len(r) for r in rows]}")
-        for pair, per_session in self.p_values.items():
+        for pair, per_session in report.p_values.items():
             if len(per_session) != sessions:
                 raise ValueError(f"report field 'p_values' must give '{pair}' num_sessions = "
                                  f"{sessions} items, got {len(per_session)}")
-
-
-def _has_type(value, hint) -> bool:
-    """Whether the JSON value ``value`` has the type ``hint``: int, float,
-    str, None, or a list, dict or union of them.  A bool is not a number, and
-    an int is a float."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
-    if origin in (typing.Union, types.UnionType):
-        return any(_has_type(value, arg) for arg in args)
-    return isinstance(value, (int, float) if hint is float else hint) and (
-        not isinstance(value, bool))
+        return report
 
 
 def _evaluate_session(state: ModelState, test: Dataset, seen: list[int],
@@ -400,27 +360,28 @@ def _sweep_points(preset: ExperimentPreset, axis: str, values: Sequence, unseen:
     eval_ids, points = all_ids[-unseen:], []
     for value in values:
         if axis == "base-classes":
-            b = int(value)
-            base_ids = all_ids[:b]
-            if len(base_ids) != b or set(base_ids) & set(eval_ids):
-                raise ValueError(f"base-class count {b} collides with the "
+            check_count("base-class count", value, 1)
+            base_ids = all_ids[:value]
+            if len(base_ids) != value or set(base_ids) & set(eval_ids):
+                raise ValueError(f"base-class count {value} collides with the "
                                  f"{unseen} held-out classes")
-            points.append((b, replace(preset, base_classes=tuple(base_ids), way=unseen,
+            points.append((value, replace(preset, base_classes=tuple(base_ids), way=unseen,
                                       methods=("protonet",)),
                            base_ids + eval_ids, "incremental"))
             continue
         adaptation = preset.adaptation
         if axis == "anchors":
-            adaptation = replace(adaptation, anchors_per_class=int(value))
+            adaptation = replace(adaptation, anchors_per_class=value)
         elif axis == "strategy":
             spec = value if isinstance(value, dict) else {"name": value}
             if "name" not in spec or not set(spec) <= {"name", "fraction"}:
                 raise ValueError(f"strategy axis value {value!r} needs a 'name' key "
                                  f"and takes only 'name' and 'fraction'")
-            adaptation = replace(
-                adaptation, anchor_strategy=spec["name"],
-                anchor_fraction=float(spec.get("fraction", adaptation.anchor_fraction)))
-        shot = int(value) if axis == "shots" else preset.shot
+            fraction = read_json(spec.get("fraction", adaptation.anchor_fraction), float,
+                                 ValueError, f"strategy axis value {value!r}")
+            adaptation = replace(adaptation, anchor_strategy=spec["name"],
+                                 anchor_fraction=fraction)
+        shot = value if axis == "shots" else preset.shot
         points.append((value, replace(preset, shot=shot, adaptation=adaptation), None, "all"))
     return points
 

@@ -10,17 +10,18 @@ expect externally supplied data manifests.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 
-from .adaptation import AdaptationConfig, FinetuneConfig
+from .adaptation import AdaptationConfig, FinetuneConfig, Method
 from .data import (Dataset, SessionSplit, SynthSpec, desk_synth_spec,
                    paired_gain_spec, split_sessions, synth_arrays)
 from .inversion import InversionConfig
 from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackboneConfig, check_count,
                     check_integer)
+from .serialization import read_json
 
 __all__ = [
+    "ConfigError",
     "ExperimentPreset",
     "EXPERIMENT_PRESETS",
     "get_preset",
@@ -30,8 +31,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 5
-# the keys of a config's "synth" section, i.e. what with_synth_classes takes
-_SYNTH_KEYS = tuple(inspect.signature(desk_synth_spec).parameters)
+
+
+class ConfigError(ValueError):
+    """A config file is missing a key, has an unknown key, or is malformed."""
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class ExperimentPreset:
     shot: int
     trials: int
     master_seed: int
-    methods: tuple[str, ...]
+    methods: tuple[Method, ...]
     base_train: BaseTrainConfig
     adaptation: AdaptationConfig
     synth: SynthSpec | None = None  # set only for synthetic presets
@@ -197,43 +200,30 @@ def build_split(preset: ExperimentPreset, train: Dataset) -> SessionSplit:
     return split_sessions(train, preset.base_classes, preset.way, preset.shot)
 
 
-def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
+def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None, /,
                        **overrides) -> ExperimentPreset:
     """Clone a synthetic preset onto a ``desk_synth_spec`` frequency ladder.
 
-    Takes the keys of a config's ``synth`` section (``_SYNTH_KEYS``); any key
-    left out is read off the preset's own spec; ValueError unless the class,
-    sample, channel and time-step counts are ints of at least 1 (0 for
-    ``test_per_class``) and ``seed`` is an int.  Callers adjust way and base
+    Takes the keys of a config's ``synth`` section, the parameters of
+    ``desk_synth_spec``, read by ``read_json``; a key left out (or a
+    positional ``num_classes`` of None) keeps the preset's own value.  ConfigError (a ValueError) for a preset that is not
+    synthetic or a key ``read_json`` refuses.  Callers adjust way and base
     classes as needed.
     """
     if preset.synth is None:
-        raise ValueError(f"preset '{preset.name}' is not synthetic; "
-                         f"remove the 'synth' section")
-    unknown = sorted(set(overrides) - set(_SYNTH_KEYS))
-    if unknown:
-        raise ValueError(f"unknown synth config keys {unknown}")
+        raise ConfigError(f"preset '{preset.name}' is not synthetic; "
+                          f"remove the 'synth' section")
     spec = preset.synth
     # presets whose class pairs share a frequency imply a zero step; the
     # ladder needs a positive one, so fall back to 1.0
     step = (spec.classes[1].frequency - spec.classes[0].frequency
             if len(spec.classes) > 1 else 1.0)
-    current = {
-        "train_per_class": spec.train_per_class,
-        "test_per_class": spec.test_per_class,
-        "channels": spec.channels,
-        "timesteps": spec.timesteps,
-        "seed": spec.seed,
-        "noise_sigma": spec.classes[0].noise_sigma,
-        "base_frequency": spec.classes[0].frequency,
-        "frequency_step": step if step > 0 else 1.0,
-    }
-    current.update(overrides)
-    num_classes = len(spec.classes) if num_classes is None else num_classes
-    check_count("num_classes", num_classes, 1)
-    for key in ("train_per_class", "channels", "timesteps"):
-        check_count(key, current[key], 1)
-    check_count("test_per_class", current["test_per_class"], 0)
-    check_integer("seed", current["seed"])
-    synth = desk_synth_spec(num_classes=num_classes, **current)
-    return replace(preset, num_classes=num_classes, synth=synth)
+    current = {key: getattr(spec, key) for key in ("train_per_class", "test_per_class",
+                                                   "channels", "timesteps", "seed")}
+    current.update(num_classes=len(spec.classes), noise_sigma=spec.classes[0].noise_sigma,
+                   base_frequency=spec.classes[0].frequency,
+                   frequency_step=step if step > 0 else 1.0)
+    if num_classes is not None:
+        overrides["num_classes"] = num_classes
+    synth = read_json(overrides, desk_synth_spec, ConfigError, "'synth' config", current)
+    return replace(preset, num_classes=len(synth.classes), synth=synth)

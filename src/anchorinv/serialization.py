@@ -15,19 +15,27 @@ Container byte layout (all integers little-endian):
 Dataset manifests are JSON files listing per-sample payload files; payloads
 are raw little-endian float32, row-major H x W, no header (the shape lives
 in the manifest).
+
+Every JSON input (configs, manifests, reports, checkpoint headers) is typed
+by ``read_json``, against the annotations of the fields it fills.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import struct
+import types
+import typing
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .model import (DEFAULT_TEMPERATURE, ConvBackbone, ConvBackboneConfig, FeatureStats,
-                    ModelState, check_count)
+                    ModelState)
 from .autodiff import Tensor
 
 __all__ = [
@@ -39,6 +47,8 @@ __all__ = [
     "write_manifest_dataset",
     "read_manifest_dataset",
     "canonical_json",
+    "load_json",
+    "read_json",
     "file_sha256",
     "KIND_CHECKPOINT",
     "KIND_ANCHORS",
@@ -150,11 +160,9 @@ def read_container(path, expect_kind: int | None = None) -> tuple[dict, dict[str
 # model checkpoints
 
 
-# the keys of a checkpoint's "backbone_config"; "activation" is always "relu"
-# and the header's "temperature" always DEFAULT_TEMPERATURE, kept so that the
-# format of checkpoint files does not change
-_BACKBONE_KEYS = ("name", "channels", "timesteps", "filters", "temporal_kernel",
-                  "temporal_stride", "pool_kernel", "pool_stride")
+# a checkpoint's "backbone_config" also gives "activation", always "relu",
+# and the header's "temperature" is always DEFAULT_TEMPERATURE; both are kept
+# so that the format of checkpoint files does not change
 _ACTIVATION = "relu"
 
 
@@ -165,8 +173,7 @@ def save_checkpoint(path, state: ModelState) -> None:
         "classes": state.seen_classes(),
         "backbone_kind": "conv",
         "has_feature_stats": state.feature_stats is not None,
-        "backbone_config": dict({key: getattr(backbone.config, key) for key in _BACKBONE_KEYS},
-                                activation=_ACTIVATION),
+        "backbone_config": dict(dataclasses.asdict(backbone.config), activation=_ACTIVATION),
     }
     arrays: dict[str, np.ndarray] = {}
     for name, tensor in backbone.params.items():
@@ -184,16 +191,12 @@ def _backbone_config(meta: dict, path) -> ConvBackboneConfig:
     for a header ``save_checkpoint`` does not write."""
     if meta.get("backbone_kind") != "conv":
         raise ContainerError(f"unknown backbone kind {meta.get('backbone_kind')!r} in {path}")
-    cfg = meta.get("backbone_config")
-    keys = {*_BACKBONE_KEYS, "activation"}
-    if not isinstance(cfg, dict) or set(cfg) != keys:
-        raise ContainerError(f"backbone config in {path} does not have the keys {sorted(keys)}")
-    if cfg["activation"] != _ACTIVATION:
-        raise ContainerError(f"unknown activation {cfg['activation']!r} in {path}")
-    try:
-        return ConvBackboneConfig(**{key: cfg[key] for key in _BACKBONE_KEYS})
-    except (TypeError, ValueError) as err:
-        raise ContainerError(f"bad backbone config in {path}: {err}") from err
+    where = f"backbone config in {path}"
+    cfg = dict(read_json(meta.get("backbone_config"), dict, ContainerError, where))
+    activation = cfg.pop("activation", None)
+    if activation != _ACTIVATION:
+        raise ContainerError(f"unknown activation {activation!r} in {path}")
+    return read_json(cfg, ConvBackboneConfig, ContainerError, where)
 
 
 def load_checkpoint(path) -> ModelState:
@@ -204,9 +207,7 @@ def load_checkpoint(path) -> ModelState:
     if meta.get("temperature") != DEFAULT_TEMPERATURE:
         raise ContainerError(f"temperature {meta.get('temperature')!r} in {path} is not "
                              f"{DEFAULT_TEMPERATURE}")
-    classes = meta.get("classes")
-    if not isinstance(classes, list) or not all(type(c) is int for c in classes):
-        raise ContainerError(f"class list {classes!r} in {path} is not a list of ints")
+    classes = read_json(meta.get("classes"), list[int], ContainerError, f"class list in {path}")
     f, h, kt, d = cfg.filters, cfg.channels, cfg.temporal_kernel, cfg.feature_dim
     expected = {"backbone.temporal_w": (f, 1, 1, kt), "backbone.temporal_b": (f,),
                 "backbone.spatial_w": (f, f, h, 1), "backbone.spatial_b": (f,)}
@@ -262,55 +263,146 @@ def write_manifest_dataset(root, dataset: Dataset, split: str,
     return path
 
 
+# a dataset manifest and its entries, as write_manifest_dataset writes them
+class _ManifestEntry(NamedTuple):
+    file: str
+    class_id: int
+    subject_id: int = 0
+    split: str = ""
+    synthetic: bool = False
+
+
+class _Manifest(NamedTuple):
+    channels: int
+    timesteps: int
+    entries: list[_ManifestEntry]
+    version: int = 1
+    sample_rate: float = 1.0
+
+
 def read_manifest_dataset(manifest_path) -> Dataset:
     """The Dataset a manifest lists; ContainerError naming the manifest unless
-    it is a valid JSON object with int ``channels`` and ``timesteps`` of at
-    least 1 and an ``entries`` list whose every entry has a ``file`` and an
-    int ``class_id``."""
+    it is a JSON object that ``read_json`` reads as a ``_Manifest`` with
+    ``channels`` and ``timesteps`` of at least 1."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
-        raise ContainerError(f"manifest {manifest_path} is not valid JSON: {err}") from err
-    if not isinstance(manifest, dict):
-        raise ContainerError(f"manifest {manifest_path} is not a JSON object")
-    missing = [key for key in ("channels", "timesteps", "entries") if key not in manifest]
-    if missing:
-        raise ContainerError(f"manifest {manifest_path} lacks the keys {missing}")
-    h, w = manifest["channels"], manifest["timesteps"]
-    try:
-        check_count("channels", h, 1)
-        check_count("timesteps", w, 1)
-    except ValueError as err:
-        raise ContainerError(f"manifest {manifest_path}: {err}") from err
-    if not isinstance(manifest["entries"], list):
-        raise ContainerError(f"manifest {manifest_path} has entries that are not a list: "
-                             f"{manifest['entries']!r}")
+    where = f"manifest {manifest_path}"
+    manifest = read_json(load_json(manifest_path, ContainerError, where), _Manifest,
+                         ContainerError, where)
+    h, w = manifest.channels, manifest.timesteps
+    for name, value in (("channels", h), ("timesteps", w)):
+        if value < 1:
+            raise ContainerError(f"bad {where}: {name} must be >= 1, got {value}")
     xs, ys = [], []
-    for entry in manifest["entries"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) \
-                or type(entry.get("class_id")) is not int:
-            raise ContainerError(f"manifest {manifest_path} has an entry without a file "
-                                 f"or an int class_id: {entry!r}")
-        blob = (manifest_path.parent / entry["file"]).read_bytes()
+    for entry in manifest.entries:
+        blob = (manifest_path.parent / entry.file).read_bytes()
         arr = np.frombuffer(blob, dtype="<f4")
         if arr.size != h * w:
-            raise ContainerError(f"payload {entry['file']} has {arr.size} values, "
+            raise ContainerError(f"payload {entry.file} has {arr.size} values, "
                                  f"expected {h * w}")
         xs.append(arr.reshape(h, w).copy())
-        ys.append(int(entry["class_id"]))
+        ys.append(entry.class_id)
     if not xs:
         return Dataset(np.zeros((0, h, w), dtype=np.float32), np.zeros(0, dtype=np.int64))
     return Dataset(np.stack(xs), np.asarray(ys, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
-# report encoding
+# JSON encoding and typed reading
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def load_json(path, error: type[Exception], where: str):
+    """The JSON value in the file ``path``; ``error`` naming ``where`` unless
+    the file holds valid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise error(f"{where} is not valid JSON: {err}") from err
+
+
+def read_json(value, hint, error: type[Exception], where: str, base: dict | None = None):
+    """``value``, a parsed JSON value, read as the type ``hint``: ``int`` (not
+    a bool), ``float`` (an int stays an int), ``bool``, ``str``, ``None``, a
+    ``Literal``, ``list[T]``, ``tuple[T, ...]`` (from a list), ``dict`` or
+    ``dict[str, T]``, a union, or a record: a dataclass, NamedTuple or function
+    called with a JSON object, each key one of its fields (parameters) and read
+    as the field's annotation.  A field without a default must be a key,
+    unless it is in ``base``, keyword arguments that the keys override.
+
+    ``error`` ``bad <where>: ...`` names the path of the first part that does
+    not fit, such as ``entries[3].class_id``, or gives the TypeError or
+    ValueError the record raises, such as a range rule of ``__post_init__``.
+    """
+    try:
+        return _read(value, hint, "", base)
+    except ValueError as err:  # _read and _build raise nothing else
+        raise error(f"bad {where}: {err}") from None
+
+
+_SCALARS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+            type(None): "null"}
+
+
+def _describe(hint) -> str:
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(map(_describe, args))
+    if origin is typing.Literal:
+        return f"one of {list(args)}"
+    return "a list" if origin in (list, tuple) else _SCALARS.get(hint, "a JSON object")
+
+
+def _read(value, hint, path: str, base: dict | None = None):
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        for arg in args:
+            try:
+                return _read(value, arg, path)
+            except ValueError:
+                pass
+    elif origin is typing.Literal:
+        if any(type(value) is type(arg) and value == arg for arg in args):
+            return value
+    elif origin in (list, tuple):
+        if isinstance(value, list):
+            items = (_read(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+            return origin(items) if args else value
+    elif origin is dict:
+        if isinstance(value, dict):  # a JSON object's keys are strings
+            return {k: _read(v, args[1], f"{path}.{k}" if path else k)
+                    for k, v in value.items()} if args else value
+    elif hint in _SCALARS:  # a bool is an int to isinstance, never to a reader
+        if isinstance(value, (int, float) if hint is float else hint) and (
+                hint is bool or not isinstance(value, bool)):
+            return value
+    elif isinstance(value, dict):
+        return _build(value, hint, path, base or {})
+    subject = f"{path} must be" if path else "not"
+    raise ValueError(f"{subject} {_describe(hint)}, got {value!r:.80}")
+
+
+def _build(value: dict, target, path: str, base: dict):
+    """``target`` called with the JSON object ``value``'s fields over ``base``."""
+    at = f"{path}: " if path else ""
+    params = inspect.signature(target).parameters
+    unknown = sorted(set(value) - set(params))
+    if unknown:
+        raise ValueError(f"{at}unknown keys {unknown}; valid keys: {sorted(params)}")
+    missing = sorted(name for name, p in params.items()
+                     if p.default is p.empty and name not in value and name not in base)
+    if missing:
+        raise ValueError(f"{at}missing keys {missing}")
+    hints = typing.get_type_hints(target)
+    kwargs = dict(base, **{k: _read(v, hints[k], f"{path}.{k}" if path else k)
+                           for k, v in value.items()})
+    try:
+        return target(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{at}{err}") from err
 
 
 def file_sha256(path) -> str:

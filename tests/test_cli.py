@@ -4,17 +4,24 @@ Commands run in-process through main(argv); a module-scoped train-base run
 is shared by the downstream commands to keep the suite fast.
 """
 
+import dataclasses
+import inspect
 import json
 import os
 import re
+import typing
 
 import numpy as np
 import pytest
 
 from anchorinv import cli, evaluation
+from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
 from anchorinv.cli import (ABLATE_AXES, WORKERS_ENV, ConfigError, apply_seed,
                            load_config, main, resolve_preset, _resolve_workers)
-from anchorinv.presets import get_preset, with_synth_classes
+from anchorinv.data import desk_synth_spec
+from anchorinv.inversion import InversionConfig
+from anchorinv.model import BaseTrainConfig
+from anchorinv.presets import ExperimentPreset, get_preset, with_synth_classes
 from anchorinv.serialization import file_sha256
 
 
@@ -119,7 +126,7 @@ def test_resolve_preset_rejects_unknown_sections():
 
 
 @pytest.mark.parametrize("adaptation, message", [
-    ({"anchor_strategy": "best"}, "unknown strategy 'best'"),
+    ({"anchor_strategy": "best"}, "bad 'adaptation' config: anchor_strategy must be one of "),
     ({"anchor_strategy": "random_closest", "anchor_fraction": 0.0}, "anchor_fraction")],
     ids=["unknown-strategy", "zero-fraction"])
 def test_train_base_rejects_bad_anchor_settings_before_training(tmp_path, capsys, spy_engine,
@@ -158,7 +165,7 @@ def test_train_base_rejects_impossible_anchor_counts_before_training(tmp_path, c
 def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsys, spy_engine,
                                                                  layers):
     cfg = _small_config(finetune={"trainable_layers": layers})
-    _assert_train_base_refuses(cfg, "unknown finetune config keys ['trainable_layers']",
+    _assert_train_base_refuses(cfg, "bad 'finetune' config: unknown keys ['trainable_layers']",
                                tmp_path, capsys, spy_engine)
 
 
@@ -172,7 +179,8 @@ def test_train_base_rejects_bad_trainable_layers_before_training(tmp_path, capsy
     ({"shot": 3.9}, "bad 'shot' config: shot must be an integer, got 3.9"),
     ({"seed": 1.5}, "bad 'seed' config: master_seed must be an integer, got 1.5"),
     ({"way": True}, "bad 'way' config: way must be an integer, got True"),
-    ({"base_classes": [0, 1.5]}, "bad 'base_classes' config: base class must be an integer")],
+    ({"base_classes": [0, 1.5]},
+     "bad 'base_classes' config: base_classes[1] must be an integer, got 1.5")],
     ids=["base-classes-int", "iterations-string", "anchors-string", "zero-epochs",
          "float-iterations", "float-trials", "float-shot", "float-seed", "bool-way",
          "float-base-class"])
@@ -182,18 +190,92 @@ def test_train_base_rejects_bad_value_types_before_training(tmp_path, capsys, sp
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"methods": 5}, "'methods' must be a list of method names, got 5"),
-    ({"methods": "anchorinv"}, "'methods' must be a list of method names, got 'anchorinv'"),
-    ({"methods": ["protonet", 3]}, "'methods' must be a list of method names"),
-    ({"adaptation": 5}, "'adaptation' must be a JSON object, got 5"),
-    ({"adaptation": ["anchors_per_class"]}, "'adaptation' must be a JSON object"),
-    ({"finetune": 5}, "'finetune' must be a JSON object, got 5")],
+    ({"methods": 5}, "bad 'methods' config: methods must be a list, got 5"),
+    ({"methods": "anchorinv"}, "bad 'methods' config: methods must be a list, got 'anchorinv'"),
+    ({"methods": ["protonet", 3]}, "bad 'methods' config: methods[1] must be one of "),
+    ({"adaptation": 5}, "bad 'adaptation' config: not a JSON object, got 5"),
+    ({"adaptation": ["anchors_per_class"]}, "bad 'adaptation' config: not a JSON object"),
+    ({"finetune": 5}, "bad 'finetune' config: not a JSON object, got 5")],
     ids=["int-methods", "string-methods", "int-method", "int-adaptation", "list-adaptation",
          "int-finetune"])
 def test_train_base_rejects_a_malformed_section_before_training(tmp_path, capsys, spy_engine,
                                                                 extra, message):
     _assert_train_base_refuses({"preset": "desk", **extra}, message, tmp_path, capsys,
                                spy_engine)
+
+
+# the wrong-typed values in the config that the parent package let through
+@pytest.mark.parametrize("extra, message", [
+    ({"base_train": {"weighted_loss": "false"}},
+     "bad 'base_train' config: weighted_loss must be true or false, got 'false'"),
+    ({"finetune": {"prototype_init": "no"}},
+     "bad 'finetune' config: prototype_init must be true or false, got 'no'"),
+    ({"finetune": {"prototype_init": 0}},
+     "bad 'finetune' config: prototype_init must be true or false, got 0"),
+    ({"finetune": {"learning_rate": True}},
+     "bad 'finetune' config: learning_rate must be a number, got True"),
+    ({"finetune": {"seed": "5"}}, "bad 'finetune' config: seed must be an integer, got '5'"),
+    ({"inversion": {"seed": 1.5}}, "bad 'inversion' config: seed must be an integer, got 1.5"),
+    ({"base_train": {"seed": [1]}}, "bad 'base_train' config: seed must be an integer, got [1]"),
+    ({"inversion": {"learning_rate": True}},
+     "bad 'inversion' config: learning_rate must be a number, got True"),
+    ({"adaptation": {"anchor_fraction": "x"}},
+     "bad 'adaptation' config: anchor_fraction must be a number, got 'x'"),
+    ({"synth": {"base_frequency": True}},
+     "bad 'synth' config: base_frequency must be a number, got True")],
+    ids=["string-weighted-loss", "string-prototype-init", "int-prototype-init",
+         "bool-finetune-rate", "string-finetune-seed", "float-inversion-seed",
+         "list-base-seed", "bool-inversion-rate", "string-fraction", "bool-base-frequency"])
+def test_train_base_rejects_wrong_typed_settings_before_training(tmp_path, capsys, spy_engine,
+                                                                 extra, message):
+    _assert_train_base_refuses(_small_config(**extra), message, tmp_path, capsys, spy_engine)
+
+
+# one wrong-typed value of each JSON kind
+_WRONG_VALUES = {"bool": True, "float": 2.5, "string": "x", "list": [{}], "object": {}}
+
+
+def _config_fields():
+    """(section or None for the top level, key, annotation) of every key a
+    config sets: the fields of the four config dataclasses, each in its own
+    section; the top-level keys that set a preset field; and the keys of the
+    ``synth`` section, the parameters of ``desk_synth_spec``."""
+    sections = {"base_train": BaseTrainConfig, "finetune": FinetuneConfig,
+                "inversion": InversionConfig, "adaptation": AdaptationConfig}
+    for section, cls in sections.items():
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            yield section, field.name, hints[field.name]
+    hints = typing.get_type_hints(ExperimentPreset)
+    for key, field in cli._PRESET_KEYS.items():
+        yield None, key, hints[field]
+    hints = typing.get_type_hints(desk_synth_spec)
+    for name in inspect.signature(desk_synth_spec).parameters:
+        yield "synth", name, hints[name]
+
+
+_CONFIG_FIELDS = list(_config_fields())
+
+
+@pytest.mark.parametrize("section, key, hint", _CONFIG_FIELDS,
+                         ids=[f"{section or 'top'}.{key}" for section, key, _ in _CONFIG_FIELDS])
+def test_every_config_field_refuses_each_wrong_kind_before_training(tmp_path, capsys,
+                                                                    spy_engine, section, key,
+                                                                    hint):
+    """A field added later is covered by itself: each wrong kind of value
+    fails with an error that names the key, before base training."""
+    trainings = spy_engine("train_base", module=cli)
+    for kind, value in _WRONG_VALUES.items():
+        if (kind, hint) in (("float", float), ("bool", bool)):
+            continue
+        cfg = {"preset": "desk", **({key: value} if section is None
+                                    else {section: {key: value}})}
+        config = _write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "out"
+        assert main(["train-base", "--config", config, "--out", str(out)]) == 1, (kind, cfg)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, (kind, err)
+        assert trainings == [] and not out.exists()
 
 
 @pytest.mark.parametrize("synth, message", [
@@ -203,9 +285,11 @@ def test_train_base_rejects_a_malformed_section_before_training(tmp_path, capsys
     ({"test_per_class": -1}, "test_per_class must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"channels": 4.0}, "channels must be an integer, got 4.0"),
-    ({"timesteps": True}, "timesteps must be an integer, got True")],
+    ({"timesteps": True}, "timesteps must be an integer, got True"),
+    ({"preset": "bci"}, "unknown keys ['preset']"),
+    ({"num_classes": None}, "num_classes must be an integer, got None")],
     ids=["float-classes", "zero-classes", "float-train", "negative-test", "float-seed",
-         "float-channels", "bool-timesteps"])
+         "float-channels", "bool-timesteps", "preset-key", "null-classes"])
 def test_synth_section_counts_are_checked(synth, message):
     with pytest.raises(ConfigError, match=re.escape(f"bad 'synth' config: {message}")):
         resolve_preset({"preset": "desk", "synth": synth})
@@ -427,8 +511,58 @@ def test_sections_that_are_not_objects_are_refused_before_staging(tmp_path, caps
     config = _write_config(tmp_path / "config.json", _small_config(**extra))
     out = tmp_path / "out"
     assert main([verb[0], "--config", config, "--out", str(out)] + verb[1:]) == 1
-    assert capsys.readouterr().err == f"error: '{key}' must be a JSON object, got {value!r}\n"
+    assert capsys.readouterr().err == f"error: bad '{key}' config: not a JSON object, got {value!r}\n"
     assert not (out / "quarantine").exists() and not (out / ".staging").exists()
+
+
+@pytest.mark.parametrize("verb, extra, message", [
+    ("run", {"checkpoint": 5}, "bad 'checkpoint' config: not a string, got 5"),
+    ("run", {"checkpoint": "c.bin", "anchors": ["a.bin"]},
+     "bad 'anchors' config: not a string, got ['a.bin']"),
+    ("train-base", {"manifest": {"train": 1, "test": "t.json"}},
+     "bad 'manifest' config: train must be a string, got 1"),
+    ("train-base", {"manifest": {"train": "t.json", "test": None}},
+     "bad 'manifest' config: test must be a string, got None"),
+    ("train-base", {"manifest": {"train": "t.json"}},
+     "bad 'manifest' config: missing keys ['test']"),
+    ("train-base", {"preset": ["desk"]},
+     "bad 'preset' config: not one of ['desk', 'bci', 'nhie', 'grabmyo'], got ['desk']"),
+    ("train-base", {"preset": "x"},
+     "bad 'preset' config: not one of ['desk', 'bci', 'nhie', 'grabmyo'], got 'x'")],
+    ids=["int-checkpoint", "list-anchors", "int-train-manifest", "null-test-manifest",
+         "no-test-manifest", "list-preset", "unknown-preset"])
+def test_wrong_typed_input_keys_are_refused_before_staging(tmp_path, capsys, verb, extra,
+                                                          message):
+    """A path key that is not a string fails with an error naming it, before
+    any output directory exists."""
+    config = _write_config(tmp_path / "config.json", _small_config(**extra))
+    out = tmp_path / "out"
+    assert main([verb, "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("shots", [5, 2.7], "shot must be an integer, got 2.7"),
+    ("shots", [True], "shot must be an integer, got True"),
+    ("base-classes", [2.7], "base-class count must be an integer, got 2.7"),
+    ("anchors", ["5"], "anchors_per_class must be an integer, got '5'"),
+    ("anchors", [3.9], "anchors_per_class must be an integer, got 3.9"),
+    ("strategy", [{"name": "random_closest", "fraction": True}], "not a number, got True")],
+    ids=["float-shots", "bool-shots", "float-base-classes", "string-anchors", "float-anchors",
+         "bool-fraction"])
+def test_ablate_refuses_a_wrong_typed_axis_value_before_training(tmp_path, capsys, spy_engine,
+                                                                 axis, values, message):
+    """No axis value is truncated: each one that is not of its setting's type
+    fails before the first value trains."""
+    trainings = spy_engine("train_base", module=evaluation)
+    cfg = _small_config(ablate={axis: values, "unseen": 2})
+    config = _write_config(tmp_path / "ablate.json", cfg)
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", config, "--out", str(out), "--axis", axis]) == 1
+    assert trainings == []
+    assert not (out / "ablate.json").exists()
+    assert message in capsys.readouterr().err
 
 
 def test_ablate_axis_validation(trained, tmp_path, capsys):
@@ -520,14 +654,15 @@ def test_render_report_reads_a_hand_written_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload, message", [
-    ({"methods": ["a"]}, "a report needs exactly the keys"),
-    ([1, 2], "a report needs exactly the keys"),
-    (dict(_REPORT, methods=5), "report field 'methods' must be list[str], got 5"),
-    (dict(_REPORT, num_sessions="2"), "report field 'num_sessions' must be int, got '2'"),
-    (dict(_REPORT, scores=[]), "report field 'scores' must be dict["),
-    (dict(_REPORT, scores={"protonet": {"all": [80.0]}}), "report field 'scores' must be"),
-    (dict(_REPORT, p_values=3), "report field 'p_values' must be dict[str, list[float | None]]"),
-    (dict(_REPORT, trials=True), "report field 'trials' must be int, got True"),
+    ({"methods": ["a"]}, "bad report: missing keys ['base_classes', "),
+    ([1, 2], "bad report: not a JSON object, got [1, 2]"),
+    (dict(_REPORT, methods=5), "bad report: methods must be a list, got 5"),
+    (dict(_REPORT, num_sessions="2"), "bad report: num_sessions must be an integer, got '2'"),
+    (dict(_REPORT, scores=[]), "bad report: scores must be a JSON object, got []"),
+    (dict(_REPORT, scores={"protonet": {"all": [80.0]}}),
+     "bad report: scores.protonet.all[0] must be a list, got 80.0"),
+    (dict(_REPORT, p_values=3), "bad report: p_values must be a JSON object, got 3"),
+    (dict(_REPORT, trials=True), "bad report: trials must be an integer, got True"),
     (dict(_REPORT, num_sessions=2), "report field 'session_classes' must have num_sessions"),
     (dict(_REPORT, base_session={"base": 90.0}),
      "report field 'base_session' must have the keys 'all' and 'base'"),
@@ -543,12 +678,15 @@ def test_render_report_reads_a_hand_written_report(tmp_path, capsys):
     (dict(_REPORT, methods=["protonet", "finetune"], p_values={"protonet|finetune": []}),
      "report field 'scores' must give method 'finetune'"),
     (dict(_REPORT, p_values={"protonet|finetune": [0.5, 0.5]}),
-     "report field 'p_values' must give 'protonet|finetune' num_sessions = 1 items")],
+     "report field 'p_values' must give 'protonet|finetune' num_sessions = 1 items"),
+    (dict(_REPORT, methods=[]), "report field 'methods' must name at least one method"),
+    (dict(_REPORT, methods=["dreambooth"]),
+     "bad report: methods[0] must be one of ['anchorinv', ")],
     ids=["missing-keys", "list", "int-methods", "string-sessions", "list-scores",
          "flat-scores", "int-p-values", "bool-trials", "short-session-classes",
          "base-session-without-all", "method-without-scores", "scores-without-incremental",
          "too-few-score-rows", "too-few-trials", "too-many-trials", "second-method-missing",
-         "long-p-values"])
+         "long-p-values", "no-methods", "unknown-method"])
 def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))

@@ -345,7 +345,7 @@ def test_trial_report_round_trip():
         == summarize(report.scores["finetune"]["all"][0])
     missing = {k: v for k, v in payload.items() if k != "p_values"}
     for bad in (missing, dict(payload, extra=1)):
-        with pytest.raises(ValueError, match="exactly the keys"):
+        with pytest.raises(ValueError, match="bad report: (missing|unknown) keys"):
             TrialReport.from_dict(bad)
 
 

@@ -44,6 +44,11 @@ scores, TEEN's calibration and the ``closest`` anchor ranking all run its
 The ``_im2col`` block budget ``_IM2COL_BLOCK_BYTES`` is read in one place,
 ``autodiff._block_samples``, which every blocked conv and the rule by which
 ``ConvBackbone.conv_input`` picks the columns ask for their block size.
+
+JSON text is parsed in two places: ``serialization.load_json``, the entry
+point of the typed reader, and ``read_container``, for a container's binary
+header.  No other function calls ``json.loads`` or ``json.load``, so a new
+JSON input cannot skip ``read_json``.
 """
 
 import ast
@@ -70,6 +75,8 @@ FLAG_SETTER = PACKAGE / "optim.py"
 ENGINE = PACKAGE / "autodiff.py"
 BLOCK_BUDGET = "_IM2COL_BLOCK_BYTES"
 BLOCK_HELPER = "_block_samples"
+# the only functions that may parse JSON text: (module, top-level function)
+JSON_PARSERS = {("serialization.py", "load_json"), ("serialization.py", "read_container")}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -233,6 +240,21 @@ def block_budget_reads(tree: ast.Module) -> list[int]:
         or (isinstance(node, ast.Attribute) and node.attr == BLOCK_BUDGET)))
 
 
+def json_loads_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing top-level definition, or "" at module level, line) of each
+    call of ``json.loads``, ``json.load`` or a bare ``loads``."""
+    calls = []
+    for top in tree.body:
+        name = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    _is_name(node.func, "loads") or (isinstance(node.func, ast.Attribute)
+                                                     and node.func.attr in ("load", "loads")
+                                                     and _is_name(node.func.value, "json"))):
+                calls.append((name, node.lineno))
+    return calls
+
+
 def test_package_modules_found():
     assert PACKAGE / "__init__.py" in MODULES
     assert len(MODULES) > 10
@@ -287,6 +309,13 @@ def test_tensors_rest_frozen_and_only_minimize_trains(path):
 def test_no_vjp_keeps_a_parent_tensor():
     lines = captured_tensor_lines(_parse(ENGINE))
     assert not lines, f"autodiff.py: a nested function names a Tensor parameter at lines {lines}"
+
+
+def test_only_the_reader_parses_json():
+    calls = [(path.name, name, line) for path in MODULES
+             for name, line in json_loads_calls(_parse(path))
+             if (path.name, name) not in JSON_PARSERS]
+    assert not calls, f"JSON parsed outside load_json and read_container: {calls}"
 
 
 def test_no_definition_is_test_only():
@@ -353,6 +382,13 @@ def test_scanner_flags_what_it_should():
         "    def backward_fn(g):\n        return rows, w\n"
         "    def shape_of(x):\n        return bias.shape\n"
         "    return rows\n")) == [8, 9, 12, 14]
+    assert json_loads_calls(ast.parse(
+        "import json\nfrom json import loads\ncfg = json.loads(text)\n"
+        "def load_json(path):\n    return json.loads(path.read_text())\n"
+        "class Report:\n    def read(self, s):\n        return loads(s)\n"
+        "def dump(obj):\n    return json.dumps(obj), ujson.loads(s), self.loads(s)\n"
+        "def read(fh):\n    return json.load(fh)\n")) == [
+        ("", 3), ("load_json", 5), ("Report", 8), ("read", 12)]
     assert block_budget_reads(ast.parse(
         "_IM2COL_BLOCK_BYTES = 16\n"
         "def _block_samples(b):\n    return _IM2COL_BLOCK_BYTES // b\n"

@@ -3,6 +3,7 @@ checkpoints, dataset manifests, and canonical JSON helpers."""
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -209,10 +210,12 @@ def test_checkpoint_format_is_unchanged(tmp_path):
     lambda meta: meta["backbone_config"].update(filters=0),
     lambda meta: meta["backbone_config"].update(filters="8"),
     lambda meta: meta.update(temperature=1.0),
-    lambda meta: meta.update(classes=["0", "3"])],
+    lambda meta: meta.update(classes=["0", "3"]),
+    lambda meta: meta["backbone_config"].update(channels=4.0),
+    lambda meta: meta["backbone_config"].update(temporal_stride=True)],
     ids=["identity-kind", "linear-kind", "unknown-kind", "extra-key", "missing-key",
          "identity-activation", "zero-filters", "string-filters", "temperature",
-         "string-classes"])
+         "string-classes", "float-channels", "bool-stride"])
 def test_load_checkpoint_rejects_a_malformed_header(tmp_path, patch):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _desk_state())
@@ -293,15 +296,24 @@ def test_manifest_size_mismatch(tmp_path):
     (lambda manifest: dict(manifest, channels=2.9), "channels must be an integer"),
     (lambda manifest: dict(manifest, channels=True, timesteps=6), "channels must be an integer"),
     (lambda manifest: dict(manifest, timesteps=0), "timesteps must be >= 1"),
-    (lambda manifest: dict(manifest, entries=[{"class_id": 0}]), "without a file"),
-    (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32"}]), "int class_id"),
+    (lambda manifest: dict(manifest, entries=[{"class_id": 0}]),
+     re.escape("entries[0]: missing keys ['file']")),
+    (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32"}]),
+     re.escape("entries[0]: missing keys ['class_id']")),
     (lambda manifest: dict(manifest, entries=[{"file": "train_00000.f32", "class_id": 1.5}]),
-     "int class_id"),
+     re.escape("entries[0].class_id must be an integer, got 1.5")),
     (lambda manifest: json.dumps(manifest)[:-1], "not valid JSON"),
-    (lambda manifest: dict(manifest, entries=5), "entries that are not a list: 5")],
+    (lambda manifest: dict(manifest, entries=5), "entries must be a list, got 5"),
+    (lambda manifest: dict(manifest, sample_rate="1.0"), "sample_rate must be a number, got '1.0'"),
+    (lambda manifest: dict(manifest, comment="hand-made"), re.escape("unknown keys ['comment']")),
+    (lambda manifest: dict(manifest, entries=[dict(manifest["entries"][0], synthetic="no")]),
+     re.escape("entries[0].synthetic must be true or false, got 'no'")),
+    (lambda manifest: dict(manifest, entries=[dict(manifest["entries"][0], subject_id=0.5)]),
+     re.escape("entries[0].subject_id must be an integer, got 0.5"))],
     ids=["list-root", "no-channels", "no-timesteps", "no-entries", "float-channels",
          "bool-channels", "zero-timesteps", "no-file", "no-class", "float-class",
-         "invalid-json", "int-entries"])
+         "invalid-json", "int-entries", "string-sample-rate", "unknown-key",
+         "string-synthetic", "float-subject"])
 def test_manifest_malformed_is_a_container_error_naming_it(tmp_path, patch, match):
     x = np.zeros((1, 2, 3), dtype=np.float32)
     path = write_manifest_dataset(tmp_path, Dataset(x, np.array([0])), "train")
