@@ -72,8 +72,8 @@ def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file '{path}' does not exist")
-    cfg = read_json(load_json(path, ConfigError, f"config '{path}'"), dict, ConfigError,
-                    f"config '{path}'")
+    where = f"config '{path}'"
+    cfg = read_json(load_json(path, ConfigError, where), dict, ConfigError, where)
     unknown = sorted(set(cfg) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
