@@ -29,7 +29,7 @@ from .autodiff import Tensor
 from .anchors import (STRATEGIES, AnchorSet, Strategy, incremental_anchors, project_features,
                       select_anchors)
 from .data import Dataset
-from .inversion import InversionConfig, ReplaySet, invert_set, label_space_invert_batch
+from .inversion import InversionConfig, invert_set, label_space_invert_batch
 from .model import ModelState, check_count, embed_batch, head_loss, prototype_of
 from .optim import minimize
 from .seeds import derive_seed, make_rng
@@ -102,26 +102,23 @@ class AdaptationConfig:
 # composite loss
 
 
-def replay_batch(replay, new: Dataset | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def replay_batch(replay: Dataset | None,
+                 new: Dataset | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """The joint batch of a finetune session: samples ``x`` as one float32
     Tensor, labels ``y`` and per-sample loss weights ``w``, new set first.
 
-    ``replay`` may be a ReplaySet, a Dataset (real replay), or None/empty
-    (the replay term is then defined as zero).  Each sample of a set of N
-    weighs -1/N: negated, so that the weighted sum of log-probabilities is
-    the loss.
+    The replay term of a ``replay`` that is None or empty is zero; a replay
+    that is not a Dataset is a TypeError.  Each sample of a set of N weighs
+    -1/N: negated, so that the weighted sum of log-probabilities is the loss.
     """
-    replay_x, replay_y = _replay_arrays(replay)
-    parts = []  # (samples, labels)
-    if new is not None and len(new) > 0:
-        parts.append((new.x, new.y))
-    if replay_x is not None and replay_x.shape[0] > 0:
-        parts.append((replay_x, replay_y))
+    if replay is not None and not isinstance(replay, Dataset):
+        raise TypeError(f"replay must be a Dataset or None, got {type(replay).__name__}")
+    parts = [d for d in (new, replay) if d is not None and len(d) > 0]
     if not parts:
         raise ValueError("both the new set and the replay set are empty")
-    x = np.concatenate([np.asarray(xs, np.float32) for xs, _ in parts])
-    y = np.concatenate([np.asarray(ys) for _, ys in parts])
-    w = np.concatenate([np.full(len(ys), -1.0 / len(ys)) for _, ys in parts])
+    x = np.concatenate([d.x for d in parts])
+    y = np.concatenate([d.y for d in parts])
+    w = np.concatenate([np.full(len(d), -1.0 / len(d)) for d in parts])
     return Tensor(x), y, w
 
 
@@ -131,16 +128,6 @@ def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -
     of ``x``'s ``conv_input``: the batch is embedded as one, and each
     sample's log-probability of its true class is weighted by its ``w``."""
     return head_loss(state, embed_batch(state, x), y, w)
-
-
-def _replay_arrays(replay) -> tuple[np.ndarray | None, np.ndarray | None]:
-    if replay is None:
-        return None, None
-    if isinstance(replay, ReplaySet):
-        return replay.samples, replay.labels
-    if isinstance(replay, Dataset):
-        return replay.x, replay.y
-    raise TypeError(f"unsupported replay object {type(replay)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +162,17 @@ def random_new_class_weights(state: ModelState, class_ids: Sequence[int],
 # finetuning with the freezing contract
 
 
-def finetune_session(state: ModelState, replay, new: Dataset,
+def finetune_session(state: ModelState, replay: Dataset | None, new: Dataset,
                      config: FinetuneConfig,
                      loss_log: list[float] | None = None) -> ModelState:
     """Clone the state, register the session's new classes, and run full-batch
-    Adam on the composite loss over the backbone's ``FINETUNED`` parameters
-    and the new class weights only.
+    Adam on the composite loss of ``replay_batch(replay, new)`` over the
+    backbone's ``FINETUNED`` parameters and the new class weights only.
 
     Returns the adapted clone.  Frozen tensors are checksummed before and
     after; any drift raises ``FreezingViolation``.
     """
+    x, y, w = replay_batch(replay, new)  # a replay of another type fails before the clone
     out = state.clone()
     prior_classes = set(out.seen_classes())
     new_classes = [c for c in new.classes() if c not in prior_classes]
@@ -204,7 +192,6 @@ def finetune_session(state: ModelState, replay, new: Dataset,
     if config.iterations == 0:
         return out
 
-    x, y, w = replay_batch(replay, new)
     conv_input = out.backbone.conv_input(x, trainable)  # every iteration embeds x
 
     def loss_fn(i: int) -> Tensor:
@@ -324,7 +311,8 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
         elif method == "anchorinv":
             inv_cfg = replace(config.inversion, seed=session_seed)
             replay = invert_set(state, memory, inv_cfg)
-            state = finetune_session(state, replay, new, config.finetune)
+            state = finetune_session(state, Dataset(replay.samples, replay.labels), new,
+                                     config.finetune)
             feats = project_features(state, new, session=t)
             memory = memory.append(incremental_anchors(feats))
         elif method in ("deepdream", "deepinv"):

@@ -17,10 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
-from .model import ModelState, embed_batch, _exact_mean
+from .model import ModelState, check_count, embed_batch, _exact_mean
 from .seeds import make_rng
 from .serialization import (KIND_ANCHORS, ContainerError, check_arrays, read_container,
-                            write_container)
+                            read_json, write_container)
 
 __all__ = [
     "FeatureSet",
@@ -282,22 +282,24 @@ def save_anchor_set(path, anchors: AnchorSet) -> None:
     write_container(path, KIND_ANCHORS, meta, arrays)
 
 
+def _header(strategy: Strategy, per_class: int, dim: int) -> tuple[Strategy, int, int]:
+    """The JSON header of an anchor store, a record for ``read_json``."""
+    check_count("dim", dim, 1)
+    return strategy, per_class, dim
+
+
 def load_anchor_set(path, expected_dim: int | None = None) -> AnchorSet:
     """The AnchorSet ``save_anchor_set`` wrote; ContainerError for a header
-    whose ``strategy`` is not in ``STRATEGIES``, whose ``per_class`` is not an
-    int or whose ``dim`` is not an int >= 1, for a missing, extra or wrongly
-    shaped array, or a dimension other than ``expected_dim``."""
+    that ``read_json`` does not read as a ``_header``, for a missing, extra or
+    wrongly shaped array, or a dimension other than ``expected_dim``."""
     meta, arrays = read_container(path, expect_kind=KIND_ANCHORS)
-    per_class, dim = meta.get("per_class"), meta.get("dim")
-    if (meta.get("strategy") not in STRATEGIES or type(per_class) is not int
-            or type(dim) is not int or dim < 1):
-        raise ContainerError(f"bad anchor store header in {path}: strategy "
-                             f"{meta.get('strategy')!r}, per_class {per_class!r}, dim {dim!r}")
+    strategy, per_class, dim = read_json(meta, _header, ContainerError,
+                                         f"anchor store header in {path}")
     j = arrays["vectors"].shape[:1] if "vectors" in arrays else ()
     check_arrays(arrays, {"vectors": ((*j, dim), np.float32),
                           "labels": (j, np.int64), "sessions": (j, np.int64)}, path)
     anchors = AnchorSet(vectors=arrays["vectors"], labels=arrays["labels"],
-                        sessions=arrays["sessions"], strategy=meta["strategy"],
+                        sessions=arrays["sessions"], strategy=strategy,
                         per_class=per_class)
     if expected_dim is not None and anchors.dim != expected_dim:
         raise ContainerError(f"anchor dimension {anchors.dim} != model dimension "

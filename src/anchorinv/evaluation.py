@@ -253,6 +253,11 @@ class TrialReport:
             if len(per_session) != sessions:
                 raise ValueError(f"report field 'p_values' must give '{pair}' num_sessions = "
                                  f"{sessions} items, got {len(per_session)}")
+        pairs = [f"{a}|{b}" for a, b in itertools.combinations(report.methods, 2)]
+        for field, keys in (("scores", report.methods), ("p_values", pairs)):
+            if sorted(getattr(report, field)) != sorted(keys):
+                raise ValueError(f"report field '{field}' must have exactly the keys {keys}, "
+                                 f"got {sorted(getattr(report, field))}")
         return report
 
 

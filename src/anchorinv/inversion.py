@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .anchors import AnchorSet
-from .model import (ModelState, check_count, embed_batch, head_loss, label_columns,
-                    scores_graph)
+from .data import Dataset
+from .model import ModelState, check_count, embed_batch, head_loss
 from .optim import minimize
 from .seeds import make_rng
 
@@ -61,8 +61,8 @@ class InversionConfig:
 
 @dataclass
 class ReplaySet:
-    """Synthetic samples with labels, source sessions, and the final
-    per-sample objective (feature MAE in anchor mode, CE in label mode)."""
+    """The samples of an anchor inversion with their labels, source sessions
+    and final per-sample feature MAE."""
 
     samples: np.ndarray       # (J, H, W) float32
     labels: np.ndarray        # (J,) int64
@@ -180,20 +180,18 @@ def feature_stat_penalty(state: ModelState, batch: Tensor) -> Tensor:
 
 
 def label_space_invert_batch(state: ModelState, labels: Sequence[int],
-                             config: InversionConfig, regularized: bool) -> ReplaySet:
-    """Synthesize one sample per requested label by minimizing the summed
-    cross-entropy toward that label, jointly over the batch.  With
-    ``regularized`` the l2 norm, the total variation and the feature-statistics
-    penalty of the batch are added, each weighted so that at iteration 0 it
-    equals the cross-entropy's magnitude; a term that is then below 1e-12 is
-    dropped."""
+                             config: InversionConfig, regularized: bool) -> Dataset:
+    """The Dataset of one sample per requested label, in order, synthesized
+    by minimizing the summed cross-entropy toward each label, jointly over
+    the batch.  With ``regularized`` the l2 norm, the total variation and the
+    feature-statistics penalty of the batch are added, each weighted so that
+    at iteration 0 it equals the cross-entropy's magnitude; a term that is
+    then below 1e-12 is dropped."""
     cfg = state.backbone.config
-    labels = [int(c) for c in labels]
-    if not labels:
-        return ReplaySet.empty(cfg.channels, cfg.timesteps)
-    cols = label_columns(labels, state.seen_classes())
-    label_arr = np.asarray(labels, dtype=np.int64)
-    j = len(labels)
+    labels = np.asarray([int(c) for c in labels], dtype=np.int64)
+    j = labels.size
+    if j == 0:
+        return Dataset(np.zeros((0, cfg.channels, cfg.timesteps)), labels)
 
     init = _init_batch(j, cfg.channels, cfg.timesteps, config.seed)
     x = Tensor(init.copy())
@@ -206,7 +204,7 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
 
     def loss_fn(i: int) -> Tensor:
         # summed, not averaged, over the batch: weight -1 per sample
-        loss = head_loss(state, embed_batch(state, x), label_arr, np.full(j, -1.0))
+        loss = head_loss(state, embed_batch(state, x), labels, np.full(j, -1.0))
         terms = {key: term() for key, term in regularizers.items() if weights[key] > 0}
         if i == 0:
             ce0 = abs(loss.item())
@@ -221,7 +219,4 @@ def label_space_invert_batch(state: ModelState, labels: Sequence[int],
     minimize([x], loss_fn, config.iterations, config.learning_rate,
              frozen=state.all_parameters().values())
     _raise_if_stalled(init, x.data)
-    scores = scores_graph(state, embed_batch(state, Tensor(x.data))).data
-    final_ce = -np.log(np.maximum(scores[np.arange(j), cols], 1e-300)).astype(np.float64)
-    return ReplaySet(samples=x.data.copy(), labels=label_arr,
-                     sessions=np.zeros(j, dtype=np.int64), feature_mae=final_ce)
+    return Dataset(x.data, labels)

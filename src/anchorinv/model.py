@@ -30,7 +30,6 @@ __all__ = [
     "ModelState",
     "TrainingDivergedError",
     "scores_batch",
-    "scores_graph",
     "predict_batch",
     "embed_batch",
     "compute_prototypes",
@@ -325,20 +324,14 @@ class ModelState:
 
 
 def scores_batch(state: ModelState, feats: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities for a feature batch (N, D) -> (N, K): the
-    nodes of ``scores_graph``, run in float64."""
+    """Softmax class probabilities for a feature batch (N, D) -> (N, K) over
+    the seen classes: the engine's cosine and softmax nodes, run in float64."""
     weights = state.weight_matrix().data.astype(np.float64)  # no classes: ValueError
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != state.feature_dim:
         raise ShapeError(f"expected features (N, {state.feature_dim}), got {feats.shape}")
     sim = ad.cosine_similarity_matrix(Tensor(feats), Tensor(weights))
     return ad.softmax_with_temperature(sim, DEFAULT_TEMPERATURE).data
-
-
-def scores_graph(state: ModelState, feats: Tensor) -> Tensor:
-    """Differentiable class probabilities (N, K) over the seen classes."""
-    sim = ad.cosine_similarity_matrix(feats, state.weight_matrix())
-    return ad.softmax_with_temperature(sim, DEFAULT_TEMPERATURE)
 
 
 def embed_batch(state: ModelState, x) -> Tensor:
@@ -425,7 +418,7 @@ def label_columns(labels: np.ndarray, class_order: Sequence[int]) -> np.ndarray:
 def head_loss(state: ModelState, feats: Tensor, labels: np.ndarray,
               weights: np.ndarray | None = None) -> Tensor:
     """The classifier's loss over the feature batch ``feats`` (N, D): the mean
-    negative log-probability of each label's class under ``scores_graph``, or
+    negative log-probability of each label's class under ``scores_batch``, or
     with ``weights`` (N,) the weighted sum of the log-probabilities, the
     weights carrying the sign and the normalisation.  One ``ad.cosine_nll``
     node over the class weights in ``seen_classes`` order."""

@@ -206,9 +206,11 @@ def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
 
     Takes the keys of a config's ``synth`` section, the parameters of
     ``desk_synth_spec``, read by ``read_json``; a key left out (or a
-    positional ``num_classes`` of None) keeps the preset's own value.  ConfigError (a ValueError) for a preset that is not
-    synthetic or a key ``read_json`` refuses.  Callers adjust way and base
-    classes as needed.
+    positional ``num_classes`` of None) keeps the preset's own value, and
+    ``channels`` and ``timesteps`` are the backbone's.  ConfigError (a
+    ValueError) for a preset that is not synthetic, a key ``read_json``
+    refuses, or a geometry the backbone cannot read.  Callers adjust way and
+    base classes as needed.
     """
     if preset.synth is None:
         raise ConfigError(f"preset '{preset.name}' is not synthetic; "
@@ -218,12 +220,17 @@ def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None,
     # ladder needs a positive one, so fall back to 1.0
     step = (spec.classes[1].frequency - spec.classes[0].frequency
             if len(spec.classes) > 1 else 1.0)
-    current = {key: getattr(spec, key) for key in ("train_per_class", "test_per_class",
-                                                   "channels", "timesteps", "seed")}
-    current.update(num_classes=len(spec.classes), noise_sigma=spec.classes[0].noise_sigma,
+    backbone = preset.backbone_config
+    current = {key: getattr(spec, key) for key in ("train_per_class", "test_per_class", "seed")}
+    current.update(channels=backbone.channels, timesteps=backbone.timesteps,
+                   num_classes=len(spec.classes), noise_sigma=spec.classes[0].noise_sigma,
                    base_frequency=spec.classes[0].frequency,
                    frequency_step=step if step > 0 else 1.0)
     if num_classes is not None:
         overrides["num_classes"] = num_classes
     synth = read_json(overrides, desk_synth_spec, ConfigError, "'synth' config", current)
+    for key in ("channels", "timesteps"):
+        if getattr(synth, key) != getattr(backbone, key):
+            raise ConfigError(f"bad 'synth' config: {key} must be the '{backbone.name}' "
+                              f"backbone's {getattr(backbone, key)}, got {getattr(synth, key)}")
     return replace(preset, num_classes=len(synth.classes), synth=synth)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import anchorinv.autodiff as ad
-from anchorinv import (AnchorSet, InversionConfig, ModelState, ReplaySet, Tensor, TrialPlan,
+from anchorinv import (AnchorSet, InversionConfig, ModelState, Tensor, TrialPlan,
                        finetune_session, get_preset, invert_set, macro_f1, materialize_synth,
                        predict_batch, run_trials, sample_trial_sets, segment, sweep,
                        train_base, wilcoxon_signed_rank, with_synth_classes)
@@ -326,8 +326,7 @@ def test_04_frozen_tensors_unchanged_across_20_seeded_finetunes(desk):
     before_weights = {c: _sha(state.class_weights[c])
                       for c in state.seen_classes()}
     base = split.base
-    replay = ReplaySet(base.x[:20], base.y[:20],
-                       np.zeros(20, dtype=np.int64), np.zeros(20))
+    replay = base.subset(np.arange(20))
     for i in range(20):
         few = sample_trial_sets(split, 9000 + i)[0]
         cfg = replace(preset.adaptation.finetune, seed=9000 + i)

@@ -58,15 +58,13 @@ def _dataset(rows, labels):
 def test_composite_loss_hand_oracle():
     state = _two_class_state()
     new = _dataset([[1.0, 0.0]], [0])       # cos sims (1, 0) -> CE toward 0
-    replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
-                       np.array([1]), np.array([0]), np.zeros(1))
+    replay = _dataset([[0.0, 1.0]], [1])
     ce_new = _softmax_ce([1.0, 0.0], DEFAULT_TEMPERATURE, 0)
     ce_replay = _softmax_ce([0.0, 1.0], DEFAULT_TEMPERATURE, 1)
     got = composite_loss(state, *replay_batch(replay, new)).item()
     assert got == pytest.approx(ce_new + ce_replay, rel=1e-5)
     # the two sets weigh the same: a replay of two copies gives the same loss
-    doubled = ReplaySet(np.concatenate([replay.samples] * 2), np.array([1, 1]),
-                        np.zeros(2), np.zeros(2))
+    doubled = _dataset([[0.0, 1.0]] * 2, [1, 1])
     assert composite_loss(state, *replay_batch(doubled, new)).item() \
         == pytest.approx(got, rel=1e-6)
 
@@ -78,8 +76,7 @@ def test_composite_loss_is_one_loss_node(spy_engine):
                        "softmax_with_temperature", "log", "take_per_row", "mul", "tensor_sum")
     state = _two_class_state()
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
-                       np.array([1]), np.array([0]), np.zeros(1))
+    replay = _dataset([[0.0, 1.0]], [1])
     composite_loss(state, *replay_batch(replay, new))
     assert calls == ["cosine_nll"]
 
@@ -88,21 +85,23 @@ def test_composite_loss_replay_conventions():
     state = _two_class_state()
     new = _dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     base = composite_loss(state, *replay_batch(None, new)).item()
-    empty = ReplaySet.empty(1, 2)
+    empty = _dataset(np.zeros((0, 2)), [])
     assert composite_loss(state, *replay_batch(empty, new)).item() == base
-    # a Dataset works as real replay and matches the equivalent ReplaySet
+    # an anchor inversion's samples reach finetuning as a Dataset, the one
+    # replay type: the ReplaySet itself is refused
     rows = np.asarray([[[0.0, 1.0]]], dtype=np.float32)
     as_set = ReplaySet(rows, np.array([1]), np.zeros(1), np.zeros(1))
     as_data = Dataset(rows, np.array([1], dtype=np.int64))
-    a = composite_loss(state, *replay_batch(as_set, new)).item()
+    a = composite_loss(state, *replay_batch(Dataset(as_set.samples, as_set.labels), new)).item()
     b = composite_loss(state, *replay_batch(as_data, new)).item()
     assert a == b
+    with pytest.raises(TypeError, match="replay must be a Dataset or None, got ReplaySet"):
+        replay_batch(as_set, new)
 
 
 def test_composite_loss_replay_only_and_errors():
     state = _two_class_state()
-    replay = ReplaySet(np.asarray([[[0.0, 1.0]]], dtype=np.float32),
-                       np.array([1]), np.zeros(1), np.zeros(1))
+    replay = _dataset([[0.0, 1.0]], [1])
     expect = _softmax_ce([0.0, 1.0], DEFAULT_TEMPERATURE, 1)
     got = composite_loss(state, *replay_batch(replay, None)).item()
     assert got == pytest.approx(expect, rel=1e-5)
@@ -117,7 +116,7 @@ def _two_means_loss(state, replay, new):
     def ce(x, y):
         return head_loss(state, embed_batch(state, x), y)
 
-    return ad.add(ce(new.x, new.y), ce(replay.samples, replay.labels))
+    return ad.add(ce(new.x, new.y), ce(replay.x, replay.y))
 
 
 def _conv_sets(shape, n_new, n_replay, seed):
@@ -127,8 +126,7 @@ def _conv_sets(shape, n_new, n_replay, seed):
     new = Dataset(rng.standard_normal((n_new,) + shape).astype(np.float32) + 0.5,
                   np.full(n_new, 2, dtype=np.int64))
     labels = np.arange(n_replay) % 2
-    replay = ReplaySet(rng.standard_normal((n_replay,) + shape).astype(np.float32),
-                       labels, np.zeros(n_replay), np.zeros(n_replay))
+    replay = Dataset(rng.standard_normal((n_replay,) + shape).astype(np.float32), labels)
     return new, replay
 
 
@@ -413,10 +411,21 @@ def test_finetune_naive_is_empty_replay():
                   np.full(5, 2, dtype=np.int64))
     config = FinetuneConfig(learning_rate=5e-3, iterations=4, seed=2)
     a = finetune_session(state, None, new, config)
-    b = finetune_session(state, ReplaySet.empty(3, 16), new, config)
+    b = finetune_session(state, Dataset(np.zeros((0, 3, 16)), []), new, config)
     for name, t in a.backbone.params.items():
         assert b.backbone.params[name].data.tobytes() == t.data.tobytes()
     assert a.class_weights[2].data.tobytes() == b.class_weights[2].data.tobytes()
+
+
+def test_finetune_refuses_a_replay_set_before_cloning(monkeypatch):
+    state = _conv_state()
+    new = Dataset(np.zeros((2, 3, 16), dtype=np.float32), np.full(2, 2, dtype=np.int64))
+    replay = ReplaySet(np.zeros((1, 3, 16)), [0], [0], [0.0])
+    clones = []
+    monkeypatch.setattr(ModelState, "clone", lambda self: clones.append(self))
+    with pytest.raises(TypeError, match="replay must be a Dataset or None, got ReplaySet"):
+        finetune_session(state, replay, new, FinetuneConfig(iterations=1))
+    assert clones == []
 
 
 def test_finetune_config_validation():

@@ -384,9 +384,10 @@ def test_anchor_load_rejects_malformed_arrays(tmp_path, patch):
     lambda meta: meta.update(per_class=True),
     lambda meta: meta.pop("dim"),
     lambda meta: meta.update(dim="5"),
-    lambda meta: meta.update(dim=0)],
+    lambda meta: meta.update(dim=0),
+    lambda meta: meta.update(extra=1)],
     ids=["missing-strategy", "unknown-strategy", "missing-per-class", "float-per-class",
-         "bool-per-class", "missing-dim", "string-dim", "zero-dim"])
+         "bool-per-class", "missing-dim", "string-dim", "zero-dim", "extra-key"])
 def test_anchor_load_rejects_malformed_headers(tmp_path, patch):
     """A hand-built header with one defect is a ContainerError, not a
     KeyError or a message about array shapes."""

@@ -295,6 +295,17 @@ def test_synth_section_counts_are_checked(synth, message):
         resolve_preset({"preset": "desk", "synth": synth})
 
 
+@pytest.mark.parametrize("synth, message", [
+    ({"channels": 8}, "bad 'synth' config: channels must be the 'desk' backbone's 4, got 8"),
+    ({"timesteps": 32}, "bad 'synth' config: timesteps must be the 'desk' backbone's 64, got 32")],
+    ids=["channels", "timesteps"])
+def test_synth_geometry_other_than_the_backbone_fails_before_training(tmp_path, capsys,
+                                                                       spy_engine, synth, message):
+    cfg = _small_config(synth=dict(_small_config()["synth"], **synth))
+    _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine)
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_override_defaults_survive_shared_frequencies():
     # the stock desk classes come in same-frequency pairs; overriding only
     # the class count must still produce a valid frequency ladder
@@ -681,12 +692,16 @@ def test_render_report_reads_a_hand_written_report(tmp_path, capsys):
      "report field 'p_values' must give 'protonet|finetune' num_sessions = 1 items"),
     (dict(_REPORT, methods=[]), "report field 'methods' must name at least one method"),
     (dict(_REPORT, methods=["dreambooth"]),
-     "bad report: methods[0] must be one of ['anchorinv', ")],
+     "bad report: methods[0] must be one of ['anchorinv', "),
+    (dict(_REPORT, scores=dict(_REPORT["scores"], ghost={})),
+     "report field 'scores' must have exactly the keys ['protonet'], got ['ghost', "),
+    (dict(_REPORT, p_values={"x|y": [0.5]}),
+     "report field 'p_values' must have exactly the keys [], got ['x|y']")],
     ids=["missing-keys", "list", "int-methods", "string-sessions", "list-scores",
          "flat-scores", "int-p-values", "bool-trials", "short-session-classes",
          "base-session-without-all", "method-without-scores", "scores-without-incremental",
          "too-few-score-rows", "too-few-trials", "too-many-trials", "second-method-missing",
-         "long-p-values", "no-methods", "unknown-method"])
+         "long-p-values", "no-methods", "unknown-method", "ghost-method", "unlisted-pair"])
 def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(payload))

@@ -19,10 +19,11 @@ import anchorinv.autodiff as ad
 import anchorinv.inversion as inversion
 from anchorinv.anchors import AnchorSet
 from anchorinv.autodiff import Tensor
+from anchorinv.data import Dataset
 from anchorinv.inversion import (InversionConfig, ReplaySet, feature_stat_penalty,
                                  invert_set, label_space_invert_batch, total_variation)
 from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, ConvBackbone, FeatureStats,
-                             ModelState, embed_batch, predict_batch, scores_graph)
+                             ModelState, embed_batch, predict_batch, scores_batch)
 from anchorinv.optim import FreezingViolation, minimize
 from anchorinv.seeds import make_rng
 from oracles import IdentityBackbone, LinearBackbone, nll
@@ -425,8 +426,9 @@ def test_deepdream_moves_toward_target_class():
     state = _two_class_state()
     config = InversionConfig(iterations=400, learning_rate=5e-2, seed=6)
     replay = label_space_invert_batch(state, [1], config, regularized=False)
-    sample, final_ce = replay.samples[0], float(replay.feature_mae[0])
-    assert predict_batch(state, replay.samples)[0] == 1
+    sample = replay.x[0]
+    final_ce = -np.log(scores_batch(state, embed_batch(state, replay.x).data)[0, 1])
+    assert predict_batch(state, replay.x)[0] == 1
     # with orthogonal unit class weights the best achievable similarity gap
     # is sqrt(2), at the direction bisecting +w1 and -w0
     best_ce = -np.log(1.0 / (1.0 + np.exp(-np.sqrt(2.0) / DEFAULT_TEMPERATURE)))
@@ -439,12 +441,12 @@ def test_label_inversion_batch_counts_and_unknown_label():
     state = _two_class_state()
     config = InversionConfig(iterations=5)
     replay = label_space_invert_batch(state, [0, 1, 1], config, False)
-    assert len(replay) == 3
-    np.testing.assert_array_equal(replay.labels, [0, 1, 1])
-    np.testing.assert_array_equal(replay.sessions, [0, 0, 0])
+    assert isinstance(replay, Dataset) and replay.x.shape == (3, 1, 2)
+    np.testing.assert_array_equal(replay.y, [0, 1, 1])
     with pytest.raises(KeyError):
         label_space_invert_batch(state, [0, 7], config, False)
-    assert len(label_space_invert_batch(state, [], config, False)) == 0
+    empty = label_space_invert_batch(state, [], config, False)
+    assert isinstance(empty, Dataset) and empty.x.shape == (0, 1, 2)
 
 
 def test_label_inversion_leaves_model_untouched():
@@ -454,6 +456,12 @@ def test_label_inversion_leaves_model_untouched():
     for c, blob in before.items():
         assert state.class_weights[c].data.tobytes() == blob
         assert not state.class_weights[c].requires_grad  # back at rest
+
+
+def _scores(state, feats):
+    """The classifier's probabilities as engine nodes, in the features' dtype."""
+    sim = ad.cosine_similarity_matrix(feats, state.weight_matrix())
+    return ad.softmax_with_temperature(sim, DEFAULT_TEMPERATURE)
 
 
 def test_auto_balance_matches_hand_scaled_weights():
@@ -468,7 +476,7 @@ def test_auto_balance_matches_hand_scaled_weights():
     x0 = np.stack([make_rng(seed, j).standard_normal((1, 2)).astype(np.float32)
                    for j in range(len(labels))])
     xt = Tensor(x0)
-    scores = scores_graph(state, embed_batch(state, xt))
+    scores = _scores(state, embed_batch(state, xt))
     order = state.seen_classes()
     cols = np.array([order.index(c) for c in labels])
     picked = ad.take_per_row(ad.log(scores), cols)
@@ -482,7 +490,7 @@ def test_auto_balance_matches_hand_scaled_weights():
     x = Tensor(x0.copy())
 
     def manual_loss(i):
-        scores = scores_graph(state, embed_batch(state, x))
+        scores = _scores(state, embed_batch(state, x))
         loss = nll(scores, cols, np.full(len(labels), -1.0))
         for term, weight in ((ad.mul(x, x).sum(), ce0 / l2_0), (total_variation(x), ce0 / tv_0),
                              (feature_stat_penalty(state, x), ce0 / fs_0)):
@@ -490,7 +498,7 @@ def test_auto_balance_matches_hand_scaled_weights():
         return loss
 
     minimize([x], manual_loss, iters, config.learning_rate)
-    np.testing.assert_allclose(auto.samples, x.data, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(auto.x, x.data, rtol=1e-5, atol=1e-7)
 
 
 def test_deepinv_regularizers_shrink_the_sample():
@@ -502,4 +510,4 @@ def test_deepinv_regularizers_shrink_the_sample():
     config = InversionConfig(iterations=300, learning_rate=5e-2, seed=8)
     plain = label_space_invert_batch(state, [1], config, regularized=False)
     reg = label_space_invert_batch(state, [1], config, regularized=True)
-    assert np.linalg.norm(reg.samples) < np.linalg.norm(plain.samples)
+    assert np.linalg.norm(reg.x) < np.linalg.norm(plain.x)

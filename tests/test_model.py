@@ -20,7 +20,7 @@ from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, BaseTrainCon
                              ConvBackbone, ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
                              compute_prototypes, embed_batch, head_loss,
                              label_columns, predict_batch, prototype_of,
-                             scores_batch, scores_graph, train_base)
+                             scores_batch, train_base)
 from oracles import IdentityBackbone, LinearBackbone, cosine_softmax
 
 
@@ -548,13 +548,16 @@ def test_scores_scale_invariance_of_predictions():
     np.testing.assert_allclose(base, scaled, atol=1e-9)
 
 
-def test_scores_graph_matches_scores_batch():
+def test_head_loss_matches_scores_batch():
+    # the training head's float32 log-probability of each (sample, class)
+    # pair is the float64 scorer's
     rng = np.random.default_rng(56)
     state = _identity_state(channels=1, timesteps=6)
     for c in range(3):
         state.register_class(c, rng.standard_normal(6).astype(np.float32))
     feats = rng.standard_normal((8, 6)).astype(np.float32)
-    graph = scores_graph(state, Tensor(feats)).data
+    graph = np.exp([[-head_loss(state, Tensor(row[None]), [c]).item() for c in range(3)]
+                    for row in feats])
     plain = scores_batch(state, feats)
     np.testing.assert_allclose(graph, plain, rtol=1e-4, atol=1e-6)
 
