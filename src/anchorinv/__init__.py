@@ -29,7 +29,7 @@ from .inversion import (InversionConfig, InversionStalledError, ReplaySet,
                         total_variation)
 from .model import (BACKBONE_PRESETS, BaseTrainConfig, ConvBackbone, ConvBackboneConfig,
                     FeatureStats, ModelState, TrainingDivergedError, accuracy,
-                    compute_prototypes, predict_batch, prototype_of, train_base)
+                    predict_batch, prototype_of, train_base)
 from .optim import Adam, FreezingViolation, minimize
 from .presets import (EXPERIMENT_PRESETS, ExperimentPreset, build_split, get_preset,
                       materialize_synth, with_synth_classes)
@@ -52,7 +52,7 @@ __all__ = [
     "ConvBackboneConfig", "BACKBONE_PRESETS", "ConvBackbone", "ModelState",
     "FeatureStats", "BaseTrainConfig",
     "TrainingDivergedError", "train_base", "accuracy", "predict_batch",
-    "prototype_of", "compute_prototypes",
+    "prototype_of",
     # anchors
     "FeatureSet", "AnchorSet", "STRATEGIES", "project_features", "check_anchor_counts",
     "select_anchors",

@@ -67,7 +67,6 @@ class FinetuneConfig:
     learning_rate: float = 1e-3
     iterations: int = 200
     prototype_init: bool = True
-    seed: int = 5
 
     def __post_init__(self):
         check_count("iterations", self.iterations, 0)
@@ -137,9 +136,6 @@ def composite_loss(state: ModelState, x: Tensor, y: np.ndarray, w: np.ndarray) -
 def init_new_class_weights(state: ModelState, new: Dataset) -> ModelState:
     """Register each class in ``new`` with its prototype (mean embedding)."""
     for c in new.classes():
-        if c in state.class_weights:
-            raise ValueError(f"class {c} already registered")
-    for c in new.classes():
         idx = np.flatnonzero(new.y == c)
         state.register_class(c, prototype_of(state, new.x[idx]))
     return state
@@ -147,10 +143,7 @@ def init_new_class_weights(state: ModelState, new: Dataset) -> ModelState:
 
 def random_new_class_weights(state: ModelState, class_ids: Sequence[int],
                              seed: int) -> ModelState:
-    """Register new classes with standard-normal weights scaled by 0.1."""
-    for c in class_ids:
-        if c in state.class_weights:
-            raise ValueError(f"class {c} already registered")
+    """Register new classes with standard-normal weights from ``seed``, scaled by 0.1."""
     rng = make_rng(seed, 0x1F)
     for c in sorted(int(c) for c in class_ids):
         init = 0.1 * rng.standard_normal(state.feature_dim)
@@ -164,28 +157,28 @@ def random_new_class_weights(state: ModelState, class_ids: Sequence[int],
 
 def finetune_session(state: ModelState, replay: Dataset | None, new: Dataset,
                      config: FinetuneConfig,
-                     loss_log: list[float] | None = None) -> ModelState:
-    """Clone the state, register the session's new classes, and run full-batch
-    Adam on the composite loss of ``replay_batch(replay, new)`` over the
-    backbone's ``FINETUNED`` parameters and the new class weights only.
+                     loss_log: list[float] | None = None, *, seed: int) -> ModelState:
+    """Clone the state, register the session's new classes (at their
+    prototypes, or at random weights drawn from the session's ``seed``), and run
+    full-batch Adam on the composite loss of ``replay_batch(replay, new)`` over
+    the backbone's ``FINETUNED`` parameters and the new class weights only.
 
     Returns the adapted clone.  Frozen tensors are checksummed before and
     after; any drift raises ``FreezingViolation``.
     """
     x, y, w = replay_batch(replay, new)  # a replay of another type fails before the clone
     out = state.clone()
-    prior_classes = set(out.seen_classes())
-    new_classes = [c for c in new.classes() if c not in prior_classes]
-    overlap = sorted(set(new.classes()) & prior_classes)
+    new_classes = new.classes()
+    overlap = sorted(set(new_classes) & set(out.class_weights))
     if overlap:
         raise ValueError(f"session data repeats already-seen classes {overlap}")
     if config.prototype_init:
         init_new_class_weights(out, new)
     else:
-        random_new_class_weights(out, new_classes, config.seed)
+        random_new_class_weights(out, new_classes, seed)
 
     trainable = [out.backbone.params[name] for name in out.backbone.FINETUNED]
-    trainable.extend(out.class_weights[c] for c in sorted(new_classes))
+    trainable.extend(out.class_weights[c] for c in new_classes)
 
     trainable_ids = {id(t) for t in trainable}
     frozen = [t for t in out.all_parameters().values() if id(t) not in trainable_ids]
@@ -230,8 +223,6 @@ def adapt_teen(state: ModelState, new: Dataset, base_class_ids: Sequence[int]) -
     out = state.clone()
     base_mat = np.stack([out.class_weights[c].data for c in base_ids]).astype(np.float64)
     for c in new.classes():
-        if c in out.class_weights:
-            raise ValueError(f"class {c} already registered")
         idx = np.flatnonzero(new.y == c)
         proto = prototype_of(out, new.x[idx]).astype(np.float64)
         sims = ad.cosine_similarity_matrix(Tensor(proto[None]), Tensor(base_mat))
@@ -307,12 +298,12 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
         elif method == "teen":
             state = adapt_teen(state, new, base_ids)
         elif method == "finetune":
-            state = finetune_session(state, None, new, config.finetune)
+            state = finetune_session(state, None, new, config.finetune, seed=session_seed)
         elif method == "anchorinv":
             inv_cfg = replace(config.inversion, seed=session_seed)
             replay = invert_set(state, memory, inv_cfg)
             state = finetune_session(state, Dataset(replay.samples, replay.labels), new,
-                                     config.finetune)
+                                     config.finetune, seed=session_seed)
             feats = project_features(state, new, session=t)
             memory = memory.append(incremental_anchors(feats))
         elif method in ("deepdream", "deepinv"):
@@ -321,11 +312,12 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
                              seed=session_seed)
             replay = label_space_invert_batch(state, labels, li_cfg,
                                               regularized=method == "deepinv")
-            state = finetune_session(state, replay, new, config.finetune)
+            state = finetune_session(state, replay, new, config.finetune, seed=session_seed)
             for c in new.classes():
                 label_counts[c] = int(np.sum(new.y == c))
         elif method == "realreplay":
-            state = finetune_session(state, real_store, new, config.finetune)
+            state = finetune_session(state, real_store, new, config.finetune,
+                                     seed=session_seed)
             real_store = real_store.concat(new)
         chain.append(state)
     return chain

@@ -94,6 +94,9 @@ def resolve_preset(cfg: dict) -> ExperimentPreset:
     for key, hint in _INPUT_KEYS.items():
         if key in cfg:
             read_json(cfg[key], hint, ConfigError, f"'{key}' config")
+    unknown = sorted(set(cfg.get("ablate", {})) - {*ABLATE_AXES, "unseen"})
+    if unknown:
+        raise ConfigError(f"bad 'ablate' config: unknown keys {unknown}")
     preset = get_preset(_require(cfg, "preset"))
 
     def section(key: str, obj):
@@ -124,10 +127,8 @@ def apply_seed(preset: ExperimentPreset, seed: int) -> ExperimentPreset:
         preset,
         master_seed=seed,
         base_train=replace(preset.base_train, seed=seed),
-        adaptation=replace(
-            preset.adaptation,
-            finetune=replace(preset.adaptation.finetune, seed=seed),
-            inversion=replace(preset.adaptation.inversion, seed=seed)),
+        adaptation=replace(preset.adaptation,
+                           inversion=replace(preset.adaptation.inversion, seed=seed)),
     )
 
 

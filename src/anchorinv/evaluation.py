@@ -15,13 +15,13 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .adaptation import (METHODS, AdaptationConfig, Method, base_anchor_memory, run_fscil,
                          sample_base_replay_store)
-from .anchors import AnchorSet, check_anchor_counts
+from .anchors import AnchorSet, Strategy, check_anchor_counts
 from .data import Dataset, SessionSplit
 from .model import ModelState, check_count, check_integer, predict_batch, train_base
 from .presets import ExperimentPreset, build_split
@@ -355,6 +355,11 @@ def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
     )
 
 
+class _StrategyPoint(NamedTuple):  # a strategy axis value
+    name: Strategy
+    fraction: float
+
+
 def _sweep_points(preset: ExperimentPreset, axis: str, values: Sequence, unseen: int,
                   all_ids: list[int]) -> list[tuple]:
     """(value, preset, class ids or None for all, metric) per value, checked up front."""
@@ -378,14 +383,11 @@ def _sweep_points(preset: ExperimentPreset, axis: str, values: Sequence, unseen:
         if axis == "anchors":
             adaptation = replace(adaptation, anchors_per_class=value)
         elif axis == "strategy":
-            spec = value if isinstance(value, dict) else {"name": value}
-            if "name" not in spec or not set(spec) <= {"name", "fraction"}:
-                raise ValueError(f"strategy axis value {value!r} needs a 'name' key "
-                                 f"and takes only 'name' and 'fraction'")
-            fraction = read_json(spec.get("fraction", adaptation.anchor_fraction), float,
-                                 ValueError, f"strategy axis value {value!r}")
-            adaptation = replace(adaptation, anchor_strategy=spec["name"],
-                                 anchor_fraction=fraction)
+            point = read_json(value if isinstance(value, dict) else {"name": value},
+                              _StrategyPoint, ValueError, f"strategy axis value {value!r}",
+                              {"fraction": adaptation.anchor_fraction})
+            adaptation = replace(adaptation, anchor_strategy=point.name,
+                                 anchor_fraction=point.fraction)
         shot = value if axis == "shots" else preset.shot
         points.append((value, replace(preset, shot=shot, adaptation=adaptation), None, "all"))
     return points

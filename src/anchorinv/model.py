@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "scores_batch",
     "predict_batch",
     "embed_batch",
-    "compute_prototypes",
     "prototype_of",
     "label_columns",
     "head_loss",
@@ -372,28 +371,6 @@ def prototype_of(state: ModelState, samples: np.ndarray) -> np.ndarray:
     return _exact_mean(embed_batch(state, samples).data).astype(np.float32)
 
 
-def compute_prototypes(state: ModelState, x: np.ndarray, y: np.ndarray,
-                       class_ids: Iterable[int]) -> ModelState:
-    """Replace each requested class weight by its mean embedding.
-
-    Other classes' weights are untouched.  Requested classes must already be
-    registered and must appear in ``y``.
-    """
-    class_ids = list(class_ids)
-    if not class_ids:
-        raise ValueError("empty class subset")
-    y = np.asarray(y)
-    for c in class_ids:
-        if c not in state.class_weights:
-            raise KeyError(f"class {c} not registered")
-        idx = np.flatnonzero(y == c)
-        if idx.size == 0:
-            raise ValueError(f"no samples for class {c}")
-        proto = prototype_of(state, np.asarray(x)[idx])
-        state.class_weights[c] = Tensor(proto)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # losses and base training
 
@@ -497,7 +474,8 @@ def train_base(x: np.ndarray, y: np.ndarray, backbone_config: ConvBackboneConfig
         raise TrainingDivergedError(f"non-finite loss at epoch {epoch}: {err}") from err
     del conv_input  # its columns are not held while the prototypes build theirs
 
-    compute_prototypes(state, x, y, classes)
+    for c in classes:
+        state.class_weights[c] = Tensor(prototype_of(state, x[y == c]))
     feats = embed_batch(state, xt).data
     state.feature_stats = FeatureStats(mean=feats.mean(axis=0).astype(np.float32),
                                        var=feats.var(axis=0).astype(np.float32))

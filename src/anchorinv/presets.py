@@ -85,8 +85,7 @@ def _desk_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "realreplay"),
         base_train=BaseTrainConfig(epochs=300, learning_rate=5e-3, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(learning_rate=5e-4, iterations=300, prototype_init=True,
-                                    seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=5e-4, iterations=300, prototype_init=True),
             inversion=InversionConfig(learning_rate=1e-2, iterations=800, seed=DEFAULT_SEED),
             label_inversion_iterations=300,
             anchors_per_class=25,
@@ -113,8 +112,7 @@ def _bci_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "teen"),
         base_train=BaseTrainConfig(epochs=1500, learning_rate=2e-4, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(learning_rate=2e-5, iterations=1550, prototype_init=False,
-                                    seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=2e-5, iterations=1550, prototype_init=False),
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
@@ -139,8 +137,7 @@ def _nhie_preset() -> ExperimentPreset:
         base_train=BaseTrainConfig(epochs=2000, learning_rate=1e-5,
                                    weighted_loss=True, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(learning_rate=1e-5, iterations=1250, prototype_init=False,
-                                    seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=1e-5, iterations=1250, prototype_init=False),
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
@@ -164,8 +161,7 @@ def _grabmyo_preset() -> ExperimentPreset:
         methods=("anchorinv", "finetune", "protonet", "teen"),
         base_train=BaseTrainConfig(epochs=2000, learning_rate=5e-5, seed=DEFAULT_SEED),
         adaptation=AdaptationConfig(
-            finetune=FinetuneConfig(learning_rate=5e-6, iterations=1300, prototype_init=True,
-                                    seed=DEFAULT_SEED),
+            finetune=FinetuneConfig(learning_rate=5e-6, iterations=1300, prototype_init=True),
             inversion=InversionConfig(learning_rate=1e-2, iterations=2000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
@@ -202,35 +198,36 @@ def build_split(preset: ExperimentPreset, train: Dataset) -> SessionSplit:
 
 def with_synth_classes(preset: ExperimentPreset, num_classes: int | None = None, /,
                        **overrides) -> ExperimentPreset:
-    """Clone a synthetic preset onto a ``desk_synth_spec`` frequency ladder.
+    """Clone a synthetic preset onto a ``desk_synth_spec`` frequency ladder
+    at the preset backbone's channels and timesteps.
 
-    Takes the keys of a config's ``synth`` section, the parameters of
+    Takes the keys of a config's ``synth`` section, the other parameters of
     ``desk_synth_spec``, read by ``read_json``; a key left out (or a
-    positional ``num_classes`` of None) keeps the preset's own value, and
-    ``channels`` and ``timesteps`` are the backbone's.  ConfigError (a
-    ValueError) for a preset that is not synthetic, a key ``read_json``
-    refuses, or a geometry the backbone cannot read.  Callers adjust way and
-    base classes as needed.
+    positional ``num_classes`` of None) keeps the preset's own value.
+    ConfigError (a ValueError) for a preset that is not synthetic or a key
+    ``read_json`` refuses.  Callers adjust way and base classes as needed.
     """
     if preset.synth is None:
         raise ConfigError(f"preset '{preset.name}' is not synthetic; "
                           f"remove the 'synth' section")
     spec = preset.synth
+    backbone = preset.backbone_config
+
+    def ladder(num_classes: int, train_per_class: int, test_per_class: int, seed: int,
+               noise_sigma: float, base_frequency: float, frequency_step: float) -> SynthSpec:
+        return desk_synth_spec(num_classes, train_per_class, test_per_class, backbone.channels,
+                               backbone.timesteps, seed, noise_sigma, base_frequency,
+                               frequency_step)
+
     # presets whose class pairs share a frequency imply a zero step; the
     # ladder needs a positive one, so fall back to 1.0
     step = (spec.classes[1].frequency - spec.classes[0].frequency
             if len(spec.classes) > 1 else 1.0)
-    backbone = preset.backbone_config
     current = {key: getattr(spec, key) for key in ("train_per_class", "test_per_class", "seed")}
-    current.update(channels=backbone.channels, timesteps=backbone.timesteps,
-                   num_classes=len(spec.classes), noise_sigma=spec.classes[0].noise_sigma,
+    current.update(num_classes=len(spec.classes), noise_sigma=spec.classes[0].noise_sigma,
                    base_frequency=spec.classes[0].frequency,
                    frequency_step=step if step > 0 else 1.0)
     if num_classes is not None:
         overrides["num_classes"] = num_classes
-    synth = read_json(overrides, desk_synth_spec, ConfigError, "'synth' config", current)
-    for key in ("channels", "timesteps"):
-        if getattr(synth, key) != getattr(backbone, key):
-            raise ConfigError(f"bad 'synth' config: {key} must be the '{backbone.name}' "
-                              f"backbone's {getattr(backbone, key)}, got {getattr(synth, key)}")
+    synth = read_json(overrides, ladder, ConfigError, "'synth' config", current)
     return replace(preset, num_classes=len(synth.classes), synth=synth)

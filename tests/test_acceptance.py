@@ -329,8 +329,8 @@ def test_04_frozen_tensors_unchanged_across_20_seeded_finetunes(desk):
     replay = base.subset(np.arange(20))
     for i in range(20):
         few = sample_trial_sets(split, 9000 + i)[0]
-        cfg = replace(preset.adaptation.finetune, seed=9000 + i)
-        out = finetune_session(state, replay if i % 2 == 0 else None, few, cfg)
+        out = finetune_session(state, replay if i % 2 == 0 else None, few,
+                               preset.adaptation.finetune, seed=9000 + i)
         for n in frozen_params:
             assert _sha(out.backbone.params[n]) == before_params[n]
         for c, digest in before_weights.items():

@@ -2,6 +2,7 @@
 adapters, and the per-method incremental chains."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_composite_loss_conv_backbone_unequal_sets():
     assert got == pytest.approx(_two_means_loss(state, replay, new).item(), rel=1e-5)
 
 
-def _reference_finetune(state, replay, new, config, log):
+def _reference_finetune(state, replay, new, config, log, seed):
     """finetune_session without the conv input built once or the joint batch: the same
     minimize over the two-mean loss, every embed on the engine path."""
     out = state.clone()
@@ -146,7 +147,7 @@ def _reference_finetune(state, replay, new, config, log):
     if config.prototype_init:
         init_new_class_weights(out, new)
     else:
-        random_new_class_weights(out, new_classes, config.seed)
+        random_new_class_weights(out, new_classes, seed)
     trainable = [out.backbone.params[name] for name in ("spatial_w", "spatial_b")]
     trainable += [out.class_weights[c] for c in new_classes]
     ids = {id(t) for t in trainable}
@@ -167,7 +168,7 @@ _DESK_FINETUNE = get_preset("desk").adaptation.finetune
 
 
 @pytest.mark.parametrize("cfg,config", [
-    (_tiny_config(), FinetuneConfig(learning_rate=1e-2, iterations=40, seed=4)),
+    (_tiny_config(), FinetuneConfig(learning_rate=1e-2, iterations=40)),
     (BACKBONE_PRESETS["desk"], _DESK_FINETUNE),
 ], ids=["tiny", "desk"])
 def test_finetune_matches_uncached_reference(cfg, config):
@@ -177,8 +178,8 @@ def test_finetune_matches_uncached_reference(cfg, config):
         state.register_class(c, rng.standard_normal(state.feature_dim))
     new, replay = _conv_sets(cfg.sample_shape, n_new=10, n_replay=6, seed=138)
     got_log, want_log = [], []
-    got = finetune_session(state, replay, new, config, got_log)
-    want = _reference_finetune(state, replay, new, config, want_log)
+    got = finetune_session(state, replay, new, config, got_log, seed=4)
+    want = _reference_finetune(state, replay, new, config, want_log, seed=4)
     assert len(got_log) == config.iterations
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
     _assert_close_states(got, want)
@@ -201,13 +202,13 @@ def test_finetune_composed_conv_unfolds_once(spy_convs):
     iteration, so each of its embeds builds its columns anew."""
     state = _conv_state(cfg=_tiny_config(filters=6))
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=139)
-    config = FinetuneConfig(learning_rate=1e-2, iterations=6, seed=1)
+    config = FinetuneConfig(learning_rate=1e-2, iterations=6)
     calls = spy_convs()
     got_log, want_log = [], []
-    got = finetune_session(state, replay, new, config, got_log)
+    got = finetune_session(state, replay, new, config, got_log, seed=1)
     assert _after_last_conv_pool(calls) == ["im2col"] + ["conv2d"] * config.iterations
     calls.clear()
-    want = _reference_finetune(state, replay, new, config, want_log)
+    want = _reference_finetune(state, replay, new, config, want_log, seed=1)
     assert _after_last_conv_pool(calls) \
         == ["im2col", "conv2d"] * 2 * config.iterations
     np.testing.assert_allclose(got_log, want_log, rtol=1e-5)
@@ -225,7 +226,7 @@ def test_finetune_builds_frozen_temporal_features_once(spy_convs):
     state = _conv_state()
     new, replay = _conv_sets((3, 16), n_new=4, n_replay=6, seed=140)
     calls = spy_convs("compose_conv")
-    finetune_session(state, replay, new, FinetuneConfig(iterations=5, seed=1))
+    finetune_session(state, replay, new, FinetuneConfig(iterations=5), seed=1)
     assert _after_last_conv_pool(calls) == ["conv2d", "im2col"] + ["conv2d"] * 5
     assert "compose_conv" not in calls
 
@@ -246,7 +247,7 @@ def test_finetune_memory_is_bounded_by_the_frozen_temporal_features():
     feature_bytes = 40 * cfg.filters * cfg.channels * cfg.conv_width * 4
     tracemalloc.start()
     try:
-        finetune_session(state, replay, new, FinetuneConfig(iterations=2, seed=1))
+        finetune_session(state, replay, new, FinetuneConfig(iterations=2), seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,7 +293,7 @@ def _bci_finetune_peak() -> tuple[int, int]:
     new, replay = _conv_sets(cfg.sample_shape, n_new=4, n_replay=36, seed=144)
     tracemalloc.start()
     try:
-        finetune_session(state, replay, new, FinetuneConfig(iterations=2, seed=1))
+        finetune_session(state, replay, new, FinetuneConfig(iterations=2), seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,8 +314,8 @@ def test_init_new_class_weights_prototypes():
                                rows[:2].reshape(2, 2).mean(axis=0), rtol=1e-6)
     np.testing.assert_allclose(state.class_weights[3].data,
                                rows[2:].reshape(2, 2).mean(axis=0), rtol=1e-6)
-    with pytest.raises(ValueError):
-        init_new_class_weights(state, new)  # already registered
+    with pytest.raises(ValueError, match="class 2 already registered"):
+        init_new_class_weights(state, new)
 
 
 def test_random_new_class_weights():
@@ -348,8 +349,8 @@ def test_finetune_freezes_everything_outside_trainable_set():
     rng = np.random.default_rng(131)
     new = Dataset(rng.standard_normal((6, 3, 16)).astype(np.float32),
                   np.full(6, 2, dtype=np.int64))
-    config = FinetuneConfig(learning_rate=1e-2, iterations=5, seed=1)
-    out = finetune_session(state, None, new, config)
+    config = FinetuneConfig(learning_rate=1e-2, iterations=5)
+    out = finetune_session(state, None, new, config, seed=1)
     # untouched: temporal layer, old classifier entries, the input state itself
     for name in ("temporal_w", "temporal_b"):
         assert out.backbone.params[name].data.tobytes() \
@@ -371,7 +372,7 @@ def test_finetune_zero_iterations_only_registers():
     rng = np.random.default_rng(132)
     new = Dataset(rng.standard_normal((4, 3, 16)).astype(np.float32),
                   np.full(4, 2, dtype=np.int64))
-    out = finetune_session(state, None, new, FinetuneConfig(iterations=0))
+    out = finetune_session(state, None, new, FinetuneConfig(iterations=0), seed=1)
     assert out.seen_classes() == [0, 1, 2]
     for name, t in state.backbone.params.items():
         assert out.backbone.params[name].data.tobytes() == t.data.tobytes()
@@ -384,7 +385,7 @@ def test_finetune_rejects_seen_classes():
     state = _conv_state()
     new = Dataset(np.zeros((2, 3, 16), dtype=np.float32), np.array([1, 1]))
     with pytest.raises(ValueError):
-        finetune_session(state, None, new, FinetuneConfig(iterations=0))
+        finetune_session(state, None, new, FinetuneConfig(iterations=0), seed=1)
 
 
 def test_finetune_detects_frozen_drift(monkeypatch):
@@ -401,7 +402,7 @@ def test_finetune_detects_frozen_drift(monkeypatch):
 
     monkeypatch.setattr(adaptation, "composite_loss", corrupting_loss)
     with pytest.raises(RuntimeError):
-        finetune_session(state, None, new, FinetuneConfig(iterations=1))
+        finetune_session(state, None, new, FinetuneConfig(iterations=1), seed=1)
 
 
 def test_finetune_naive_is_empty_replay():
@@ -409,9 +410,9 @@ def test_finetune_naive_is_empty_replay():
     rng = np.random.default_rng(134)
     new = Dataset(rng.standard_normal((5, 3, 16)).astype(np.float32),
                   np.full(5, 2, dtype=np.int64))
-    config = FinetuneConfig(learning_rate=5e-3, iterations=4, seed=2)
-    a = finetune_session(state, None, new, config)
-    b = finetune_session(state, Dataset(np.zeros((0, 3, 16)), []), new, config)
+    config = FinetuneConfig(learning_rate=5e-3, iterations=4)
+    a = finetune_session(state, None, new, config, seed=2)
+    b = finetune_session(state, Dataset(np.zeros((0, 3, 16)), []), new, config, seed=2)
     for name, t in a.backbone.params.items():
         assert b.backbone.params[name].data.tobytes() == t.data.tobytes()
     assert a.class_weights[2].data.tobytes() == b.class_weights[2].data.tobytes()
@@ -424,7 +425,7 @@ def test_finetune_refuses_a_replay_set_before_cloning(monkeypatch):
     clones = []
     monkeypatch.setattr(ModelState, "clone", lambda self: clones.append(self))
     with pytest.raises(TypeError, match="replay must be a Dataset or None, got ReplaySet"):
-        finetune_session(state, replay, new, FinetuneConfig(iterations=1))
+        finetune_session(state, replay, new, FinetuneConfig(iterations=1), seed=1)
     assert clones == []
 
 
@@ -436,9 +437,10 @@ def test_finetune_config_validation():
             FinetuneConfig(iterations=bad)
     FinetuneConfig(iterations=0)
     # the new classes' weights always train, from prototypes or 0.1 x a normal
-    # draw, beside the spatial layer, on the new set and the replay at weight 1
+    # draw from the session's seed, beside the spatial layer, on the new set and
+    # the replay at weight 1
     for field in ("train_new_classifier", "new_class_init_scale", "replay_weight",
-                  "trainable_layers"):
+                  "trainable_layers", "seed"):
         with pytest.raises(TypeError):
             FinetuneConfig(**{field: 1})
 
@@ -457,8 +459,8 @@ def test_finetune_loss_log_decreases():
     x = rng.standard_normal((8, 3, 16)).astype(np.float32) + 2.0
     new = Dataset(x, np.full(8, 2, dtype=np.int64))
     log = []
-    finetune_session(state, None, new,
-                     FinetuneConfig(learning_rate=1e-2, iterations=30, seed=3), log)
+    finetune_session(state, None, new, FinetuneConfig(learning_rate=1e-2, iterations=30), log,
+                     seed=3)
     assert len(log) == 30
     assert log[-1] < log[0]
 
@@ -554,11 +556,29 @@ def _chain_fixture():
     s2 = Dataset(sample(3, 5), np.full(5, 3, dtype=np.int64))
     state = _two_class_state()
     config = AdaptationConfig(
-        finetune=FinetuneConfig(learning_rate=1e-2, iterations=3, seed=1),
+        finetune=FinetuneConfig(learning_rate=1e-2, iterations=3),
         inversion=InversionConfig(iterations=5, seed=1),
         label_inversion_iterations=5,
         anchors_per_class=4, real_per_class=4)
     return base, [s1, s2], state, config
+
+
+def test_run_fscil_random_starts_draw_from_the_session_seed():
+    """Without prototype init each new class starts from a draw of its own
+    trial's and session's seed: two trials differ, two sessions differ, and
+    a trial rerun repeats its starts byte for byte."""
+    base, sessions, state, config = _chain_fixture()
+    config = replace(config, finetune=FinetuneConfig(iterations=0, prototype_init=False))
+
+    def starts(seed):
+        chain = run_fscil(base, sessions, "finetune", config, state, seed=seed)
+        return [chain[t].class_weights[c].data.tobytes() for t, c in ((1, 2), (2, 3))]
+
+    first, second = starts(5)
+    other_first, other_second = starts(6)
+    assert first != second
+    assert other_first != first and other_second != second
+    assert starts(5) == [first, second]
 
 
 @pytest.mark.parametrize("method", METHODS)

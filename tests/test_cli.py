@@ -214,7 +214,7 @@ def test_train_base_rejects_a_malformed_section_before_training(tmp_path, capsys
      "bad 'finetune' config: prototype_init must be true or false, got 0"),
     ({"finetune": {"learning_rate": True}},
      "bad 'finetune' config: learning_rate must be a number, got True"),
-    ({"finetune": {"seed": "5"}}, "bad 'finetune' config: seed must be an integer, got '5'"),
+    ({"finetune": {"seed": "5"}}, "bad 'finetune' config: unknown keys ['seed']"),
     ({"inversion": {"seed": 1.5}}, "bad 'inversion' config: seed must be an integer, got 1.5"),
     ({"base_train": {"seed": [1]}}, "bad 'base_train' config: seed must be an integer, got [1]"),
     ({"inversion": {"learning_rate": True}},
@@ -238,8 +238,9 @@ _WRONG_VALUES = {"bool": True, "float": 2.5, "string": "x", "list": [{}], "objec
 def _config_fields():
     """(section or None for the top level, key, annotation) of every key a
     config sets: the fields of the four config dataclasses, each in its own
-    section; the top-level keys that set a preset field; and the keys of the
-    ``synth`` section, the parameters of ``desk_synth_spec``."""
+    section; the top-level keys that set a preset field; and the parameters of
+    ``desk_synth_spec`` in the ``synth`` section, whose ``channels`` and
+    ``timesteps`` (the backbone's) are refused as unknown keys."""
     sections = {"base_train": BaseTrainConfig, "finetune": FinetuneConfig,
                 "inversion": InversionConfig, "adaptation": AdaptationConfig}
     for section, cls in sections.items():
@@ -284,8 +285,8 @@ def test_every_config_field_refuses_each_wrong_kind_before_training(tmp_path, ca
     ({"train_per_class": 12.5}, "train_per_class must be an integer, got 12.5"),
     ({"test_per_class": -1}, "test_per_class must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-    ({"channels": 4.0}, "channels must be an integer, got 4.0"),
-    ({"timesteps": True}, "timesteps must be an integer, got True"),
+    ({"channels": 4.0}, "unknown keys ['channels']"),
+    ({"timesteps": True}, "unknown keys ['timesteps']"),
     ({"preset": "bci"}, "unknown keys ['preset']"),
     ({"num_classes": None}, "num_classes must be an integer, got None")],
     ids=["float-classes", "zero-classes", "float-train", "negative-test", "float-seed",
@@ -296,8 +297,8 @@ def test_synth_section_counts_are_checked(synth, message):
 
 
 @pytest.mark.parametrize("synth, message", [
-    ({"channels": 8}, "bad 'synth' config: channels must be the 'desk' backbone's 4, got 8"),
-    ({"timesteps": 32}, "bad 'synth' config: timesteps must be the 'desk' backbone's 64, got 32")],
+    ({"channels": 8}, "bad 'synth' config: unknown keys ['channels']"),
+    ({"timesteps": 32}, "bad 'synth' config: unknown keys ['timesteps']")],
     ids=["channels", "timesteps"])
 def test_synth_geometry_other_than_the_backbone_fails_before_training(tmp_path, capsys,
                                                                        spy_engine, synth, message):
@@ -329,7 +330,6 @@ def test_apply_seed_reaches_every_component():
     preset = apply_seed(resolve_preset(_small_config()), 123)
     assert preset.master_seed == 123
     assert preset.base_train.seed == 123
-    assert preset.adaptation.finetune.seed == 123
     assert preset.adaptation.inversion.seed == 123
 
 
@@ -559,9 +559,14 @@ def test_wrong_typed_input_keys_are_refused_before_staging(tmp_path, capsys, ver
     ("base-classes", [2.7], "base-class count must be an integer, got 2.7"),
     ("anchors", ["5"], "anchors_per_class must be an integer, got '5'"),
     ("anchors", [3.9], "anchors_per_class must be an integer, got 3.9"),
-    ("strategy", [{"name": "random_closest", "fraction": True}], "not a number, got True")],
+    ("strategy", [{"name": "random_closest", "fraction": True}],
+     "fraction must be a number, got True"),
+    ("strategy", ["kmeans", {"name": 5}],
+     "bad strategy axis value {'name': 5}: name must be one of ['random_sample'"),
+    ("strategy", [{"fraction": 0.3}],
+     "bad strategy axis value {'fraction': 0.3}: missing keys ['name']")],
     ids=["float-shots", "bool-shots", "float-base-classes", "string-anchors", "float-anchors",
-         "bool-fraction"])
+         "bool-fraction", "int-strategy-name", "nameless-strategy"])
 def test_ablate_refuses_a_wrong_typed_axis_value_before_training(tmp_path, capsys, spy_engine,
                                                                  axis, values, message):
     """No axis value is truncated: each one that is not of its setting's type
@@ -574,6 +579,18 @@ def test_ablate_refuses_a_wrong_typed_axis_value_before_training(tmp_path, capsy
     assert trainings == []
     assert not (out / "ablate.json").exists()
     assert message in capsys.readouterr().err
+
+
+def test_ablate_refuses_an_unknown_key_before_staging(tmp_path, capsys, spy_engine):
+    """A misspelt ``unseen`` is refused, naming the key, before any output
+    directory exists, rather than swept at the default of 6."""
+    sweeps = spy_engine("sweep", module=cli)
+    cfg = {"preset": "desk", "ablate": {"shots": [2, 3], "unsen": 3, "way": [1]}}
+    config = _write_config(tmp_path / "ablate.json", cfg)
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", config, "--out", str(out), "--axis", "shots"]) == 1
+    assert capsys.readouterr().err == "error: bad 'ablate' config: unknown keys ['unsen', 'way']\n"
+    assert sweeps == [] and not out.exists()
 
 
 def test_ablate_axis_validation(trained, tmp_path, capsys):

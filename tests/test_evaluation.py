@@ -8,6 +8,7 @@ protocol against determinism, pairing, and worker-count invariance.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def _base_state(train):
 
 def _tiny_adaptation():
     return AdaptationConfig(
-        finetune=FinetuneConfig(learning_rate=1e-2, iterations=3, seed=1),
+        finetune=FinetuneConfig(learning_rate=1e-2, iterations=3),
         inversion=InversionConfig(iterations=5, seed=1),
         anchors_per_class=4, real_per_class=4)
 
@@ -387,8 +388,11 @@ def test_render_report_keeps_both_std_decimals():
     ("base-classes", [2], 0, "unseen"), ("base-classes", [2], 4, "unseen"),
     ("base-classes", [2, 3], 2, "collides"), ("temperature", [1.0], 2, "axis"),
     ("strategy", [{"k": 2}], 2, "name"),
-    ("strategy", [{"name": "closest", "fracton": 0.3}], 2, "takes only"),
-    ("strategy", ["random_sample", "best"], 2, "unknown strategy"),
+    # these two ids name the rule each value breaks
+    pytest.param("strategy", [{"name": "closest", "fracton": 0.3}], 2,
+                 re.escape("unknown keys ['fracton']"), id="strategy-values5-2-takes only"),
+    pytest.param("strategy", ["random_sample", "best"], 2, "name must be one of",
+                 id="strategy-values6-2-unknown strategy"),
     ("strategy", ["closest", {"name": "random_closest", "fraction": 0.0}], 2,
      "anchor_fraction")])
 def test_sweep_rejects_bad_axis_values(axis, values, unseen, match, spy_engine):

@@ -18,7 +18,7 @@ from anchorinv.anchors import AnchorSet
 from anchorinv.inversion import InversionConfig, invert_set
 from anchorinv.model import (BACKBONE_PRESETS, DEFAULT_TEMPERATURE, BaseTrainConfig,
                              ConvBackbone, ConvBackboneConfig, ModelState, TrainingDivergedError, accuracy,
-                             compute_prototypes, embed_batch, head_loss,
+                             embed_batch, head_loss,
                              label_columns, predict_batch, prototype_of,
                              scores_batch, train_base)
 from oracles import IdentityBackbone, LinearBackbone, cosine_softmax
@@ -680,33 +680,6 @@ def test_prototype_of_empty_raises():
     state = _identity_state(channels=1, timesteps=5)
     with pytest.raises(ValueError):
         prototype_of(state, np.zeros((0, 1, 5), dtype=np.float32))
-
-
-def test_compute_prototypes_replaces_requested_only():
-    rng = np.random.default_rng(60)
-    state = _identity_state(channels=1, timesteps=4)
-    state.register_class(0, np.ones(4, dtype=np.float32))
-    state.register_class(1, np.full(4, 7.0, dtype=np.float32))
-    x = rng.standard_normal((10, 1, 4)).astype(np.float32)
-    y = np.array([0] * 5 + [1] * 5)
-    compute_prototypes(state, x, y, [0])
-    np.testing.assert_allclose(state.class_weights[0].data,
-                               x[:5].reshape(5, 4).mean(axis=0), rtol=1e-6)
-    np.testing.assert_array_equal(state.class_weights[1].data, np.full(4, 7.0))
-
-
-def test_compute_prototypes_validation():
-    state = _identity_state(channels=1, timesteps=4)
-    state.register_class(0, np.ones(4, dtype=np.float32))
-    x = np.zeros((2, 1, 4), dtype=np.float32)
-    y = np.array([0, 0])
-    with pytest.raises(ValueError):
-        compute_prototypes(state, x, y, [])
-    with pytest.raises(KeyError):
-        compute_prototypes(state, x, y, [5])
-    state.register_class(1, np.ones(4, dtype=np.float32))
-    with pytest.raises(ValueError):
-        compute_prototypes(state, x, y, [1])  # no samples of class 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ from anchorinv.presets import (EXPERIMENT_PRESETS, ExperimentPreset,
 # settings the four presets give one value, and why each stays a setting
 ONE_VALUED = {
     "BaseTrainConfig.seed": "--seed sets it",
-    "FinetuneConfig.seed": "--seed sets it",
     "InversionConfig.seed": "--seed sets it",
     "InversionConfig.learning_rate": "acceptance test 3 inverts at 2e-4 and 5e-4",
     "AdaptationConfig.anchor_strategy": "an ablate strategy-axis value",
     "AdaptationConfig.anchor_fraction": "an ablate strategy-axis value",
+    "ExperimentPreset.way": "the ablate base-classes axis sets it",
+    "ExperimentPreset.shot": "the ablate shots axis sets it",
+    "ExperimentPreset.master_seed": "--seed and the seed key set it",
 }
 
 
@@ -116,17 +118,19 @@ def test_with_synth_classes_takes_synth_section_keys():
 
 
 def _config_values(preset):
-    """Each config of a preset, by its class name."""
+    """A preset and each of its configs, by class name."""
     adaptation = preset.adaptation
     return {"BaseTrainConfig": preset.base_train, "FinetuneConfig": adaptation.finetune,
-            "InversionConfig": adaptation.inversion, "AdaptationConfig": adaptation}
+            "InversionConfig": adaptation.inversion, "AdaptationConfig": adaptation,
+            "ExperimentPreset": preset}
 
 
 def test_every_setting_has_two_values_in_use():
     """A setting the presets give one value is a constant, unless ONE_VALUED
     names it with its reason."""
     one_valued = set()
-    for cls in (BaseTrainConfig, FinetuneConfig, InversionConfig, AdaptationConfig):
+    for cls in (BaseTrainConfig, FinetuneConfig, InversionConfig, AdaptationConfig,
+                ExperimentPreset):
         for field in dataclasses.fields(cls):
             values = {repr(getattr(_config_values(p)[cls.__name__], field.name))
                       for p in EXPERIMENT_PRESETS.values()}
