@@ -16,7 +16,7 @@ cat > "$WORK/config.json" <<'EOF'
   "base_train": {"epochs": 150},
   "finetune": {"iterations": 100},
   "inversion": {"iterations": 200},
-  "adaptation": {"anchors_per_class": 10, "real_per_class": 10},
+  "adaptation": {"anchors_per_class": 10},
   "ablate": {"shots": [1, 5, 10]}
 }
 EOF

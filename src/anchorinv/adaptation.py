@@ -79,15 +79,13 @@ class AdaptationConfig:
     finetune: FinetuneConfig = FinetuneConfig()
     inversion: InversionConfig = InversionConfig()
     label_inversion_iterations: int = 1000
-    anchors_per_class: int = 10
+    anchors_per_class: int = 10  # the base memory per class of every replay method
     anchor_strategy: Strategy = "random_sample"
     anchor_fraction: float = 0.5
-    real_per_class: int = 50
 
     def __post_init__(self):
         check_count("label_inversion_iterations", self.label_inversion_iterations, 1)
         check_count("anchors_per_class", self.anchors_per_class, 1)
-        check_count("real_per_class", self.real_per_class, 1)
         # checked here, not first in select_anchors, so that a bad setting
         # fails before base training
         if self.anchor_strategy not in STRATEGIES:
@@ -287,7 +285,7 @@ def run_fscil(base: Dataset, incrementals: Sequence[Dataset], method: str,
         else:
             if base is None:
                 raise ValueError("realreplay needs a base dataset or a replay store")
-            real_store = sample_base_replay_store(base, config.real_per_class, seed)
+            real_store = sample_base_replay_store(base, config.anchors_per_class, seed)
     elif method in ("deepdream", "deepinv"):
         label_counts = {c: config.anchors_per_class for c in base_ids}
 

@@ -16,7 +16,6 @@ partial outputs land in ``<out>/quarantine`` and the exit status is nonzero.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import sys
 from dataclasses import replace
@@ -44,8 +43,6 @@ __all__ = [
     "apply_seed",
     "main",
 ]
-
-WORKERS_ENV = "ANCHORINV_WORKERS"
 
 # top-level keys that set a preset field, and the field each sets
 _PRESET_KEYS = {"trials": "trials", "seed": "master_seed", "way": "way", "shot": "shot",
@@ -193,20 +190,26 @@ def cmd_run(cfg: dict, preset: ExperimentPreset, staging: Path, workers: int) ->
     (staging / "report.txt").write_text(render_report(report))
 
 
-def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, staging: Path,
-               workers: int) -> None:
+def _ablate_settings(cfg: dict, axis: str) -> tuple[list, int]:
+    """``axis``'s values and ``unseen``, a base-classes key only (default 6)."""
     ablate_cfg = _require(cfg, "ablate")
     if axis not in ablate_cfg:
         raise ConfigError(f"config missing required key 'ablate.{axis}'")
     values = read_json(ablate_cfg[axis], list, ConfigError, f"'ablate.{axis}' config")
     if not values:
         raise ConfigError(f"'ablate.{axis}' must be a nonempty list of axis values")
+    if "unseen" in ablate_cfg and axis != "base-classes":
+        raise ConfigError(f"bad 'ablate' config: unseen is not a key of the '{axis}' axis")
     unseen = ablate_cfg.get("unseen", 6)
     try:
         check_count("unseen", unseen, 1)
     except ValueError as err:
         raise ConfigError(f"bad 'ablate' config: {err}") from None
+    return values, unseen
 
+
+def cmd_ablate(cfg: dict, preset: ExperimentPreset, axis: str, values: list, unseen: int,
+               staging: Path, workers: int) -> None:
     # no axis changes the synthetic spec, so every run shares one data set
     train, test = load_datasets(preset, cfg)
     rows = sweep(preset, train, test, axis, values, unseen=unseen, workers=workers)
@@ -300,18 +303,10 @@ def _run_staged(out_dir: Path, work) -> int:
     return 0
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        value = int(flag)
-    else:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"worker count must be >= 1, got {value}")
-    return value
+def _resolve_workers(flag: int) -> int:
+    if flag < 1:
+        raise ConfigError(f"worker count must be >= 1, got {flag}")
+    return flag
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
         if workers:
-            p.add_argument("--workers", type=int, default=None,
-                           help=f"parallel trial workers (default: ${WORKERS_ENV} or 1)")
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel trial workers (default: 1)")
 
     common(sub.add_parser("train-base", help="train the base model, save "
                                              "checkpoint + anchor store"))
@@ -356,11 +351,13 @@ def main(argv=None) -> int:
         if args.command == "render-report":
             cmd_render_report(args.report, None if args.out is None else Path(args.out))
             return 0
-        workers = _resolve_workers(getattr(args, "workers", None))
+        workers = _resolve_workers(getattr(args, "workers", 1))
         cfg = load_config(args.config)
         preset = resolve_preset(cfg)
         if args.seed is not None:
             preset = apply_seed(preset, args.seed)
+        if args.command == "ablate":
+            values, unseen = _ablate_settings(cfg, args.axis)
     except (ConfigError, KeyError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -371,7 +368,8 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _run_staged(out_dir, lambda s: cmd_run(cfg, preset, s, workers))
     if args.command == "ablate":
-        return _run_staged(out_dir, lambda s: cmd_ablate(cfg, preset, args.axis, s, workers))
+        return _run_staged(out_dir, lambda s: cmd_ablate(cfg, preset, args.axis, values,
+                                                        unseen, s, workers))
     if args.command == "audit-inversion":
         return _run_staged(out_dir, lambda s: cmd_audit_inversion(cfg, preset, s))
     raise AssertionError(f"unhandled command {args.command}")

@@ -310,7 +310,7 @@ def run_trials(base_state: ModelState, split: SessionSplit, test: Dataset,
         base_anchors = base_anchor_memory(base_state, split.base, config)
     replay_store = None
     if "realreplay" in plan.methods:
-        replay_store = sample_base_replay_store(split.base, config.real_per_class,
+        replay_store = sample_base_replay_store(split.base, config.anchors_per_class,
                                                 plan.master_seed)
 
     base_eval = _evaluate_session(base_state, test, base_ids, base_ids)

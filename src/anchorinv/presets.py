@@ -41,8 +41,7 @@ class ConfigError(ValueError):
 class ExperimentPreset:
     """One experiment: backbone, session geometry, and all hyperparameters."""
 
-    name: str
-    backbone: str
+    name: str  # also names the backbone, BACKBONE_PRESETS[name]
     num_classes: int
     base_classes: tuple[int, ...]
     way: int
@@ -55,8 +54,8 @@ class ExperimentPreset:
     synth: SynthSpec | None = None  # set only for synthetic presets
 
     def __post_init__(self):
-        if self.backbone not in BACKBONE_PRESETS:
-            raise KeyError(f"unknown backbone preset '{self.backbone}'; "
+        if self.name not in BACKBONE_PRESETS:
+            raise KeyError(f"unknown backbone preset '{self.name}'; "
                            f"valid: {sorted(BACKBONE_PRESETS)}")
         for name in ("trials", "way", "shot"):
             check_count(name, getattr(self, name), 1)
@@ -69,13 +68,12 @@ class ExperimentPreset:
 
     @property
     def backbone_config(self) -> ConvBackboneConfig:
-        return BACKBONE_PRESETS[self.backbone]
+        return BACKBONE_PRESETS[self.name]
 
 
 def _desk_preset() -> ExperimentPreset:
     return ExperimentPreset(
         name="desk",
-        backbone="desk",
         num_classes=4,
         base_classes=(0, 1),
         way=1,
@@ -90,7 +88,6 @@ def _desk_preset() -> ExperimentPreset:
             label_inversion_iterations=300,
             anchors_per_class=25,
             anchor_strategy="random_sample",
-            real_per_class=25,
         ),
         synth=paired_gain_spec(frequencies=(3.0, 5.0), train_per_class=30,
                                test_per_class=20, seed=DEFAULT_SEED),
@@ -102,7 +99,6 @@ def _bci_preset() -> ExperimentPreset:
     # 1-way-10-shot sessions; 100 paired trials
     return ExperimentPreset(
         name="bci",
-        backbone="bci",
         num_classes=4,
         base_classes=(0, 1),
         way=1,
@@ -116,7 +112,6 @@ def _bci_preset() -> ExperimentPreset:
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
-            real_per_class=50,
         ),
     )
 
@@ -126,7 +121,6 @@ def _nhie_preset() -> ExperimentPreset:
     # by a weighted base loss
     return ExperimentPreset(
         name="nhie",
-        backbone="nhie",
         num_classes=4,
         base_classes=(0, 1),
         way=1,
@@ -141,7 +135,6 @@ def _nhie_preset() -> ExperimentPreset:
             inversion=InversionConfig(learning_rate=1e-2, iterations=4000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
-            real_per_class=50,
         ),
     )
 
@@ -151,7 +144,6 @@ def _grabmyo_preset() -> ExperimentPreset:
     # weights start from prototypes
     return ExperimentPreset(
         name="grabmyo",
-        backbone="grabmyo",
         num_classes=16,
         base_classes=tuple(range(10)),
         way=1,
@@ -165,7 +157,6 @@ def _grabmyo_preset() -> ExperimentPreset:
             inversion=InversionConfig(learning_rate=1e-2, iterations=2000, seed=DEFAULT_SEED),
             anchors_per_class=50,
             anchor_strategy="random_sample",
-            real_per_class=50,
         ),
     )
 

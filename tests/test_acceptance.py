@@ -495,7 +495,7 @@ def test_11_run_reports_are_byte_identical(tmp_path):
         "base_train": {"epochs": 60, "learning_rate": 5e-3},
         "finetune": {"iterations": 4},
         "inversion": {"iterations": 6},
-        "adaptation": {"anchors_per_class": 3, "real_per_class": 3},
+        "adaptation": {"anchors_per_class": 3},
     }
     base_out = tmp_path / "base"
     config = tmp_path / "config.json"

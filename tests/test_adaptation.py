@@ -446,11 +446,13 @@ def test_finetune_config_validation():
 
 
 def test_adaptation_config_counts():
-    for field in ("anchors_per_class", "real_per_class", "label_inversion_iterations"):
+    for field in ("anchors_per_class", "label_inversion_iterations"):
         for bad in (0, 2.0, "5", True):
             with pytest.raises(ValueError, match=field):
                 AdaptationConfig(**{field: bad})
-    AdaptationConfig(anchors_per_class=1, real_per_class=1, label_inversion_iterations=1)
+    AdaptationConfig(anchors_per_class=1, label_inversion_iterations=1)
+    with pytest.raises(TypeError):  # realreplay stores anchors_per_class per base class
+        AdaptationConfig(real_per_class=3)
 
 
 def test_finetune_loss_log_decreases():
@@ -559,7 +561,7 @@ def _chain_fixture():
         finetune=FinetuneConfig(learning_rate=1e-2, iterations=3),
         inversion=InversionConfig(iterations=5, seed=1),
         label_inversion_iterations=5,
-        anchors_per_class=4, real_per_class=4)
+        anchors_per_class=4)
     return base, [s1, s2], state, config
 
 
@@ -631,7 +633,7 @@ def test_run_fscil_missing_inputs():
 
 def test_run_fscil_realreplay_store_grows():
     base, sessions, state, config = _chain_fixture()
-    store = sample_base_replay_store(base, config.real_per_class, seed=5)
+    store = sample_base_replay_store(base, config.anchors_per_class, seed=5)
     a = run_fscil(None, sessions, "realreplay", config, state,
                   base_replay_store=store, seed=5)
     b = run_fscil(base, sessions, "realreplay", config, state, seed=5)

@@ -7,7 +7,6 @@ is shared by the downstream commands to keep the suite fast.
 import dataclasses
 import inspect
 import json
-import os
 import re
 import typing
 
@@ -16,8 +15,8 @@ import pytest
 
 from anchorinv import cli, evaluation
 from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
-from anchorinv.cli import (ABLATE_AXES, WORKERS_ENV, ConfigError, apply_seed,
-                           load_config, main, resolve_preset, _resolve_workers)
+from anchorinv.cli import (ABLATE_AXES, ConfigError, apply_seed, load_config, main,
+                           resolve_preset, _resolve_workers)
 from anchorinv.data import desk_synth_spec
 from anchorinv.inversion import InversionConfig
 from anchorinv.model import BaseTrainConfig
@@ -35,7 +34,7 @@ def _small_config(**extra):
         "base_train": {"epochs": 60, "learning_rate": 5e-3},
         "finetune": {"iterations": 4},
         "inversion": {"iterations": 6},
-        "adaptation": {"anchors_per_class": 3, "real_per_class": 3},
+        "adaptation": {"anchors_per_class": 3},
     }
     cfg.update(extra)
     return cfg
@@ -98,6 +97,10 @@ def test_resolve_preset_rejects_unknown_sections():
     with pytest.raises(ConfigError) as err:
         resolve_preset(_small_config(adaptation={"anchor_count": 5}))
     assert "anchor_count" in str(err.value)
+    # realreplay stores anchors_per_class samples per base class
+    with pytest.raises(ConfigError) as err:
+        resolve_preset(_small_config(adaptation={"real_per_class": 3}))
+    assert "real_per_class" in str(err.value)
     with pytest.raises(ConfigError) as err:
         resolve_preset(_small_config(methods=["anchorinv", "dreambooth"]))
     assert "dreambooth" in str(err.value) and "protonet" in str(err.value)
@@ -131,7 +134,7 @@ def test_resolve_preset_rejects_unknown_sections():
     ids=["unknown-strategy", "zero-fraction"])
 def test_train_base_rejects_bad_anchor_settings_before_training(tmp_path, capsys, spy_engine,
                                                                 adaptation, message):
-    cfg = _small_config(adaptation=dict(anchors_per_class=3, real_per_class=3, **adaptation))
+    cfg = _small_config(adaptation=dict(anchors_per_class=3, **adaptation))
     _assert_train_base_refuses(cfg, message, tmp_path, capsys, spy_engine)
 
 
@@ -333,12 +336,8 @@ def test_apply_seed_reaches_every_component():
     assert preset.adaptation.inversion.seed == 123
 
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers():
     assert _resolve_workers(3) == 3
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _resolve_workers(None) == 1
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    assert _resolve_workers(None) == 4
     with pytest.raises(ConfigError):
         _resolve_workers(0)
 
@@ -507,7 +506,7 @@ def test_ablate_rejects_a_bad_unseen_count_before_training(tmp_path, capsys, spy
     assert main(["ablate", "--config", config, "--out", str(out),
                  "--axis", "base-classes"]) == 1
     assert trainings == []
-    assert not (out / "ablate.json").exists()
+    assert not out.exists()
     assert "error: bad 'ablate' config: unseen must be" in capsys.readouterr().err
 
 
@@ -572,7 +571,8 @@ def test_ablate_refuses_a_wrong_typed_axis_value_before_training(tmp_path, capsy
     """No axis value is truncated: each one that is not of its setting's type
     fails before the first value trains."""
     trainings = spy_engine("train_base", module=evaluation)
-    cfg = _small_config(ablate={axis: values, "unseen": 2})
+    unseen = {"unseen": 2} if axis == "base-classes" else {}
+    cfg = _small_config(ablate={axis: values, **unseen})
     config = _write_config(tmp_path / "ablate.json", cfg)
     out = tmp_path / "out"
     assert main(["ablate", "--config", config, "--out", str(out), "--axis", axis]) == 1
@@ -590,6 +590,30 @@ def test_ablate_refuses_an_unknown_key_before_staging(tmp_path, capsys, spy_engi
     out = tmp_path / "out"
     assert main(["ablate", "--config", config, "--out", str(out), "--axis", "shots"]) == 1
     assert capsys.readouterr().err == "error: bad 'ablate' config: unknown keys ['unsen', 'way']\n"
+    assert sweeps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("axis, ablate, message", [
+    ("shots", None, "config missing required key 'ablate'"),
+    ("anchors", {"shots": [1, 5]}, "config missing required key 'ablate.anchors'"),
+    ("shots", {"shots": []}, "'ablate.shots' must be a nonempty list of axis values"),
+    ("shots", {"shots": 5}, "bad 'ablate.shots' config: not a list, got 5"),
+    ("shots", {"shots": [1, 5], "unseen": 99},
+     "bad 'ablate' config: unseen is not a key of the 'shots' axis"),
+    ("strategy", {"strategy": ["closest"], "unseen": 2},
+     "bad 'ablate' config: unseen is not a key of the 'strategy' axis")],
+    ids=["no-section", "missing-axis", "empty-list", "not-a-list", "unseen-with-shots",
+         "unseen-with-strategy"])
+def test_ablate_section_is_checked_before_staging(tmp_path, capsys, spy_engine, axis, ablate,
+                                                  message):
+    """Every key the ``ablate`` section gives the swept axis is checked before
+    any output directory exists; ``unseen`` only with the base-classes axis."""
+    sweeps = spy_engine("sweep", module=cli)
+    cfg = {"preset": "desk"} if ablate is None else {"preset": "desk", "ablate": ablate}
+    config = _write_config(tmp_path / "ablate.json", cfg)
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", config, "--out", str(out), "--axis", axis]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sweeps == [] and not out.exists()
 
 
@@ -728,25 +752,22 @@ def test_render_report_refuses_a_malformed_report(tmp_path, capsys, payload, mes
     assert captured.out == ""
 
 
-def test_workers_env_variable(trained, tmp_path, monkeypatch, capsys):
+def test_run_refuses_zero_workers_before_staging(tmp_path, capsys):
+    config = _write_config(tmp_path / "run.json", _small_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: worker count must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_run_report_does_not_depend_on_the_worker_count(trained, tmp_path):
     _, base_out = trained
     cfg = _small_config(checkpoint=str(base_out / "checkpoint.bin"),
                         anchors=str(base_out / "anchors.bin"),
-                        methods=["protonet"], trials=2)
+                        methods=["anchorinv", "protonet", "realreplay"], trials=2)
     config = _write_config(tmp_path / "run.json", cfg)
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
-    assert "worker count" in capsys.readouterr().err
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    assert main(["run", "--config", config, "--out", str(tmp_path / "o2")]) == 0
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", ""])
-def test_workers_env_variable_that_is_not_an_integer_names_it(tmp_path, monkeypatch, capsys,
-                                                             value):
-    config = _write_config(tmp_path / "run.json", _small_config())
-    monkeypatch.setenv(WORKERS_ENV, value)
-    assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {WORKERS_ENV} must be an integer, got {value!r}\n"
-    assert not (tmp_path / "o").exists()
+    for workers in ("1", "2"):
+        assert main(["run", "--config", config, "--out", str(tmp_path / workers),
+                     "--workers", workers]) == 0
+    assert (tmp_path / "1" / "report.json").read_bytes() \
+        == (tmp_path / "2" / "report.json").read_bytes()

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from anchorinv import evaluation
+from anchorinv import adaptation, evaluation
 from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
 from anchorinv.data import Dataset, split_sessions
 from anchorinv.evaluation import (TrialPlan, TrialReport, macro_f1, per_class_f1,
@@ -219,7 +219,7 @@ def _tiny_adaptation():
     return AdaptationConfig(
         finetune=FinetuneConfig(learning_rate=1e-2, iterations=3),
         inversion=InversionConfig(iterations=5, seed=1),
-        anchors_per_class=4, real_per_class=4)
+        anchors_per_class=4)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,28 @@ def test_run_trials_anchor_methods_cover_memory():
     # protonet-free report still recorded per-session incremental scores
     incr = report.scores["anchorinv"]["incremental"]
     assert all(v is not None for v in incr[0])
+
+
+def test_run_trials_realreplay_stores_anchors_per_class(monkeypatch):
+    """realreplay's base store holds ``anchors_per_class`` real samples per
+    base class, the memory budget of every replay method."""
+    base_counts = []
+    finetune_session = adaptation.finetune_session
+
+    def spy(state, replay, new, *args, **kwargs):
+        base_counts.append([int(np.sum(replay.y == c)) for c in (0, 1)])
+        return finetune_session(state, replay, new, *args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "finetune_session", spy)
+    rng = np.random.default_rng(158)
+    split = split_sessions(_four_direction_data(rng, per_class=12), base_classes=(0, 1),
+                           way=1, shot=5)
+    config = AdaptationConfig(finetune=FinetuneConfig(learning_rate=1e-2, iterations=3),
+                              anchors_per_class=3)
+    plan = TrialPlan(trials=2, master_seed=9, methods=("realreplay",))
+    run_trials(_base_state(split.base), split, _four_direction_data(rng, per_class=4), plan,
+               config)
+    assert base_counts == [[3, 3]] * 4  # two sessions in each of two trials
 
 
 def test_trial_report_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 from anchorinv.adaptation import AdaptationConfig, FinetuneConfig
 from anchorinv.inversion import InversionConfig
-from anchorinv.model import BaseTrainConfig
+from anchorinv.model import BACKBONE_PRESETS, BaseTrainConfig
 from anchorinv.presets import (EXPERIMENT_PRESETS, ExperimentPreset,
                                build_split, get_preset, materialize_synth,
                                with_synth_classes)
@@ -24,12 +24,20 @@ ONE_VALUED = {
     "ExperimentPreset.master_seed": "--seed and the seed key set it",
 }
 
+# settings that hold the same value as another in all four presets, and why
+# each stays a setting of its own
+REPEATED = {
+    "BaseTrainConfig.seed": "the desk-train benchmark sets it apart from master_seed",
+    "InversionConfig.seed": "the desk-train benchmark sets it apart from master_seed",
+    "ExperimentPreset.master_seed": "the seed key sets it alone",
+}
+
 
 def test_preset_registry():
     assert sorted(EXPERIMENT_PRESETS) == ["bci", "desk", "grabmyo", "nhie"]
     for name, preset in EXPERIMENT_PRESETS.items():
         assert preset.name == name
-        assert preset.backbone == name
+        assert preset.backbone_config == BACKBONE_PRESETS[name]
         assert preset.way == 1 and preset.shot == 10
         assert "anchorinv" in preset.methods
         assert "finetune" in preset.methods
@@ -65,12 +73,12 @@ def test_recording_presets_expect_manifests():
 def test_preset_validation():
     desk = get_preset("desk")
     with pytest.raises(KeyError):
-        ExperimentPreset(name="x", backbone="resnet", num_classes=4,
+        ExperimentPreset(name="resnet", num_classes=4,
                          base_classes=(0, 1), way=1, shot=10, trials=1,
                          master_seed=0, methods=("protonet",),
                          base_train=desk.base_train, adaptation=desk.adaptation)
     with pytest.raises(ValueError):
-        ExperimentPreset(name="x", backbone="desk", num_classes=4,
+        ExperimentPreset(name="desk", num_classes=4,
                          base_classes=(0, 9), way=1, shot=10, trials=1,
                          master_seed=0, methods=("protonet",),
                          base_train=desk.base_train, adaptation=desk.adaptation)
@@ -125,15 +133,29 @@ def _config_values(preset):
             "ExperimentPreset": preset}
 
 
+def _preset_values():
+    """Each field of the five config dataclasses -> its values in the four
+    presets, in preset order."""
+    return {f"{cls.__name__}.{field.name}":
+            tuple(repr(getattr(_config_values(p)[cls.__name__], field.name))
+                  for p in EXPERIMENT_PRESETS.values())
+            for cls in (BaseTrainConfig, FinetuneConfig, InversionConfig, AdaptationConfig,
+                        ExperimentPreset)
+            for field in dataclasses.fields(cls)}
+
+
 def test_every_setting_has_two_values_in_use():
     """A setting the presets give one value is a constant, unless ONE_VALUED
     names it with its reason."""
-    one_valued = set()
-    for cls in (BaseTrainConfig, FinetuneConfig, InversionConfig, AdaptationConfig,
-                ExperimentPreset):
-        for field in dataclasses.fields(cls):
-            values = {repr(getattr(_config_values(p)[cls.__name__], field.name))
-                      for p in EXPERIMENT_PRESETS.values()}
-            if len(values) < 2:
-                one_valued.add(f"{cls.__name__}.{field.name}")
+    one_valued = {name for name, values in _preset_values().items() if len(set(values)) < 2}
     assert one_valued == set(ONE_VALUED)
+
+
+def test_no_setting_repeats_another():
+    """Two settings that hold equal values in every preset are one setting set
+    twice, unless REPEATED names both with their reasons."""
+    by_values = {}
+    for name, values in _preset_values().items():
+        by_values.setdefault(values, []).append(name)
+    repeated = {name for names in by_values.values() if len(names) > 1 for name in names}
+    assert repeated == set(REPEATED)
